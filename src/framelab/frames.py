@@ -289,9 +289,12 @@ def standard_onb(d: int, field: str = "R") -> Frame:
 def random_onb(d: int, seed: int = 0, field: str = "C") -> Frame:
     """Haar-ish random orthonormal basis via Gram-Schmidt on Gaussians.
 
-    Deterministic in ``seed``.  Resamples any vector that falls too
-    close to the span of the earlier ones, which for continuous
-    Gaussians essentially never happens.
+    Deterministic in ``seed``.  Each vector is projected off the
+    earlier ones twice: one pass leaves errors that grow as the vector
+    loses norm to the projection, the second brings orthonormality to
+    roundoff.  Resamples any vector that falls too close to the span
+    of the earlier ones, which for continuous Gaussians essentially
+    never happens.
     """
     d = int(d)
     if d < 1:
@@ -304,8 +307,9 @@ def random_onb(d: int, seed: int = 0, field: str = "C") -> Frame:
                 v = rng.complex_gaussians(d)
             else:
                 v = rng.gaussians(d)
-            for j in range(i):
-                v = v - np.vdot(rows[j], v) * rows[j]
+            for _ in range(2):
+                for j in range(i):
+                    v = v - np.vdot(rows[j], v) * rows[j]
             norm = float(np.sqrt(np.sum(np.abs(v) ** 2)))
             if norm > 1e-8:
                 rows[i] = v / norm

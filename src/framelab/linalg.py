@@ -7,6 +7,17 @@ platform and fully under our control.  Everything runs through one
 complex code path; outputs whose imaginary parts are below tolerance
 are demoted to real arrays.
 
+The sweeps run on Python lists of ``complex`` scalars, not NumPy
+arrays: at the dimensions used here (mostly d <= 20) the fixed cost
+of a NumPy call exceeds the O(d) arithmetic of a rotation.  Each
+rotation updates two rows of the working matrix and writes the
+conjugates back as columns, so the matrix stays exactly Hermitian;
+eigenvectors are accumulated as rows.  The Frobenius norms behind the
+stopping rule are scaled (``math.hypot``), so matrices with entries
+near the overflow or underflow limits of a double are handled.  Pivot
+order, rotation formulas and stopping rules are those of the textbook
+cyclic method and fixed: see :func:`_jacobi`.
+
 Conventions
 -----------
 * Eigenvalues are returned in ascending order.
@@ -83,49 +94,66 @@ def _check_hermitian(a: np.ndarray, tol: float, name: str = "matrix") -> None:
         )
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
+def _norm(entries) -> float:
+    # Scaled, so entries near the overflow or underflow limit of a
+    # double neither turn the norm into inf nor flush it to zero.
+    return math.hypot(*[abs(x) for x in entries])
+
+
+def _offdiag_norm(a: list[list[complex]]) -> float:
     # Computed directly on the off-diagonal part. Subtracting squared
     # norms instead cancels catastrophically and stalls convergence.
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt(np.sum(np.abs(off) ** 2)))
+    return _norm(x for i, row in enumerate(a)
+                 for j, x in enumerate(row) if j != i)
 
 
-def _jacobi(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi(
+    a: list[list[complex]], tol: float
+) -> tuple[list[float], list[list[complex]]]:
     """Cyclic complex Jacobi sweeps on a Hermitian matrix.
+
+    ``a`` holds the rows of an exactly Hermitian matrix as lists of
+    Python ``complex`` scalars and is diagonalized in place.  Returns
+    the diagonal and the eigenvectors stored as rows (the transpose of
+    the eigenvector matrix), so that each rotation updates two row
+    lists of each matrix and makes no NumPy call.
+
+    Each sweep visits the pivots (p, q), p < q, row by row.  A
+    rotation forms the two rotated rows, applies the column rotation
+    to their 2x2 pivot block, and writes columns p and q as the
+    conjugates of those rows, so the working matrix stays exactly
+    Hermitian with a real diagonal.  Pivots below 1e-300 are skipped.
 
     Sweeps stop once the off-diagonal Frobenius norm drops below
     ``tol`` times the Frobenius norm of the input, after which one
-    extra polishing sweep runs to push rotations to roundoff.  Raises
-    after 100 sweeps without convergence.
+    extra polishing sweep runs to push rotations to roundoff; an
+    off-diagonal norm below 1e-14 times the input norm stops at once.
+    Both norms are scaled, so they neither overflow nor underflow.
+    Raises after 100 sweeps without convergence.
     """
-    d = a.shape[0]
-    work = a.copy()
-    vecs = np.eye(d, dtype=np.complex128)
-    if d == 1:
-        return work, vecs
-
-    fro = float(np.sqrt(np.sum(np.abs(work) ** 2)))
-    if fro == 0.0:
-        return work, vecs
+    d = len(a)
+    vt = [[complex(i == j) for j in range(d)] for i in range(d)]
+    fro = _norm(x for row in a for x in row)
     thresh = tol * fro
 
     polish = False
     for _ in range(_MAX_SWEEPS):
-        off = _offdiag_norm(work)
+        off = _offdiag_norm(a)
         if off <= thresh:
             if polish or off <= 1e-14 * fro:
-                return work, vecs
+                break
             polish = True
 
         for p in range(d - 1):
             for q in range(p + 1, d):
-                apq = work[p, q]
+                rp = a[p]
+                rq = a[q]
+                apq = rp[q]
                 mag = abs(apq)
                 if mag < 1e-300:
                     # nothing to rotate; also keeps tau finite below
                     continue
-                phi = math.atan2(apq.imag, apq.real)
-                tau = (work[q, q].real - work[p, p].real) / (2.0 * mag)
+                tau = (rq[q].real - rp[p].real) / (2.0 * mag)
                 if abs(tau) > 1e150:
                     # asymptotic form; tau * tau would overflow
                     t = 0.5 / tau
@@ -135,28 +163,38 @@ def _jacobi(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
                     t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                eiphi = complex(math.cos(phi), math.sin(phi))
+                eiphi = apq / mag
+                se = s * eiphi
+                ce = c * eiphi
+                sc = se.conjugate()
+                cc = ce.conjugate()
 
-                row_p = c * work[p, :] - s * eiphi * work[q, :]
-                row_q = s * work[p, :] + c * eiphi * work[q, :]
-                work[p, :] = row_p
-                work[q, :] = row_q
+                new_p = [c * x - se * y for x, y in zip(rp, rq)]
+                new_q = [s * x + ce * y for x, y in zip(rp, rq)]
+                # column rotation of the pivot block; Hermitian by fiat
+                xp = new_p[p]
+                xq = new_p[q]
+                new_p[p] = complex((c * xp - sc * xq).real)
+                new_p[q] = s * xp + cc * xq
+                new_q[q] = complex((s * new_q[p] + cc * new_q[q]).real)
+                new_q[p] = new_p[q].conjugate()
+                a[p] = new_p
+                a[q] = new_q
+                for row, x, y in zip(a, new_p, new_q):
+                    row[p] = x.conjugate()
+                    row[q] = y.conjugate()
 
-                col_p = c * work[:, p] - s * eiphi.conjugate() * work[:, q]
-                col_q = s * work[:, p] + c * eiphi.conjugate() * work[:, q]
-                work[:, p] = col_p
-                work[:, q] = col_q
+                vp = vt[p]
+                vq = vt[q]
+                vt[p] = [c * x - sc * y for x, y in zip(vp, vq)]
+                vt[q] = [s * x + cc * y for x, y in zip(vp, vq)]
 
-                vcol_p = c * vecs[:, p] - s * eiphi.conjugate() * vecs[:, q]
-                vcol_q = s * vecs[:, p] + c * eiphi.conjugate() * vecs[:, q]
-                vecs[:, p] = vcol_p
-                vecs[:, q] = vcol_q
-
-    if _offdiag_norm(work) <= thresh:
-        return work, vecs
-    raise NoConvergenceError(
-        f"eigensolver did not converge within {_MAX_SWEEPS} sweeps"
-    )
+    else:
+        if _offdiag_norm(a) > thresh:
+            raise NoConvergenceError(
+                f"eigensolver did not converge within {_MAX_SWEEPS} sweeps"
+            )
+    return [a[i][i].real for i in range(d)], vt
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
@@ -212,12 +250,12 @@ def hermitian_eig(m, tol: float | None = None) -> HermitianEig:
     _check_hermitian(a, tol)
     herm = (a + a.conj().T) / 2.0
 
-    diag, vecs = _jacobi(herm, tol)
-    values = np.ascontiguousarray(np.diag(diag).real)
+    diag, vt = _jacobi(herm.tolist(), tol)
+    values = np.array(diag)
 
     order = np.argsort(values, kind="stable")
     values = values[order]
-    vecs = vecs[:, order]
+    vecs = np.ascontiguousarray(np.array(vt)[order].T)
     vecs = _fix_phases(vecs)
     return HermitianEig(values, demote_if_real(vecs, tol))
 

@@ -104,17 +104,44 @@ class MeasureCheckReport:
     witness: Povm | None
 
 
+def _effect_eig(a: np.ndarray, tol: float) -> linalg.HermitianEig | None:
+    # Eigendecomposition of the Hermitian part of an effect, or None
+    # when ``a`` is not square, not Hermitian or has a spectrum
+    # outside [0, 1].
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return None
+    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    if float(np.max(np.abs(a - a.conj().T))) > tol * max(1.0, scale):
+        return None
+    eig = linalg.hermitian_eig((a + a.conj().T) / 2.0, tol)
+    values = eig.eigenvalues
+    if values[0] >= -tol and values[-1] <= 1.0 + tol:
+        return eig
+    return None
+
+
+def _checked_eigs(p: Povm, tol: float) -> list[linalg.HermitianEig]:
+    # The POVM axioms, checked effect by effect and then on the sum;
+    # returns each effect's eigendecomposition for reuse.
+    eigs = []
+    for j in range(len(p)):
+        eig = _effect_eig(p.effects[j], tol)
+        if eig is None:
+            raise NotPovmError(f"effect {j} is not a valid effect")
+        eigs.append(eig)
+    total = np.sum(p.effects, axis=0)
+    dev = float(np.max(np.abs(total - np.eye(p.dim))))
+    if dev > tol:
+        raise NotPovmError(
+            f"effects sum to identity only within {dev:.3e} (allowed {tol:.3e})"
+        )
+    return eigs
+
+
 def is_effect(e, tol: float | None = None) -> bool:
     """True when ``e`` is Hermitian with spectrum inside [0, 1]."""
     tol = resolve_tol(tol)
-    a = np.asarray(e, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if float(np.max(np.abs(a - a.conj().T))) > tol * max(1.0, scale):
-        return False
-    values, _ = linalg.hermitian_eig((a + a.conj().T) / 2.0, tol)
-    return bool(values[0] >= -tol and values[-1] <= 1.0 + tol)
+    return _effect_eig(np.asarray(e, dtype=np.complex128), tol) is not None
 
 
 def check_povm(p: Povm, tol: float | None = None) -> None:
@@ -123,16 +150,7 @@ def check_povm(p: Povm, tol: float | None = None) -> None:
     Checks that every effect is Hermitian with spectrum in [0, 1]
     within tol, and that the effects sum to the identity within tol.
     """
-    tol = resolve_tol(tol)
-    for j in range(len(p)):
-        if not is_effect(p.effects[j], tol):
-            raise NotPovmError(f"effect {j} is not a valid effect")
-    total = np.sum(p.effects, axis=0)
-    dev = float(np.max(np.abs(total - np.eye(p.dim))))
-    if dev > tol:
-        raise NotPovmError(
-            f"effects sum to identity only within {dev:.3e} (allowed {tol:.3e})"
-        )
+    _checked_eigs(p, resolve_tol(tol))
 
 
 def povm_from_frame(f: Frame, tol: float | None = None) -> Povm:
@@ -202,13 +220,11 @@ def frame_from_povm(
     Parseval up to the accuracy of the input POVM.
     """
     tol = resolve_tol(tol)
-    check_povm(p, tol)
     d = p.dim
     rows: list[np.ndarray] = []
     partition: list[list[int]] = []
     dropped = 0
-    for j in range(len(p)):
-        values, vecs = linalg.hermitian_eig(p.effects[j], tol)
+    for values, vecs in _checked_eigs(p, tol):
         vecs = vecs.astype(np.complex128, copy=False)
         group: list[int] = []
         for i in range(d):

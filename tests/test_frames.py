@@ -66,6 +66,9 @@ def test_random_onb_orthonormal_both_fields():
         f = fl.random_onb(5, seed=77, field=field)
         gram = f.vectors @ f.vectors.conj().T
         assert_allclose(gram, np.eye(5), atol=1e-12)
+    # one Gram-Schmidt pass left this basis orthonormal only to 9.7e-9
+    x = fl.random_onb(4, seed=1324078862819464509, field="R").vectors
+    assert_allclose(x @ x.T, np.eye(4), atol=1e-12)
     # deterministic in the seed
     a = fl.random_onb(4, seed=5).vectors
     b = fl.random_onb(4, seed=5).vectors

@@ -14,8 +14,10 @@ from framelab import (
     SplitMix64,
     hermitian_eig,
     outer,
+    povm_from_frame_grouped,
     psd_inv_sqrt,
     random_hermitian,
+    random_parseval,
     trace,
 )
 
@@ -73,10 +75,25 @@ def test_eig_frozen_2x2():
     assert_allclose(v[:, 1], [r, r], atol=1e-14)
 
 
+def _grouped_effects():
+    # Effects of grouped POVMs have rank at most their group size, so
+    # their spectra hold repeated zeros.
+    rng = SplitMix64(808)
+    for d, n, k in ((4, 6, 3), (8, 10, 4), (16, 18, 2)):
+        f = random_parseval(d, n, seed=rng.u64(), field="C")
+        yield from povm_from_frame_grouped(
+            f, [list(range(j, n, k)) for j in range(k)]
+        ).effects
+
+
 def test_eig_matches_lapack_complex():
     rng = SplitMix64(2024)
-    for d in range(1, 9):
-        m = random_hermitian(d, seed=rng.u64(), field="C")
+    inputs = [
+        random_hermitian(d, seed=rng.u64(), field="C")
+        for d in (*range(1, 9), 12, 16, 20, 24)
+    ]
+    for m in inputs + list(_grouped_effects()):
+        d = m.shape[0]
         w, v = hermitian_eig(m)
         ref = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
         assert_allclose(w, ref, atol=1e-10 * (1.0 + float(np.max(np.abs(m)))))
@@ -115,6 +132,16 @@ def test_eig_diagonal_and_zero():
     w0, v0 = hermitian_eig(np.zeros((3, 3)))
     assert_allclose(w0, np.zeros(3))
     assert_allclose(v0, np.eye(3))
+
+
+def test_eig_extreme_scales():
+    # Norms taken as sqrt(sum |a|^2) overflow at the first scale and
+    # underflow to zero at the second; both gave eigenvalues [0, 0].
+    for scale in (1e160, 1e-170):
+        m = scale * np.array([[0.0, 1.0], [1.0, 0.0]])
+        w, v = hermitian_eig(m)
+        assert_allclose(w, np.linalg.eigvalsh(m), rtol=1e-12, atol=0)
+        assert_allclose(v.T @ v, np.eye(2), atol=1e-12)
 
 
 def test_eig_rejects_bad_input():

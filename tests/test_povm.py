@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import framelab as fl
+import framelab.linalg
 from framelab import Frame, Povm, SplitMix64
 from framelab.serialize import povm_from_json, povm_to_json
 
@@ -98,6 +99,21 @@ def test_frame_from_povm_eigenvalue_order():
     assert_allclose(np.abs(frame.vectors[2]), [0.0, 1.0], atol=1e-12)
     # real input comes back as a real frame
     assert frame.field == "R"
+
+
+def test_frame_from_povm_eigendecomposes_each_effect_once(monkeypatch):
+    f = fl.random_parseval(3, 6, seed=4)
+    p = fl.povm_from_frame_grouped(f, [[0, 1], [2], [3, 4, 5]])
+    calls = []
+    solve = framelab.linalg.hermitian_eig
+
+    def counting(m, tol=None):
+        calls.append(m)
+        return solve(m, tol)
+
+    monkeypatch.setattr(framelab.linalg, "hermitian_eig", counting)
+    fl.frame_from_povm(p)
+    assert len(calls) == len(p)
 
 
 def test_frame_from_povm_checks_validity():
