@@ -203,6 +203,14 @@ def _cmd_convert(args) -> int:
 # gleason
 
 
+def _spec_field(obj: dict, key: str, convert, default=None):
+    # A missing or unconvertible JSON function-spec field is bad input.
+    try:
+        return convert(obj.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{obj['kind']} spec needs a valid {key!r}") from exc
+
+
 def _build_gleason_from_obj(obj, args) -> gleason.GleasonFn:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("function spec must be an object with a 'kind' key")
@@ -211,17 +219,15 @@ def _build_gleason_from_obj(obj, args) -> gleason.GleasonFn:
         if "operator" not in obj:
             raise InputError("quadratic spec needs an 'operator' matrix")
         mat = serialize.matrix_from_json(obj["operator"], "operator")
-        from .linalg import demote_if_real
-
         return gleason.quadratic_gleason(
-            demote_if_real(mat, 0.0), float(obj.get("const", 0.0))
+            mat, _spec_field(obj, "const", float, 0.0)
         )
     if kind == "cos2d":
-        return gleason.cos_counterexample(int(obj["n"]))
+        return gleason.cos_counterexample(_spec_field(obj, "n", int))
     if kind == "epsilon1d":
-        return gleason.epsilon_1d_counterexample(float(obj["eps"]))
+        return gleason.epsilon_1d_counterexample(_spec_field(obj, "eps", float))
     if kind == "expnorm":
-        dim = int(obj.get("dim", getattr(args, "dim", None) or 0))
+        dim = _spec_field(obj, "dim", int, getattr(args, "dim", None) or 0)
         if dim < 1:
             raise InputError("expnorm spec needs a positive 'dim'")
         return gleason.expnorm_gleason(dim, obj.get("field", "C"))

@@ -24,6 +24,7 @@ from .errors import (
     NotAFrameError,
     NotParsevalError,
     NotUnitNormError,
+    SingularOrIndefiniteError,
     TooFewVectorsError,
 )
 from .linalg import DEFAULT_TOL, resolve_tol
@@ -132,20 +133,14 @@ def canonical_parseval(f: Frame, tol: float | None = None) -> Frame:
     vectors do not span, detected by an eigenvalue of S below tol.
     """
     tol = resolve_tol(tol)
-    s = frame_operator(f)
-    values, vecs = linalg.hermitian_eig(s, tol)
-    if float(values[0]) < tol:
+    try:
+        root = linalg.psd_inv_sqrt(frame_operator(f), tol)
+    except SingularOrIndefiniteError:
         raise NotAFrameError(
             f"vectors do not span: smallest frame-operator eigenvalue "
-            f"is {values[0]:.3e}"
-        )
-    vc = vecs.astype(np.complex128, copy=False)
-    root = (vc * (values ** -0.5)) @ vc.conj().T
-    root = (root + root.conj().T) / 2.0
-    if f.field == "R":
-        root = root.real
-    out = f.vectors @ root.T
-    return Frame(out, f.field)
+            f"is {frame_bounds(f, tol)[0]:.3e}"
+        ) from None
+    return Frame(f.vectors @ root.T, f.field)
 
 
 def coherence(f: Frame, tol: float | None = None) -> float:

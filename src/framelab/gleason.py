@@ -31,7 +31,6 @@ from .errors import (
     BadNError,
     BadWeightError,
     InputError,
-    NotHermitianError,
     NotSquareError,
     OutOfBallError,
 )
@@ -166,24 +165,14 @@ def quadratic_gleason(a, const: float = 0.0) -> GleasonFn:
 
     Its sum over any N-vector Parseval frame is trace(A) + N * const,
     so with const = 0 it is a frame function of every degree at once.
-    A real A must be symmetric; a complex A must be Hermitian.
+    A must pass the Hermitian check of :mod:`framelab.linalg` at 1e-12;
+    the field is "C" exactly when A has a nonzero imaginary entry.
     """
-    mat = np.asarray(a)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise NotSquareError(f"operator must be square, got shape {mat.shape}")
+    mat = linalg._as_matrix(a, "operator")
+    linalg._check_hermitian(mat, 1e-12, "operator")
     const = float(const)
-    scale = float(np.max(np.abs(mat))) if mat.size else 0.0
-    dev = float(np.max(np.abs(mat - mat.conj().T)))
-    if dev > 1e-12 * max(1.0, scale):
-        raise NotHermitianError(
-            f"operator deviates from Hermitian by {dev:.3e}"
-        )
-    if np.iscomplexobj(mat) and float(np.max(np.abs(mat.imag))) > 0.0:
-        field = "C"
-        mat = mat.astype(np.complex128)
-    else:
-        field = "R"
-        mat = mat.real.astype(np.float64)
+    field = "C" if mat.imag.any() else "R"
+    mat = mat.copy() if field == "C" else mat.real.copy()
     fro = float(np.sqrt(np.sum(np.abs(mat) ** 2)))
 
     def fn(x: np.ndarray) -> complex:
@@ -576,7 +565,7 @@ def fit_quadratic(
                 a[j, k] = s / 2.0
                 a[k, j] = s / 2.0
 
-    operator = linalg.demote_if_real(a, 1e-12)
+    operator = a.real.copy() if float(np.max(np.abs(a.imag))) <= 1e-12 else a
 
     rng = SplitMix64(seed)
     residual = 0.0
@@ -712,12 +701,15 @@ def quadratic_zero_count_s1(a) -> int | float:
     Writing the restriction as m + R cos(2 theta - phi), the count is
     0, 2, 4, or infinity according to |m| > R, |m| = R != 0, |m| < R,
     or m = R = 0.  Returns ``math.inf`` for the identically-zero form.
+    A must be real and pass the Hermitian check of :mod:`framelab.linalg`.
     """
-    mat = np.asarray(a, dtype=np.float64)
+    mat = linalg._as_matrix(a)
     if mat.shape != (2, 2):
         raise NotSquareError(f"need a 2x2 matrix, got shape {mat.shape}")
-    if abs(mat[0, 1] - mat[1, 0]) > 1e-12 * max(1.0, float(np.max(np.abs(mat)))):
-        raise NotHermitianError("matrix must be symmetric")
+    linalg._check_hermitian(mat, 1e-12)
+    if mat.imag.any():
+        raise InputError("matrix must be real")
+    mat = mat.real
     mean = (mat[0, 0] + mat[1, 1]) / 2.0
     amp = math.hypot((mat[0, 0] - mat[1, 1]) / 2.0, (mat[0, 1] + mat[1, 0]) / 2.0)
     if mean == 0.0 and amp == 0.0:

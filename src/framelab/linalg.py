@@ -4,8 +4,15 @@ The eigensolver is a cyclic complex Jacobi iteration written here on
 purpose rather than delegated to LAPACK, so that eigenvalue order,
 eigenvector phases, and convergence behaviour are identical on every
 platform and fully under our control.  Everything runs through one
-complex code path; outputs whose imaginary parts are below tolerance
-are demoted to real arrays.
+complex code path.  The package's Hermitian rules are written here once:
+
+* Hermitian check: a finite square M passes at ``tol`` when
+  ``max|M - M*| <= tol * max|M|`` (so the zero matrix passes); its
+  Hermitian part ``(M + M*)/2`` is what gets diagonalized.
+* Real demotion: eigenvectors and inverse square roots are real arrays
+  exactly when that Hermitian part has no nonzero imaginary entry,
+  which makes the demotion lossless.
+* Inverse square root: :func:`psd_inv_sqrt`, and nowhere else.
 
 The sweeps run on Python lists of ``complex`` scalars, not NumPy
 arrays: at the dimensions used here (mostly d <= 20) the fixed cost
@@ -63,15 +70,6 @@ def resolve_tol(tol: float | None) -> float:
     return tol
 
 
-def demote_if_real(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Return a real view of ``a`` when every imaginary part is tiny."""
-    if not np.iscomplexobj(a):
-        return a
-    if a.size == 0 or float(np.max(np.abs(a.imag))) <= tol:
-        return np.ascontiguousarray(a.real)
-    return a
-
-
 def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m)
     if a.dtype.kind not in "fiucb":
@@ -79,18 +77,21 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     a = a.astype(np.complex128, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSquareError(f"{name} must be square, got shape {a.shape}")
+    if not a.size:
+        raise InputError(f"{name} is empty")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise InputError(f"{name} contains non-finite entries")
     return a
 
 
 def _check_hermitian(a: np.ndarray, tol: float, name: str = "matrix") -> None:
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if dev > tol * max(1.0, scale):
+    # The Hermitian check of the module docstring, on an _as_matrix result.
+    allowed = tol * float(np.max(np.abs(a)))
+    dev = float(np.max(np.abs(a - a.conj().T)))
+    if dev > allowed:
         raise NotHermitianError(
             f"{name} deviates from Hermitian by {dev:.3e} "
-            f"(allowed {tol * max(1.0, scale):.3e})"
+            f"(allowed {allowed:.3e})"
         )
 
 
@@ -223,9 +224,8 @@ def hermitian_eig(m, tol: float | None = None) -> HermitianEig:
     Parameters
     ----------
     m : array_like
-        Square matrix, Hermitian within ``tol`` relative to its largest
-        entry.  The strictly Hermitian part ``(M + M*)/2`` is what gets
-        diagonalized.
+        Square matrix that passes the Hermitian check of the module
+        docstring.  Its Hermitian part ``(M + M*)/2`` is diagonalized.
     tol : float, optional
         Tolerance for the Hermitian check and for convergence.
 
@@ -233,8 +233,8 @@ def hermitian_eig(m, tol: float | None = None) -> HermitianEig:
     -------
     HermitianEig
         ``eigenvalues`` ascending (real float array) and
-        ``eigenvectors`` with matching orthonormal columns.  For a real
-        symmetric input the eigenvector matrix is demoted to real.
+        ``eigenvectors`` with matching orthonormal columns, real by the
+        demotion rule of the module docstring.
 
     Raises
     ------
@@ -257,16 +257,20 @@ def hermitian_eig(m, tol: float | None = None) -> HermitianEig:
     values = values[order]
     vecs = np.ascontiguousarray(np.array(vt)[order].T)
     vecs = _fix_phases(vecs)
-    return HermitianEig(values, demote_if_real(vecs, tol))
+    if not herm.imag.any():
+        # real symmetric: every rotation was real, so this is lossless
+        vecs = np.ascontiguousarray(vecs.real)
+    return HermitianEig(values, vecs)
 
 
 def psd_inv_sqrt(m, tol: float | None = None) -> np.ndarray:
     """Inverse square root of a positive definite Hermitian matrix.
 
+    ``m`` must pass the Hermitian check of the module docstring.
     Eigenvalues below ``tol`` make the problem ill-posed and raise
     :class:`SingularOrIndefiniteError`.  The result is re-symmetrized
-    so it is Hermitian to roundoff, and demoted to real when the input
-    was real.
+    so it is Hermitian to roundoff, and real by the demotion rule of
+    the module docstring.
     """
     tol = resolve_tol(tol)
     values, vecs = hermitian_eig(m, tol)
@@ -277,7 +281,10 @@ def psd_inv_sqrt(m, tol: float | None = None) -> np.ndarray:
     vc = vecs.astype(np.complex128, copy=False)
     root = (vc * (values ** -0.5)) @ vc.conj().T
     root = (root + root.conj().T) / 2.0
-    return demote_if_real(root, tol)
+    if np.isrealobj(vecs):
+        # real eigenvectors leave exactly zero imaginary parts
+        root = np.ascontiguousarray(root.real)
+    return root
 
 
 def trace(m) -> float | complex:

@@ -23,8 +23,10 @@ from .errors import (
     BadPartitionError,
     DimMismatchError,
     InputError,
+    NotHermitianError,
     NotPovmError,
     NotParsevalError,
+    NotSquareError,
 )
 from .frames import Frame, is_parseval, random_parseval
 from .linalg import resolve_tol
@@ -104,16 +106,14 @@ class MeasureCheckReport:
     witness: Povm | None
 
 
-def _effect_eig(a: np.ndarray, tol: float) -> linalg.HermitianEig | None:
+def _effect_eig(a, tol: float) -> linalg.HermitianEig | None:
     # Eigendecomposition of the Hermitian part of an effect, or None
     # when ``a`` is not square, not Hermitian or has a spectrum
     # outside [0, 1].
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    try:
+        eig = linalg.hermitian_eig(a, tol)
+    except (NotSquareError, NotHermitianError):
         return None
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if float(np.max(np.abs(a - a.conj().T))) > tol * max(1.0, scale):
-        return None
-    eig = linalg.hermitian_eig((a + a.conj().T) / 2.0, tol)
     values = eig.eigenvalues
     if values[0] >= -tol and values[-1] <= 1.0 + tol:
         return eig
@@ -139,9 +139,9 @@ def _checked_eigs(p: Povm, tol: float) -> list[linalg.HermitianEig]:
 
 
 def is_effect(e, tol: float | None = None) -> bool:
-    """True when ``e`` is Hermitian with spectrum inside [0, 1]."""
-    tol = resolve_tol(tol)
-    return _effect_eig(np.asarray(e, dtype=np.complex128), tol) is not None
+    """True when ``e`` passes the Hermitian check of :mod:`framelab.linalg`
+    and its Hermitian part has spectrum inside [0, 1], both within tol."""
+    return _effect_eig(e, resolve_tol(tol)) is not None
 
 
 def check_povm(p: Povm, tol: float | None = None) -> None:
@@ -225,7 +225,6 @@ def frame_from_povm(
     partition: list[list[int]] = []
     dropped = 0
     for values, vecs in _checked_eigs(p, tol):
-        vecs = vecs.astype(np.complex128, copy=False)
         group: list[int] = []
         for i in range(d):
             lam = float(values[i])

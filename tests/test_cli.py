@@ -171,6 +171,20 @@ def test_gleason_fit_and_verify(tmp_path):
     assert not rep["passed"]
 
 
+@pytest.mark.parametrize("spec", [
+    '{"kind":"cos2d"}',
+    '{"kind":"cos2d","n":"x"}',
+    '{"kind":"epsilon1d"}',
+    '{"kind":"epsilon1d","eps":[1]}',
+    '{"kind":"expnorm","dim":"a"}',
+    '{"kind":"quadratic","operator":[[1,0],[0,2]],"const":"z"}',
+])
+def test_gleason_malformed_json_spec_exits_2(tmp_path, spec):
+    r = run_cli(["gleason", "fit", "--spec", spec], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+
+
 def test_gleason_inline_json_spec_and_ladder(tmp_path):
     spec = json.dumps(
         {"kind": "quadratic", "operator": [[1.0, 0.0], [0.0, 2.0]], "const": 0.5}

@@ -99,7 +99,11 @@ def test_canonical_parseval_fixes_parseval_frames():
 
 def test_canonical_parseval_rejects_non_spanning():
     bad = Frame(np.array([[1.0, 0.0], [2.0, 0.0]]), "R")
-    with pytest.raises(fl.NotAFrameError):
+    with pytest.raises(
+        fl.NotAFrameError,
+        match=r"^vectors do not span: smallest frame-operator eigenvalue "
+              r"is 0\.000e\+00$",
+    ):
         fl.canonical_parseval(bad)
 
 

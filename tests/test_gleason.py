@@ -49,6 +49,11 @@ def test_quadratic_gleason_rejects_non_hermitian():
         fl.quadratic_gleason(np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(fl.NotSquareError):
         fl.quadratic_gleason(np.ones((2, 3)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(fl.InputError):
+            fl.quadratic_gleason(np.array([[1.0, 0.0], [0.0, bad]]))
+    with pytest.raises(fl.InputError):
+        fl.quadratic_gleason(np.zeros((0, 0)))
 
 
 def test_eval_guards():
@@ -327,6 +332,12 @@ def test_zero_count_closed_cases():
         fl.quadratic_zero_count_s1(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(fl.NotSquareError):
         fl.quadratic_zero_count_s1(np.eye(3))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(fl.InputError):
+            fl.quadratic_zero_count_s1(np.array([[1.0, 0.0], [0.0, bad]]))
+    # Hermitian but not real: the form x^T A x is not real-valued
+    with pytest.raises(fl.InputError):
+        fl.quadratic_zero_count_s1(np.array([[1.0, 1.0j], [-1.0j, 1.0]]))
 
 
 def test_zero_count_matches_grid_oracle():

@@ -149,12 +149,29 @@ def test_eig_rejects_bad_input():
         hermitian_eig(np.ones((2, 3)))
     with pytest.raises(NotHermitianError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # the allowance is relative to the largest entry, with no floor
+    with pytest.raises(NotHermitianError):
+        hermitian_eig(1e-20 * np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(InputError):
         hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(InputError):
+        hermitian_eig(np.zeros((0, 0)))
     # an asymmetry below tol is forgiven and symmetrized away
     m = np.array([[1.0, 1e-13], [0.0, 1.0]])
     w, _ = hermitian_eig(m)
     assert_allclose(w, [1.0, 1.0], atol=1e-12)
+
+
+def test_eig_complex_input_keeps_complex_vectors():
+    # Imaginary parts far below tol are part of the matrix: demoting
+    # the eigenvectors to real would leave a residual of ~1e-10.
+    m = np.array([[1.0, 1.0 + 9e-11j], [1.0 - 9e-11j, 3.0]])
+    w, v = hermitian_eig(m)
+    assert v.dtype == np.complex128
+    assert float(np.max(np.abs(m @ v - v * w))) <= 1e-14
+    # a complex dtype holding a real symmetric matrix is demoted
+    _, v = hermitian_eig(np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex))
+    assert v.dtype == np.float64
 
 
 def test_eig_no_convergence_with_absurd_tol():
@@ -189,6 +206,14 @@ def test_psd_inv_sqrt_real_stays_real():
     r = psd_inv_sqrt(m)
     assert r.dtype == np.float64
     assert_allclose(r @ r @ m, np.eye(2), atol=1e-12)
+
+
+def test_psd_inv_sqrt_complex_input_stays_complex():
+    m = np.array([[2.0, 1e-11j], [-1e-11j, 2.0]])
+    r = psd_inv_sqrt(m)
+    assert r.dtype == np.complex128
+    w, v = np.linalg.eigh(m)
+    assert_allclose(r, (v * w ** -0.5) @ v.conj().T, rtol=0, atol=1e-15)
 
 
 def test_psd_inv_sqrt_rejects_singular_and_indefinite():

@@ -21,6 +21,16 @@ def test_povm_from_frame_effects_are_effects():
     fl.check_povm(p)  # should not raise
 
 
+def test_is_effect_rejects_non_effects():
+    assert fl.is_effect(np.zeros((2, 2)))
+    assert fl.is_effect(np.diag([0.0, 1.0]))
+    assert not fl.is_effect(np.diag([0.0, 2.0]))
+    assert not fl.is_effect(np.ones((2, 3)))
+    assert not fl.is_effect(np.array([[0.5, 0.1], [0.0, 0.5]]))
+    # far from Hermitian at any scale, however small its entries
+    assert not fl.is_effect(1e-12 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 def test_povm_from_frame_requires_parseval():
     f = Frame(2.0 * fl.standard_onb(2).vectors, "R")
     with pytest.raises(fl.NotParsevalError):
