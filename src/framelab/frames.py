@@ -6,6 +6,10 @@ imaginary part by construction; complex frames keep complex128.  The
 frame operator of row matrix X is X^T conj(X) acting on column
 vectors, its extreme eigenvalues are the optimal frame bounds, and a
 frame is Parseval exactly when that operator is the identity.
+
+No diagnostic forms the N x N Gram matrix.  Coherence and
+equiangularity stream it in row blocks of bounded size, and the frame
+potential is ||S||_F^2 of the d x d frame operator S.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ from .linalg import DEFAULT_TOL, resolve_tol
 from .rng import SplitMix64
 
 _FIELDS = ("R", "C")
+
+# Bytes of one row block of the Gram matrix in the streaming pass.
+_GRAM_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,6 +150,36 @@ def canonical_parseval(f: Frame, tol: float | None = None) -> Frame:
     return Frame(f.vectors @ root.T, f.field)
 
 
+def _pair_stats(f: Frame) -> tuple[float, float, float]:
+    """Max, min and mean of |<x_i, x_j>| over the pairs i < j.
+
+    One pass over row blocks of the Gram matrix, each of about
+    ``_GRAM_BLOCK_BYTES`` (one row at least): the block of rows s..e-1
+    is formed against columns s..N-1 only, so N x N is never held.
+    """
+    x = f.vectors
+    n = len(f)
+    rows = max(1, _GRAM_BLOCK_BYTES // (x.itemsize * n))
+    hi, lo, total = -math.inf, math.inf, 0.0
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        # mags[r, c] = |<x_{s+r}, x_{s+c}>|; conjugating the first
+        # factor gives the conjugate inner product, of equal magnitude.
+        mags = np.abs(np.conj(x[s:e]) @ x[s:].T)
+        diag_block = mags[:, : e - s][np.triu_indices(e - s, 1)]
+        for part in (diag_block, mags[:, e - s:]):
+            if part.size:
+                hi = max(hi, float(part.max()))
+                lo = min(lo, float(part.min()))
+                total += float(part.sum())
+    return hi, lo, total / (n * (n - 1) / 2)
+
+
+def _equiangular(stats, tol: float) -> tuple[bool, float | None]:
+    hi, lo, mean = stats
+    return (True, mean) if hi - lo <= tol else (False, None)
+
+
 def coherence(f: Frame, tol: float | None = None) -> float:
     """Largest pairwise inner-product magnitude of a unit-norm frame."""
     tol = resolve_tol(tol)
@@ -155,10 +192,7 @@ def coherence(f: Frame, tol: float | None = None) -> float:
         raise NotUnitNormError(
             f"vector norms deviate from 1 by up to {worst:.3e}"
         )
-    gram = f.vectors @ f.vectors.conj().T
-    mags = np.abs(gram)
-    np.fill_diagonal(mags, 0.0)
-    return float(np.max(mags))
+    return _pair_stats(f)[0]
 
 
 def welch_bound(n: int, d: int) -> float:
@@ -182,23 +216,18 @@ def is_equiangular(
     :func:`coherence` when an equiangular tight frame is the question.
     """
     tol = resolve_tol(tol)
-    n = len(f)
-    if n < 2:
+    if len(f) < 2:
         raise TooFewVectorsError("equiangularity needs at least two vectors")
-    gram = f.vectors @ f.vectors.conj().T
-    mags = np.abs(gram)
-    idx = np.triu_indices(n, k=1)
-    offdiag = mags[idx]
-    spread = float(np.max(offdiag) - np.min(offdiag))
-    if spread <= tol:
-        return True, float(np.mean(offdiag))
-    return False, None
+    return _equiangular(_pair_stats(f), tol)
 
 
 def frame_potential(f: Frame) -> float:
-    """Sum of squared magnitudes of all N^2 pairwise inner products."""
-    gram = f.vectors @ f.vectors.conj().T
-    return float(np.sum(np.abs(gram) ** 2))
+    """Sum of squared magnitudes of all N^2 pairwise inner products.
+
+    Computed as ||S||_F^2 = tr(S^2) of the d x d frame operator S,
+    which equals tr(G^2) for the Gram matrix G, at O(N d^2) cost.
+    """
+    return float(np.sum(np.abs(frame_operator(f)) ** 2))
 
 
 def project_frame(f: Frame, basis, tol: float | None = None) -> Frame:
@@ -245,11 +274,11 @@ def analyze_frame(f: Frame, tol: float | None = None) -> FrameReport:
     unit = bool(float(np.max(np.abs(norms - 1.0))) <= tol)
     n, d = len(f), f.dim
 
+    equi, angle, coh = True, None, None
     if n >= 2:
-        equi, angle = is_equiangular(f, tol)
-    else:
-        equi, angle = True, None
-    coh = coherence(f, tol) if (unit and n >= 2) else None
+        stats = _pair_stats(f)
+        equi, angle = _equiangular(stats, tol)
+        coh = stats[0] if unit else None
     welch = welch_bound(n, d) if n >= d else None
 
     return FrameReport(

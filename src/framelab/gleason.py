@@ -65,6 +65,10 @@ class GleasonFn:
     fn: Callable[[np.ndarray], complex]
     params: dict = dc_field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.field not in ("R", "C"):
+            raise InputError(f"field must be 'R' or 'C', got {self.field!r}")
+
     def __call__(self, x) -> float | complex:
         v = np.asarray(x)
         if v.ndim != 1 or v.shape[0] != self.dim:
@@ -397,8 +401,6 @@ def custom_gleason(
     dim = int(dim)
     if dim < 1:
         raise InputError("dimension must be at least 1")
-    if field not in ("R", "C"):
-        raise InputError(f"field must be 'R' or 'C', got {field!r}")
     return GleasonFn(
         dim=dim,
         field=field,

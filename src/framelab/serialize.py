@@ -6,6 +6,10 @@ keys are sorted, floats are rendered with 17 significant digits
 (which round-trips float64 exactly), negative zero collapses to 0,
 complex numbers become [re, im] pairs, and non-finite numbers are
 rejected.  Files end with a single newline.
+
+:func:`fmt_float` is the one float rule.  Float and complex arrays
+follow it too, one row template at a time, so the ``*_to_json``
+writers hand arrays to the emitter and the readers accept them back.
 """
 
 from __future__ import annotations
@@ -23,14 +27,48 @@ from .povm import MeasureCheckReport, Povm
 from .waveforms import AmbiguityTable, CazacReport
 
 
+# 17 significant digits; applied to x + 0.0 so that -0.0 prints as 0.
+_FLOAT = "%.17g"
+
+
 def fmt_float(x: float) -> str:
     """Canonical text form of a float."""
     x = float(x)
     if not math.isfinite(x):
         raise InputError(f"cannot serialize non-finite number {x!r}")
-    if x == 0.0:
-        return "0"
-    return format(x, ".17g")
+    return _FLOAT % (x + 0.0)
+
+
+def _float_rows(a: np.ndarray, left: str = "[", right: str = "]") -> list[str]:
+    """Text of each innermost row of a float or complex array.
+
+    Entries follow :func:`fmt_float`; complex entries become
+    ``[re,im]`` pairs.  One template per row length is filled once per
+    row, and one finite check covers every real and imaginary part.
+    """
+    kind = np.complex128 if np.iscomplexobj(a) else np.float64
+    a = np.ascontiguousarray(a, dtype=kind) + 0.0
+    parts = a.view(np.float64)
+    finite = np.isfinite(parts)
+    if not finite.all():
+        bad = float(parts[~finite][0])
+        raise InputError(f"cannot serialize non-finite number {bad!r}")
+    cell = f"[{_FLOAT},{_FLOAT}]" if kind is np.complex128 else _FLOAT
+    template = left + ",".join([cell] * a.shape[-1]) + right
+    rows = parts.reshape(math.prod(a.shape[:-1]), parts.shape[-1])
+    return [template % tuple(row) for row in rows.tolist()]
+
+
+def _emit_float_array(a: np.ndarray, out: list[str]) -> None:
+    pieces = _float_rows(a)
+    outer = a.shape[:-1]
+    for axis in range(len(outer) - 1, -1, -1):
+        n = outer[axis]
+        pieces = [
+            "[" + ",".join(pieces[g * n:(g + 1) * n]) + "]"
+            for g in range(math.prod(outer[:axis]))
+        ]
+    out.append(pieces[0])
 
 
 def _emit(obj, out: list[str]) -> None:
@@ -52,7 +90,10 @@ def _emit(obj, out: list[str]) -> None:
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), out)
+        if obj.ndim and obj.dtype.kind in "fc":
+            _emit_float_array(obj, out)
+        else:
+            _emit(obj.tolist(), out)
     elif isinstance(obj, dict):
         out.append("{")
         first = True
@@ -107,10 +148,14 @@ def parse_json(text: str):
 # vectors and matrices
 
 
-def _vector_to_json(v: np.ndarray, field: str):
-    if field == "R":
-        return [float(x) for x in np.asarray(v).real]
-    return [[float(x.real), float(x.imag)] for x in np.asarray(v)]
+def _plain(item):
+    """The JSON form of what a ``*_to_json`` writer returned: arrays
+    become nested lists, complex entries [re, im] pairs."""
+    if not isinstance(item, np.ndarray):
+        return item
+    if np.iscomplexobj(item):
+        item = np.stack([item.real, item.imag], axis=-1)
+    return item.tolist()
 
 
 def _vector_from_json(item, field: str, what: str) -> np.ndarray:
@@ -138,12 +183,12 @@ def _vector_from_json(item, field: str, what: str) -> np.ndarray:
     return np.array(entries, dtype=np.complex128)
 
 
-def matrix_to_json(m: np.ndarray):
-    a = np.asarray(m, dtype=np.complex128)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in a]
+def matrix_to_json(m: np.ndarray) -> np.ndarray:
+    return np.asarray(m, dtype=np.complex128)
 
 
 def matrix_from_json(item, what: str) -> np.ndarray:
+    item = _plain(item)
     if not isinstance(item, list) or not item:
         raise InputError(f"{what}: expected a nonempty list of rows")
     rows = [_vector_from_json(row, "C", what) for row in item]
@@ -161,7 +206,7 @@ def frame_to_json(f: Frame) -> dict:
     return {
         "dim": f.dim,
         "field": f.field,
-        "vectors": [_vector_to_json(row, f.field) for row in f.vectors],
+        "vectors": f.vectors,
     }
 
 
@@ -177,7 +222,7 @@ def frame_from_json(obj) -> Frame:
     dim = obj["dim"]
     if not isinstance(dim, int) or dim < 1:
         raise InputError(f"frame: bad dimension {dim!r}")
-    vex = obj["vectors"]
+    vex = _plain(obj["vectors"])
     if not isinstance(vex, list) or not vex:
         raise InputError("frame: vectors must be a nonempty list")
     rows = [_vector_from_json(v, field, f"frame vector {i}") for i, v in enumerate(vex)]
@@ -196,7 +241,7 @@ def frame_from_json(obj) -> Frame:
 def povm_to_json(p: Povm) -> dict:
     return {
         "dim": p.dim,
-        "effects": [matrix_to_json(p.effects[j]) for j in range(len(p))],
+        "effects": p.effects,
         "partition": p.partition,
     }
 
@@ -210,7 +255,7 @@ def povm_from_json(obj) -> Povm:
     dim = obj["dim"]
     if not isinstance(dim, int) or dim < 1:
         raise InputError(f"povm: bad dimension {dim!r}")
-    effects_json = obj["effects"]
+    effects_json = _plain(obj["effects"])
     if not isinstance(effects_json, list) or not effects_json:
         raise InputError("povm: effects must be a nonempty list")
     effects = []
@@ -237,10 +282,7 @@ def povm_from_json(obj) -> Povm:
 
 def sequence_to_json(u: np.ndarray) -> dict:
     a = np.asarray(u, dtype=np.complex128)
-    return {
-        "length": int(a.shape[0]),
-        "entries": [[float(x.real), float(x.imag)] for x in a],
-    }
+    return {"length": int(a.shape[0]), "entries": a}
 
 
 def sequence_from_json(obj) -> np.ndarray:
@@ -252,7 +294,7 @@ def sequence_from_json(obj) -> np.ndarray:
     length = obj["length"]
     if not isinstance(length, int) or length < 1:
         raise InputError(f"sequence: bad length {length!r}")
-    entries = _vector_from_json(obj["entries"], "C", "sequence entries")
+    entries = _vector_from_json(_plain(obj["entries"]), "C", "sequence entries")
     if entries.shape[0] != length:
         raise InputError(
             f"sequence claims length {length} but has {entries.shape[0]} entries"
@@ -317,7 +359,7 @@ def verification_report_to_json(r: VerificationReport) -> dict:
 
 def fit_result_to_json(r: FitResult) -> dict:
     return {
-        "operator": matrix_to_json(np.asarray(r.operator)),
+        "operator": matrix_to_json(r.operator),
         "weight": r.weight,
         "residual": r.residual,
         "verdict": r.verdict,
@@ -372,7 +414,7 @@ def scaling_report_to_json(r: ScalingReport) -> dict:
     witness = None
     if r.witness is not None:
         witness = {
-            "x": [complex(v) for v in np.asarray(r.witness["x"], dtype=np.complex128)],
+            "x": np.asarray(r.witness["x"], dtype=np.complex128),
             "alpha": complex(r.witness["alpha"]),
             "lhs": complex(r.witness["lhs"]),
             "rhs": complex(r.witness["rhs"]),
@@ -392,6 +434,4 @@ def scaling_report_to_json(r: ScalingReport) -> dict:
 
 def ambiguity_to_csv(table: AmbiguityTable) -> str:
     """Magnitude grid as CSV, row m per line, columns n = 0..d-1."""
-    mags = table.magnitudes()
-    lines = [",".join(fmt_float(x) for x in row) for row in mags]
-    return "\n".join(lines) + "\n"
+    return "\n".join(_float_rows(table.magnitudes(), "", "")) + "\n"

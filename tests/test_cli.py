@@ -177,6 +177,7 @@ def test_gleason_fit_and_verify(tmp_path):
     '{"kind":"epsilon1d"}',
     '{"kind":"epsilon1d","eps":[1]}',
     '{"kind":"expnorm","dim":"a"}',
+    '{"kind":"expnorm","dim":2,"field":"X"}',
     '{"kind":"quadratic","operator":[[1,0],[0,2]],"const":"z"}',
 ])
 def test_gleason_malformed_json_spec_exits_2(tmp_path, spec):

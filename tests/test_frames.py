@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,3 +267,68 @@ def test_frame_json_rejects_malformed():
     # bare numbers are accepted as real entries of a complex vector
     f = frame_from_json({"dim": 1, "field": "C", "vectors": [[1.0]]})
     assert f.vectors.dtype == np.complex128
+
+
+def _assert_matches_gram_oracle(f):
+    g = f.vectors @ f.vectors.conj().T
+    mags = np.abs(g)[np.triu_indices(len(f), 1)]
+    assert_allclose(fl.frame_potential(f), np.sum(np.abs(g) ** 2), rtol=1e-12)
+    equi, angle = fl.is_equiangular(f)
+    assert equi == bool(mags.max() - mags.min() <= fl.DEFAULT_TOL)
+    if equi:
+        assert_allclose(angle, mags.mean(), rtol=1e-12)
+    else:
+        assert angle is None
+    report = fl.analyze_frame(f)
+    assert (report.is_equiangular, report.common_angle) == (equi, angle)
+    assert report.frame_potential == fl.frame_potential(f)
+
+    unit = Frame(f.vectors / f.norms()[:, None], f.field)
+    g = unit.vectors @ unit.vectors.conj().T
+    mags = np.abs(g)[np.triu_indices(len(unit), 1)]
+    assert_allclose(fl.coherence(unit), mags.max(), rtol=1e-12, atol=1e-15)
+    assert fl.analyze_frame(unit).coherence == fl.coherence(unit)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Frame(np.array([[1.0, 0.0], [0.6, 0.8]]), "R"),
+    lambda: fl.random_parseval(3, 8, seed=5, field="R"),
+    lambda: fl.random_parseval(4, 11, seed=9),
+    lambda: fl.simplex_etf(4),
+    lambda: fl.harmonic_frame(3, 7, (1, 2, 4)),
+    lambda: fl.gabor_frame(fl.bjorck(37)),
+], ids=["n2", "real-random", "complex-random", "simplex4", "harmonic7",
+        "gabor37"])
+def test_gram_diagnostics_match_full_gram_oracle(make):
+    _assert_matches_gram_oracle(make())
+
+
+def test_gram_diagnostics_across_block_boundaries(monkeypatch):
+    # Three rows per block over eleven vectors leaves a short last
+    # block; one row per block leaves no pair inside a block.
+    f = fl.random_parseval(3, 11, seed=2)
+    monkeypatch.setattr(fl.frames, "_GRAM_BLOCK_BYTES", 3 * 16 * 11)
+    _assert_matches_gram_oracle(f)
+    monkeypatch.setattr(fl.frames, "_GRAM_BLOCK_BYTES", 1)
+    _assert_matches_gram_oracle(fl.simplex_etf(4))
+
+
+def test_equiangular_frames_report_their_angle():
+    equi, angle = fl.is_equiangular(fl.simplex_etf(4))
+    assert equi
+    assert_allclose(angle, 0.25, rtol=1e-14)
+    equi, angle = fl.is_equiangular(fl.harmonic_frame(3, 7, (1, 2, 4)))
+    assert equi
+    assert_allclose(angle, math.sqrt(2.0) / 7.0, rtol=1e-14)
+
+
+def test_analyze_frame_never_forms_the_gram_matrix():
+    # The Gram matrix of this 1369-vector frame takes 30 MB.
+    f = fl.gabor_frame(fl.bjorck(37))
+    tracemalloc.start()
+    try:
+        fl.analyze_frame(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

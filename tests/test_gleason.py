@@ -66,6 +66,18 @@ def test_eval_guards():
         g(np.array([1.0j, 0.0]))  # real-field function, complex point
 
 
+@pytest.mark.parametrize("make", [
+    lambda: fl.expnorm_gleason(2, field="X"),
+    lambda: fl.gleason_from_effect_measure(lambda e: 0.0, 2, field="X"),
+    lambda: fl.custom_gleason(lambda x: 0.0, 2, field="X"),
+    lambda: fl.GleasonFn(dim=2, field="c", kind="custom", bound=1.0,
+                         fn=lambda x: 0.0),
+], ids=["expnorm", "effect_measure", "custom", "direct"])
+def test_gleason_functions_reject_unknown_field(make):
+    with pytest.raises(fl.InputError, match="field must be 'R' or 'C'"):
+        make()
+
+
 def test_expnorm_values():
     g = fl.expnorm_gleason(3)
     assert_allclose(g(np.array([1.0, 0, 0], dtype=complex)), E - 1.0)

@@ -1,0 +1,109 @@
+"""The array emitter against the scalar float rule, and pinned bytes."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import framelab as fl
+from framelab.serialize import (
+    ambiguity_to_csv,
+    canonical_json,
+    fmt_float,
+    frame_to_json,
+    povm_to_json,
+    sequence_to_json,
+)
+
+VALUES = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 3.0, -7.0, 2.0**53, 0.0,
+          0.1, 1.0 / 3.0, -2.5e-7]
+SHAPES = [(0,), (1,), (5, 3), (2, 3, 3), (4, 0), (0, 2, 2)]
+
+
+def _entrywise(a):
+    # The reference: fmt_float on every entry, complex ones as pairs.
+    def walk(x):
+        if isinstance(x, list):
+            return "[" + ",".join(walk(y) for y in x) + "]"
+        if isinstance(x, complex):
+            return f"[{fmt_float(x.real)},{fmt_float(x.imag)}]"
+        return fmt_float(x)
+
+    return walk(a.tolist())
+
+
+def _filled(shape, dtype):
+    size = int(np.prod(shape))
+    re = np.resize(np.array(VALUES), size)
+    if dtype == np.complex128:
+        im = np.resize(np.array(VALUES[3:] + VALUES[:3]), size)
+        a = re.astype(np.complex128)
+        a.imag = im
+        return a.reshape(shape)
+    return re.reshape(shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_array_path_equals_fmt_float_entrywise(shape, dtype):
+    a = _filled(shape, dtype)
+    assert canonical_json(a) == _entrywise(a)
+    # non-contiguous views and nesting inside containers as well
+    if a.ndim == 2:
+        assert canonical_json(a.T) == _entrywise(a.T)
+    assert canonical_json({"a": [a]}) == '{"a":[' + _entrywise(a) + "]}"
+
+
+def test_negative_zero_collapses_in_both_parts():
+    z = np.array([complex(-0.0, -0.0), -0.0j, complex(-0.0, 1.0)])
+    assert canonical_json(z) == "[[0,0],[0,0],[0,1]]"
+    assert canonical_json(np.array([-0.0, 0.0])) == "[0,0]"
+
+
+def test_integer_bool_and_scalar_arrays_keep_their_bytes():
+    assert canonical_json(np.arange(6).reshape(2, 3)) == "[[0,1,2],[3,4,5]]"
+    assert canonical_json(np.array([True, False])) == "[true,false]"
+    assert canonical_json(np.array(2.5)) == "2.5"
+    assert canonical_json(np.array(-0.0)) == "0"
+    assert canonical_json(np.array(1 - 2j)) == "[1,-2]"
+    assert canonical_json(np.zeros((0,), dtype=np.int64)) == "[]"
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([1.0, np.nan]),
+    np.array([[0.0], [-np.inf]]),
+    np.array([complex(np.inf, 0.0)]),
+    np.array([[1.0 + 0j, complex(0.0, np.nan)]]),
+])
+def test_non_finite_arrays_are_rejected(bad):
+    with pytest.raises(fl.InputError, match="non-finite"):
+        canonical_json(bad)
+    with pytest.raises(fl.InputError, match="non-finite"):
+        canonical_json({"nested": [bad]})
+
+
+def test_ambiguity_csv_follows_fmt_float():
+    table = fl.ambiguity(fl.bjorck(7))
+    rows = [",".join(fmt_float(x) for x in row) for row in table.magnitudes()]
+    assert ambiguity_to_csv(table) == "\n".join(rows) + "\n"
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_bytes():
+    # SHA-256 of four canonical outputs; any change to their bytes
+    # shows here.
+    u = fl.bjorck(13)
+    grouped = fl.povm_from_frame_grouped(
+        fl.random_parseval(4, 7, seed=3), [[0, 1, 2], [3, 4], [5, 6]]
+    )
+    assert _sha(canonical_json(frame_to_json(fl.gabor_frame(u)))) == (
+        "fc2e590f1d37a35f351f50333aae96a03a01d2117ac1e1d4573134f139978185")
+    assert _sha(canonical_json(povm_to_json(grouped))) == (
+        "f8af84cafa42e8fb46f02caf23da197c022f3d8b95625e4a096296b064dc02f1")
+    assert _sha(canonical_json(sequence_to_json(u))) == (
+        "6ad1bbbcce7fc95287fc72acd7e66fd121f4dfda6d64da653f67d28264780804")
+    assert _sha(ambiguity_to_csv(fl.ambiguity(u))) == (
+        "3f0732328d9b8f29fb0032e983ec448b3a971234bd81c5e76b6d5a2752015e8d")
