@@ -113,22 +113,35 @@ def frame_operator(f: Frame) -> np.ndarray:
     return x.T @ x.conj()
 
 
+# The rules behind frame_bounds, is_parseval and frame_potential, on
+# an already formed frame operator s, so analyze_frame forms it once.
+
+
+def _bounds(s: np.ndarray, tol: float | None) -> tuple[float, float]:
+    values, _ = linalg.hermitian_eig(s, tol)
+    return float(values[0]), float(values[-1])
+
+
+def _is_identity(s: np.ndarray, tol: float) -> bool:
+    return float(np.max(np.abs(s - np.eye(len(s))))) <= tol
+
+
+def _potential(s: np.ndarray) -> float:
+    return float(np.sum(np.abs(s) ** 2))
+
+
 def frame_bounds(f: Frame, tol: float | None = None) -> tuple[float, float]:
     """Optimal frame bounds (A, B).
 
     These are the extreme eigenvalues of the frame operator.  A is
     positive exactly when the vectors span; A == B means tight.
     """
-    values, _ = linalg.hermitian_eig(frame_operator(f), tol)
-    return float(values[0]), float(values[-1])
+    return _bounds(frame_operator(f), tol)
 
 
 def is_parseval(f: Frame, tol: float | None = None) -> bool:
     """True when the frame operator is the identity within tol."""
-    tol = resolve_tol(tol)
-    s = frame_operator(f)
-    dev = float(np.max(np.abs(s - np.eye(f.dim))))
-    return dev <= tol
+    return _is_identity(frame_operator(f), resolve_tol(tol))
 
 
 def canonical_parseval(f: Frame, tol: float | None = None) -> Frame:
@@ -140,12 +153,13 @@ def canonical_parseval(f: Frame, tol: float | None = None) -> Frame:
     vectors do not span, detected by an eigenvalue of S below tol.
     """
     tol = resolve_tol(tol)
+    s = frame_operator(f)
     try:
-        root = linalg.psd_inv_sqrt(frame_operator(f), tol)
+        root = linalg.psd_inv_sqrt(s, tol)
     except SingularOrIndefiniteError:
         raise NotAFrameError(
             f"vectors do not span: smallest frame-operator eigenvalue "
-            f"is {frame_bounds(f, tol)[0]:.3e}"
+            f"is {_bounds(s, tol)[0]:.3e}"
         ) from None
     return Frame(f.vectors @ root.T, f.field)
 
@@ -227,7 +241,7 @@ def frame_potential(f: Frame) -> float:
     Computed as ||S||_F^2 = tr(S^2) of the d x d frame operator S,
     which equals tr(G^2) for the Gram matrix G, at O(N d^2) cost.
     """
-    return float(np.sum(np.abs(frame_operator(f)) ** 2))
+    return _potential(frame_operator(f))
 
 
 def project_frame(f: Frame, basis, tol: float | None = None) -> Frame:
@@ -267,9 +281,10 @@ def project_frame(f: Frame, basis, tol: float | None = None) -> Frame:
 def analyze_frame(f: Frame, tol: float | None = None) -> FrameReport:
     """Run the standard diagnostics and bundle them in a report."""
     tol = resolve_tol(tol)
-    lower, upper = frame_bounds(f, tol)
+    s = frame_operator(f)
+    lower, upper = _bounds(s, tol)
     tight = abs(upper - lower) <= tol * max(1.0, abs(upper))
-    parseval = is_parseval(f, tol)
+    parseval = _is_identity(s, tol)
     norms = f.norms()
     unit = bool(float(np.max(np.abs(norms - 1.0))) <= tol)
     n, d = len(f), f.dim
@@ -294,7 +309,7 @@ def analyze_frame(f: Frame, tol: float | None = None) -> FrameReport:
         common_angle=angle,
         coherence=coh,
         welch_bound=welch,
-        frame_potential=frame_potential(f),
+        frame_potential=_potential(s),
     )
 
 

@@ -25,6 +25,14 @@ near the overflow or underflow limits of a double are handled.  Pivot
 order, rotation formulas and stopping rules are those of the textbook
 cyclic method and fixed: see :func:`_jacobi`.
 
+Pivots at roundoff of the input, at most ``min(2**-52, tol / d)``
+times its Frobenius norm, are not rotated (Rutishauser's threshold,
+Numer. Math. 9, 1966, scaled to the input): their angles are noise,
+and inside clusters of equal eigenvalues, such as the exact 0s and
+1s of a grouped POVM effect, those rotations slow convergence to
+linear.  The floor is relative so it holds at every scale, and capped
+at ``tol / d`` so skipped pivots never block the stopping rule.
+
 Conventions
 -----------
 * Eigenvalues are returned in ascending order.
@@ -123,7 +131,14 @@ def _jacobi(
     rotation forms the two rotated rows, applies the column rotation
     to their 2x2 pivot block, and writes columns p and q as the
     conjugates of those rows, so the working matrix stays exactly
-    Hermitian with a real diagonal.  Pivots below 1e-300 are skipped.
+    Hermitian with a real diagonal.  A pivot of magnitude at most
+    ``min(2**-52, tol / d)`` times the Frobenius norm of the input is
+    skipped: it is at roundoff of the input, and rotating it by its
+    noisy angle mixes clusters of equal eigenvalues.  The floor is
+    relative so that it works at every scale, and capped at ``tol / d``
+    because the d(d-1) off-diagonal entries at or below it then have a
+    Frobenius norm below ``tol`` times the input norm: skipped pivots
+    alone never hold a sweep above the stopping threshold below.
 
     Sweeps stop once the off-diagonal Frobenius norm drops below
     ``tol`` times the Frobenius norm of the input, after which one
@@ -136,6 +151,7 @@ def _jacobi(
     vt = [[complex(i == j) for j in range(d)] for i in range(d)]
     fro = _norm(x for row in a for x in row)
     thresh = tol * fro
+    floor = min(2.0 ** -52, tol / d) * fro
 
     polish = False
     for _ in range(_MAX_SWEEPS):
@@ -151,8 +167,8 @@ def _jacobi(
                 rq = a[q]
                 apq = rp[q]
                 mag = abs(apq)
-                if mag < 1e-300:
-                    # nothing to rotate; also keeps tau finite below
+                if mag <= floor:
+                    # at roundoff of the input: its tau is noise
                     continue
                 tau = (rq[q].real - rp[p].real) / (2.0 * mag)
                 if abs(tau) > 1e150:

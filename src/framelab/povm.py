@@ -217,14 +217,18 @@ def frame_from_povm(
 
     Returns the frame, the partition mapping each effect to the
     0-based rows it produced, and the dropped count.  The frame is
-    Parseval up to the accuracy of the input POVM.
+    Parseval up to the accuracy of the input POVM, and real exactly
+    when every effect's eigenvectors are, by the demotion rule of
+    :mod:`framelab.linalg`.
     """
     tol = resolve_tol(tol)
     d = p.dim
+    eigs = _checked_eigs(p, tol)
+    field = "R" if all(np.isrealobj(vecs) for _, vecs in eigs) else "C"
     rows: list[np.ndarray] = []
     partition: list[list[int]] = []
     dropped = 0
-    for values, vecs in _checked_eigs(p, tol):
+    for values, vecs in eigs:
         group: list[int] = []
         for i in range(d):
             lam = float(values[i])
@@ -232,19 +236,14 @@ def frame_from_povm(
                 dropped += 1
                 if not pad_zeros:
                     continue
-                vec = np.zeros(d, dtype=np.complex128)
+                vec = np.zeros(d)
             else:
                 vec = np.sqrt(lam) * vecs[:, i]
             group.append(len(rows))
             rows.append(vec)
         partition.append(group)
 
-    mat = np.array(rows, dtype=np.complex128)
-    if mat.size and float(np.max(np.abs(mat.imag))) <= tol:
-        frame = Frame(mat.real, "R")
-    else:
-        frame = Frame(mat, "C")
-    return FrameFromPovm(frame, partition, dropped)
+    return FrameFromPovm(Frame(np.array(rows), field), partition, dropped)
 
 
 def born_probabilities(rho, p: Povm, tol: float | None = None) -> np.ndarray:

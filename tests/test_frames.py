@@ -242,6 +242,23 @@ def test_analyze_frame_report_fields():
     assert_allclose(r2.frame_potential, 3.0, atol=1e-10)
 
 
+def test_analyze_frame_forms_the_frame_operator_once(monkeypatch):
+    frames = (fl.simplex_etf(3), fl.random_parseval(3, 5, seed=4),
+              fl.gabor_frame(fl.bjorck(7)))
+    expected = [(fl.frame_bounds(f), fl.is_parseval(f), fl.frame_potential(f))
+                for f in frames]
+    formed = []
+    form = fl.frames.frame_operator
+    monkeypatch.setattr(fl.frames, "frame_operator",
+                        lambda f: formed.append(f) or form(f))
+    for f, want in zip(frames, expected):
+        r = fl.analyze_frame(f)
+        # the same S, so the same bits as the public functions
+        assert ((r.lower_bound, r.upper_bound), r.is_parseval,
+                r.frame_potential) == want
+    assert formed == list(frames)
+
+
 def test_frame_json_roundtrip_exact():
     for f in (
         fl.random_parseval(3, 5, seed=6),

@@ -174,6 +174,37 @@ def test_eig_complex_input_keeps_complex_vectors():
     assert v.dtype == np.float64
 
 
+def test_eig_rotates_pivots_below_1e300():
+    # An absolute skip of pivots below 1e-300 left this one pivot
+    # unrotated forever.
+    w, v = hermitian_eig(2.0 ** -1000 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert_allclose(w, [-(2.0 ** -1000), 2.0 ** -1000], rtol=1e-15, atol=0)
+    assert_allclose(v.T @ v, np.eye(2), atol=1e-15)
+
+
+def test_eig_grouped_effects_converge_to_roundoff():
+    # Spectra piled up at exactly 0 and 1; rotating pivots that are
+    # already at roundoff mixed the two clusters and left residuals
+    # near 1e-11.
+    for seed in range(6):
+        f = random_parseval(20, 22, seed=seed)
+        p = povm_from_frame_grouped(f, [list(range(0, 22, 2)),
+                                        list(range(1, 22, 2))])
+        for e in p.effects:
+            w, v = hermitian_eig(e)
+            assert float(np.max(np.abs(e @ v - v * w))) <= 1e-13
+
+
+@pytest.mark.parametrize("d, tol", [(20, 1e-16), (8, 1e-18)])
+def test_eig_converges_at_tols_below_roundoff(d, tol):
+    # The pivots skipped as roundoff stay below tol * ||M||_F in sum,
+    # so they never keep the stopping rule out of reach.
+    m = random_hermitian(d, seed=d, field="C")
+    w, v = hermitian_eig(m, tol=tol)
+    assert_allclose(w, np.linalg.eigvalsh(m), rtol=0, atol=1e-13)
+    assert_allclose(v.conj().T @ v, np.eye(d), atol=1e-13)
+
+
 def test_eig_no_convergence_with_absurd_tol():
     m = random_hermitian(3, seed=5)
     with pytest.raises(NoConvergenceError):

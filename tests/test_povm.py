@@ -111,6 +111,19 @@ def test_frame_from_povm_eigenvalue_order():
     assert frame.field == "R"
 
 
+def test_frame_from_povm_keeps_small_imaginary_parts():
+    # The imaginary entry is far below tol, but it is part of the
+    # effects: a frame tagged real would drop it.
+    e1 = np.array([[0.3, 1e-13j], [-1e-13j, 0.7]])
+    p = Povm(np.array([e1, np.eye(2) - e1]))
+    frame, part, dropped = fl.frame_from_povm(p)
+    assert frame.field == "C" and dropped == 0
+    x = frame.vectors
+    for effect, rows in zip(p.effects, part):
+        rebuilt = x[rows].T @ x[rows].conj()
+        assert_allclose(rebuilt, effect, rtol=0, atol=1e-15)
+
+
 def test_frame_from_povm_eigendecomposes_each_effect_once(monkeypatch):
     f = fl.random_parseval(3, 6, seed=4)
     p = fl.povm_from_frame_grouped(f, [[0, 1], [2], [3, 4, 5]])

@@ -54,6 +54,19 @@ def test_eig_matches_eigvalsh_near_degenerate(d, field, seed, gap, clusters):
     assert_allclose((v * w) @ v.conj().T, m, atol=1e-12)
 
 
+@SETTINGS
+@given(field=fields, seed=seeds, rank=st.integers(min_value=1, max_value=19))
+def test_eig_matches_eigvalsh_on_projectors(field, seed, rank):
+    # Two eigenvalues of high multiplicity, 0 and 1, as in the effects
+    # of POVMs grouped from Parseval frames.
+    q = _unitary(20, seed, field)[:, :rank]
+    m = q @ q.conj().T
+    m = (m + m.conj().T) / 2.0
+    w, v = fl.hermitian_eig(m)
+    assert_allclose(w, np.linalg.eigvalsh(m), rtol=0, atol=1e-13)
+    assert_allclose((v * w) @ v.conj().T, m, atol=1e-13)
+
+
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 

@@ -102,7 +102,7 @@ def test_golden_bytes():
     assert _sha(canonical_json(frame_to_json(fl.gabor_frame(u)))) == (
         "fc2e590f1d37a35f351f50333aae96a03a01d2117ac1e1d4573134f139978185")
     assert _sha(canonical_json(povm_to_json(grouped))) == (
-        "f8af84cafa42e8fb46f02caf23da197c022f3d8b95625e4a096296b064dc02f1")
+        "d9707b171e5c521b7d272dd71ab328b44fbde10aa26c0ef317a79803dfbfdfdd")
     assert _sha(canonical_json(sequence_to_json(u))) == (
         "6ad1bbbcce7fc95287fc72acd7e66fd121f4dfda6d64da653f67d28264780804")
     assert _sha(ambiguity_to_csv(fl.ambiguity(u))) == (
