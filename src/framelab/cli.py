@@ -284,7 +284,7 @@ def _demonstrate_counterexample(args, g, tol: float) -> int:
     par_rep = gleason.verify_parseval_gleason(
         g, n, trials=args.trials, seed=args.seed, tol=tol
     )
-    fit = gleason.fit_quadratic(g, tol=tol, samples=args.samples, seed=args.seed)
+    fit = gleason.fit_quadratic(g, samples=args.samples, seed=args.seed)
     homog = gleason.homogeneity_check(g, samples=args.samples, seed=args.seed, tol=tol)
     is_ce = (
         fit.verdict == "not_quadratic"
@@ -309,7 +309,7 @@ def _demonstrate_counterexample(args, g, tol: float) -> int:
         entries = [
             math.sqrt(eps), math.sqrt(eps), math.sqrt(1.0 - 2.0 * eps),
         ]
-        total = sum(float(g(np.array([v]))) for v in entries)
+        total = sum(g.values(np.array(entries)[:, None]).real.tolist())
         expected = complex(par_rep.mean_weight).real
         report["explicit_degree3"] = {
             "vectors": entries,
@@ -340,9 +340,7 @@ def _cmd_gleason(args) -> int:
         _emit_report(args, serialize.verification_report_to_json(report))
         return 4 if (args.strict and not report.passed) else 0
     if args.mode == "fit":
-        fit = gleason.fit_quadratic(
-            g, tol=tol, samples=args.samples, seed=args.seed
-        )
+        fit = gleason.fit_quadratic(g, samples=args.samples, seed=args.seed)
         _emit_report(args, serialize.fit_result_to_json(fit))
         return 4 if (args.strict and fit.verdict == "not_quadratic") else 0
     if args.mode == "counterexample":
@@ -421,7 +419,7 @@ def _cmd_experiment(args) -> int:
             a = random_hermitian(args.dim, seed=rng.u64(), field=field)
             g = gleason.quadratic_gleason(a)
             f = frames.random_parseval(args.dim, args.n, seed=rng.u64(), field=field)
-            total = sum(complex(g(row)) for row in f.vectors)
+            total = gleason._sum_over_frame(g, f)
             worst = max(worst, abs(total - complex(np.trace(a))))
         report = {
             "experiment": "weight-trace",

@@ -12,6 +12,12 @@ degree-ladder experiment that separates the degrees.
 
 Functions defined on the sphere extend to the closed ball by
 g(r u) = r^2 g(u), which is the convention used throughout.
+
+Evaluation works on blocks: a :class:`GleasonFn` holds one evaluator
+that maps an (n, dim) array of points to their n values, checked once
+per block.  The verifiers sum whole frames through
+:meth:`GleasonFn.values`; calling a function on one vector evaluates a
+1-row block.
 """
 
 from __future__ import annotations
@@ -55,25 +61,34 @@ class GleasonFn:
 
     ``kind`` names the construction, ``bound`` is an upper bound on
     |g| over the ball, and ``params`` records construction inputs for
-    reporting.  Instances are callables.
+    reporting.  ``fn`` evaluates a block: it takes an (n, dim) array of
+    points, already cast to the field and checked to lie in the ball,
+    and returns their n values as complex numbers in row order.
+    :meth:`values` checks and evaluates a block; calling an instance on
+    one vector evaluates it as a 1-row block and returns a float when
+    the value is real.
     """
 
     dim: int
     field: str
     kind: str
     bound: float
-    fn: Callable[[np.ndarray], complex]
+    fn: Callable[[np.ndarray], Sequence[complex]]
     params: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         if self.field not in ("R", "C"):
             raise InputError(f"field must be 'R' or 'C', got {self.field!r}")
 
-    def __call__(self, x) -> float | complex:
-        v = np.asarray(x)
-        if v.ndim != 1 or v.shape[0] != self.dim:
+    def _checked(self, block) -> np.ndarray:
+        # Shape, field and the ball rule (each row within the slack),
+        # applied once.  Returns a C-contiguous (n, dim) block, so a row
+        # sum over a block has the same bits as the sum over that row
+        # alone.
+        v = np.asarray(block)
+        if v.ndim != 2 or v.shape[1] != self.dim:
             raise InputError(
-                f"expected a vector of length {self.dim}, got shape {v.shape}"
+                f"expected an (n, {self.dim}) block, got shape {v.shape}"
             )
         if self.field == "R":
             if np.iscomplexobj(v):
@@ -82,18 +97,35 @@ class GleasonFn:
                         "real-field function evaluated at a complex vector"
                     )
                 v = v.real
-            v = v.astype(np.float64, copy=False)
+            v = np.ascontiguousarray(v, dtype=np.float64)
         else:
-            v = v.astype(np.complex128, copy=False)
-        nsq = float(np.sum(np.abs(v) ** 2))
-        if nsq > (1.0 + _BALL_SLACK) ** 2:
+            v = np.ascontiguousarray(v, dtype=np.complex128)
+        nsq = _squared_norms(v)
+        outside = nsq[nsq > (1.0 + _BALL_SLACK) ** 2]
+        if outside.size:
             raise OutOfBallError(
-                f"argument norm {math.sqrt(nsq):.6f} leaves the unit ball"
+                f"argument norm {math.sqrt(outside[0]):.6f} leaves the unit"
+                " ball"
             )
-        out = self.fn(v)
-        if isinstance(out, complex) and out.imag == 0.0:
-            return out.real
-        return out
+        return v
+
+    def values(self, block) -> np.ndarray:
+        """Values at the rows of an (n, dim) block, as complex128.
+
+        Entry i is the number ``self(block[i])`` returns; every row
+        must lie in the ball.
+        """
+        out = self.fn(self._checked(block))
+        return np.array(out, dtype=np.complex128)
+
+    def __call__(self, x) -> float | complex:
+        v = np.asarray(x)
+        if v.ndim != 1 or v.shape[0] != self.dim:
+            raise InputError(
+                f"expected a vector of length {self.dim}, got shape {v.shape}"
+            )
+        out = complex(self.values(v[None, :])[0])
+        return out.real if out.imag == 0.0 else out
 
 
 @dataclass(frozen=True)
@@ -160,6 +192,25 @@ def _demote_scalar(z: complex) -> float | complex:
     return z
 
 
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    return np.sum(np.abs(x) ** 2, axis=1)
+
+
+def _on_circle(h: Callable[[float], float]) -> Callable:
+    """Block evaluator of r^2 h(theta) at the points r (cos theta,
+    sin theta) of a real block, with value 0 at the origin."""
+
+    def fn(x: np.ndarray) -> list[complex]:
+        out = []
+        for a, b in x.tolist():
+            rsq = a * a + b * b
+            value = rsq * h(math.atan2(b, a)) if rsq != 0.0 else 0.0
+            out.append(complex(value))
+        return out
+
+    return fn
+
+
 # ---------------------------------------------------------------------------
 # constructions
 
@@ -179,8 +230,8 @@ def quadratic_gleason(a, const: float = 0.0) -> GleasonFn:
     mat = mat.copy() if field == "C" else mat.real.copy()
     fro = float(np.sqrt(np.sum(np.abs(mat) ** 2)))
 
-    def fn(x: np.ndarray) -> complex:
-        return complex(np.vdot(x, mat @ x)) + const
+    def fn(x: np.ndarray) -> list[complex]:
+        return [complex(np.vdot(r, mat @ r)) + const for r in x]
 
     return GleasonFn(
         dim=int(mat.shape[0]),
@@ -204,8 +255,8 @@ def expnorm_gleason(dim: int, field: str = "C") -> GleasonFn:
     if dim < 1:
         raise InputError("dimension must be at least 1")
 
-    def fn(x: np.ndarray) -> complex:
-        return complex(math.expm1(float(np.sum(np.abs(x) ** 2))))
+    def fn(x: np.ndarray) -> list[complex]:
+        return [complex(math.expm1(t)) for t in _squared_norms(x).tolist()]
 
     return GleasonFn(
         dim=dim,
@@ -229,15 +280,13 @@ def cos_counterexample(n: int) -> GleasonFn:
     if n % 4 != 2:
         raise BadNError(f"index must be 2 mod 4, got {n}")
 
-    def fn(x: np.ndarray) -> complex:
-        rsq = float(x[0] * x[0] + x[1] * x[1])
-        if rsq == 0.0:
-            return 0.0 + 0.0j
-        theta = math.atan2(float(x[1]), float(x[0]))
-        return complex(rsq * (1.0 + math.cos(n * theta)))
-
     return GleasonFn(
-        dim=2, field="R", kind="cos2d", bound=2.0, fn=fn, params={"n": n}
+        dim=2,
+        field="R",
+        kind="cos2d",
+        bound=2.0,
+        fn=_on_circle(lambda theta: 1.0 + math.cos(n * theta)),
+        params={"n": n},
     )
 
 
@@ -270,20 +319,12 @@ def rational_indicator_counterexample() -> GleasonFn:
     orthonormal basis sums to exactly 1, yet the function is nowhere
     close to any quadratic form.  Extended to the ball by r^2.
     """
-
-    def fn(x: np.ndarray) -> complex:
-        rsq = float(x[0] * x[0] + x[1] * x[1])
-        if rsq == 0.0:
-            return 0.0 + 0.0j
-        theta = math.atan2(float(x[1]), float(x[0]))
-        return complex(rsq * _rational_branch(theta))
-
     return GleasonFn(
         dim=2,
         field="R",
         kind="rational_indicator",
         bound=1.0,
-        fn=fn,
+        fn=_on_circle(_rational_branch),
         params={},
     )
 
@@ -306,24 +347,19 @@ def periodic_extension_gleason(
             f"weight {weight} is below the seed supremum {f_sup}"
         )
 
-    def fn(x: np.ndarray) -> complex:
-        rsq = float(x[0] * x[0] + x[1] * x[1])
-        if rsq == 0.0:
-            return 0.0 + 0.0j
-        theta = math.atan2(float(x[1]), float(x[0])) % _TWO_PI
+    def circle_value(theta: float) -> float:
+        theta %= _TWO_PI
         quadrant = int(theta // (math.pi / 2.0)) % 4
         if quadrant in (0, 2):
-            value = float(f(theta))
-        else:
-            value = weight - float(f(theta - math.pi / 2.0))
-        return complex(rsq * value)
+            return float(f(theta))
+        return weight - float(f(theta - math.pi / 2.0))
 
     return GleasonFn(
         dim=2,
         field="R",
         kind="periodic_extension",
         bound=max(weight, f_sup),
-        fn=fn,
+        fn=_on_circle(circle_value),
         params={"weight": weight, "f_sup": f_sup},
     )
 
@@ -342,13 +378,15 @@ def epsilon_1d_counterexample(eps: float) -> GleasonFn:
     if not (0.0 < eps < 1.0 / 3.0):
         raise BadEpsilonError(f"epsilon must be in (0, 1/3), got {eps}")
 
-    def fn(x: np.ndarray) -> complex:
-        t = float(np.sum(np.abs(x) ** 2))
+    def swapped(t: float) -> complex:
         if abs(t - eps) <= 1e-12:
             return complex(1.0 - eps)
         if abs(t - (1.0 - eps)) <= 1e-12:
             return complex(eps)
         return complex(t)
+
+    def fn(x: np.ndarray) -> list[complex]:
+        return [swapped(t) for t in _squared_norms(x).tolist()]
 
     return GleasonFn(
         dim=1,
@@ -376,9 +414,9 @@ def gleason_from_effect_measure(
     if dim < 1:
         raise InputError("dimension must be at least 1")
 
-    def fn(x: np.ndarray) -> complex:
+    def fn(x: np.ndarray) -> list[complex]:
         xc = x.astype(np.complex128, copy=False)
-        return complex(v(np.outer(xc, xc.conj())))
+        return [complex(v(np.outer(r, r.conj()))) for r in xc]
 
     return GleasonFn(
         dim=dim,
@@ -397,7 +435,11 @@ def custom_gleason(
     bound: float = math.inf,
     params: dict | None = None,
 ) -> GleasonFn:
-    """Wrap an arbitrary callable for use with the verifiers."""
+    """Wrap an arbitrary callable for use with the verifiers.
+
+    ``fn`` takes one vector of length ``dim`` and returns a number; it
+    is applied to the rows of each block in order.
+    """
     dim = int(dim)
     if dim < 1:
         raise InputError("dimension must be at least 1")
@@ -406,7 +448,7 @@ def custom_gleason(
         field=field,
         kind="custom",
         bound=float(bound),
-        fn=lambda x: complex(fn(x)),
+        fn=lambda x: [complex(fn(r)) for r in x],
         params=dict(params or {}),
     )
 
@@ -417,8 +459,8 @@ def custom_gleason(
 
 def _sum_over_frame(g: GleasonFn, f: Frame) -> complex:
     total = 0.0 + 0.0j
-    for row in f.vectors:
-        total += complex(g(row))
+    for value in g.values(f.vectors).tolist():
+        total += value
     return total
 
 
@@ -525,10 +567,7 @@ def verify_parseval_gleason(
 
 
 def fit_quadratic(
-    g: GleasonFn,
-    tol: float | None = None,
-    samples: int = 500,
-    seed: int = 0,
+    g: GleasonFn, samples: int = 500, seed: int = 0
 ) -> FitResult:
     """Recover the unique quadratic form matching g on probe vectors,
     then measure how well it explains g on random ball points.
@@ -539,9 +578,8 @@ def fit_quadratic(
     |g(x) - <A x, x>| over ``samples`` seeded points, alternating
     sphere and interior.  Verdict thresholds: at most 1e-9 is
     "quadratic", above 1e-6 is "not_quadratic", between the two is
-    "indeterminate".
+    "indeterminate".  These fixed thresholds are the whole verdict rule.
     """
-    tol = resolve_tol(tol)
     samples = int(samples)
     if samples < 1:
         raise InputError("need at least one sample point")
@@ -570,7 +608,7 @@ def fit_quadratic(
     operator = a.real.copy() if float(np.max(np.abs(a.imag))) <= 1e-12 else a
 
     rng = SplitMix64(seed)
-    residual = 0.0
+    points = []
     for i in range(samples):
         while True:
             direction = (
@@ -581,9 +619,11 @@ def fit_quadratic(
                 break
         direction /= norm
         r = 1.0 if i % 2 == 0 else rng.uniform() ** (1.0 / d)
-        x = r * direction
+        points.append(r * direction)
+    residual = 0.0
+    for x, value in zip(points, g.values(np.array(points)).tolist()):
         predicted = complex(np.vdot(x, a @ x))
-        residual = max(residual, abs(complex(g(x)) - predicted))
+        residual = max(residual, abs(value - predicted))
 
     if residual <= 1e-9:
         verdict = "quadratic"
@@ -618,8 +658,8 @@ def homogeneity_check(
         raise InputError("need at least one sample")
     rng = SplitMix64(seed)
     d = g.dim
-    worst = 0.0
-    witness: dict | None = None
+    points = []
+    alphas = []
     for _ in range(samples):
         while True:
             direction = (
@@ -638,8 +678,16 @@ def homogeneity_check(
             )
         else:
             alpha = 2.0 * rng.uniform() - 1.0
-        lhs = complex(g(alpha * x))
-        rhs = abs(alpha) ** 2 * complex(g(x))
+        points.append(x)
+        alphas.append(alpha)
+    scaled = g.values(np.array([al * x for al, x in zip(alphas, points)]))
+    at_x = g.values(np.array(points))
+    worst = 0.0
+    witness: dict | None = None
+    for x, alpha, lhs, base in zip(
+        points, alphas, scaled.tolist(), at_x.tolist()
+    ):
+        rhs = abs(alpha) ** 2 * base
         dev = abs(lhs - rhs)
         if dev > worst:
             worst = dev
@@ -671,10 +719,12 @@ def partition_scaling_check(
         )
     xv = np.asarray(x)
     base = complex(g(xv))
+    scaled = np.array(
+        [al * xv if g.field == "C" else al.real * xv for al in coeffs]
+    )
     acc = 0.0 + 0.0j
-    for al in coeffs:
-        scaled = al * xv if g.field == "C" else al.real * xv
-        acc += complex(g(scaled))
+    for value in g.values(scaled).tolist():
+        acc += value
     return abs(acc - base) <= tol
 
 

@@ -4,7 +4,9 @@ All randomized routines in the package draw from :class:`SplitMix64`
 seeded with a caller-supplied integer, so identical seeds reproduce
 identical results on every platform.  Gaussian variates come from the
 Box-Muller transform applied to the raw 64-bit stream; complex
-Gaussians are standard circular ones with unit total variance.
+Gaussians are standard circular ones with unit total variance.  Every
+Gaussian, scalar or bulk, real or complex, comes from one private
+loop, so the transform and its cached-spare rule are written once.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _TWO_PI = 2.0 * math.pi
+_ULP = 2.0 ** -53
 
 
 class SplitMix64:
@@ -43,7 +46,7 @@ class SplitMix64:
 
     def uniform(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
-        return (self.u64() >> 11) * 2.0 ** -53
+        return (self.u64() >> 11) * _ULP
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n). Bias is negligible for small n."""
@@ -57,36 +60,55 @@ class SplitMix64:
         Box-Muller produces pairs; the second element is cached and
         returned on the next call so no bits are wasted.
         """
-        if self._spare is not None:
-            value = self._spare
-            self._spare = None
-            return value
-        # Shift into (0, 1] so the log never sees zero.
-        u1 = ((self.u64() >> 11) + 1) * 2.0 ** -53
-        u2 = (self.u64() >> 11) * 2.0 ** -53
-        radius = math.sqrt(-2.0 * math.log(u1))
-        self._spare = radius * math.sin(_TWO_PI * u2)
-        return radius * math.cos(_TWO_PI * u2)
+        return self._normals(1)[0]
+
+    def _normals(self, count: int) -> list[float]:
+        # The u64 steps are inlined: at a few variates per call the
+        # method calls cost more than the arithmetic.
+        out: list[float] = []
+        state = self.state
+        spare = self._spare
+        if spare is not None and count > 0:
+            out.append(spare)
+            spare = None
+            count -= 1
+        for _ in range((count + 1) // 2):
+            state = (state + _GAMMA) & _MASK
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            # Shift into (0, 1] so the log never sees zero.
+            u1 = (((z ^ (z >> 31)) >> 11) + 1) * _ULP
+            state = (state + _GAMMA) & _MASK
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            u2 = ((z ^ (z >> 31)) >> 11) * _ULP
+            radius = math.sqrt(-2.0 * math.log(u1))
+            theta = _TWO_PI * u2
+            out.append(radius * math.cos(theta))
+            out.append(radius * math.sin(theta))
+        if count % 2:
+            spare = out.pop()
+        self.state = state
+        self._spare = spare
+        return out
 
     def gaussians(self, shape: int | tuple[int, ...]) -> np.ndarray:
         """Array of independent standard normals, filled in C order."""
-        if isinstance(shape, int):
+        if isinstance(shape, (int, np.integer)):
             shape = (shape,)
-        flat = np.empty(int(np.prod(shape)), dtype=np.float64)
-        for i in range(flat.size):
-            flat[i] = self.gaussian()
-        return flat.reshape(shape)
+        flat = self._normals(math.prod(shape))
+        return np.array(flat, dtype=np.float64).reshape(shape)
 
     def complex_gaussians(self, shape: int | tuple[int, ...]) -> np.ndarray:
         """Array of standard circular complex normals (unit variance)."""
-        if isinstance(shape, int):
+        if isinstance(shape, (int, np.integer)):
             shape = (shape,)
-        flat = np.empty(int(np.prod(shape)), dtype=np.complex128)
-        for i in range(flat.size):
-            re = self.gaussian()
-            im = self.gaussian()
-            flat[i] = complex(re, im) / math.sqrt(2.0)
-        return flat.reshape(shape)
+        flat = self._normals(2 * math.prod(shape))
+        root2 = math.sqrt(2.0)
+        values = [
+            complex(re, im) / root2 for re, im in zip(flat[::2], flat[1::2])
+        ]
+        return np.array(values, dtype=np.complex128).reshape(shape)
 
     def spawn(self) -> "SplitMix64":
         """Child generator seeded from this one's stream."""

@@ -1,5 +1,7 @@
-"""End-to-end command-line checks run through subprocess."""
+"""End-to-end command-line checks, run through subprocess and, for the
+byte sweep, in-process through ``cli.main``."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import framelab as fl
+from framelab import cli
 
 
 def run_cli(args, cwd, env_extra=None):
@@ -385,3 +388,74 @@ def test_out_file_matches_stdout_json(tmp_path):
     assert r.returncode == 0, r.stderr
     on_disk = (tmp_path / "born.json").read_text()
     assert on_disk == r.stdout.splitlines()[0] + "\n"
+
+
+# Fixed-seed commands whose stdout is pinned by SHA-256: every gleason
+# mode (a complex quadratic form, the epsilon swap on the line, the
+# cos(6 t) family, expnorm with a homogeneity witness) and the three
+# experiments.
+SWEEP = {
+    "fit-cos6": "gleason fit --spec cos2d:6 --samples 64 --seed 1",
+    "fit-quadratic-C": "gleason fit --spec quadratic --dim 3 --field C "
+                       "--samples 50 --seed 2",
+    "onb-quadratic-C": "gleason verify-onb --spec quadratic --dim 3 "
+                       "--field C --trials 20 --seed 3",
+    "onb-indicator": "gleason verify-onb --spec rational_indicator "
+                     "--trials 10 --seed 9",
+    "parseval-expnorm": "gleason verify-parseval --spec expnorm --dim 2 "
+                        "--n 4 --trials 10 --seed 4",
+    "parseval-quadratic-R": "gleason verify-parseval --spec quadratic "
+                            "--dim 2 --field R --const 0.25 --n 3 "
+                            "--trials 10 --seed 5",
+    "ce-epsilon1d": "gleason counterexample --spec epsilon1d:0.2 "
+                    "--trials 10 --samples 40 --seed 6",
+    "ce-cos6": "gleason counterexample --spec cos2d:6 --trials 10 "
+               "--samples 40 --seed 7",
+    "ce-expnorm": "gleason counterexample --spec expnorm --dim 2 "
+                  "--trials 8 --samples 30 --seed 13",
+    "ladder-quadratic": "gleason ladder --spec quadratic --dim 2 "
+                        "--const 0.5 --n0 4 --n1 6 --trials 5 --seed 8",
+    "weight-trace": "experiment weight-trace --dim 3 --n 5 --trials 20 "
+                    "--seed 10",
+    "busch": "experiment busch --dim 2 --states 3 --trials 5 --seed 11",
+    "born": "experiment born --dim 3 --trials 10 --seed 12",
+}
+
+SWEEP_SHA256 = {
+    "born":
+        "455b63eaf579031dc9f12f46748d18f222bcae1b50a395361a0b7ce8431e459d",
+    "busch":
+        "e94719ecf232cb2b57576b2bf4175cfd99a5f10992c2c2c9ebf4763ca40d20b0",
+    "ce-cos6":
+        "e757769043b09da0da4388f060d4707c4fdc59f03ee9fbd7efb6d209598269a6",
+    "ce-epsilon1d":
+        "ff329945e4a9d5ff0860c6c8b319565a7a100429d3392bc1d921cdebf3beae20",
+    "ce-expnorm":
+        "a2cc73191047761a73950945b2b9a5193be8b69a273a56a632bb5a22d5e5ebbb",
+    "fit-cos6":
+        "2bb5e76e2f337f7c4667b2cfef8176cdd030361a2ebb09b3478b12fe568efc1f",
+    "fit-quadratic-C":
+        "712c35775edb5e1b26b5c16d1752a4cc6c349a62d233f60c19572bfb1daf035b",
+    "ladder-quadratic":
+        "0f8b8b4ce724f81cd438af2352b9d5922a42bc5f6879d2a251af2c35f4747cee",
+    "onb-indicator":
+        "237939d5d39c0074edd9c80610f1eaa20a98bbc435ff402bc1fd79eb23696afa",
+    "onb-quadratic-C":
+        "9f8532c943cf0fb1c5b2e2f66d34eecd0d5121bf1523a357af6dcaebe6c85dac",
+    "parseval-expnorm":
+        "067c47bb0fd9c8394240691a19b7a8c434a4be3f30e875339f1569fc2b96fd85",
+    "parseval-quadratic-R":
+        "d53fe4de96981d1fc81fc7ad2528ad675a88dad864015df6f06014fc2f2c7f8c",
+    "weight-trace":
+        "10210598cc01a2fe9d4cf12fe72c693c3e42806d0864e4d6e06f946dd71b31ab",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP))
+def test_cli_byte_sweep(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("FRAMELAB_TOL", raising=False)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(SWEEP[name].split())
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+    assert digest == SWEEP_SHA256[name]

@@ -66,6 +66,72 @@ def test_eval_guards():
         g(np.array([1.0j, 0.0]))  # real-field function, complex point
 
 
+# Every kind of function, for the block-versus-pointwise check.
+BLOCK_KINDS = {
+    "quadratic-R": lambda: fl.quadratic_gleason(
+        fl.random_hermitian(3, seed=1, field="R"), const=0.25),
+    "quadratic-C": lambda: fl.quadratic_gleason(
+        fl.random_hermitian(4, seed=2, field="C")),
+    "expnorm-R": lambda: fl.expnorm_gleason(9, field="R"),
+    "expnorm-C": lambda: fl.expnorm_gleason(9, field="C"),
+    "cos2d": lambda: fl.cos_counterexample(6),
+    "rational_indicator": fl.rational_indicator_counterexample,
+    "periodic_extension": lambda: fl.periodic_extension_gleason(
+        lambda t: math.sin(2.0 * t) ** 2, weight=1.5, f_sup=1.0),
+    "epsilon1d": lambda: fl.epsilon_1d_counterexample(0.2),
+    "effect_measure": lambda: fl.gleason_from_effect_measure(
+        lambda e: float(np.trace(np.diag([0.5, 0.3, 0.2]) @ e).real), 3),
+    "custom-R": lambda: fl.custom_gleason(
+        lambda x: float(x[0] ** 3 - x[-1]), 3, field="R"),
+    "custom-C": lambda: fl.custom_gleason(
+        lambda x: complex(x[0] * x[1].conjugate()), 2, field="C"),
+}
+
+
+def _ball_block(g, seed):
+    # Zero rows, rows on the sphere and interior rows, in the field of g.
+    rng = SplitMix64(seed)
+    d = g.dim
+    if g.field == "C":
+        raw = rng.complex_gaussians((7, d))
+    else:
+        raw = rng.gaussians((7, d))
+    rows = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    rows[1::2] *= np.array([0.5, 0.25, 0.9])[:, None]
+    rows[4] = 0.0
+    rows = np.vstack([np.zeros((1, d), dtype=rows.dtype), rows])
+    if g.kind == "epsilon1d":
+        rows[1:3, 0] = math.sqrt(0.2), math.sqrt(0.8)  # the swapped points
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_KINDS))
+def test_values_equal_pointwise_calls_bit_for_bit(name):
+    g = BLOCK_KINDS[name]()
+    block = _ball_block(g, seed=len(name))
+    layouts = [block, np.asfortranarray(block), block.astype(np.complex128)]
+    for b in layouts:
+        got = g.values(b)
+        want = np.array([complex(g(r)) for r in b], dtype=np.complex128)
+        assert got.dtype == np.complex128 and got.shape == (len(b),)
+        assert got.tobytes() == want.tobytes()
+    assert g.values(block[:0]).shape == (0,)
+
+
+def test_values_guards():
+    g = fl.quadratic_gleason(np.eye(2))
+    with pytest.raises(fl.InputError, match="block"):
+        g.values(np.array([0.6, 0.8]))
+    with pytest.raises(fl.InputError, match="block"):
+        g.values(np.zeros((3, 3)))
+    with pytest.raises(fl.InputError, match="complex"):
+        g.values(np.array([[0.6, 0.0], [0.0, 0.5j]]))
+    with pytest.raises(fl.OutOfBallError, match="norm 2.000000"):
+        g.values(np.array([[0.6, 0.8], [0.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
+    gc = fl.expnorm_gleason(2, field="C")
+    assert gc.values(np.array([[0.6, 0.8j]]))[0] == pytest.approx(math.e - 1)
+
+
 @pytest.mark.parametrize("make", [
     lambda: fl.expnorm_gleason(2, field="X"),
     lambda: fl.gleason_from_effect_measure(lambda e: 0.0, 2, field="X"),
@@ -288,6 +354,13 @@ def test_fit_flags_constant_offset():
     g = fl.quadratic_gleason(np.eye(2), const=0.25)
     fit = fl.fit_quadratic(g, samples=200, seed=3)
     assert fit.verdict == "not_quadratic"  # offset is not r^2-homogeneous
+
+
+def test_fit_takes_no_tolerance():
+    # The verdict uses the fixed 1e-9 / 1e-6 thresholds, so a tol
+    # argument would be silently ignored; it is refused instead.
+    with pytest.raises(TypeError):
+        fl.fit_quadratic(fl.cos_counterexample(6), tol=1e-3)
 
 
 # --- scaling laws -----------------------------------------------------------

@@ -9,10 +9,12 @@ import framelab as fl
 from framelab.serialize import (
     ambiguity_to_csv,
     canonical_json,
+    fit_result_to_json,
     fmt_float,
     frame_to_json,
     povm_to_json,
     sequence_to_json,
+    verification_report_to_json,
 )
 
 VALUES = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 3.0, -7.0, 2.0**53, 0.0,
@@ -107,3 +109,24 @@ def test_golden_bytes():
         "6ad1bbbcce7fc95287fc72acd7e66fd121f4dfda6d64da653f67d28264780804")
     assert _sha(ambiguity_to_csv(fl.ambiguity(u))) == (
         "3f0732328d9b8f29fb0032e983ec448b3a971234bd81c5e76b6d5a2752015e8d")
+
+
+def test_report_golden_bytes():
+    # SHA-256 of the verifier and fitter reports at d = 2, 3, 4: a real
+    # and a complex quadratic form and expnorm, plus the cos(6 t) fit.
+    # Any change to how frame sums are evaluated or added shows here.
+    functions = {
+        2: fl.quadratic_gleason(fl.random_hermitian(2, seed=2, field="R")),
+        3: fl.quadratic_gleason(fl.random_hermitian(3, seed=3, field="C")),
+        4: fl.expnorm_gleason(4, field="C"),
+    }
+    texts = []
+    for d, g in functions.items():
+        onb = fl.verify_onb_gleason(g, trials=8, seed=d)
+        par = fl.verify_parseval_gleason(g, d + 2, trials=8, seed=d)
+        texts.append(canonical_json(verification_report_to_json(onb)))
+        texts.append(canonical_json(verification_report_to_json(par)))
+    fit = fl.fit_quadratic(fl.cos_counterexample(6), samples=64, seed=1)
+    texts.append(canonical_json(fit_result_to_json(fit)))
+    assert _sha("\n".join(texts)) == (
+        "4a5760e00ddfd53d8f9591b9ab3eb30ab403394d5f293aae06609927070dcdc7")
