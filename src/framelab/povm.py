@@ -260,9 +260,9 @@ def born_probabilities(rho, p: Povm, tol: float | None = None) -> np.ndarray:
     Returns
     -------
     np.ndarray
-        Real probabilities in effect order.  The imaginary residue of
-        each trace must vanish at the 1e-9 level, which it does for
-        any remotely Hermitian input.
+        Real probabilities in effect order.  A trace whose imaginary
+        residue exceeds ``tol * max(1, |real part|)`` raises
+        ``InputError``; Hermitian inputs leave only roundoff there.
     """
     tol = resolve_tol(tol)
     r = np.asarray(rho, dtype=np.complex128)
@@ -275,7 +275,7 @@ def born_probabilities(rho, p: Povm, tol: float | None = None) -> np.ndarray:
     probs = np.empty(len(p), dtype=np.float64)
     for j in range(len(p)):
         t = complex(np.trace(r @ p.effects[j]))
-        if abs(t.imag) > 1e-9 * max(1.0, abs(t.real)):
+        if abs(t.imag) > tol * max(1.0, abs(t.real)):
             raise InputError(
                 f"probability {j} has imaginary residue {t.imag:.3e}; "
                 "state or effects are far from Hermitian"

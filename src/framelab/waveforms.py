@@ -17,7 +17,9 @@ prime mod 4.  The other applies a quadratic phase to odd lengths and
 serves as an easy reference CAZAC.  Translating and modulating any
 unimodular sequence through all d^2 combinations and dividing by
 sqrt(d) produces a tight unit-norm Gabor frame whose coherence equals
-the off-origin ambiguity peak.
+the off-origin ambiguity peak.  Its vector (m, n) is the cyclic shift
+by m of vector (0, n).  Those shifts, and the lags u(m+k) conj(u(k)),
+are one gather each through the index table (m + k) mod d.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class AmbiguityTable:
 
     def peak_off_origin(self) -> float:
         """Largest magnitude away from the (0, 0) corner."""
-        mags = self.magnitudes().copy()
+        mags = self.magnitudes()
         mags[0, 0] = 0.0
         return float(np.max(mags))
 
@@ -86,6 +88,20 @@ def _as_sequence(u) -> np.ndarray:
     return a
 
 
+def _shifts(d: int) -> np.ndarray:
+    """Index table (m + k) mod d, row m, column k; row -m is (k - m) mod d."""
+    k = np.arange(d)
+    return (k[:, None] + k) % d
+
+
+def _lags(a: np.ndarray) -> np.ndarray:
+    """Lag matrix: row m holds u(m+k) conj(u(k)) as k varies."""
+    d = a.shape[0]
+    # A tiled conjugate, not a broadcast row: at d = 1 the broadcast takes
+    # another NumPy loop, whose bits differ from the one-row product's.
+    return a[_shifts(d)] * np.tile(a.conj(), (d, 1))
+
+
 def ambiguity(u) -> AmbiguityTable:
     """Discrete periodic ambiguity table of a sequence.
 
@@ -97,10 +113,7 @@ def ambiguity(u) -> AmbiguityTable:
     a = _as_sequence(u)
     d = a.shape[0]
     ks = np.arange(d)
-    # lag matrix: row m holds u(m+k) conj(u(k)) as k varies
-    lags = np.empty((d, d), dtype=np.complex128)
-    for m in range(d):
-        lags[m] = np.roll(a, -m) * a.conj()
+    lags = _lags(a)
     phases = np.exp(-2j * math.pi * np.outer(ks, ks) / d)
 
     if d <= _KAHAN_CUTOFF:
@@ -130,8 +143,8 @@ def is_cazac(u, tol: float | None = None) -> CazacReport:
     d = a.shape[0]
     ca_dev = float(np.max(np.abs(np.abs(a) - 1.0)))
     zac_peak = 0.0
-    for m in range(1, d):
-        corr = complex(np.sum(np.roll(a, -m) * a.conj())) / d
+    for lag in _lags(a)[1:]:
+        corr = complex(np.sum(lag)) / d
         zac_peak = max(zac_peak, abs(corr))
     ca_ok = ca_dev <= tol
     zac_ok = zac_peak <= tol
@@ -147,18 +160,7 @@ def is_cazac(u, tol: float | None = None) -> CazacReport:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
 def legendre_symbol(k: int, p: int) -> int:
@@ -227,9 +229,10 @@ def gabor_frame(u, tol: float | None = None) -> Frame:
     scaled by 1/sqrt(d).
 
     Vector (m, n), stored at row m * d + n, has entries
-    u(k - m) exp(2 pi i (k - m) n / d) / sqrt(d).  The result is a
-    unit-norm tight frame with frame constant d, and its coherence
-    equals the largest off-origin ambiguity magnitude of u.
+    u(k - m) exp(2 pi i (k - m) n / d) / sqrt(d), the cyclic shift by m
+    of vector (0, n); all rows are one gather from the d vectors (0, n).
+    The result is a unit-norm tight frame with frame constant d, and
+    its coherence equals the largest off-origin ambiguity magnitude of u.
     """
     tol = resolve_tol(tol)
     a = _as_sequence(u)
@@ -239,13 +242,9 @@ def gabor_frame(u, tol: float | None = None) -> Frame:
         raise NotUnimodularError(
             f"entry moduli deviate from 1 by up to {dev:.3e}"
         )
-    root = math.sqrt(d)
-    rows = np.empty((d * d, d), dtype=np.complex128)
-    base_idx = np.arange(d)
-    for m in range(d):
-        shifted = (base_idx - m) % d
-        translated = a[shifted]
-        for n in range(d):
-            phase = np.exp(2j * math.pi * shifted * n / d)
-            rows[m * d + n] = translated * phase / root
-    return Frame(rows, "C")
+    ks = np.arange(d)
+    # modulates[n, j] = u(j) exp(2 pi i j n / d) / sqrt(d)
+    modulates = a * np.exp(2j * math.pi * ks * ks[:, None] / d) / math.sqrt(d)
+    # rows[m, n, k] = modulates[n, (k - m) mod d]
+    rows = modulates[ks[:, None], _shifts(d)[-ks][:, None, :]]
+    return Frame(rows.reshape(d * d, d), "C")

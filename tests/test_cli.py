@@ -392,8 +392,11 @@ def test_out_file_matches_stdout_json(tmp_path):
 
 # Fixed-seed commands whose stdout is pinned by SHA-256: every gleason
 # mode (a complex quadratic form, the epsilon swap on the line, the
-# cos(6 t) family, expnorm with a homogeneity witness) and the three
-# experiments.
+# cos(6 t) family, expnorm with a homogeneity witness), the three
+# experiments, and the CAZAC tools on Bjorck sequences of lengths 23
+# and 67 (above the length-64 Kahan cutoff of the ambiguity table).
+# Commands joined by " && " run in turn in one directory; the files
+# they leave there are hashed with their stdout.
 SWEEP = {
     "fit-cos6": "gleason fit --spec cos2d:6 --samples 64 --seed 1",
     "fit-quadratic-C": "gleason fit --spec quadratic --dim 3 --field C "
@@ -419,13 +422,37 @@ SWEEP = {
                     "--seed 10",
     "busch": "experiment busch --dim 2 --states 3 --trials 5 --seed 11",
     "born": "experiment born --dim 3 --trials 10 --seed 12",
+    "bjorck-23": "gen bjorck --p 23",
+    "cazac-test-23": "gen bjorck --p 23 && cazac test bjorck.json",
+    "cazac-ambiguity-23": "gen bjorck --p 23 && cazac ambiguity bjorck.json",
+    "cazac-gabor-23": "gen bjorck --p 23 && cazac gabor bjorck.json",
+    "bjorck-67": "gen bjorck --p 67",
+    "cazac-test-67": "gen bjorck --p 67 && cazac test bjorck.json",
+    "cazac-ambiguity-67": "gen bjorck --p 67 && cazac ambiguity bjorck.json",
+    "cazac-gabor-67": "gen bjorck --p 67 && cazac gabor bjorck.json",
 }
 
 SWEEP_SHA256 = {
+    "bjorck-23":
+        "82d4745e49f684e18e63f67b7cfbc929e9996fab4fb7eb536e08ca1b7cacc925",
+    "bjorck-67":
+        "63e1b6fe518d2a536f192108cfbf71e088293603d54e0c9b0407d618752f96d1",
     "born":
         "455b63eaf579031dc9f12f46748d18f222bcae1b50a395361a0b7ce8431e459d",
     "busch":
         "e94719ecf232cb2b57576b2bf4175cfd99a5f10992c2c2c9ebf4763ca40d20b0",
+    "cazac-ambiguity-23":
+        "74cf1800c3641460db18ba3b15dde0bc9589345b1d0bb8bdbc26c128a903dee7",
+    "cazac-ambiguity-67":
+        "34718f6cd8f0a8a9dbddbe131550c57b76bd33846eec011422a1d2c4a9bdf590",
+    "cazac-gabor-23":
+        "3bd17de5ef245bcf32a051c97a8833e62340ec97ac8e11df661720b2c73142fd",
+    "cazac-gabor-67":
+        "dc7ba7b8e4e95fb9170ad6c1e4136cec5cb01bb53661ef65b746114b3bc8e463",
+    "cazac-test-23":
+        "aada555dfd662611ad5dfbf4193edee2be75eccaa9e888447bc586099bffab0b",
+    "cazac-test-67":
+        "4a8ba7bde9623e6e9b61576980b1d601ab367925644fa8be3ca97da7c7006591",
     "ce-cos6":
         "e757769043b09da0da4388f060d4707c4fdc59f03ee9fbd7efb6d209598269a6",
     "ce-epsilon1d":
@@ -455,7 +482,11 @@ SWEEP_SHA256 = {
 def test_cli_byte_sweep(name, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("FRAMELAB_TOL", raising=False)
     monkeypatch.chdir(tmp_path)
-    code = cli.main(SWEEP[name].split())
-    out = capsys.readouterr().out
-    digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+    text = ""
+    for command in SWEEP[name].split(" && "):
+        code = cli.main(command.split())
+        text += f"{code}\n{capsys.readouterr().out}"
+    for path in sorted(tmp_path.iterdir()):
+        text += f"{path.name}\n{path.read_text()}"
+    digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == SWEEP_SHA256[name]

@@ -164,6 +164,15 @@ def test_born_probabilities_random():
         assert abs(float(np.sum(probs)) - 1.0) <= 1e-12
 
 
+def test_born_imaginary_residue_is_judged_at_tol():
+    p = fl.povm_from_frame(fl.standard_onb(2, "C"))
+    rho = np.diag([0.5 + 5e-9j, 0.5 - 5e-9j])
+    probs = fl.born_probabilities(rho, p, tol=1e-8)
+    assert probs.tolist() == [0.5, 0.5]
+    with pytest.raises(fl.InputError, match="imaginary residue"):
+        fl.born_probabilities(rho, p, tol=1e-10)
+
+
 def test_born_dim_mismatch():
     p = _flat_povm(2, 4)
     with pytest.raises(fl.DimMismatchError):

@@ -5,6 +5,107 @@ import pytest
 from numpy.testing import assert_allclose
 
 import framelab as fl
+from framelab import waveforms
+
+
+# Reference forms that take each cyclic shift one at a time: the
+# library gathers all of them at once and must give the same bits.
+
+
+def loop_lags(a):
+    d = len(a)
+    lags = np.empty((d, d), dtype=np.complex128)
+    for m in range(d):
+        lags[m] = np.roll(a, -m) * a.conj()
+    return lags
+
+
+def loop_ambiguity(a):
+    d = len(a)
+    ks = np.arange(d)
+    lags = loop_lags(a)
+    phases = np.exp(-2j * math.pi * np.outer(ks, ks) / d)
+    if d <= 64:
+        return lags @ phases / d
+    acc = np.zeros((d, d), dtype=np.complex128)
+    comp = np.zeros((d, d), dtype=np.complex128)
+    for k in range(d):
+        y = np.outer(lags[:, k], phases[k, :]) - comp
+        t = acc + y
+        comp = (t - acc) - y
+        acc = t
+    return acc / d
+
+
+def loop_zac_peak(a):
+    d = len(a)
+    peak = 0.0
+    for m in range(1, d):
+        peak = max(peak, abs(complex(np.sum(np.roll(a, -m) * a.conj())) / d))
+    return peak
+
+
+def loop_gabor(a):
+    d = len(a)
+    root = math.sqrt(d)
+    rows = np.empty((d * d, d), dtype=np.complex128)
+    base_idx = np.arange(d)
+    for m in range(d):
+        shifted = (base_idx - m) % d
+        translated = a[shifted]
+        for n in range(d):
+            phase = np.exp(2j * math.pi * shifted * n / d)
+            rows[m * d + n] = translated * phase / root
+    return rows
+
+
+def _unimodular(d, seed):
+    z = fl.SplitMix64(seed).complex_gaussians(d)
+    return z / np.abs(z)
+
+
+# Both congruence classes of primes 5..73, quadratic phases on both
+# sides of the length-64 Kahan cutoff, and random unimodular sequences
+# of even and odd lengths, 1 and 2 included.
+SHIFT_BATTERY = (
+    [(f"bjorck-{p}", fl.bjorck(p))
+     for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+               61, 67, 71, 73)]
+    + [(f"quadratic-{d}", fl.quadratic_phase(d))
+       for d in (1, 3, 9, 15, 21, 65, 69)]
+    + [(f"random-{d}", _unimodular(d, 100 + d))
+       for d in (1, 2, 4, 6, 10, 64, 65, 66)]
+)
+
+
+@pytest.mark.parametrize(
+    "name, u", SHIFT_BATTERY, ids=[name for name, _ in SHIFT_BATTERY])
+def test_shift_gathers_match_loop_forms_bit_for_bit(name, u):
+    assert waveforms._lags(u).tobytes() == loop_lags(u).tobytes()
+    assert fl.ambiguity(u).values.tobytes() == loop_ambiguity(u).tobytes()
+    report = fl.is_cazac(u)
+    assert report.zac_peak == loop_zac_peak(u)
+    assert fl.gabor_frame(u).vectors.tobytes() == loop_gabor(u).tobytes()
+
+
+def test_shift_constructions_at_lengths_1_and_2():
+    for u in (np.array([1.0]), _unimodular(1, 7), np.array([1.0, -1.0j])):
+        d = len(u)
+        f = fl.gabor_frame(u)
+        assert f.vectors.shape == (d * d, d)
+        assert_allclose(f.norms(), np.ones(d * d), atol=1e-15)
+        table = fl.ambiguity(u)
+        assert table.length == d
+        assert_allclose(table.values[0, 0], 1.0, atol=1e-15)
+        report = fl.is_cazac(u)
+        assert report.ca_ok and report.ok
+    # length 1 has no nontrivial shift; [1, -i] is a CAZAC of length 2
+    assert fl.is_cazac(np.array([1.0])).zac_peak == 0.0
+    assert fl.is_cazac(np.array([1.0, -1.0j])).zac_peak == 0.0
+    assert fl.gabor_frame(np.array([-1.0j])).vectors.tolist() == [[-1.0j]]
+    table = fl.ambiguity(np.array([1.0, 1.0]))
+    assert table.peak_off_origin() == 1.0
+    assert table.values[0, 0] == 1.0  # the peak search leaves the table
 
 
 def fft_ambiguity(u):
@@ -134,6 +235,15 @@ def test_gabor_rows_are_shifted_modulated_copies():
             assert_allclose(
                 f.vectors[m * d + n], row / math.sqrt(d), atol=1e-14
             )
+    # Vector (m, n) is exactly the cyclic shift by m of vector (0, n).
+    for u in (np.array([1.0j]), _unimodular(2, 3), u, fl.bjorck(13),
+              _unimodular(16, 4), fl.bjorck(67)):
+        d = len(u)
+        rows = fl.gabor_frame(u).vectors
+        for m in range(d):
+            for n in range(d):
+                assert np.array_equal(
+                    rows[m * d + n], np.roll(rows[n], m)), (d, m, n)
 
 
 def test_gabor_coherence_equals_ambiguity_peak():
