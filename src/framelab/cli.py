@@ -18,6 +18,7 @@ variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -47,11 +48,13 @@ def _tol_of(args) -> float:
 
 
 def _emit_report(args, obj) -> None:
+    # Emitted once: stdout and the --out file hold the same bytes.
     text = serialize.canonical_json(obj)
     print(text)
     out = getattr(args, "out", None)
     if out:
-        serialize.write_json(out, obj)
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines((text, "\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -644,9 +647,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call, not at import; parsing leaves it unchanged.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

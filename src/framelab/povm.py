@@ -48,10 +48,15 @@ class Povm:
 
     Notes
     -----
-    Shape constraints are enforced here; the numeric POVM axioms are
-    checked by :func:`check_povm`, which the converters and loaders
-    call.  Keeping the numeric check explicit lets internal
-    constructions that are valid by construction skip the cost.
+    Shapes and finiteness are enforced here; the numeric POVM axioms
+    are not.  :func:`check_povm` checks them, and
+    :func:`frame_from_povm` runs the same check before it factors.
+    Nothing else does: :func:`framelab.serialize.povm_from_json` checks
+    only shapes and finiteness, and :func:`born_probabilities` trusts
+    its effects, so call :func:`check_povm` on a loaded POVM before
+    relying on the axioms.  Keeping the numeric check explicit spares
+    constructions that are valid by construction its k
+    eigendecompositions.
     """
 
     effects: np.ndarray

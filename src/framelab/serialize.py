@@ -10,6 +10,13 @@ rejected.  Files end with a single newline.
 :func:`fmt_float` is the one float rule.  Float and complex arrays
 follow it too, one row template at a time, so the ``*_to_json``
 writers hand arrays to the emitter and the readers accept them back.
+Arrays are emitted in blocks of whole rows of bounded size, so the
+emitter holds the text once plus one block: :func:`canonical_json`
+peaks at about twice its text (the pieces and their join), and
+:func:`write_json`, which writes the pieces, at about once.
+
+The readers take a JSON number to be an int or float, never a bool or
+a string; a complex entry is a bare number or an ``[re, im]`` pair.
 """
 
 from __future__ import annotations
@@ -29,6 +36,10 @@ from .waveforms import AmbiguityTable, CazacReport
 
 # 17 significant digits; applied to x + 0.0 so that -0.0 prints as 0.
 _FLOAT = "%.17g"
+
+# Float parts (a complex entry has two) formatted per block of rows.
+# About 1.5 MB of text; small arrays are one block.
+_BLOCK_PARTS = 2**16
 
 
 def fmt_float(x: float) -> str:
@@ -60,15 +71,28 @@ def _float_rows(a: np.ndarray, left: str = "[", right: str = "]") -> list[str]:
 
 
 def _emit_float_array(a: np.ndarray, out: list[str]) -> None:
-    pieces = _float_rows(a)
-    outer = a.shape[:-1]
-    for axis in range(len(outer) - 1, -1, -1):
-        n = outer[axis]
-        pieces = [
-            "[" + ",".join(pieces[g * n:(g + 1) * n]) + "]"
-            for g in range(math.prod(outer[:axis]))
-        ]
-    out.append(pieces[0])
+    # Whole rows in blocks of at most _BLOCK_PARTS float parts, so no
+    # more than one block is held as Python floats and row strings at
+    # a time; higher ranks recurse on their leading axis.
+    if a.ndim > 2:
+        out.append("[")
+        for i, slab in enumerate(a):
+            if i:
+                out.append(",")
+            _emit_float_array(slab, out)
+        out.append("]")
+        return
+    if a.ndim == 1:
+        out.extend(_float_rows(a))
+        return
+    row_parts = a.shape[1] * (2 if np.iscomplexobj(a) else 1)
+    step = max(1, _BLOCK_PARTS // max(1, row_parts))
+    out.append("[")
+    for start in range(0, a.shape[0], step):
+        if start:
+            out.append(",")
+        out.append(",".join(_float_rows(a[start:start + step])))
+    out.append("]")
 
 
 def _emit(obj, out: list[str]) -> None:
@@ -126,7 +150,18 @@ def canonical_json(obj) -> str:
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(canonical_json(obj) + "\n", encoding="utf-8")
+    """Write ``obj`` as canonical JSON and a newline.
+
+    The pieces are written as emitted, with no joined copy of the
+    text.  Emission finishes before the file is opened, so a value
+    that cannot be serialized leaves no file and an existing one
+    unchanged.
+    """
+    pieces: list[str] = []
+    _emit(obj, pieces)
+    pieces.append("\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(pieces)
 
 
 def load_json(path):
@@ -140,7 +175,7 @@ def load_json(path):
 def parse_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise InputError(f"invalid JSON: {exc}") from exc
 
 
@@ -158,28 +193,34 @@ def _plain(item):
     return item.tolist()
 
 
+def _number(x, what: str) -> float:
+    # The one rule for a JSON number: an int or float, not a bool (a
+    # subclass of int), that fits a float64.
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        raise InputError(f"{what}: {x!r} is not a number")
+    try:
+        return float(x)
+    except OverflowError:
+        raise InputError(
+            f"{what}: an integer beyond the float range is not a number"
+        ) from None
+
+
 def _vector_from_json(item, field: str, what: str) -> np.ndarray:
     if not isinstance(item, list):
         raise InputError(f"{what}: expected a list, got {type(item).__name__}")
     if field == "R":
-        try:
-            return np.array([float(x) for x in item], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{what}: bad real entry ({exc})") from exc
+        return np.array([_number(x, what) for x in item], dtype=np.float64)
     entries = []
     for x in item:
-        if isinstance(x, (int, float)) and not isinstance(x, bool):
-            entries.append(complex(float(x), 0.0))
-            continue
-        if (
-            not isinstance(x, list)
-            or len(x) != 2
-            or not all(isinstance(part, (int, float)) for part in x)
-        ):
+        if isinstance(x, list) and len(x) == 2:
+            entries.append(complex(_number(x[0], what), _number(x[1], what)))
+        elif isinstance(x, list):
             raise InputError(
                 f"{what}: complex entries must be numbers or [re, im] pairs"
             )
-        entries.append(complex(float(x[0]), float(x[1])))
+        else:
+            entries.append(complex(_number(x, what), 0.0))
     return np.array(entries, dtype=np.complex128)
 
 

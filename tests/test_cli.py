@@ -13,6 +13,8 @@ import pytest
 import framelab as fl
 from framelab import cli
 
+from test_serialize import NOT_NUMBERS
+
 
 def run_cli(args, cwd, env_extra=None):
     env = dict(os.environ)
@@ -285,8 +287,23 @@ def test_exit_2_bad_input(tmp_path):
     r = run_cli(["analyze", "odd.json"], tmp_path)
     assert r.returncode == 2
 
+    digits = "1" + "0" * 5000  # past Python's int-to-str conversion limit
+    (tmp_path / "long.json").write_text(
+        '{"dim": 1, "field": "R", "vectors": [[%s]]}' % digits)
+    r = run_cli(["analyze", "long.json"], tmp_path)
+    assert r.returncode == 2
+
     r = run_cli(["gleason", "fit", "--spec", "no-such-kind"], tmp_path)
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("name", sorted(NOT_NUMBERS))
+def test_analyze_exits_2_on_an_entry_that_is_not_a_number(
+        name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    fl.write_json("bad.json", NOT_NUMBERS[name])
+    assert cli.main(["analyze", "bad.json"]) == 2
+    assert "not a number" in capsys.readouterr().err
 
 
 def test_exit_2_bad_tol_env(tmp_path):
@@ -380,14 +397,17 @@ def test_stdout_byte_identity(tmp_path):
 
 
 def test_out_file_matches_stdout_json(tmp_path):
-    r = run_cli(
-        ["experiment", "born", "--dim", "2", "--trials", "5", "--seed", "0",
-         "--out", "born.json"],
-        tmp_path,
-    )
-    assert r.returncode == 0, r.stderr
-    on_disk = (tmp_path / "born.json").read_text()
-    assert on_disk == r.stdout.splitlines()[0] + "\n"
+    # Every report command writes to --out the bytes it prints.
+    run_cli(["gen", "bjorck", "--p", "7", "--out", "u.json"], tmp_path)
+    for command in (
+        "experiment born --dim 2 --trials 5 --seed 0",
+        "gleason counterexample --spec epsilon1d:0.2 --trials 4 --samples 20",
+        "cazac test u.json",
+        "analyze u.json",
+    ):
+        r = run_cli([*command.split(), "--out", "report.json"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert (tmp_path / "report.json").read_bytes() == r.stdout.encode()
 
 
 # Fixed-seed commands whose stdout is pinned by SHA-256: every gleason

@@ -1,25 +1,35 @@
 """The array emitter against the scalar float rule, and pinned bytes."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import framelab as fl
 from framelab.serialize import (
+    _BLOCK_PARTS as B,
     ambiguity_to_csv,
     canonical_json,
     fit_result_to_json,
     fmt_float,
+    frame_from_json,
     frame_to_json,
+    povm_from_json,
     povm_to_json,
+    sequence_from_json,
     sequence_to_json,
     verification_report_to_json,
+    write_json,
 )
 
 VALUES = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 3.0, -7.0, 2.0**53, 0.0,
           0.1, 1.0 / 3.0, -2.5e-7]
-SHAPES = [(0,), (1,), (5, 3), (2, 3, 3), (4, 0), (0, 2, 2)]
+# Rows of one real part: B rows fill one block.  The transposes are
+# single rows longer than a block, and the last shape has slabs that
+# span several blocks.
+SHAPES = [(0,), (1,), (5, 3), (2, 3, 3), (4, 0), (0, 2, 2),
+          (B - 1, 1), (B, 1), (B + 1, 1), (2 * B + 1, 1), (3, B + 1, 1)]
 
 
 def _entrywise(a):
@@ -82,6 +92,82 @@ def test_non_finite_arrays_are_rejected(bad):
         canonical_json(bad)
     with pytest.raises(fl.InputError, match="non-finite"):
         canonical_json({"nested": [bad]})
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_non_finite_value_in_the_last_block_writes_nothing(dtype, tmp_path):
+    a = np.ones((2 * B + 1, 1), dtype=dtype)
+    a[-1, 0] = -np.inf
+    with pytest.raises(fl.InputError, match="-inf"):
+        canonical_json(a)
+    fresh = tmp_path / "fresh.json"
+    with pytest.raises(fl.InputError, match="-inf"):
+        write_json(fresh, {"vectors": a})
+    assert not fresh.exists()
+    kept = tmp_path / "kept.json"
+    kept.write_text("old\n")
+    with pytest.raises(fl.InputError, match="-inf"):
+        write_json(kept, {"vectors": a})
+    assert kept.read_text() == "old\n"
+
+
+# Objects whose only fault is an entry that is not a JSON number: an int
+# or float, not a bool, that fits a float64.
+NOT_NUMBERS = {
+    "real-string": {"dim": 1, "field": "R", "vectors": [["0.5"]]},
+    "real-true": {"dim": 1, "field": "R", "vectors": [[True]]},
+    "real-huge-int": {"dim": 1, "field": "R", "vectors": [[10**400]]},
+    "complex-bool-pair": {"dim": 1, "field": "C", "vectors": [[[True, False]]]},
+    "complex-bare-bool": {"dim": 1, "field": "C", "vectors": [[True]]},
+    "complex-string-pair": {"dim": 1, "field": "C", "vectors": [[["1", "0"]]]},
+    "complex-huge-int": {"dim": 1, "field": "C", "vectors": [[[1.0, -10**400]]]},
+    "povm-bool-part": {"dim": 1, "effects": [[[[1.0, False]]]]},
+    "sequence-bool-part": {"length": 1, "entries": [[True, 0.0]]},
+}
+LOADERS = {"frame": frame_from_json, "povm": povm_from_json,
+           "sequence": sequence_from_json}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_NUMBERS))
+def test_loaders_accept_only_json_numbers(name):
+    obj = NOT_NUMBERS[name]
+    with pytest.raises(fl.InputError, match="not a number"):
+        LOADERS[fl.sniff_kind(obj)](obj)
+
+
+def test_parse_rejects_integers_too_long_to_convert():
+    with pytest.raises(fl.InputError, match="invalid JSON"):
+        fl.parse_json("[1" + "0" * 5000 + "]")
+
+
+def test_loaders_accept_ints_and_bare_complex_numbers():
+    f = frame_from_json({"dim": 2, "field": "R", "vectors": [[1, 0.5]]})
+    assert f.vectors.tolist() == [[1.0, 0.5]]
+    u = sequence_from_json({"length": 2, "entries": [1, [0, -1]]})
+    assert u.tolist() == [1, -1j]
+
+
+def _peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_emitter_memory_is_bounded_by_the_text(tmp_path):
+    # Eight blocks of complex rows: canonical_json holds the pieces and
+    # their join (2x the text), write_json only the pieces and one
+    # block in flight.
+    a = fl.SplitMix64(17).complex_gaussians((B // 2, 8))
+    text = canonical_json(a)
+    n = len(text)
+    del text
+    assert _peak(lambda: canonical_json(a)) <= 2.2 * n
+    path = tmp_path / "a.json"
+    assert _peak(lambda: write_json(path, a)) <= 1.4 * n
+    assert path.read_text() == canonical_json(a) + "\n"
 
 
 def test_ambiguity_csv_follows_fmt_float():
