@@ -207,11 +207,17 @@ def _cmd_convert(args) -> int:
 
 
 def _spec_field(obj: dict, key: str, convert, default=None):
-    # A missing or unconvertible JSON function-spec field is bad input.
+    # A JSON function-spec field follows the loaders' one rule for a
+    # number (serialize._number), and an int field takes only integral
+    # ones.  Anything else, or a missing field, is bad input.
+    value = obj.get(key, default)
     try:
-        return convert(obj.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{obj['kind']} spec needs a valid {key!r}") from exc
+        number = serialize._number(value, key)
+    except InputError:
+        number = None
+    if number is None or not (convert is float or number.is_integer()):
+        raise InputError(f"{obj['kind']} spec needs a valid {key!r}")
+    return convert(value)
 
 
 def _build_gleason_from_obj(obj, args) -> gleason.GleasonFn:

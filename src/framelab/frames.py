@@ -63,15 +63,13 @@ class Frame:
             raise InputError("vectors must be numeric")
         if self.field == "R":
             if np.iscomplexobj(a):
-                if a.size and float(np.max(np.abs(a.imag))) != 0.0:
+                if a.imag.any():
                     raise InputError("real frame has nonzero imaginary parts")
                 a = a.real
             a = np.ascontiguousarray(a, dtype=np.float64)
         else:
             a = np.ascontiguousarray(a, dtype=np.complex128)
-        if not np.all(np.isfinite(a.real)) or (
-            np.iscomplexobj(a) and not np.all(np.isfinite(a.imag))
-        ):
+        if not np.isfinite(a).all():
             raise InputError("frame contains non-finite entries")
         object.__setattr__(self, "vectors", a)
 
@@ -123,7 +121,7 @@ def _bounds(s: np.ndarray, tol: float | None) -> tuple[float, float]:
 
 
 def _is_identity(s: np.ndarray, tol: float) -> bool:
-    return float(np.max(np.abs(s - np.eye(len(s))))) <= tol
+    return float(np.abs(s - np.eye(len(s))).max()) <= tol
 
 
 def _potential(s: np.ndarray) -> float:
@@ -328,32 +326,32 @@ def standard_onb(d: int, field: str = "R") -> Frame:
 def random_onb(d: int, seed: int = 0, field: str = "C") -> Frame:
     """Haar-ish random orthonormal basis via Gram-Schmidt on Gaussians.
 
-    Deterministic in ``seed``.  Each vector is projected off the
-    earlier ones twice: one pass leaves errors that grow as the vector
-    loses norm to the projection, the second brings orthonormality to
-    roundoff.  Resamples any vector that falls too close to the span
-    of the earlier ones, which for continuous Gaussians essentially
-    never happens.
+    Deterministic in ``seed``.  The d x d Gaussian block is drawn in
+    one call, row i being the start vector of basis vector i.  Each
+    vector is projected off the earlier ones twice: one pass leaves
+    errors that grow as the vector loses norm to the projection, the
+    second brings orthonormality to roundoff.  A vector that falls too
+    close to the span of the earlier ones, which for continuous
+    Gaussians essentially never happens, is replaced by a fresh draw
+    from the generator after the block.
     """
     d = int(d)
     if d < 1:
         raise BadCardinalityError("dimension must be at least 1")
     rng = SplitMix64(seed)
-    rows = np.zeros((d, d), dtype=np.complex128 if field == "C" else np.float64)
-    for i in range(d):
+    draw = rng.complex_gaussians if field == "C" else rng.gaussians
+    rows: list[np.ndarray] = []
+    for v in draw((d, d)):
         while True:
-            if field == "C":
-                v = rng.complex_gaussians(d)
-            else:
-                v = rng.gaussians(d)
             for _ in range(2):
-                for j in range(i):
-                    v = v - np.vdot(rows[j], v) * rows[j]
-            norm = float(np.sqrt(np.sum(np.abs(v) ** 2)))
+                for u in rows:
+                    v = v - np.vdot(u, v) * u
+            norm = math.sqrt(np.add.reduce(np.abs(v) ** 2))
             if norm > 1e-8:
-                rows[i] = v / norm
+                rows.append(v / norm)
                 break
-    return Frame(rows, field)
+            v = draw(d)
+    return Frame(np.array(rows), field)
 
 
 def simplex_etf(d: int) -> Frame:

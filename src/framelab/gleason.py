@@ -193,7 +193,7 @@ def _demote_scalar(z: complex) -> float | complex:
 
 
 def _squared_norms(x: np.ndarray) -> np.ndarray:
-    return np.sum(np.abs(x) ** 2, axis=1)
+    return np.add.reduce(np.abs(x) ** 2, axis=1)
 
 
 def _on_circle(h: Callable[[float], float]) -> Callable:
@@ -224,7 +224,7 @@ def quadratic_gleason(a, const: float = 0.0) -> GleasonFn:
     the field is "C" exactly when A has a nonzero imaginary entry.
     """
     mat = linalg._as_matrix(a, "operator")
-    linalg._check_hermitian(mat, 1e-12, "operator")
+    linalg._hermitian_part(mat, 1e-12, "operator")
     const = float(const)
     field = "C" if mat.imag.any() else "R"
     mat = mat.copy() if field == "C" else mat.real.copy()
@@ -607,21 +607,25 @@ def fit_quadratic(
 
     operator = a.real.copy() if float(np.max(np.abs(a.imag))) <= 1e-12 else a
 
+    # Each direction is drawn and its norm taken one at a time, since
+    # a resample changes the stream; scaling onto the unit sphere and
+    # then by the radius runs once on the whole block.
     rng = SplitMix64(seed)
-    points = []
+    draw = rng.complex_gaussians if complex_field else rng.gaussians
+    directions, norms, radii = [], [], []
     for i in range(samples):
         while True:
-            direction = (
-                rng.complex_gaussians(d) if complex_field else rng.gaussians(d)
-            )
-            norm = float(np.sqrt(np.sum(np.abs(direction) ** 2)))
+            direction = draw(d)
+            norm = math.sqrt(np.add.reduce(np.abs(direction) ** 2))
             if norm > 1e-8:
                 break
-        direction /= norm
-        r = 1.0 if i % 2 == 0 else rng.uniform() ** (1.0 / d)
-        points.append(r * direction)
+        directions.append(direction)
+        norms.append(norm)
+        radii.append(1.0 if i % 2 == 0 else rng.uniform() ** (1.0 / d))
+    unit = np.array(directions) / np.array(norms)[:, None]
+    points = np.array(radii)[:, None] * unit
     residual = 0.0
-    for x, value in zip(points, g.values(np.array(points)).tolist()):
+    for x, value in zip(points, g.values(points).tolist()):
         predicted = complex(np.vdot(x, a @ x))
         residual = max(residual, abs(value - predicted))
 
@@ -758,7 +762,7 @@ def quadratic_zero_count_s1(a) -> int | float:
     mat = linalg._as_matrix(a)
     if mat.shape != (2, 2):
         raise NotSquareError(f"need a 2x2 matrix, got shape {mat.shape}")
-    linalg._check_hermitian(mat, 1e-12)
+    linalg._hermitian_part(mat, 1e-12)
     if mat.imag.any():
         raise InputError("matrix must be real")
     mat = mat.real

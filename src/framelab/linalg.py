@@ -87,33 +87,41 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
         raise NotSquareError(f"{name} must be square, got shape {a.shape}")
     if not a.size:
         raise InputError(f"{name} is empty")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise InputError(f"{name} contains non-finite entries")
     return a
 
 
-def _check_hermitian(a: np.ndarray, tol: float, name: str = "matrix") -> None:
-    # The Hermitian check of the module docstring, on an _as_matrix result.
-    allowed = tol * float(np.max(np.abs(a)))
-    dev = float(np.max(np.abs(a - a.conj().T)))
+def _hermitian_part(
+    a: np.ndarray, tol: float, name: str = "matrix"
+) -> np.ndarray:
+    # The Hermitian check of the module docstring, on an _as_matrix
+    # result; returns the Hermitian part (M + M*)/2 that it judges.
+    adj = a.conj().T
+    allowed = tol * float(np.abs(a).max())
+    dev = float(np.abs(a - adj).max())
     if dev > allowed:
         raise NotHermitianError(
             f"{name} deviates from Hermitian by {dev:.3e} "
             f"(allowed {allowed:.3e})"
         )
+    return (a + adj) / 2.0
 
 
-def _norm(entries) -> float:
-    # Scaled, so entries near the overflow or underflow limit of a
-    # double neither turn the norm into inf nor flush it to zero.
-    return math.hypot(*[abs(x) for x in entries])
+def _magnitudes(a: list[list[complex]]) -> list[float]:
+    # Entry magnitudes in row order.  The norms take them through
+    # math.hypot, which scales, so entries near the overflow or
+    # underflow limit of a double neither turn a norm into inf nor
+    # flush it to zero.
+    return [abs(x) for row in a for x in row]
 
 
 def _offdiag_norm(a: list[list[complex]]) -> float:
     # Computed directly on the off-diagonal part. Subtracting squared
     # norms instead cancels catastrophically and stalls convergence.
-    return _norm(x for i, row in enumerate(a)
-                 for j, x in enumerate(row) if j != i)
+    mags = _magnitudes(a)
+    del mags[:: len(a) + 1]  # the diagonal
+    return math.hypot(*mags)
 
 
 def _jacobi(
@@ -148,8 +156,10 @@ def _jacobi(
     Raises after 100 sweeps without convergence.
     """
     d = len(a)
-    vt = [[complex(i == j) for j in range(d)] for i in range(d)]
-    fro = _norm(x for row in a for x in row)
+    vt = [[0j] * d for _ in range(d)]
+    for i in range(d):
+        vt[i][i] = 1 + 0j
+    fro = math.hypot(*_magnitudes(a))
     thresh = tol * fro
     floor = min(2.0 ** -52, tol / d) * fro
 
@@ -214,24 +224,19 @@ def _jacobi(
     return [a[i][i].real for i in range(d)], vt
 
 
-def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    d = vecs.shape[0]
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        idx = 0
-        for i in range(d):
-            if abs(col[i]) > 1e-12:
-                idx = i
-                break
-        else:
-            idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        mag = abs(pivot)
-        if mag > 0.0:
-            vecs[:, j] = col * (pivot.conjugate() / mag)
-            # Scrub the tiny imaginary residue the rotation leaves behind.
-            vecs[idx, j] = complex(abs(vecs[idx, j].real), 0.0)
-    return vecs
+def _fix_phases(rows: np.ndarray) -> None:
+    # The phase convention of the module docstring, in place, on
+    # eigenvectors stored as rows.  Each row has unit norm, so some
+    # entry has magnitude at least 1/sqrt(d) > 1e-12 and argmax finds
+    # the first entry above 1e-12 in every row.
+    pivots = (np.abs(rows) > 1e-12).argmax(axis=1)
+    for k, i in enumerate(pivots.tolist()):
+        row = rows[k]
+        pivot = row[i]
+        # NumPy scalar arithmetic, not Python's: the bits differ.
+        rows[k] = row * (pivot.conjugate() / abs(pivot))
+        # Scrub the tiny imaginary residue the rotation leaves behind.
+        rows[k, i] = abs(rows[k, i].real)
 
 
 def hermitian_eig(m, tol: float | None = None) -> HermitianEig:
@@ -262,21 +267,19 @@ def hermitian_eig(m, tol: float | None = None) -> HermitianEig:
         If the sweep cap is reached, which for sane input it is not.
     """
     tol = resolve_tol(tol)
-    a = _as_matrix(m)
-    _check_hermitian(a, tol)
-    herm = (a + a.conj().T) / 2.0
-
+    herm = _hermitian_part(_as_matrix(m), tol)
     diag, vt = _jacobi(herm.tolist(), tol)
-    values = np.array(diag)
-
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vecs = np.ascontiguousarray(np.array(vt)[order].T)
-    vecs = _fix_phases(vecs)
+    # sorted is stable, so tied eigenvalues keep their Jacobi order
+    order = sorted(range(len(diag)), key=diag.__getitem__)
+    rows = np.array([vt[k] for k in order])
+    _fix_phases(rows)
+    vecs = rows.T
     if not herm.imag.any():
         # real symmetric: every rotation was real, so this is lossless
-        vecs = np.ascontiguousarray(vecs.real)
-    return HermitianEig(values, vecs)
+        vecs = vecs.real
+    return HermitianEig(
+        np.array([diag[k] for k in order]), np.ascontiguousarray(vecs)
+    )
 
 
 def psd_inv_sqrt(m, tol: float | None = None) -> np.ndarray:
@@ -296,11 +299,10 @@ def psd_inv_sqrt(m, tol: float | None = None) -> np.ndarray:
         )
     vc = vecs.astype(np.complex128, copy=False)
     root = (vc * (values ** -0.5)) @ vc.conj().T
-    root = (root + root.conj().T) / 2.0
     if np.isrealobj(vecs):
         # real eigenvectors leave exactly zero imaginary parts
-        root = np.ascontiguousarray(root.real)
-    return root
+        root = root.real
+    return (root + root.conj().T) / 2.0
 
 
 def trace(m) -> float | complex:

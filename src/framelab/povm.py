@@ -71,7 +71,7 @@ class Povm:
         if a.shape[0] < 1:
             raise InputError("a POVM needs at least one effect")
         a = np.ascontiguousarray(a, dtype=np.complex128)
-        if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+        if not np.isfinite(a).all():
             raise InputError("effects contain non-finite entries")
         object.__setattr__(self, "effects", a)
         if self.partition is not None:
@@ -201,11 +201,11 @@ def povm_from_frame_grouped(
                                "for Parseval frames")
 
     x = f.vectors.astype(np.complex128, copy=False)
-    d = f.dim
-    effects = np.zeros((len(groups), d, d), dtype=np.complex128)
+    rank_one = x[:, :, None] * x.conj()[:, None, :]
+    effects = np.zeros((len(groups), f.dim, f.dim), dtype=np.complex128)
     for j, g in enumerate(groups):
         for i in g:
-            effects[j] += np.outer(x[i], x[i].conj())
+            effects[j] += rank_one[i]
     return Povm(effects, partition=groups)
 
 

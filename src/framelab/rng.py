@@ -19,6 +19,9 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _TWO_PI = 2.0 * math.pi
 _ULP = 2.0 ** -53
+_ROOT2 = math.sqrt(2.0)
+# (im * 0.0, -(re * 0.0)) of CPython's complex-by-float division
+_ZERO_PRODUCTS = np.array([0.0, -0.0])
 
 
 class SplitMix64:
@@ -100,15 +103,23 @@ class SplitMix64:
         return np.array(flat, dtype=np.float64).reshape(shape)
 
     def complex_gaussians(self, shape: int | tuple[int, ...]) -> np.ndarray:
-        """Array of standard circular complex normals (unit variance)."""
+        """Array of standard circular complex normals (unit variance).
+
+        Entry k has the bits of ``complex(re, im) / math.sqrt(2.0)``
+        for normals 2k and 2k + 1.  CPython computes that quotient as
+        ``((re + im * 0.0) / root2, (im - re * 0.0) / root2)``, one
+        correctly rounded division per part, so the same steps on the
+        float parts as one array give the same bits.  The zero products
+        only set the signs of the zero parts that radius -0.0 (``u1``
+        exactly 1) yields.
+        """
         if isinstance(shape, (int, np.integer)):
             shape = (shape,)
         flat = self._normals(2 * math.prod(shape))
-        root2 = math.sqrt(2.0)
-        values = [
-            complex(re, im) / root2 for re, im in zip(flat[::2], flat[1::2])
-        ]
-        return np.array(values, dtype=np.complex128).reshape(shape)
+        parts = np.array(flat, dtype=np.float64).reshape(-1, 2)
+        parts += parts[:, ::-1] * _ZERO_PRODUCTS
+        parts /= _ROOT2
+        return parts.view(np.complex128).reshape(shape)
 
     def spawn(self) -> "SplitMix64":
         """Child generator seeded from this one's stream."""

@@ -83,7 +83,7 @@ def _as_sequence(u) -> np.ndarray:
     if a.dtype.kind not in "fiucb":
         raise InputError("sequence must be numeric")
     a = a.astype(np.complex128, copy=False)
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise InputError("sequence contains non-finite entries")
     return a
 

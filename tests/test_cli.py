@@ -191,6 +191,40 @@ def test_gleason_malformed_json_spec_exits_2(tmp_path, spec):
     assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("spec, kind, key", [
+    ('{"kind":"epsilon1d","eps":"0.2"}', "epsilon1d", "eps"),
+    ('{"kind":"cos2d","n":2.9}', "cos2d", "n"),
+    ('{"kind":"cos2d","n":true}', "cos2d", "n"),
+    ('{"kind":"cos2d","n":"6"}', "cos2d", "n"),
+    ('{"kind":"expnorm","dim":2.5}', "expnorm", "dim"),
+    ('{"kind":"expnorm","dim":true}', "expnorm", "dim"),
+    ('{"kind":"quadratic","operator":[[1,0],[0,2]],"const":"0.5"}',
+     "quadratic", "const"),
+    ('{"kind":"quadratic","operator":[[1,0],[0,2]],"const":false}',
+     "quadratic", "const"),
+])
+def test_gleason_spec_fields_follow_the_json_number_rule(
+        spec, kind, key, tmp_path, monkeypatch, capsys):
+    # Strings, bools and, for counts and dimensions, non-integral
+    # numbers are rejected like the file loaders reject them.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gleason", "fit", "--spec", spec, "--samples", "8"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {kind} spec needs a valid '{key}'\n")
+
+
+def test_gleason_spec_counts_accept_integral_floats(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for spec in ("cos2d:6", '{"kind":"cos2d","n":6}',
+                 '{"kind":"cos2d","n":6.0}'):
+        assert cli.main(
+            ["gleason", "fit", "--spec", spec, "--samples", "8"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 def test_gleason_inline_json_spec_and_ladder(tmp_path):
     spec = json.dumps(
         {"kind": "quadratic", "operator": [[1.0, 0.0], [0.0, 2.0]], "const": 0.5}
@@ -450,9 +484,27 @@ SWEEP = {
     "cazac-test-67": "gen bjorck --p 67 && cazac test bjorck.json",
     "cazac-ambiguity-67": "gen bjorck --p 67 && cazac ambiguity bjorck.json",
     "cazac-gabor-67": "gen bjorck --p 67 && cazac gabor bjorck.json",
+    "random-onb-R-2": "gen random-onb --dim 2 --field R --seed 21",
+    "random-onb-R-4": "gen random-onb --dim 4 --field R --seed 22",
+    "random-onb-R-7": "gen random-onb --dim 7 --field R --seed 23",
+    "random-onb-C-2": "gen random-onb --dim 2 --field C --seed 24",
+    "random-onb-C-4": "gen random-onb --dim 4 --field C --seed 25",
+    "random-onb-C-7": "gen random-onb --dim 7 --field C --seed 26",
+    "random-parseval-R": "gen random-parseval --dim 3 --n 5 --field R "
+                         "--seed 27",
+    "random-parseval-C": "gen random-parseval --dim 4 --n 7 --field C "
+                         "--seed 28",
+    "convert-roundtrip": "gen random-parseval --dim 3 --n 6 --seed 29 "
+                         "&& convert random-parseval.json --to povm "
+                         "--out p.json "
+                         "&& convert p.json --to frame --out f.json",
+    "analyze-random-parseval": "gen random-parseval --dim 3 --n 6 --seed 30 "
+                               "&& analyze random-parseval.json",
 }
 
 SWEEP_SHA256 = {
+    "analyze-random-parseval":
+        "906d9b26cc283b65d482a4b2d6e448a5a9cb7ae5c0a95f7a3a78e2bc82a6033b",
     "bjorck-23":
         "82d4745e49f684e18e63f67b7cfbc929e9996fab4fb7eb536e08ca1b7cacc925",
     "bjorck-67":
@@ -479,6 +531,8 @@ SWEEP_SHA256 = {
         "ff329945e4a9d5ff0860c6c8b319565a7a100429d3392bc1d921cdebf3beae20",
     "ce-expnorm":
         "a2cc73191047761a73950945b2b9a5193be8b69a273a56a632bb5a22d5e5ebbb",
+    "convert-roundtrip":
+        "1b92b0e0dce32025d6dfca56cbb7c8580043abf245cc1ce45f3894f9b76844eb",
     "fit-cos6":
         "2bb5e76e2f337f7c4667b2cfef8176cdd030361a2ebb09b3478b12fe568efc1f",
     "fit-quadratic-C":
@@ -493,6 +547,22 @@ SWEEP_SHA256 = {
         "067c47bb0fd9c8394240691a19b7a8c434a4be3f30e875339f1569fc2b96fd85",
     "parseval-quadratic-R":
         "d53fe4de96981d1fc81fc7ad2528ad675a88dad864015df6f06014fc2f2c7f8c",
+    "random-onb-C-2":
+        "1b246dca70c2d86929435ff3873c8bc6c237ca28468cefd646392e71e321e663",
+    "random-onb-C-4":
+        "d2672fbd906bc8f02d7efd68ef96b017109d51a64c9ed08b3455e551be5f9b11",
+    "random-onb-C-7":
+        "fd99d93582dfa3fd6ca06f76532d5efbae7013ea70eadffba3ac09b7df471006",
+    "random-onb-R-2":
+        "ddcc475bd0826ab48bcbad34ea3762eb96a1e045ea72b9da66f0655e8bd43138",
+    "random-onb-R-4":
+        "77b5c6f6a4bfede7a9b9998f00804bff2b9b944d9da84b515ca309050c137247",
+    "random-onb-R-7":
+        "3c15597cd51aacfaca5fbd9e3adceb26c4844cc78711076fb44cbbdaf954b625",
+    "random-parseval-C":
+        "39ff4a08a538c044b36a51853eeece639f7f7391bec129c6d9d4a204cb83ef61",
+    "random-parseval-R":
+        "ceb9dd8851aa619655a004b97d47d24ff052281e04e83ab3d9cccb8bd243c1e1",
     "weight-trace":
         "10210598cc01a2fe9d4cf12fe72c693c3e42806d0864e4d6e06f946dd71b31ab",
 }

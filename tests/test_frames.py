@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -74,6 +75,50 @@ def test_random_onb_orthonormal_both_fields():
     a = fl.random_onb(4, seed=5).vectors
     b = fl.random_onb(4, seed=5).vectors
     assert np.array_equal(a, b)
+
+
+# SHA-256 prefixes of random_onb over seeds 0, 1, 2, 7919 and 2**64 - 1,
+# pinned before the Gaussian block was drawn in one call.
+RANDOM_ONB_DIGESTS = {
+    ("R", 1): "b95d2f5efaf8298122a46e5a799fb571",
+    ("R", 2): "6303deb0356854b1a89382dc76b3bfd9",
+    ("R", 3): "c6b2769302a8c19a5f07d8b82629fead",
+    ("R", 4): "f521dd7ff6a7bac0851bddccdee32c80",
+    ("R", 5): "bffe86e0d1563d090fb9e5206275212e",
+    ("R", 6): "9918a212a6dd974213360d4395444741",
+    ("R", 7): "ac9aa81784c6b6ed44e9eeba088ce502",
+    ("R", 8): "6c48fb89ddc3df14d2dde734e3069b39",
+    ("C", 1): "4205d6121a8dab7181b056e2024f5022",
+    ("C", 2): "e1eefe2fd5114469c164901f48c15cac",
+    ("C", 3): "741210d4c38e6af638d9682bd830dfbd",
+    ("C", 4): "2c957116538f3ffb102efccbe008cb2b",
+    ("C", 5): "500334347c99b7e4bc799de48e4f61fd",
+    ("C", 6): "2ac3920a5eec65742ee8260b1afad81d",
+    ("C", 7): "e0d8758b31a4d0ff0e3f2041ed55b441",
+    ("C", 8): "966e4c649ec4f72509a41e893ed8bc38",
+}
+
+
+@pytest.mark.parametrize("field, d", sorted(RANDOM_ONB_DIGESTS))
+def test_random_onb_bytes_are_pinned(field, d):
+    h = hashlib.sha256()
+    for seed in (0, 1, 2, 7919, 2**64 - 1):
+        v = fl.random_onb(d, seed=seed, field=field).vectors
+        h.update(f"{v.dtype.str}{v.shape}".encode())
+        h.update(v.tobytes())
+    assert h.hexdigest()[:32] == RANDOM_ONB_DIGESTS[field, d]
+
+
+def test_frame_rejects_non_finite_imaginary_parts_alone():
+    for bad in (np.inf, -np.inf, np.nan):
+        vectors = np.array([[1.0, complex(0.0, bad)]])
+        with pytest.raises(fl.InputError,
+                           match="^frame contains non-finite entries$"):
+            Frame(vectors, "C")
+        with pytest.raises(
+                fl.InputError,
+                match="^real frame has nonzero imaginary parts$"):
+            Frame(vectors, "R")
 
 
 def test_canonical_parseval_makes_parseval():

@@ -134,6 +134,33 @@ def test_eig_diagonal_and_zero():
     assert_allclose(v0, np.eye(3))
 
 
+@pytest.mark.parametrize("diag, order", [
+    ([1.0, 1.0, 1.0], [0, 1, 2]),
+    ([2.0, 1.0, 2.0, 1.0], [1, 3, 0, 2]),
+    ([0.0, -0.0, 0.0, -0.0], [0, 1, 2, 3]),
+    ([1.0, -0.0, 0.0, -1.0, -0.0], [3, 1, 2, 4, 0]),
+])
+def test_eig_keeps_tied_eigenvalues_in_input_order(diag, order):
+    # A diagonal input needs no rotation, so ties, including 0.0 against
+    # -0.0, are ordered by position alone.  Forming (M + M*) / 2 in
+    # complex arithmetic turns each -0.0 into 0.0, hence the + 0.0.
+    for field in (float, complex):
+        w, v = hermitian_eig(np.diag(diag).astype(field))
+        expected = np.array(diag)[order] + 0.0
+        assert w.tobytes() == expected.tobytes()
+        assert v.dtype == np.float64
+        assert np.array_equal(v, np.eye(len(diag))[:, order])
+
+
+def test_eig_rejects_non_finite_imaginary_parts_alone():
+    for bad in (np.inf, -np.inf, np.nan):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = complex(0.0, bad)
+        with pytest.raises(InputError,
+                           match="^matrix contains non-finite entries$"):
+            hermitian_eig(m)
+
+
 def test_eig_extreme_scales():
     # Norms taken as sqrt(sum |a|^2) overflow at the first scale and
     # underflow to zero at the second; both gave eigenvalues [0, 0].

@@ -240,3 +240,13 @@ def test_povm_json_rejects_malformed():
         povm_from_json(
             {"dim": 2, "effects": [[[[1.0, 0.0]]]], "partition": None}
         )
+
+
+def test_povm_rejects_non_finite_imaginary_parts_alone():
+    for bad in (np.inf, -np.inf, np.nan):
+        effects = np.zeros((2, 2, 2), dtype=complex)
+        effects[0] = np.eye(2)
+        effects[1, 0, 1] = complex(0.0, bad)
+        with pytest.raises(fl.InputError,
+                           match="^effects contain non-finite entries$"):
+            Povm(effects)

@@ -1,6 +1,8 @@
 import hashlib
+import math
 
 import numpy as np
+import pytest
 
 from framelab import SplitMix64
 
@@ -34,3 +36,36 @@ def test_draw_script_golden():
     assert _draw_script_digest(7) == (
         "971c03b7cd802b4c951df407bf36d40316fb1e9ffebf7c74c9159f9807913de8")
 
+
+
+# Seeds whose first Box-Muller pair has u1 exactly 1, so the radius is
+# -0.0 and both parts of the first complex normal are signed zeros.
+ZERO_RADIUS_SEEDS = (0x31628AF67B2131AB, 0x71A00BA151AEADC2)
+
+
+@pytest.mark.parametrize("shape", [0, (4, 0), 1, 7, (5, 3)])
+def test_complex_gaussians_match_python_complex_division(shape):
+    root2 = math.sqrt(2.0)
+    for seed in list(range(200)) + list(ZERO_RADIUS_SEEDS):
+        bulk = SplitMix64(seed)
+        scalar = SplitMix64(seed)
+        z = bulk.complex_gaussians(shape)
+        flat = scalar._normals(2 * int(np.prod(shape)))
+        expected = np.array(
+            [complex(re, im) / root2 for re, im in zip(flat[::2], flat[1::2])],
+            dtype=np.complex128,
+        ).reshape(shape)
+        assert z.dtype == np.complex128 and z.shape == expected.shape
+        assert z.tobytes() == expected.tobytes(), seed
+        assert (bulk.state, bulk._spare) == (scalar.state, scalar._spare)
+
+
+def test_zero_radius_seeds_reach_signed_zeros():
+    # Guards the seeds above: Python's division turns the pair
+    # (-0.0, 0.0) into (0.0, 0.0) and (-0.0, -0.0) into (-0.0, 0.0).
+    signs = []
+    for seed in ZERO_RADIUS_SEEDS:
+        assert SplitMix64(seed)._normals(2)[0] == 0.0
+        z = SplitMix64(seed).complex_gaussians(1)[0]
+        signs.append((math.copysign(1.0, z.real), math.copysign(1.0, z.imag)))
+    assert signs == [(1.0, 1.0), (-1.0, 1.0)]
