@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 
@@ -28,7 +27,6 @@ import numpy as np
 from . import frames, gleason, povm, serialize, waveforms
 from .errors import InputError, PreconditionError
 from .linalg import DEFAULT_TOL, random_hermitian, resolve_tol
-from .rng import SplitMix64
 
 
 def _env_tol() -> float | None:
@@ -47,69 +45,48 @@ def _tol_of(args) -> float:
     return resolve_tol(_env_tol())
 
 
-def _emit_report(args, obj) -> None:
+def _emit_report(args, obj, ok: bool) -> int:
     # Emitted once: stdout and the --out file hold the same bytes.
+    # Returns the exit code: 4 when the check failed under --strict.
     text = serialize.canonical_json(obj)
     print(text)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.writelines((text, "\n"))
+    return 4 if (args.strict and not ok) else 0
 
 
 # ---------------------------------------------------------------------------
 # gen
 
 
-def _cmd_gen_frame(args, kind: str) -> int:
-    seed_note = ""
+def _selector(text: str | None) -> tuple[int, ...] | None:
+    if not text:
+        return None
     try:
-        if kind == "simplex":
-            f = frames.simplex_etf(args.dim)
-        elif kind == "onb":
-            f = frames.standard_onb(args.dim, args.field)
-        elif kind == "random-onb":
-            f = frames.random_onb(args.dim, seed=args.seed, field=args.field)
-            seed_note = f" seed={args.seed}"
-        elif kind == "random-parseval":
-            f = frames.random_parseval(
-                args.dim, args.n, seed=args.seed, field=args.field
-            )
-            seed_note = f" seed={args.seed}"
-        elif kind == "harmonic":
-            selector = None
-            if args.selector:
-                try:
-                    selector = tuple(int(s) for s in args.selector.split(","))
-                except ValueError as exc:
-                    raise InputError(f"bad selector: {args.selector!r}") from exc
-            f = frames.harmonic_frame(args.dim, args.n, selector)
-        else:  # pragma: no cover - parser restricts kinds
-            raise InputError(f"unknown frame kind {kind!r}")
+        return tuple(int(s) for s in text.split(","))
+    except ValueError as exc:
+        raise InputError(f"bad selector: {text!r}") from exc
+
+
+def _cmd_gen(args) -> int:
+    try:
+        made = args.build(args)
     except PreconditionError as exc:
         # At the command line a violated constructor precondition is
         # just a bad parameter.
         raise InputError(str(exc)) from exc
-    out = args.out or f"{kind}.json"
-    serialize.write_json(out, serialize.frame_to_json(f))
-    print(
-        f"frame kind={kind} n={len(f)} dim={f.dim} field={f.field}"
-        f"{seed_note} -> {out}"
-    )
-    return 0
-
-
-def _cmd_gen_sequence(args, kind: str) -> int:
-    try:
-        if kind == "bjorck":
-            u = waveforms.bjorck(args.p)
-        else:
-            u = waveforms.quadratic_phase(args.len)
-    except PreconditionError as exc:
-        raise InputError(str(exc)) from exc
-    out = args.out or f"{kind}.json"
-    serialize.write_json(out, serialize.sequence_to_json(u))
-    print(f"sequence kind={kind} length={u.shape[0]} -> {out}")
+    out = args.out or f"{args.kind}.json"
+    if isinstance(made, frames.Frame):
+        serialize.write_json(out, serialize.frame_to_json(made))
+        seed_note = f" seed={args.seed}" if "seed" in args else ""
+        print(
+            f"frame kind={args.kind} n={len(made)} dim={made.dim} "
+            f"field={made.field}{seed_note} -> {out}"
+        )
+    else:
+        serialize.write_json(out, serialize.sequence_to_json(made))
+        print(f"sequence kind={args.kind} length={made.shape[0]} -> {out}")
     return 0
 
 
@@ -124,34 +101,19 @@ def _cmd_analyze(args) -> int:
     if kind == "frame":
         f = serialize.frame_from_json(obj)
         report = serialize.frame_report_to_json(frames.analyze_frame(f, tol))
-        report["object"] = "frame"
         ok = True
     elif kind == "sequence":
         u = serialize.sequence_from_json(obj)
         cz = waveforms.is_cazac(u, tol)
         report = serialize.cazac_report_to_json(cz)
-        report["object"] = "sequence"
         report["ambiguity_peak"] = waveforms.ambiguity(u).peak_off_origin()
         ok = cz.ok
     else:
-        p = serialize.povm_from_json(obj)
-        total = np.sum(p.effects, axis=0)
-        sum_dev = float(np.max(np.abs(total - np.eye(p.dim))))
-        effects_ok = all(povm.is_effect(p.effects[j], tol) for j in range(len(p)))
-        ok = effects_ok and sum_dev <= tol
-        report = {
-            "object": "povm",
-            "dim": p.dim,
-            "num_effects": len(p),
-            "sum_deviation": sum_dev,
-            "effects_valid": effects_ok,
-            "valid": ok,
-            "tol": tol,
-        }
-    _emit_report(args, report)
-    if args.strict and not ok:
-        return 4
-    return 0
+        rep = povm.analyze_povm(serialize.povm_from_json(obj), tol)
+        report = serialize.flat_report_to_json(rep)
+        ok = rep.valid
+    report["object"] = kind
+    return _emit_report(args, report, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +198,7 @@ def _build_gleason_from_obj(obj, args) -> gleason.GleasonFn:
     if kind == "epsilon1d":
         return gleason.epsilon_1d_counterexample(_spec_field(obj, "eps", float))
     if kind == "expnorm":
-        dim = _spec_field(obj, "dim", int, getattr(args, "dim", None) or 0)
+        dim = _spec_field(obj, "dim", int, args.dim or 0)
         if dim < 1:
             raise InputError("expnorm spec needs a positive 'dim'")
         return gleason.expnorm_gleason(dim, obj.get("field", "C"))
@@ -245,90 +207,44 @@ def _build_gleason_from_obj(obj, args) -> gleason.GleasonFn:
     raise InputError(f"unknown function kind {kind!r}")
 
 
+# The field a compact spec's ":<number>" fills, and its default text.
+_COMPACT_NUMBER = {"cos2d": ("n", "2"), "epsilon1d": ("eps", "0.2")}
+
+
+def _compact_spec(args) -> dict:
+    # The JSON spec that a compact one stands for.  Its number is read
+    # as JSON text, so it follows the same number rule; text that is no
+    # JSON value stays a string, which that rule rejects.
+    name, _, arg = args.spec.partition(":")
+    obj = {"kind": name}
+    if name in _COMPACT_NUMBER:
+        key, default = _COMPACT_NUMBER[name]
+        try:
+            obj[key] = serialize.parse_json(arg or default)
+        except InputError:
+            obj[key] = arg
+    elif name in ("quadratic", "expnorm"):
+        if args.dim is None:
+            raise InputError(f"compact {name!r} spec needs --dim")
+        if name == "expnorm":
+            obj["field"] = args.field
+        else:
+            obj["operator"] = random_hermitian(
+                args.dim, seed=args.seed, field=args.field
+            )
+            obj["const"] = args.const
+    return obj
+
+
 def _build_gleason(args) -> gleason.GleasonFn:
     spec = args.spec
     if spec.lstrip().startswith("{"):
-        return _build_gleason_from_obj(serialize.parse_json(spec), args)
-    if spec.endswith(".json"):
-        return _build_gleason_from_obj(serialize.load_json(spec), args)
-
-    name, _, arg = spec.partition(":")
-    if name == "quadratic":
-        if args.dim is None:
-            raise InputError("compact 'quadratic' spec needs --dim")
-        mat = random_hermitian(args.dim, seed=args.seed, field=args.field)
-        return gleason.quadratic_gleason(mat, args.const)
-    if name == "cos2d":
-        try:
-            n = int(arg or "2")
-        except ValueError as exc:
-            raise InputError(f"bad cos2d index {arg!r}") from exc
-        return gleason.cos_counterexample(n)
-    if name == "epsilon1d":
-        try:
-            eps = float(arg or "0.2")
-        except ValueError as exc:
-            raise InputError(f"bad epsilon {arg!r}") from exc
-        return gleason.epsilon_1d_counterexample(eps)
-    if name == "expnorm":
-        if args.dim is None:
-            raise InputError("compact 'expnorm' spec needs --dim")
-        return gleason.expnorm_gleason(args.dim, args.field)
-    if name == "rational_indicator":
-        return gleason.rational_indicator_counterexample()
-    raise InputError(f"unknown function spec {spec!r}")
-
-
-def _demonstrate_counterexample(args, g, tol: float) -> int:
-    """Run the full battery on one function and say whether some quadratic
-    form could still explain it.
-
-    Random sampling cannot see a measure-zero defect, so the swap family on
-    the line carries its explicit three-vector witness instead.
-    """
-    n = args.n if args.n is not None else g.dim + 1
-    onb_rep = gleason.verify_onb_gleason(
-        g, trials=args.trials, seed=args.seed, tol=tol
-    )
-    par_rep = gleason.verify_parseval_gleason(
-        g, n, trials=args.trials, seed=args.seed, tol=tol
-    )
-    fit = gleason.fit_quadratic(g, samples=args.samples, seed=args.seed)
-    homog = gleason.homogeneity_check(g, samples=args.samples, seed=args.seed, tol=tol)
-    is_ce = (
-        fit.verdict == "not_quadratic"
-        or not onb_rep.passed
-        or not par_rep.passed
-        or not homog.passed
-    )
-    report = {
-        "object": "counterexample",
-        "kind": g.kind,
-        "dim": g.dim,
-        "field": g.field,
-        "params": dict(g.params),
-        "onb": serialize.verification_report_to_json(onb_rep),
-        "parseval_n": n,
-        "parseval": serialize.verification_report_to_json(par_rep),
-        "fit": serialize.fit_result_to_json(fit),
-        "homogeneity": serialize.scaling_report_to_json(homog),
-    }
-    if g.kind == "epsilon1d":
-        eps = float(g.params["eps"])
-        entries = [
-            math.sqrt(eps), math.sqrt(eps), math.sqrt(1.0 - 2.0 * eps),
-        ]
-        total = sum(g.values(np.array(entries)[:, None]).real.tolist())
-        expected = complex(par_rep.mean_weight).real
-        report["explicit_degree3"] = {
-            "vectors": entries,
-            "sum": total,
-            "degree2_weight": expected,
-        }
-        is_ce = is_ce or abs(total - expected) > tol
-    report["is_counterexample"] = is_ce
-    _emit_report(args, report)
-    return 4 if (args.strict and not is_ce) else 0
+        obj = serialize.parse_json(spec)
+    elif spec.endswith(".json"):
+        obj = serialize.load_json(spec)
+    else:
+        obj = _compact_spec(args)
+    return _build_gleason_from_obj(obj, args)
 
 
 def _cmd_gleason(args) -> int:
@@ -338,50 +254,51 @@ def _cmd_gleason(args) -> int:
         report = gleason.verify_onb_gleason(
             g, trials=args.trials, seed=args.seed, tol=tol
         )
-        _emit_report(args, serialize.verification_report_to_json(report))
-        return 4 if (args.strict and not report.passed) else 0
-    if args.mode == "verify-parseval":
+        payload = serialize.verification_report_to_json(report)
+        ok = report.passed
+    elif args.mode == "verify-parseval":
         if args.n is None:
             raise InputError("verify-parseval needs --n")
         report = gleason.verify_parseval_gleason(
             g, args.n, trials=args.trials, seed=args.seed, tol=tol
         )
-        _emit_report(args, serialize.verification_report_to_json(report))
-        return 4 if (args.strict and not report.passed) else 0
-    if args.mode == "fit":
-        fit = gleason.fit_quadratic(g, samples=args.samples, seed=args.seed)
-        _emit_report(args, serialize.fit_result_to_json(fit))
-        return 4 if (args.strict and fit.verdict == "not_quadratic") else 0
-    if args.mode == "counterexample":
-        return _demonstrate_counterexample(args, g, tol)
-    # ladder
-    if args.n0 is None or args.n1 is None:
-        raise InputError("ladder needs --n0 and --n1")
-    ladder = gleason.degree_ladder_experiment(
-        g, args.n0, args.n1, trials=args.trials, seed=args.seed, tol=tol
-    )
-    _emit_report(args, serialize.ladder_report_to_json(ladder))
-    ok = ladder.increments_ok and all(ladder.passed)
-    return 4 if (args.strict and not ok) else 0
+        payload = serialize.verification_report_to_json(report)
+        ok = report.passed
+    elif args.mode == "fit":
+        report = gleason.fit_quadratic(g, samples=args.samples, seed=args.seed)
+        payload = serialize.fit_result_to_json(report)
+        ok = report.verdict != "not_quadratic"
+    elif args.mode == "counterexample":
+        report = gleason.counterexample_battery(
+            g, args.n, trials=args.trials, samples=args.samples,
+            seed=args.seed, tol=tol,
+        )
+        payload = serialize.counterexample_report_to_json(report)
+        ok = report.is_counterexample
+    else:  # ladder
+        if args.n0 is None or args.n1 is None:
+            raise InputError("ladder needs --n0 and --n1")
+        report = gleason.degree_ladder_experiment(
+            g, args.n0, args.n1, trials=args.trials, seed=args.seed, tol=tol
+        )
+        payload = serialize.ladder_report_to_json(report)
+        ok = report.increments_ok and all(report.passed)
+    return _emit_report(args, payload, ok)
 
 
 # ---------------------------------------------------------------------------
 # cazac
 
 
-def _load_sequence(path: str) -> np.ndarray:
-    return serialize.sequence_from_json(serialize.load_json(path))
-
-
 def _cmd_cazac(args) -> int:
     tol = _tol_of(args)
+    u = serialize.sequence_from_json(serialize.load_json(args.path))
     if args.mode == "test":
-        u = _load_sequence(args.path)
         report = waveforms.is_cazac(u, tol)
-        _emit_report(args, serialize.cazac_report_to_json(report))
-        return 4 if (args.strict and not report.ok) else 0
+        return _emit_report(
+            args, serialize.cazac_report_to_json(report), report.ok
+        )
     if args.mode == "ambiguity":
-        u = _load_sequence(args.path)
         table = waveforms.ambiguity(u)
         out = args.out or "ambiguity.csv"
         with open(out, "w", encoding="utf-8") as fh:
@@ -393,7 +310,6 @@ def _cmd_cazac(args) -> int:
         )
         return 0
     # gabor
-    u = _load_sequence(args.path)
     f = waveforms.gabor_frame(u, tol)
     out = args.out or "gabor.json"
     serialize.write_json(out, serialize.frame_to_json(f))
@@ -420,97 +336,22 @@ def _cmd_cazac(args) -> int:
 
 def _cmd_experiment(args) -> int:
     tol = _tol_of(args)
-    rng = SplitMix64(args.seed)
     if args.mode == "weight-trace":
-        worst = 0.0
-        for t in range(args.trials):
-            field = "C" if t % 2 == 0 else "R"
-            a = random_hermitian(args.dim, seed=rng.u64(), field=field)
-            g = gleason.quadratic_gleason(a)
-            f = frames.random_parseval(args.dim, args.n, seed=rng.u64(), field=field)
-            total = gleason._sum_over_frame(g, f)
-            worst = max(worst, abs(total - complex(np.trace(a))))
-        report = {
-            "experiment": "weight-trace",
-            "dim": args.dim,
-            "n": args.n,
-            "trials": args.trials,
-            "seed": args.seed,
-            "tol": tol,
-            "max_deviation": worst,
-            "passed": worst <= tol,
-        }
-        _emit_report(args, report)
-        return 4 if (args.strict and worst > tol) else 0
-
-    if args.mode == "busch":
-        n_family = args.n_family if args.n_family is not None else args.dim + 2
-        ident = 0.0
-        additivity = 0.0
-        lo = math.inf
-        hi = -math.inf
-        all_passed = True
-        for _ in range(args.states):
-            rho = povm.random_density(args.dim, seed=rng.u64())
-            result = povm.check_generalized_measure(
-                lambda e, r=rho: float(np.trace(r @ e).real),
-                args.dim,
-                n_family,
-                trials=args.trials,
-                seed=rng.u64(),
-                tol=tol,
-            )
-            ident = max(ident, result.identity_deviation)
-            additivity = max(additivity, result.additivity_deviation)
-            lo = min(lo, result.range_min)
-            hi = max(hi, result.range_max)
-            all_passed = all_passed and result.passed
-        report = {
-            "experiment": "busch",
-            "dim": args.dim,
-            "n_family": n_family,
-            "states": args.states,
-            "trials": args.trials,
-            "seed": args.seed,
-            "tol": tol,
-            "max_identity_deviation": ident,
-            "max_additivity_deviation": additivity,
-            "range_min": lo,
-            "range_max": hi,
-            "passed": all_passed,
-        }
-        _emit_report(args, report)
-        return 4 if (args.strict and not all_passed) else 0
-
-    # born
-    min_prob = math.inf
-    sum_dev = 0.0
-    for t in range(args.trials):
-        d = args.dim
-        rho = povm.random_density(d, seed=rng.u64())
-        k = d + 2 + rng.below(3)
-        n = max(d, k) + rng.below(d + 2)
-        f = frames.random_parseval(d, n, seed=rng.u64())
-        groups: list[list[int]] = [[] for _ in range(k)]
-        for i in range(n):
-            groups[rng.below(k)].append(i)
-        p = povm.povm_from_frame_grouped(f, groups, tol)
-        probs = povm.born_probabilities(rho, p, tol)
-        min_prob = min(min_prob, float(np.min(probs)))
-        sum_dev = max(sum_dev, abs(float(np.sum(probs)) - 1.0))
-    passed = min_prob >= -tol and sum_dev <= tol
-    report = {
-        "experiment": "born",
-        "dim": args.dim,
-        "trials": args.trials,
-        "seed": args.seed,
-        "tol": tol,
-        "min_probability": min_prob,
-        "max_sum_deviation": sum_dev,
-        "passed": passed,
-    }
-    _emit_report(args, report)
-    return 4 if (args.strict and not passed) else 0
+        report = gleason.weight_trace_experiment(
+            args.dim, args.n, trials=args.trials, seed=args.seed, tol=tol
+        )
+    elif args.mode == "busch":
+        report = povm.busch_experiment(
+            args.dim, args.n_family, states=args.states, trials=args.trials,
+            seed=args.seed, tol=tol,
+        )
+    else:
+        report = povm.born_experiment(
+            args.dim, trials=args.trials, seed=args.seed, tol=tol
+        )
+    payload = serialize.flat_report_to_json(report)
+    payload["experiment"] = args.mode
+    return _emit_report(args, payload, report.passed)
 
 
 # ---------------------------------------------------------------------------
@@ -543,26 +384,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = gen_sub.add_parser("simplex", help="regular simplex frame in R^d")
     p.add_argument("--dim", type=int, required=True)
     _add_common(p, seed=False, tol=False)
-    p.set_defaults(func=lambda a: _cmd_gen_frame(a, "simplex"))
+    p.set_defaults(func=_cmd_gen, build=lambda a: frames.simplex_etf(a.dim))
 
     p = gen_sub.add_parser("onb", help="coordinate orthonormal basis")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--field", choices=("R", "C"), default="R")
     _add_common(p, seed=False, tol=False)
-    p.set_defaults(func=lambda a: _cmd_gen_frame(a, "onb"))
+    p.set_defaults(
+        func=_cmd_gen, build=lambda a: frames.standard_onb(a.dim, a.field)
+    )
 
     p = gen_sub.add_parser("random-onb", help="random orthonormal basis")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--field", choices=("R", "C"), default="C")
     _add_common(p, tol=False)
-    p.set_defaults(func=lambda a: _cmd_gen_frame(a, "random-onb"))
+    p.set_defaults(func=_cmd_gen, build=lambda a: frames.random_onb(
+        a.dim, seed=a.seed, field=a.field
+    ))
 
     p = gen_sub.add_parser("random-parseval", help="random Parseval frame")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--field", choices=("R", "C"), default="C")
     _add_common(p, tol=False)
-    p.set_defaults(func=lambda a: _cmd_gen_frame(a, "random-parseval"))
+    p.set_defaults(func=_cmd_gen, build=lambda a: frames.random_parseval(
+        a.dim, a.n, seed=a.seed, field=a.field
+    ))
 
     p = gen_sub.add_parser("harmonic", help="harmonic (DFT-column) frame")
     p.add_argument("--dim", type=int, required=True)
@@ -570,17 +417,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selector", "--sel", default=None,
                    help="comma-separated 1-based DFT columns")
     _add_common(p, seed=False, tol=False)
-    p.set_defaults(func=lambda a: _cmd_gen_frame(a, "harmonic"))
+    p.set_defaults(func=_cmd_gen, build=lambda a: frames.harmonic_frame(
+        a.dim, a.n, _selector(a.selector)
+    ))
 
     p = gen_sub.add_parser("bjorck", help="Legendre-phase CAZAC sequence")
     p.add_argument("--p", type=int, required=True, help="prime length >= 5")
     _add_common(p, seed=False, tol=False)
-    p.set_defaults(func=lambda a: _cmd_gen_sequence(a, "bjorck"))
+    p.set_defaults(func=_cmd_gen, build=lambda a: waveforms.bjorck(a.p))
 
     p = gen_sub.add_parser("quadratic-phase", help="odd-length CAZAC sequence")
     p.add_argument("--len", type=int, required=True)
     _add_common(p, seed=False, tol=False)
-    p.set_defaults(func=lambda a: _cmd_gen_sequence(a, "quadratic-phase"))
+    p.set_defaults(
+        func=_cmd_gen, build=lambda a: waveforms.quadratic_phase(a.len)
+    )
 
     p = sub.add_parser("analyze", help="report on a saved frame, povm, or sequence")
     p.add_argument("path")
@@ -632,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, default=6)
     q.add_argument("--trials", type=int, default=200)
     _add_common(q, strict=True)
-    q.set_defaults(func=_cmd_experiment)
 
     q = exp_sub.add_parser("busch",
                            help="trace rule vs the probability axioms")
@@ -642,13 +492,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--states", type=int, default=10)
     q.add_argument("--trials", type=int, default=20)
     _add_common(q, strict=True)
-    q.set_defaults(func=_cmd_experiment)
 
     q = exp_sub.add_parser("born", help="probability vectors from random states")
     q.add_argument("--dim", type=int, default=3)
     q.add_argument("--trials", type=int, default=100)
     _add_common(q, strict=True)
-    q.set_defaults(func=_cmd_experiment)
+    p.set_defaults(func=_cmd_experiment)
 
     return parser
 

@@ -15,7 +15,7 @@ potential is ||S||_F^2 of the d x d frame operator S.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import (
     SingularOrIndefiniteError,
     TooFewVectorsError,
 )
-from .linalg import DEFAULT_TOL, resolve_tol
+from .linalg import resolve_tol
 from .rng import SplitMix64
 
 _FIELDS = ("R", "C")
@@ -102,7 +102,6 @@ class FrameReport:
     coherence: float | None
     welch_bound: float | None
     frame_potential: float
-    extra: dict = dc_field(default_factory=dict)
 
 
 def frame_operator(f: Frame) -> np.ndarray:

@@ -7,8 +7,10 @@ frame equals W.  Quadratic forms x -> <A x, x> are the tame examples,
 with W = trace(A).  This module builds those, builds the classical
 pathological examples in dimension 2 and in dimension 1 that are
 frame functions without being quadratic, and provides randomized
-verifiers, a quadratic-form fitter, scaling checks, and the
-degree-ladder experiment that separates the degrees.
+verifiers, a quadratic-form fitter, scaling checks, the
+degree-ladder experiment that separates the degrees, the
+weight-trace experiment, and the counterexample battery that runs
+every check on one function.
 
 Functions defined on the sphere extend to the closed ball by
 g(r u) = r^2 g(u), which is the convention used throughout.
@@ -48,7 +50,7 @@ from .frames import (
     standard_onb,
     with_zeros,
 )
-from .linalg import DEFAULT_TOL, resolve_tol
+from .linalg import resolve_tol
 from .rng import SplitMix64
 
 _BALL_SLACK = 1e-6
@@ -186,6 +188,42 @@ class LadderReport:
     tol: float
 
 
+@dataclass(frozen=True)
+class WeightTraceReport:
+    """Worst gap between a quadratic form's Parseval frame sum and the
+    trace of its operator."""
+
+    dim: int
+    n: int
+    trials: int
+    seed: int
+    tol: float
+    max_deviation: float
+    passed: bool
+
+
+@dataclass(frozen=True)
+class CounterexampleReport:
+    """Every check of :func:`counterexample_battery` on one function.
+
+    ``explicit_degree3`` is set for the epsilon swap only: its
+    three-vector frame of the line (``vectors``), the function's
+    ``sum`` over it and the ``degree2_weight`` that sum should equal.
+    """
+
+    kind: str
+    dim: int
+    field: str
+    params: dict
+    onb: VerificationReport
+    parseval_n: int
+    parseval: VerificationReport
+    fit: FitResult
+    homogeneity: ScalingReport
+    explicit_degree3: dict | None
+    is_counterexample: bool
+
+
 def _demote_scalar(z: complex) -> float | complex:
     if abs(z.imag) <= 1e-12 * max(1.0, abs(z.real)):
         return z.real
@@ -194,6 +232,19 @@ def _demote_scalar(z: complex) -> float | complex:
 
 def _squared_norms(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.abs(x) ** 2, axis=1)
+
+
+def _direction(
+    rng: SplitMix64, d: int, field: str
+) -> tuple[np.ndarray, float]:
+    # A Gaussian direction and its norm, redrawn while the norm is at
+    # most 1e-8.
+    draw = rng.complex_gaussians if field == "C" else rng.gaussians
+    while True:
+        direction = draw(d)
+        norm = math.sqrt(np.add.reduce(np.abs(direction) ** 2))
+        if norm > 1e-8:
+            return direction, norm
 
 
 def _on_circle(h: Callable[[float], float]) -> Callable:
@@ -611,14 +662,9 @@ def fit_quadratic(
     # a resample changes the stream; scaling onto the unit sphere and
     # then by the radius runs once on the whole block.
     rng = SplitMix64(seed)
-    draw = rng.complex_gaussians if complex_field else rng.gaussians
     directions, norms, radii = [], [], []
     for i in range(samples):
-        while True:
-            direction = draw(d)
-            norm = math.sqrt(np.add.reduce(np.abs(direction) ** 2))
-            if norm > 1e-8:
-                break
+        direction, norm = _direction(rng, d, g.field)
         directions.append(direction)
         norms.append(norm)
         radii.append(1.0 if i % 2 == 0 else rng.uniform() ** (1.0 / d))
@@ -665,15 +711,7 @@ def homogeneity_check(
     points = []
     alphas = []
     for _ in range(samples):
-        while True:
-            direction = (
-                rng.complex_gaussians(d)
-                if g.field == "C"
-                else rng.gaussians(d)
-            )
-            norm = float(np.sqrt(np.sum(np.abs(direction) ** 2)))
-            if norm > 1e-8:
-                break
+        direction, norm = _direction(rng, d, g.field)
         x = (rng.uniform() ** (1.0 / d)) * direction / norm
         if g.field == "C":
             phase = _TWO_PI * rng.uniform()
@@ -830,4 +868,89 @@ def degree_ladder_experiment(
         trials=trials,
         seed=seed,
         tol=tol,
+    )
+
+
+def weight_trace_experiment(
+    dim: int,
+    n: int,
+    trials: int = 200,
+    seed: int = 0,
+    tol: float | None = None,
+) -> WeightTraceReport:
+    """Sum random quadratic forms over random n-vector Parseval frames
+    and compare each sum with the trace of the operator.
+
+    Trials alternate complex and real fields, complex first.  Passing
+    means every sum is within tol of its trace.
+    """
+    tol = resolve_tol(tol)
+    trials = int(trials)
+    if trials < 1:
+        raise InputError("need at least one trial")
+    rng = SplitMix64(seed)
+    worst = 0.0
+    for t in range(trials):
+        field = "C" if t % 2 == 0 else "R"
+        a = linalg.random_hermitian(dim, seed=rng.u64(), field=field)
+        f = random_parseval(dim, n, seed=rng.u64(), field=field)
+        total = _sum_over_frame(quadratic_gleason(a), f)
+        worst = max(worst, abs(total - complex(np.trace(a))))
+    return WeightTraceReport(
+        dim=dim,
+        n=n,
+        trials=trials,
+        seed=seed,
+        tol=tol,
+        max_deviation=worst,
+        passed=worst <= tol,
+    )
+
+
+def counterexample_battery(
+    g: GleasonFn,
+    n: int | None = None,
+    trials: int = 100,
+    samples: int = 500,
+    seed: int = 0,
+    tol: float | None = None,
+) -> CounterexampleReport:
+    """Run the basis and n-vector Parseval verifiers, the quadratic fit
+    and the homogeneity check on g; g is a counterexample when the fit
+    says "not_quadratic" or a check fails.
+
+    ``n`` defaults to dim + 1.  Random sampling cannot see a
+    measure-zero defect, so the epsilon swap is also summed over its
+    explicit three-vector frame, which must give the Parseval weight.
+    """
+    tol = resolve_tol(tol)
+    if n is None:
+        n = g.dim + 1
+    onb = verify_onb_gleason(g, trials=trials, seed=seed, tol=tol)
+    parseval = verify_parseval_gleason(g, n, trials=trials, seed=seed, tol=tol)
+    fit = fit_quadratic(g, samples=samples, seed=seed)
+    homogeneity = homogeneity_check(g, samples=samples, seed=seed, tol=tol)
+    is_counterexample = fit.verdict == "not_quadratic" or not (
+        onb.passed and parseval.passed and homogeneity.passed
+    )
+    witness = None
+    if g.kind == "epsilon1d":
+        eps = float(g.params["eps"])
+        entries = [math.sqrt(eps), math.sqrt(eps), math.sqrt(1.0 - 2.0 * eps)]
+        total = sum(g.values(np.array(entries)[:, None]).real.tolist())
+        weight = complex(parseval.mean_weight).real
+        witness = {"vectors": entries, "sum": total, "degree2_weight": weight}
+        is_counterexample = is_counterexample or abs(total - weight) > tol
+    return CounterexampleReport(
+        kind=g.kind,
+        dim=g.dim,
+        field=g.field,
+        params=dict(g.params),
+        onb=onb,
+        parseval_n=n,
+        parseval=parseval,
+        fit=fit,
+        homogeneity=homogeneity,
+        explicit_degree3=witness,
+        is_counterexample=is_counterexample,
     )

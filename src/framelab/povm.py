@@ -8,6 +8,8 @@ eigenvectors with nonnegligible eigenvalues.  The probability rule
 p_j = trace(rho E_j) then turns density matrices into probability
 vectors, and :func:`check_generalized_measure` probes whether an
 arbitrary effect functional behaves like such a rule.
+:func:`busch_experiment` and :func:`born_experiment` run those checks
+on random states and random grouped POVMs.
 """
 
 from __future__ import annotations
@@ -111,6 +113,49 @@ class MeasureCheckReport:
     witness: Povm | None
 
 
+@dataclass(frozen=True)
+class PovmReport:
+    """The axioms :func:`check_povm` enforces, measured on one POVM."""
+
+    dim: int
+    num_effects: int
+    sum_deviation: float
+    effects_valid: bool
+    valid: bool
+    tol: float
+
+
+@dataclass(frozen=True)
+class BuschReport:
+    """Worst departures of trace-rule functionals from the probability
+    axioms over random states."""
+
+    dim: int
+    n_family: int
+    states: int
+    trials: int
+    seed: int
+    tol: float
+    max_identity_deviation: float
+    max_additivity_deviation: float
+    range_min: float
+    range_max: float
+    passed: bool
+
+
+@dataclass(frozen=True)
+class BornReport:
+    """Worst Born-rule probability vector over random states."""
+
+    dim: int
+    trials: int
+    seed: int
+    tol: float
+    min_probability: float
+    max_sum_deviation: float
+    passed: bool
+
+
 def _effect_eig(a, tol: float) -> linalg.HermitianEig | None:
     # Eigendecomposition of the Hermitian part of an effect, or None
     # when ``a`` is not square, not Hermitian or has a spectrum
@@ -125,17 +170,24 @@ def _effect_eig(a, tol: float) -> linalg.HermitianEig | None:
     return None
 
 
+def _measured_axioms(
+    p: Povm, tol: float
+) -> tuple[list[linalg.HermitianEig | None], float]:
+    # The POVM axioms, measured: each effect's eigendecomposition (None
+    # for an invalid effect) and the largest entry of the effects' sum
+    # minus the identity.
+    eigs = [_effect_eig(p.effects[j], tol) for j in range(len(p))]
+    total = np.sum(p.effects, axis=0)
+    return eigs, float(np.max(np.abs(total - np.eye(p.dim))))
+
+
 def _checked_eigs(p: Povm, tol: float) -> list[linalg.HermitianEig]:
-    # The POVM axioms, checked effect by effect and then on the sum;
-    # returns each effect's eigendecomposition for reuse.
-    eigs = []
-    for j in range(len(p)):
-        eig = _effect_eig(p.effects[j], tol)
+    # The POVM axioms, judged; returns each effect's eigendecomposition
+    # for reuse.
+    eigs, dev = _measured_axioms(p, tol)
+    for j, eig in enumerate(eigs):
         if eig is None:
             raise NotPovmError(f"effect {j} is not a valid effect")
-        eigs.append(eig)
-    total = np.sum(p.effects, axis=0)
-    dev = float(np.max(np.abs(total - np.eye(p.dim))))
     if dev > tol:
         raise NotPovmError(
             f"effects sum to identity only within {dev:.3e} (allowed {tol:.3e})"
@@ -156,6 +208,23 @@ def check_povm(p: Povm, tol: float | None = None) -> None:
     within tol, and that the effects sum to the identity within tol.
     """
     _checked_eigs(p, resolve_tol(tol))
+
+
+def analyze_povm(p: Povm, tol: float | None = None) -> PovmReport:
+    """Measure the axioms of :func:`check_povm` without raising:
+    whether every effect passes :func:`is_effect`, and the largest
+    entry of the effects' sum minus the identity."""
+    tol = resolve_tol(tol)
+    eigs, dev = _measured_axioms(p, tol)
+    effects_valid = all(eig is not None for eig in eigs)
+    return PovmReport(
+        dim=p.dim,
+        num_effects=len(p),
+        sum_deviation=dev,
+        effects_valid=effects_valid,
+        valid=effects_valid and dev <= tol,
+        tol=tol,
+    )
 
 
 def povm_from_frame(f: Frame, tol: float | None = None) -> Povm:
@@ -305,6 +374,8 @@ def random_density(d: int, seed: int = 0, field: str = "C") -> np.ndarray:
 
 def _random_povm(rng: SplitMix64, d: int, k: int, field: str) -> Povm:
     # Group a random Parseval frame into k effects, empty groups allowed.
+    # The frame is Parseval by construction, so the grouping checks it
+    # at the default tolerance; a caller's tol judges only its verdict.
     n = max(d, k) + rng.below(d + 2)
     f = random_parseval(d, n, seed=rng.u64(), field=field)
     groups: list[list[int]] = [[] for _ in range(k)]
@@ -390,4 +461,82 @@ def check_generalized_measure(
         additivity_deviation=add_dev,
         passed=passed,
         witness=None if passed else witness,
+    )
+
+
+def busch_experiment(
+    dim: int,
+    n_family: int | None = None,
+    states: int = 10,
+    trials: int = 20,
+    seed: int = 0,
+    tol: float | None = None,
+) -> BuschReport:
+    """Run :func:`check_generalized_measure` on the trace rule of each
+    of ``states`` random density matrices and keep the worst results.
+
+    ``n_family`` defaults to dim + 2; passing means every check passed.
+    """
+    tol = resolve_tol(tol)
+    states = int(states)
+    if states < 1:
+        raise InputError("need at least one trial")
+    if n_family is None:
+        n_family = dim + 2
+    rng = SplitMix64(seed)
+    results = []
+    for _ in range(states):
+        rho = random_density(dim, seed=rng.u64())
+        results.append(check_generalized_measure(
+            lambda e, r=rho: float(np.trace(r @ e).real),
+            dim, n_family, trials=trials, seed=rng.u64(), tol=tol,
+        ))
+    return BuschReport(
+        dim=dim,
+        n_family=n_family,
+        states=states,
+        trials=trials,
+        seed=seed,
+        tol=tol,
+        max_identity_deviation=max(r.identity_deviation for r in results),
+        max_additivity_deviation=max(
+            r.additivity_deviation for r in results
+        ),
+        range_min=min(r.range_min for r in results),
+        range_max=max(r.range_max for r in results),
+        passed=all(r.passed for r in results),
+    )
+
+
+def born_experiment(
+    dim: int, trials: int = 100, seed: int = 0, tol: float | None = None
+) -> BornReport:
+    """Born probabilities of ``trials`` random density matrices under
+    random grouped POVMs of dim + 2 to dim + 4 effects.
+
+    The POVMs are built and measured at the default tolerance, like
+    those of :func:`check_generalized_measure`; passing means no
+    probability is below -tol and every probability vector sums to 1
+    within tol.
+    """
+    tol = resolve_tol(tol)
+    trials = int(trials)
+    if trials < 1:
+        raise InputError("need at least one trial")
+    rng = SplitMix64(seed)
+    mins, sum_devs = [], []
+    for _ in range(trials):
+        rho = random_density(dim, seed=rng.u64())
+        k = dim + 2 + rng.below(3)
+        probs = born_probabilities(rho, _random_povm(rng, dim, k, "C"))
+        mins.append(float(np.min(probs)))
+        sum_devs.append(abs(float(np.sum(probs)) - 1.0))
+    return BornReport(
+        dim=dim,
+        trials=trials,
+        seed=seed,
+        tol=tol,
+        min_probability=min(mins),
+        max_sum_deviation=max(sum_devs),
+        passed=min(mins) >= -tol and max(sum_devs) <= tol,
     )

@@ -21,6 +21,7 @@ a string; a complex entry is a bare number or an ``[re, im]`` pair.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -28,10 +29,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .frames import Frame, FrameReport
-from .gleason import FitResult, LadderReport, ScalingReport, VerificationReport
+from .frames import Frame
+from .gleason import (
+    CounterexampleReport,
+    FitResult,
+    ScalingReport,
+    VerificationReport,
+)
 from .povm import MeasureCheckReport, Povm
-from .waveforms import AmbiguityTable, CazacReport
+from .waveforms import AmbiguityTable
 
 
 # 17 significant digits; applied to x + 0.0 so that -0.0 prints as 0.
@@ -359,22 +365,16 @@ def sniff_kind(obj) -> str:
 # reports
 
 
-def frame_report_to_json(r: FrameReport) -> dict:
-    return {
-        "num_vectors": r.num_vectors,
-        "dim": r.dim,
-        "field": r.field,
-        "lower_bound": r.lower_bound,
-        "upper_bound": r.upper_bound,
-        "is_tight": r.is_tight,
-        "is_parseval": r.is_parseval,
-        "is_unit_norm": r.is_unit_norm,
-        "is_equiangular": r.is_equiangular,
-        "common_angle": r.common_angle,
-        "coherence": r.coherence,
-        "welch_bound": r.welch_bound,
-        "frame_potential": r.frame_potential,
-    }
+def flat_report_to_json(r) -> dict:
+    """JSON form of a report dataclass: one key per field, holding the
+    field's value as it is.  The reports with nested objects replace
+    those entries with their JSON forms."""
+    return {f.name: getattr(r, f.name) for f in dataclasses.fields(r)}
+
+
+frame_report_to_json = flat_report_to_json
+cazac_report_to_json = flat_report_to_json
+ladder_report_to_json = flat_report_to_json
 
 
 def verification_report_to_json(r: VerificationReport) -> dict:
@@ -382,91 +382,47 @@ def verification_report_to_json(r: VerificationReport) -> dict:
         frame, total = w
         return {"frame": frame_to_json(frame), "sum": total}
 
-    return {
-        "kind": r.kind,
-        "dim": r.dim,
-        "field": r.field,
-        "n": r.n,
-        "trials": r.trials,
-        "seed": r.seed,
-        "tol": r.tol,
-        "mean_weight": r.mean_weight,
-        "max_deviation": r.max_deviation,
-        "passed": r.passed,
-        "witness_low": witness(r.witness_low),
-        "witness_high": witness(r.witness_high),
-    }
+    out = flat_report_to_json(r)
+    out["witness_low"] = witness(r.witness_low)
+    out["witness_high"] = witness(r.witness_high)
+    return out
 
 
 def fit_result_to_json(r: FitResult) -> dict:
-    return {
-        "operator": matrix_to_json(r.operator),
-        "weight": r.weight,
-        "residual": r.residual,
-        "verdict": r.verdict,
-        "samples": r.samples,
-        "seed": r.seed,
-    }
-
-
-def ladder_report_to_json(r: LadderReport) -> dict:
-    return {
-        "kind": r.kind,
-        "dim": r.dim,
-        "degrees": r.degrees,
-        "weights": r.weights,
-        "passed": r.passed,
-        "g_at_zero": r.g_at_zero,
-        "increments": r.increments,
-        "increments_ok": r.increments_ok,
-        "trials": r.trials,
-        "seed": r.seed,
-        "tol": r.tol,
-    }
-
-
-def cazac_report_to_json(r: CazacReport) -> dict:
-    return {
-        "length": r.length,
-        "tol": r.tol,
-        "ca_deviation": r.ca_deviation,
-        "zac_peak": r.zac_peak,
-        "ca_ok": r.ca_ok,
-        "zac_ok": r.zac_ok,
-        "ok": r.ok,
-    }
+    out = flat_report_to_json(r)
+    out["operator"] = matrix_to_json(r.operator)
+    return out
 
 
 def measure_report_to_json(r: MeasureCheckReport) -> dict:
-    return {
-        "trials": r.trials,
-        "n_family": r.n_family,
-        "seed": r.seed,
-        "identity_deviation": r.identity_deviation,
-        "range_min": r.range_min,
-        "range_max": r.range_max,
-        "additivity_deviation": r.additivity_deviation,
-        "passed": r.passed,
-        "witness": None if r.witness is None else povm_to_json(r.witness),
-    }
+    out = flat_report_to_json(r)
+    if r.witness is not None:
+        out["witness"] = povm_to_json(r.witness)
+    return out
 
 
 def scaling_report_to_json(r: ScalingReport) -> dict:
-    witness = None
+    out = flat_report_to_json(r)
     if r.witness is not None:
-        witness = {
+        out["witness"] = {
             "x": np.asarray(r.witness["x"], dtype=np.complex128),
             "alpha": complex(r.witness["alpha"]),
             "lhs": complex(r.witness["lhs"]),
             "rhs": complex(r.witness["rhs"]),
         }
-    return {
-        "samples": r.samples,
-        "seed": r.seed,
-        "max_deviation": r.max_deviation,
-        "passed": r.passed,
-        "witness": witness,
-    }
+    return out
+
+
+def counterexample_report_to_json(r: CounterexampleReport) -> dict:
+    out = flat_report_to_json(r)
+    out["object"] = "counterexample"
+    out["onb"] = verification_report_to_json(r.onb)
+    out["parseval"] = verification_report_to_json(r.parseval)
+    out["fit"] = fit_result_to_json(r.fit)
+    out["homogeneity"] = scaling_report_to_json(r.homogeneity)
+    if r.explicit_degree3 is None:
+        del out["explicit_degree3"]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,11 @@ def test_gleason_malformed_json_spec_exits_2(tmp_path, spec):
      "quadratic", "const"),
     ('{"kind":"quadratic","operator":[[1,0],[0,2]],"const":false}',
      "quadratic", "const"),
+    # compact specs stand for the same JSON objects
+    ("cos2d:2.9", "cos2d", "n"),
+    ("cos2d:true", "cos2d", "n"),
+    ("cos2d:x", "cos2d", "n"),
+    ("epsilon1d:x", "epsilon1d", "eps"),
 ])
 def test_gleason_spec_fields_follow_the_json_number_rule(
         spec, kind, key, tmp_path, monkeypatch, capsys):
@@ -218,11 +223,11 @@ def test_gleason_spec_counts_accept_integral_floats(
     monkeypatch.chdir(tmp_path)
     outputs = []
     for spec in ("cos2d:6", '{"kind":"cos2d","n":6}',
-                 '{"kind":"cos2d","n":6.0}'):
+                 '{"kind":"cos2d","n":6.0}', "cos2d:6.0"):
         assert cli.main(
             ["gleason", "fit", "--spec", spec, "--samples", "8"]) == 0
         outputs.append(capsys.readouterr().out)
-    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert outputs[1:] == outputs[:1] * 3
 
 
 def test_gleason_inline_json_spec_and_ladder(tmp_path):
@@ -300,6 +305,33 @@ def test_experiment_commands(tmp_path):
     rep = json.loads(r.stdout.splitlines()[0])
     assert rep["min_probability"] >= -1e-10
     assert rep["max_sum_deviation"] <= 1e-10
+
+
+@pytest.mark.parametrize("command", [
+    "experiment born --trials 0",
+    "experiment busch --states 0",
+    "experiment weight-trace --trials 0 --strict",
+])
+def test_experiments_reject_a_zero_count(command, tmp_path, monkeypatch,
+                                         capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(command.split()) == 2
+    assert capsys.readouterr() == ("", "error: need at least one trial\n")
+
+
+@pytest.mark.parametrize("mode", ["born", "busch"])
+def test_experiment_tol_below_roundoff_fails_the_verdict_only(
+        mode, tmp_path, monkeypatch, capsys):
+    # The random POVMs are built at the default tolerance; --tol judges
+    # only the experiment's verdict.
+    monkeypatch.chdir(tmp_path)
+    command = f"experiment {mode} --dim 2 --trials 3 --tol 1e-17".split()
+    if mode == "busch":
+        command += ["--states", "2"]
+    assert cli.main(command) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["tol"] == 1e-17 and not report["passed"]
+    assert cli.main([*command, "--strict"]) == 4
 
 
 # --- exit codes --------------------------------------------------------------
@@ -447,8 +479,11 @@ def test_out_file_matches_stdout_json(tmp_path):
 # Fixed-seed commands whose stdout is pinned by SHA-256: every gleason
 # mode (a complex quadratic form, the epsilon swap on the line, the
 # cos(6 t) family, expnorm with a homogeneity witness), the three
-# experiments, and the CAZAC tools on Bjorck sequences of lengths 23
-# and 67 (above the length-64 Kahan cutoff of the ambiguity table).
+# experiments, the CAZAC tools on Bjorck sequences of lengths 23
+# and 67 (above the length-64 Kahan cutoff of the ambiguity table),
+# every gen kind, analyze of each object kind (valid and invalid
+# POVMs among them), both convert directions with their options, and
+# the inline-JSON and .json-file spec forms.
 # Commands joined by " && " run in turn in one directory; the files
 # they leave there are hashed with their stdout.
 SWEEP = {
@@ -500,9 +535,56 @@ SWEEP = {
                          "&& convert p.json --to frame --out f.json",
     "analyze-random-parseval": "gen random-parseval --dim 3 --n 6 --seed 30 "
                                "&& analyze random-parseval.json",
+    "analyze-povm": "gen random-parseval --dim 3 --n 6 --seed 31 "
+                    "&& convert random-parseval.json --to povm "
+                    "--partition 0,1;2,3;4,5 --out p.json "
+                    "&& analyze p.json",
+    "analyze-povm-half-strict": "analyze half.json --strict",
+    "analyze-povm-bad-effects": "analyze bad.json --strict",
+    "analyze-quadratic-phase": "gen quadratic-phase --len 9 "
+                               "&& analyze quadratic-phase.json",
+    "convert-partition": "gen random-parseval --dim 2 --n 5 --seed 32 "
+                         "&& convert random-parseval.json --to povm "
+                         "--partition 0,1;;2,3,4 --out p.json",
+    "convert-pad-zeros": "gen random-parseval --dim 3 --n 5 --seed 33 "
+                         "&& convert random-parseval.json --to povm "
+                         "--partition 0;1,2;3,4 --out p.json "
+                         "&& convert p.json --to frame --pad-zeros "
+                         "--out f.json",
+    "spec-inline-json": "gleason verify-parseval --spec "
+                        '{"kind":"quadratic","operator":[[1,0],[0,2]],'
+                        '"const":0.25} --n 3 --trials 5 --seed 34',
+    "spec-json-file": "gleason counterexample --spec spec.json --trials 5 "
+                      "--samples 20 --seed 35",
+    "gen-simplex": "gen simplex --dim 3",
+    "gen-onb": "gen onb --dim 3 --field C",
+    "gen-harmonic": "gen harmonic --dim 3 --n 7 --selector 1,2,4",
+    "gen-quadratic-phase": "gen quadratic-phase --len 9",
+}
+
+# Input files written into the directory before a sweep entry runs;
+# they are hashed with its outputs.
+SWEEP_FILES = {
+    "analyze-povm-half-strict": {
+        "half.json": '{"dim": 2, "effects": [[[0.5, 0], [0, 0]], '
+                     '[[0, 0], [0, 0.5]]], "partition": null}',
+    },
+    "analyze-povm-bad-effects": {
+        "bad.json": '{"dim": 2, "effects": [[[2, 0], [0, 0]], '
+                    '[[-1, 0], [0, 1]]], "partition": null}',
+    },
+    "spec-json-file": {"spec.json": '{"kind": "epsilon1d", "eps": 0.25}'},
 }
 
 SWEEP_SHA256 = {
+    "analyze-povm":
+        "02fb942591a40bff8f99bcc994eedb2a689f9a967fa0e9a7871bceeff3c53547",
+    "analyze-povm-bad-effects":
+        "dda6a0f8af2988d7d0c2675a4e7db38fa1a753587678a8df620e9420221b2ac1",
+    "analyze-povm-half-strict":
+        "0e766e7b75b9bfefd83064de14f738394cdb52d22192ab8bdccdeae27138dd32",
+    "analyze-quadratic-phase":
+        "468ee715d486598ec2fb837797f101848570910081d3db79969132b3a8e91b0c",
     "analyze-random-parseval":
         "906d9b26cc283b65d482a4b2d6e448a5a9cb7ae5c0a95f7a3a78e2bc82a6033b",
     "bjorck-23":
@@ -531,12 +613,24 @@ SWEEP_SHA256 = {
         "ff329945e4a9d5ff0860c6c8b319565a7a100429d3392bc1d921cdebf3beae20",
     "ce-expnorm":
         "a2cc73191047761a73950945b2b9a5193be8b69a273a56a632bb5a22d5e5ebbb",
+    "convert-pad-zeros":
+        "8d22a50c46f5bfd226da310d5418c33468572e9709d255c69c6e7389dd71f60e",
+    "convert-partition":
+        "1ccd81797f8adc60436c764efa740869b000727b161a63eb178db71baafb4bbb",
     "convert-roundtrip":
         "1b92b0e0dce32025d6dfca56cbb7c8580043abf245cc1ce45f3894f9b76844eb",
     "fit-cos6":
         "2bb5e76e2f337f7c4667b2cfef8176cdd030361a2ebb09b3478b12fe568efc1f",
     "fit-quadratic-C":
         "712c35775edb5e1b26b5c16d1752a4cc6c349a62d233f60c19572bfb1daf035b",
+    "gen-harmonic":
+        "51ae10dbbfcd1f1597299e68a2f2f1cab2b9dd4085b6c7edde8d855a1509ff61",
+    "gen-onb":
+        "e6e8eb31cd4ed284e9aeb213d71db12917bb2f662e8a41fef67e85c90d879445",
+    "gen-quadratic-phase":
+        "bbfa7190007cf3ade1f3e4fbbf025a18883ca8ba38b95d7341185dcef4920353",
+    "gen-simplex":
+        "44bac4197f71da11a0ba89c119eeb71cad78313a84f86ad25adc7f911c40589a",
     "ladder-quadratic":
         "0f8b8b4ce724f81cd438af2352b9d5922a42bc5f6879d2a251af2c35f4747cee",
     "onb-indicator":
@@ -563,6 +657,10 @@ SWEEP_SHA256 = {
         "39ff4a08a538c044b36a51853eeece639f7f7391bec129c6d9d4a204cb83ef61",
     "random-parseval-R":
         "ceb9dd8851aa619655a004b97d47d24ff052281e04e83ab3d9cccb8bd243c1e1",
+    "spec-inline-json":
+        "3e1863c43389ca4960bf4a43a074c3cad6e30de99d5d5c43f83996c19b4244d8",
+    "spec-json-file":
+        "4f4e96e98d9d0b86eed32f245cd6c2b9e23d63068bb07ddb39fa15f2a782acdb",
     "weight-trace":
         "10210598cc01a2fe9d4cf12fe72c693c3e42806d0864e4d6e06f946dd71b31ab",
 }
@@ -572,6 +670,8 @@ SWEEP_SHA256 = {
 def test_cli_byte_sweep(name, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("FRAMELAB_TOL", raising=False)
     monkeypatch.chdir(tmp_path)
+    for filename, content in SWEEP_FILES.get(name, {}).items():
+        (tmp_path / filename).write_text(content)
     text = ""
     for command in SWEEP[name].split(" && "):
         code = cli.main(command.split())

@@ -456,3 +456,28 @@ def test_ladder_requires_dim_plus_two():
         fl.degree_ladder_experiment(g, 4, 6)
     with pytest.raises(fl.BadCardinalityError):
         fl.degree_ladder_experiment(g, 5, 4)
+
+
+def test_weight_trace_experiment_sums_to_the_trace():
+    report = fl.weight_trace_experiment(3, 5, trials=6, seed=2)
+    assert report.passed and report.max_deviation <= 1e-12
+    with pytest.raises(fl.InputError, match="need at least one trial"):
+        fl.weight_trace_experiment(3, 5, trials=0)
+
+
+def test_counterexample_battery_needs_the_explicit_witness_for_epsilon():
+    # Sampling never hits the swapped points, so only the explicit
+    # three-vector frame shows the defect.
+    report = fl.counterexample_battery(
+        fl.epsilon_1d_counterexample(0.2), trials=5, samples=20, seed=1)
+    assert report.onb.passed and report.parseval.passed
+    assert report.homogeneity.passed and report.fit.verdict == "quadratic"
+    witness = report.explicit_degree3
+    assert_allclose(witness["sum"], 2.2, atol=1e-12)
+    assert witness["degree2_weight"] == 1.0
+    assert report.is_counterexample
+
+    quad = fl.counterexample_battery(
+        fl.quadratic_gleason(np.diag([1.0, 2.0])), trials=5, samples=20)
+    assert quad.explicit_degree3 is None and not quad.is_counterexample
+    assert quad.parseval_n == 3

@@ -76,6 +76,27 @@ def test_check_povm_rejects_bad_families():
         fl.check_povm(Povm(np.array([big, eye - big])))  # eigenvalue 2
 
 
+def test_analyze_povm_measures_what_check_povm_judges():
+    eye = np.eye(2, dtype=complex)
+    big = np.array([[2.0, 0.0], [0.0, 0.0]], dtype=complex)
+    cases = [
+        (_flat_povm(3, 6, seed=2), True, True),
+        (Povm(np.array([eye, eye])), True, False),  # sums to 2I
+        (Povm(np.array([big, eye - big])), False, True),  # eigenvalue 2
+        (Povm(np.array([0.5 * eye, 0.5 * eye, big])), False, False),
+    ]
+    for p, effects_valid, sums_to_identity in cases:
+        report = fl.analyze_povm(p)
+        assert report.effects_valid == effects_valid
+        assert (report.sum_deviation <= report.tol) == sums_to_identity
+        assert report.valid == (effects_valid and sums_to_identity)
+        if report.valid:
+            fl.check_povm(p)
+        else:
+            with pytest.raises(fl.NotPovmError):
+                fl.check_povm(p)
+
+
 def test_frame_from_povm_roundtrip_flat():
     p = _flat_povm(2, 4, seed=7)
     frame, part, dropped = fl.frame_from_povm(p)
@@ -217,6 +238,23 @@ def test_generalized_measure_rejects_nonadditive():
 def test_generalized_measure_family_size_floor():
     with pytest.raises(fl.BadFamilySizeError):
         fl.check_generalized_measure(lambda e: 1.0, 3, 4, trials=5)
+
+
+def test_busch_and_born_experiments_pass_on_the_trace_rule():
+    busch = fl.busch_experiment(2, states=3, trials=4, seed=1)
+    assert busch.passed and busch.n_family == 4
+    born = fl.born_experiment(3, trials=5, seed=2)
+    assert born.passed and born.min_probability >= -1e-12
+
+
+@pytest.mark.parametrize("run", [
+    lambda: fl.born_experiment(2, trials=0),
+    lambda: fl.busch_experiment(2, states=0),
+    lambda: fl.busch_experiment(2, trials=0),
+])
+def test_povm_experiments_reject_a_zero_count(run):
+    with pytest.raises(fl.InputError, match="need at least one trial"):
+        run()
 
 
 def test_povm_json_roundtrip():
