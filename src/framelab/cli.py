@@ -22,8 +22,6 @@ import functools
 import os
 import sys
 
-import numpy as np
-
 from . import frames, gleason, povm, serialize, waveforms
 from .errors import InputError, PreconditionError
 from .linalg import DEFAULT_TOL, random_hermitian, resolve_tol
@@ -217,6 +215,8 @@ def _compact_spec(args) -> dict:
     # JSON value stays a string, which that rule rejects.
     name, _, arg = args.spec.partition(":")
     obj = {"kind": name}
+    if arg and name in ("quadratic", "expnorm", "rational_indicator"):
+        raise InputError(f"compact {name!r} spec takes no text after ':'")
     if name in _COMPACT_NUMBER:
         key, default = _COMPACT_NUMBER[name]
         try:
@@ -310,23 +310,12 @@ def _cmd_cazac(args) -> int:
         )
         return 0
     # gabor
-    f = waveforms.gabor_frame(u, tol)
+    f, report = waveforms.analyze_gabor(u, tol)
     out = args.out or "gabor.json"
     serialize.write_json(out, serialize.frame_to_json(f))
-    d = u.shape[0]
-    op = frames.frame_operator(f)
-    tight_dev = float(np.max(np.abs(op - d * np.eye(d))))
-    report = {
-        "length": d,
-        "num_vectors": len(f),
-        "tight_constant": float(d),
-        "tight_deviation": tight_dev,
-        "coherence": frames.coherence(f, tol),
-        "ambiguity_peak": waveforms.ambiguity(u).peak_off_origin(),
-        "tol": tol,
-        "out": out,
-    }
-    print(serialize.canonical_json(report))
+    payload = serialize.flat_report_to_json(report)
+    payload["out"] = out
+    print(serialize.canonical_json(payload))
     return 0
 
 

@@ -67,10 +67,6 @@ class BadSelectorError(PreconditionError):
     """Harmonic frame selector is not strictly increasing into 1..N."""
 
 
-class BasisNotOrthonormalError(PreconditionError):
-    """Supplied basis is not orthonormal within tolerance."""
-
-
 class NotParsevalError(PreconditionError):
     """Frame is not Parseval within tolerance."""
 
@@ -101,10 +97,6 @@ class BadAlphasError(PreconditionError):
 
 class OutOfBallError(PreconditionError):
     """Argument leaves the closed unit ball where the function lives."""
-
-
-class BadWeightError(PreconditionError):
-    """Declared weight is below the supremum of the seed function."""
 
 
 class BadEpsilonError(PreconditionError):

@@ -23,10 +23,8 @@ from . import linalg
 from .errors import (
     BadCardinalityError,
     BadSelectorError,
-    BasisNotOrthonormalError,
     InputError,
     NotAFrameError,
-    NotParsevalError,
     NotUnitNormError,
     SingularOrIndefiniteError,
     TooFewVectorsError,
@@ -239,40 +237,6 @@ def frame_potential(f: Frame) -> float:
     which equals tr(G^2) for the Gram matrix G, at O(N d^2) cost.
     """
     return _potential(frame_operator(f))
-
-
-def project_frame(f: Frame, basis, tol: float | None = None) -> Frame:
-    """Coordinates of a Parseval frame in an orthonormal basis of a
-    subspace, which is again a Parseval frame of the smaller space.
-
-    ``basis`` holds the subspace basis as rows (m, d).  Raises when
-    the basis is not orthonormal or the input frame is not Parseval.
-    """
-    tol = resolve_tol(tol)
-    b = np.asarray(basis)
-    if b.ndim == 1:
-        b = b.reshape(1, -1)
-    if b.ndim != 2 or b.shape[1] != f.dim:
-        raise InputError(
-            f"basis shape {b.shape} does not match frame dimension {f.dim}"
-        )
-    b = b.astype(np.complex128, copy=False)
-    gram = b @ b.conj().T
-    dev = float(np.max(np.abs(gram - np.eye(b.shape[0]))))
-    if dev > tol:
-        raise BasisNotOrthonormalError(
-            f"basis Gram matrix deviates from identity by {dev:.3e}"
-        )
-    if not is_parseval(f, tol):
-        raise NotParsevalError("projection preserves tightness only for "
-                               "Parseval frames")
-    coords = f.vectors @ b.conj().T
-    out_field = f.field
-    if out_field == "R" and np.iscomplexobj(b) and float(np.max(np.abs(b.imag))) > 0.0:
-        out_field = "C"
-    if out_field == "R":
-        coords = coords.real
-    return Frame(coords, out_field)
 
 
 def analyze_frame(f: Frame, tol: float | None = None) -> FrameReport:

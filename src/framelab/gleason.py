@@ -37,7 +37,6 @@ from .errors import (
     BadCardinalityError,
     BadEpsilonError,
     BadNError,
-    BadWeightError,
     InputError,
     NotSquareError,
     OutOfBallError,
@@ -380,41 +379,6 @@ def rational_indicator_counterexample() -> GleasonFn:
     )
 
 
-def periodic_extension_gleason(
-    f: Callable[[float], float], weight: float, f_sup: float
-) -> GleasonFn:
-    """Weight-``weight`` basis frame function from a pi/2-periodic seed.
-
-    ``f`` must be nonnegative, bounded by ``f_sup``, and pi/2-periodic.
-    The circle function equals f on the first and third quadrants and
-    weight - f(theta - pi/2) on the other two, so perpendicular pairs
-    always sum to the declared weight.  Requires weight >= f_sup so the
-    function stays nonnegative.  Extended to the ball by r^2.
-    """
-    weight = float(weight)
-    f_sup = float(f_sup)
-    if weight < f_sup:
-        raise BadWeightError(
-            f"weight {weight} is below the seed supremum {f_sup}"
-        )
-
-    def circle_value(theta: float) -> float:
-        theta %= _TWO_PI
-        quadrant = int(theta // (math.pi / 2.0)) % 4
-        if quadrant in (0, 2):
-            return float(f(theta))
-        return weight - float(f(theta - math.pi / 2.0))
-
-    return GleasonFn(
-        dim=2,
-        field="R",
-        kind="periodic_extension",
-        bound=max(weight, f_sup),
-        fn=_on_circle(circle_value),
-        params={"weight": weight, "f_sup": f_sup},
-    )
-
-
 def epsilon_1d_counterexample(eps: float) -> GleasonFn:
     """A degree-2 frame function on the unit interval that is not the
     squared norm, for 0 < eps < 1/3.
@@ -476,31 +440,6 @@ def gleason_from_effect_measure(
         bound=float(bound),
         fn=fn,
         params={},
-    )
-
-
-def custom_gleason(
-    fn: Callable[[np.ndarray], complex],
-    dim: int,
-    field: str = "C",
-    bound: float = math.inf,
-    params: dict | None = None,
-) -> GleasonFn:
-    """Wrap an arbitrary callable for use with the verifiers.
-
-    ``fn`` takes one vector of length ``dim`` and returns a number; it
-    is applied to the rows of each block in order.
-    """
-    dim = int(dim)
-    if dim < 1:
-        raise InputError("dimension must be at least 1")
-    return GleasonFn(
-        dim=dim,
-        field=field,
-        kind="custom",
-        bound=float(bound),
-        fn=lambda x: [complex(fn(r)) for r in x],
-        params=dict(params or {}),
     )
 
 
@@ -630,6 +569,11 @@ def fit_quadratic(
     sphere and interior.  Verdict thresholds: at most 1e-9 is
     "quadratic", above 1e-6 is "not_quadratic", between the two is
     "indeterminate".  These fixed thresholds are the whole verdict rule.
+
+    The reported ``operator`` is real when no imaginary part of the
+    polarized matrix exceeds 1e-12 in absolute value; only that copy
+    drops them.  ``residual``, ``weight`` and ``verdict`` are computed
+    from the matrix before this demotion, so it cannot change them.
     """
     samples = int(samples)
     if samples < 1:

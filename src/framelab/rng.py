@@ -120,7 +120,3 @@ class SplitMix64:
         parts += parts[:, ::-1] * _ZERO_PRODUCTS
         parts /= _ROOT2
         return parts.view(np.complex128).reshape(shape)
-
-    def spawn(self) -> "SplitMix64":
-        """Child generator seeded from this one's stream."""
-        return SplitMix64(self.u64())

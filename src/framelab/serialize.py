@@ -1,7 +1,7 @@
 """Canonical JSON and CSV serialization.
 
-Serialization is byte-deterministic so that identical inputs and
-seeds produce identical files on every platform.  The rules: object
+Serialization is byte-deterministic: identical values always produce
+identical text.  The rules: object
 keys are sorted, floats are rendered with 17 significant digits
 (which round-trips float64 exactly), negative zero collapses to 0,
 complex numbers become [re, im] pairs, and non-finite numbers are

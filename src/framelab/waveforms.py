@@ -36,7 +36,7 @@ from .errors import (
     NotUnimodularError,
     TooSmallError,
 )
-from .frames import Frame
+from .frames import Frame, coherence, frame_operator
 from .linalg import resolve_tol
 
 _KAHAN_CUTOFF = 64
@@ -74,6 +74,25 @@ class CazacReport:
     ca_ok: bool
     zac_ok: bool
     ok: bool
+
+
+@dataclass(frozen=True)
+class GaborReport:
+    """Tightness and coherence of the Gabor frame of one sequence.
+
+    ``tight_deviation`` is the largest entry of |S - d I| for the frame
+    operator S.  ``coherence`` comes from the frame and
+    ``ambiguity_peak`` from the ambiguity table: two routes to the same
+    number.
+    """
+
+    length: int
+    num_vectors: int
+    tight_constant: float
+    tight_deviation: float
+    coherence: float
+    ambiguity_peak: float
+    tol: float
 
 
 def _as_sequence(u) -> np.ndarray:
@@ -248,3 +267,25 @@ def gabor_frame(u, tol: float | None = None) -> Frame:
     # rows[m, n, k] = modulates[n, (k - m) mod d]
     rows = modulates[ks[:, None], _shifts(d)[-ks][:, None, :]]
     return Frame(rows.reshape(d * d, d), "C")
+
+
+def analyze_gabor(u, tol: float | None = None) -> tuple[Frame, GaborReport]:
+    """The Gabor frame of a unimodular sequence and its report.
+
+    The frame and the ambiguity table are each built once.  Raises what
+    :func:`gabor_frame` and :func:`framelab.frames.coherence` raise, so
+    a length-1 sequence, whose frame has one vector, is rejected.
+    """
+    tol = resolve_tol(tol)
+    f = gabor_frame(u, tol)
+    d = f.dim
+    s = frame_operator(f)
+    return f, GaborReport(
+        length=d,
+        num_vectors=len(f),
+        tight_constant=float(d),
+        tight_deviation=float(np.max(np.abs(s - d * np.eye(d)))),
+        coherence=coherence(f, tol),
+        ambiguity_peak=ambiguity(u).peak_off_origin(),
+        tol=tol,
+    )

@@ -218,6 +218,21 @@ def test_gleason_spec_fields_follow_the_json_number_rule(
         f"error: {kind} spec needs a valid '{key}'\n")
 
 
+@pytest.mark.parametrize("spec", [
+    "quadratic:3", "expnorm:zzz", "rational_indicator:1",
+])
+def test_compact_spec_rejects_text_its_kind_does_not_take(
+        spec, tmp_path, monkeypatch, capsys):
+    # These kinds take no number, so text after the colon is bad input
+    # rather than something to ignore.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gleason", "fit", "--spec", spec, "--dim", "2",
+                     "--samples", "8"]) == 2
+    name = spec.partition(":")[0]
+    assert capsys.readouterr().err == (
+        f"error: compact '{name}' spec takes no text after ':'\n")
+
+
 def test_gleason_spec_counts_accept_integral_floats(
         tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

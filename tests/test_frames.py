@@ -243,26 +243,6 @@ def test_frame_potential_of_parseval_is_dim():
     assert fl.frame_potential(f) >= 16.0 / 3.0 - 1e-12
 
 
-def test_project_frame_keeps_parseval():
-    f = fl.random_parseval(4, 7, seed=3)
-    basis = fl.random_onb(4, seed=9).vectors[:2]
-    g = fl.project_frame(f, basis)
-    assert g.dim == 2 and len(g) == 7
-    assert fl.is_parseval(g)
-
-
-def test_project_frame_rejects_bad_inputs():
-    f = fl.random_parseval(3, 5, seed=1)
-    with pytest.raises(fl.BasisNotOrthonormalError):
-        fl.project_frame(f, np.array([[1.0, 1.0, 0.0]]))
-    onb = fl.standard_onb(3).vectors[:2]
-    not_parseval = Frame(2.0 * f.vectors, "C")
-    with pytest.raises(fl.NotParsevalError):
-        fl.project_frame(not_parseval, onb)
-    with pytest.raises(fl.InputError):
-        fl.project_frame(f, np.eye(4))
-
-
 def test_with_zeros():
     f = fl.with_zeros(fl.standard_onb(2), 3)
     assert len(f) == 5

@@ -66,6 +66,12 @@ def test_eval_guards():
         g(np.array([1.0j, 0.0]))  # real-field function, complex point
 
 
+def _pointwise(fn, dim, field, bound=math.inf):
+    # A function of one vector, evaluated row by row over each block.
+    return fl.GleasonFn(dim=dim, field=field, kind="custom", bound=bound,
+                        fn=lambda x: [complex(fn(r)) for r in x])
+
+
 # Every kind of function, for the block-versus-pointwise check.
 BLOCK_KINDS = {
     "quadratic-R": lambda: fl.quadratic_gleason(
@@ -76,15 +82,13 @@ BLOCK_KINDS = {
     "expnorm-C": lambda: fl.expnorm_gleason(9, field="C"),
     "cos2d": lambda: fl.cos_counterexample(6),
     "rational_indicator": fl.rational_indicator_counterexample,
-    "periodic_extension": lambda: fl.periodic_extension_gleason(
-        lambda t: math.sin(2.0 * t) ** 2, weight=1.5, f_sup=1.0),
     "epsilon1d": lambda: fl.epsilon_1d_counterexample(0.2),
     "effect_measure": lambda: fl.gleason_from_effect_measure(
         lambda e: float(np.trace(np.diag([0.5, 0.3, 0.2]) @ e).real), 3),
-    "custom-R": lambda: fl.custom_gleason(
-        lambda x: float(x[0] ** 3 - x[-1]), 3, field="R"),
-    "custom-C": lambda: fl.custom_gleason(
-        lambda x: complex(x[0] * x[1].conjugate()), 2, field="C"),
+    "custom-R": lambda: _pointwise(
+        lambda x: float(x[0] ** 3 - x[-1]), 3, "R"),
+    "custom-C": lambda: _pointwise(
+        lambda x: complex(x[0] * x[1].conjugate()), 2, "C"),
 }
 
 
@@ -135,7 +139,7 @@ def test_values_guards():
 @pytest.mark.parametrize("make", [
     lambda: fl.expnorm_gleason(2, field="X"),
     lambda: fl.gleason_from_effect_measure(lambda e: 0.0, 2, field="X"),
-    lambda: fl.custom_gleason(lambda x: 0.0, 2, field="X"),
+    lambda: _pointwise(lambda x: 0.0, 2, "X"),
     lambda: fl.GleasonFn(dim=2, field="c", kind="custom", bound=1.0,
                          fn=lambda x: 0.0),
 ], ids=["expnorm", "effect_measure", "custom", "direct"])
@@ -185,16 +189,6 @@ def test_rational_indicator_branch_values():
     # antipodal invariance and r^2 scaling
     assert g(-y) == g(y)
     assert_allclose(g(0.5 * x), 0.25, atol=1e-14)
-
-
-def test_periodic_extension_sums_to_weight():
-    f = lambda t: math.sin(2.0 * t) ** 2  # pi/2-periodic, sup 1
-    g = fl.periodic_extension_gleason(f, weight=1.5, f_sup=1.0)
-    report = fl.verify_onb_gleason(g, trials=50, seed=4)
-    assert report.passed
-    assert_allclose(complex(report.mean_weight).real, 1.5, atol=1e-12)
-    with pytest.raises(fl.BadWeightError):
-        fl.periodic_extension_gleason(f, weight=0.5, f_sup=1.0)
 
 
 def test_epsilon_1d_branch_values():
@@ -257,7 +251,7 @@ def test_verify_onb_expnorm_weight():
 
 def test_verify_onb_detects_a_non_frame_function():
     # x -> x_0^4 is not a frame function; rotations expose it
-    g = fl.custom_gleason(lambda x: float(x[0].real) ** 4, 2, "R", bound=1.0)
+    g = _pointwise(lambda x: float(x[0].real) ** 4, 2, "R", bound=1.0)
     report = fl.verify_onb_gleason(g, trials=50, seed=1)
     assert not report.passed
     assert report.max_deviation > 0.1

@@ -253,6 +253,35 @@ def test_gabor_coherence_equals_ambiguity_peak():
     assert_allclose(fl.coherence(f), peak, atol=1e-12)
 
 
+@pytest.mark.parametrize("make, p", [
+    (fl.bjorck, 13), (fl.bjorck, 23), (fl.quadratic_phase, 9),
+])
+def test_gabor_report_matches_numpy_oracles(make, p):
+    u = make(p)
+    f, report = fl.analyze_gabor(u)
+    x = f.vectors
+    assert f.vectors.tobytes() == fl.gabor_frame(u).vectors.tobytes()
+    assert (report.length, report.num_vectors) == (p, p * p)
+    assert report.tight_constant == p
+    oracle = np.max(np.abs(x.T @ x.conj() - p * np.eye(p)))
+    assert report.tight_deviation == oracle
+    gram = np.abs(x.conj() @ x.T)
+    np.fill_diagonal(gram, 0.0)
+    assert_allclose(report.coherence, gram.max(), rtol=0, atol=1e-12)
+    assert_allclose(report.coherence, report.ambiguity_peak, rtol=0,
+                    atol=1e-12)
+    if make is fl.bjorck:
+        assert report.ambiguity_peak <= fl.bjorck_peak_bound(p)
+    assert report.tol == fl.DEFAULT_TOL
+
+
+def test_gabor_report_rejects_what_its_parts_reject():
+    with pytest.raises(fl.NotUnimodularError):
+        fl.analyze_gabor(np.array([1.0, 0.5, 1.0], dtype=complex))
+    with pytest.raises(fl.TooFewVectorsError):
+        fl.analyze_gabor(np.array([1.0j]))
+
+
 def test_gabor_rejects_non_unimodular():
     with pytest.raises(fl.NotUnimodularError):
         fl.gabor_frame(np.array([1.0, 0.5, 1.0], dtype=complex))
