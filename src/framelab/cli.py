@@ -98,12 +98,12 @@ def _cmd_analyze(args) -> int:
     kind = serialize.sniff_kind(obj)
     if kind == "frame":
         f = serialize.frame_from_json(obj)
-        report = serialize.frame_report_to_json(frames.analyze_frame(f, tol))
+        report = serialize.flat_report_to_json(frames.analyze_frame(f, tol))
         ok = True
     elif kind == "sequence":
         u = serialize.sequence_from_json(obj)
         cz = waveforms.is_cazac(u, tol)
-        report = serialize.cazac_report_to_json(cz)
+        report = serialize.flat_report_to_json(cz)
         report["ambiguity_peak"] = waveforms.ambiguity(u).peak_off_origin()
         ok = cz.ok
     else:
@@ -254,7 +254,7 @@ def _cmd_gleason(args) -> int:
         report = gleason.verify_onb_gleason(
             g, trials=args.trials, seed=args.seed, tol=tol
         )
-        payload = serialize.verification_report_to_json(report)
+        payload = serialize.flat_report_to_json(report)
         ok = report.passed
     elif args.mode == "verify-parseval":
         if args.n is None:
@@ -262,7 +262,7 @@ def _cmd_gleason(args) -> int:
         report = gleason.verify_parseval_gleason(
             g, args.n, trials=args.trials, seed=args.seed, tol=tol
         )
-        payload = serialize.verification_report_to_json(report)
+        payload = serialize.flat_report_to_json(report)
         ok = report.passed
     elif args.mode == "fit":
         report = gleason.fit_quadratic(g, samples=args.samples, seed=args.seed)
@@ -281,7 +281,7 @@ def _cmd_gleason(args) -> int:
         report = gleason.degree_ladder_experiment(
             g, args.n0, args.n1, trials=args.trials, seed=args.seed, tol=tol
         )
-        payload = serialize.ladder_report_to_json(report)
+        payload = serialize.flat_report_to_json(report)
         ok = report.increments_ok and all(report.passed)
     return _emit_report(args, payload, ok)
 
@@ -291,12 +291,17 @@ def _cmd_gleason(args) -> int:
 
 
 def _cmd_cazac(args) -> int:
+    if args.strict and args.mode != "test":
+        # Only the test mode has a verdict for --strict to act on.
+        raise InputError(
+            f"--strict applies to 'cazac test', not 'cazac {args.mode}'"
+        )
     tol = _tol_of(args)
     u = serialize.sequence_from_json(serialize.load_json(args.path))
     if args.mode == "test":
         report = waveforms.is_cazac(u, tol)
         return _emit_report(
-            args, serialize.cazac_report_to_json(report), report.ok
+            args, serialize.flat_report_to_json(report), report.ok
         )
     if args.mode == "ambiguity":
         table = waveforms.ambiguity(u)

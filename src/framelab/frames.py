@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,8 +84,7 @@ class Frame:
         return np.sqrt(np.sum(np.abs(self.vectors) ** 2, axis=1))
 
 
-@dataclass(frozen=True)
-class FrameReport:
+class FrameReport(NamedTuple):
     """Summary of the standard frame diagnostics for one frame."""
 
     num_vectors: int

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,8 +129,14 @@ class GleasonFn:
         return out.real if out.imag == 0.0 else out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class Witness(NamedTuple):
+    """A sampled frame and the function's sum over it."""
+
+    frame: Frame
+    sum: float | complex
+
+
+class VerificationReport(NamedTuple):
     """Result of summing a function over sampled frames."""
 
     kind: str
@@ -143,12 +149,11 @@ class VerificationReport:
     mean_weight: float | complex
     max_deviation: float
     passed: bool
-    witness_low: tuple[Frame, float | complex]
-    witness_high: tuple[Frame, float | complex]
+    witness_low: Witness
+    witness_high: Witness
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Best quadratic-form explanation of a function."""
 
     operator: np.ndarray
@@ -159,8 +164,7 @@ class FitResult:
     seed: int
 
 
-@dataclass(frozen=True)
-class ScalingReport:
+class ScalingReport(NamedTuple):
     """Result of the |alpha|^2 homogeneity spot check."""
 
     samples: int
@@ -170,8 +174,7 @@ class ScalingReport:
     witness: dict | None
 
 
-@dataclass(frozen=True)
-class LadderReport:
+class LadderReport(NamedTuple):
     """Mean weights of one function across a range of frame sizes."""
 
     kind: str
@@ -187,8 +190,7 @@ class LadderReport:
     tol: float
 
 
-@dataclass(frozen=True)
-class WeightTraceReport:
+class WeightTraceReport(NamedTuple):
     """Worst gap between a quadratic form's Parseval frame sum and the
     trace of its operator."""
 
@@ -201,8 +203,7 @@ class WeightTraceReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(NamedTuple):
     """Every check of :func:`counterexample_battery` on one function.
 
     ``explicit_degree3`` is set for the epsilon swap only: its
@@ -481,8 +482,8 @@ def _verdict_from_sums(
         mean_weight=_demote_scalar(complex(arr.mean())),
         max_deviation=deviation,
         passed=deviation <= tol,
-        witness_low=(frames[lo], _demote_scalar(complex(arr[lo]))),
-        witness_high=(frames[hi], _demote_scalar(complex(arr[hi]))),
+        witness_low=Witness(frames[lo], _demote_scalar(complex(arr[lo]))),
+        witness_high=Witness(frames[hi], _demote_scalar(complex(arr[hi]))),
     )
 
 

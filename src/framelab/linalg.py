@@ -49,7 +49,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    DimMismatchError,
     InputError,
     NoConvergenceError,
     NotHermitianError,
@@ -303,28 +302,6 @@ def psd_inv_sqrt(m, tol: float | None = None) -> np.ndarray:
         # real eigenvectors leave exactly zero imaginary parts
         root = root.real
     return (root + root.conj().T) / 2.0
-
-
-def trace(m) -> float | complex:
-    """Trace of a square matrix, demoted to float when it is real."""
-    a = _as_matrix(m)
-    t = complex(np.trace(a))
-    if abs(t.imag) <= DEFAULT_TOL * max(1.0, abs(t.real)):
-        return t.real
-    return t
-
-
-def outer(x, y) -> np.ndarray:
-    """Rank-one matrix with entries ``x[i] * conj(y[j])``."""
-    xv = np.asarray(x)
-    yv = np.asarray(y)
-    if xv.ndim != 1 or yv.ndim != 1:
-        raise DimMismatchError("outer() expects two vectors")
-    if xv.shape[0] != yv.shape[0]:
-        raise DimMismatchError(
-            f"vector lengths differ: {xv.shape[0]} vs {yv.shape[0]}"
-        )
-    return np.outer(xv, np.conj(yv))
 
 
 def random_hermitian(d: int, seed: int = 0, field: str = "C") -> np.ndarray:

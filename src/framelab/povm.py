@@ -98,8 +98,7 @@ class FrameFromPovm(NamedTuple):
     dropped: int
 
 
-@dataclass(frozen=True)
-class MeasureCheckReport:
+class MeasureCheckReport(NamedTuple):
     """Outcome of probing a functional against the probability axioms."""
 
     trials: int
@@ -113,8 +112,7 @@ class MeasureCheckReport:
     witness: Povm | None
 
 
-@dataclass(frozen=True)
-class PovmReport:
+class PovmReport(NamedTuple):
     """The axioms :func:`check_povm` enforces, measured on one POVM."""
 
     dim: int
@@ -125,8 +123,7 @@ class PovmReport:
     tol: float
 
 
-@dataclass(frozen=True)
-class BuschReport:
+class BuschReport(NamedTuple):
     """Worst departures of trace-rule functionals from the probability
     axioms over random states."""
 
@@ -143,8 +140,7 @@ class BuschReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class BornReport:
+class BornReport(NamedTuple):
     """Worst Born-rule probability vector over random states."""
 
     dim: int

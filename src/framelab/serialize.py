@@ -15,13 +15,20 @@ emitter holds the text once plus one block: :func:`canonical_json`
 peaks at about twice its text (the pieces and their join), and
 :func:`write_json`, which writes the pieces, at about once.
 
+Reports are immutable ``NamedTuple`` records, and the emitter writes
+them by one rule: a record becomes the object of its fields, a
+:class:`Frame` the object :func:`frame_to_json` gives and a
+:class:`Povm` the one :func:`povm_to_json` gives, at any depth.  So a
+report that nests a frame or a POVM needs no writer of its own; only
+:func:`fit_result_to_json` and :func:`scaling_report_to_json` recast
+fields (to complex) before emitting.
+
 The readers take a JSON number to be an int or float, never a bool or
 a string; a complex entry is a bare number or an ``[re, im]`` pair.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -30,13 +37,8 @@ import numpy as np
 
 from .errors import InputError
 from .frames import Frame
-from .gleason import (
-    CounterexampleReport,
-    FitResult,
-    ScalingReport,
-    VerificationReport,
-)
-from .povm import MeasureCheckReport, Povm
+from .gleason import CounterexampleReport, FitResult, ScalingReport
+from .povm import Povm
 from .waveforms import AmbiguityTable
 
 
@@ -137,6 +139,8 @@ def _emit(obj, out: list[str]) -> None:
             out.append(":")
             _emit(obj[key], out)
         out.append("}")
+    elif isinstance(obj, tuple) and hasattr(obj, "_asdict"):
+        _emit(obj._asdict(), out)  # a record: the object of its fields
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
@@ -144,6 +148,10 @@ def _emit(obj, out: list[str]) -> None:
                 out.append(",")
             _emit(item, out)
         out.append("]")
+    elif isinstance(obj, Frame):
+        _emit(frame_to_json(obj), out)
+    elif isinstance(obj, Povm):
+        _emit(povm_to_json(obj), out)
     else:
         raise InputError(f"cannot serialize object of type {type(obj).__name__}")
 
@@ -366,38 +374,23 @@ def sniff_kind(obj) -> str:
 
 
 def flat_report_to_json(r) -> dict:
-    """JSON form of a report dataclass: one key per field, holding the
-    field's value as it is.  The reports with nested objects replace
-    those entries with their JSON forms."""
-    return {f.name: getattr(r, f.name) for f in dataclasses.fields(r)}
+    """JSON form of a report record: a new dict with one key per
+    field, holding the field's value as it is, which the emitter writes
+    as it writes the record itself.  Callers add keys of their own."""
+    return r._asdict()
 
 
+# Reports the emitter writes whole by its one rule, under the names
+# their callers know.
 frame_report_to_json = flat_report_to_json
 cazac_report_to_json = flat_report_to_json
-ladder_report_to_json = flat_report_to_json
-
-
-def verification_report_to_json(r: VerificationReport) -> dict:
-    def witness(w):
-        frame, total = w
-        return {"frame": frame_to_json(frame), "sum": total}
-
-    out = flat_report_to_json(r)
-    out["witness_low"] = witness(r.witness_low)
-    out["witness_high"] = witness(r.witness_high)
-    return out
+measure_report_to_json = flat_report_to_json
+verification_report_to_json = flat_report_to_json
 
 
 def fit_result_to_json(r: FitResult) -> dict:
     out = flat_report_to_json(r)
     out["operator"] = matrix_to_json(r.operator)
-    return out
-
-
-def measure_report_to_json(r: MeasureCheckReport) -> dict:
-    out = flat_report_to_json(r)
-    if r.witness is not None:
-        out["witness"] = povm_to_json(r.witness)
     return out
 
 
@@ -416,8 +409,6 @@ def scaling_report_to_json(r: ScalingReport) -> dict:
 def counterexample_report_to_json(r: CounterexampleReport) -> dict:
     out = flat_report_to_json(r)
     out["object"] = "counterexample"
-    out["onb"] = verification_report_to_json(r.onb)
-    out["parseval"] = verification_report_to_json(r.parseval)
     out["fit"] = fit_result_to_json(r.fit)
     out["homogeneity"] = scaling_report_to_json(r.homogeneity)
     if r.explicit_degree3 is None:

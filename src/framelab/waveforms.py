@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +66,7 @@ class AmbiguityTable:
         return float(np.max(mags))
 
 
-@dataclass(frozen=True)
-class CazacReport:
+class CazacReport(NamedTuple):
     length: int
     tol: float
     ca_deviation: float
@@ -76,8 +76,7 @@ class CazacReport:
     ok: bool
 
 
-@dataclass(frozen=True)
-class GaborReport:
+class GaborReport(NamedTuple):
     """Tightness and coherence of the Gabor frame of one sequence.
 
     ``tight_deviation`` is the largest entry of |S - d I| for the frame

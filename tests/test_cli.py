@@ -438,6 +438,22 @@ def test_exit_4_strict(tmp_path):
     # unknown custom kind is an input error, not a verification failure
     assert r.returncode == 2
 
+
+@pytest.mark.parametrize("mode", ["ambiguity", "gabor"])
+def test_cazac_strict_outside_test_mode_is_an_input_error(tmp_path, mode):
+    # [1, 1, 1] is not ZAC, so `cazac test --strict` exits 4; the other
+    # modes have no verdict, so --strict there is a bad parameter.
+    (tmp_path / "ones.json").write_text(
+        json.dumps({"length": 3, "entries": [1.0, 1.0, 1.0]})
+    )
+    assert run_cli(["cazac", "test", "ones.json", "--strict"],
+                   tmp_path).returncode == 4
+    r = run_cli(["cazac", mode, "ones.json", "--strict"], tmp_path)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "cazac test" in r.stderr
+    assert r.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ones.json"]
+
     r = run_cli(
         ["gleason", "fit", "--spec", "cos2d:6", "--samples", "150",
          "--seed", "1", "--strict"],

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from framelab import (
-    DimMismatchError,
     InputError,
     NoConvergenceError,
     NotHermitianError,
@@ -13,12 +12,10 @@ from framelab import (
     SingularOrIndefiniteError,
     SplitMix64,
     hermitian_eig,
-    outer,
     povm_from_frame_grouped,
     psd_inv_sqrt,
     random_hermitian,
     random_parseval,
-    trace,
 )
 
 
@@ -285,35 +282,6 @@ def test_psd_inv_sqrt_rejects_singular_and_indefinite():
         psd_inv_sqrt(m, tol=1e-6)
     r = psd_inv_sqrt(m, tol=1e-10)
     assert_allclose(r @ r @ m, np.eye(2), atol=1e-8)
-
-
-# --- trace / outer ---------------------------------------------------------
-
-
-def test_trace_demotes_real():
-    t = trace(np.array([[1.0, 5.0], [0.0, 2.5]]))
-    assert isinstance(t, float) and t == 3.5
-    tc = trace(np.array([[1j, 0], [0, 0]], dtype=complex))
-    assert isinstance(tc, complex)
-    th = trace(np.array([[1 + 1e-14j, 0], [0, 1]], dtype=complex))
-    assert isinstance(th, float)
-
-
-def test_outer_values_and_conjugation():
-    x = np.array([1.0, 2.0])
-    y = np.array([1.0 + 1.0j, -1.0j])
-    m = outer(x, y)
-    assert m[0, 0] == (1.0 - 1.0j)
-    assert m[1, 1] == 2.0 * 1.0j
-    # real inputs come out real
-    assert outer(x, x).dtype == np.float64
-
-
-def test_outer_dim_mismatch():
-    with pytest.raises(DimMismatchError):
-        outer(np.ones(2), np.ones(3))
-    with pytest.raises(DimMismatchError):
-        outer(np.ones((2, 2)), np.ones(4))
 
 
 def test_random_hermitian_is_hermitian():

@@ -169,7 +169,8 @@ def test_frame_from_povm_checks_validity():
 def test_born_probabilities_basic():
     onb = fl.standard_onb(3, "C")
     p = fl.povm_from_frame(onb)
-    rho = fl.outer(onb.vectors[0], onb.vectors[0])
+    e0 = onb.vectors[0]
+    rho = np.outer(e0, e0.conj())
     probs = fl.born_probabilities(rho, p)
     assert_allclose(probs, [1.0, 0.0, 0.0], atol=1e-14)
 

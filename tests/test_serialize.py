@@ -12,6 +12,7 @@ from framelab.serialize import (
     ambiguity_to_csv,
     canonical_json,
     fit_result_to_json,
+    flat_report_to_json,
     fmt_float,
     frame_from_json,
     frame_to_json,
@@ -216,3 +217,73 @@ def test_report_golden_bytes():
     texts.append(canonical_json(fit_result_to_json(fit)))
     assert _sha("\n".join(texts)) == (
         "4a5760e00ddfd53d8f9591b9ab3eb30ab403394d5f293aae06609927070dcdc7")
+
+
+def _not_a_measure(e):
+    # Squaring the trace rule of I/2 keeps v(I) = 1 and the range but
+    # breaks additivity, so the check keeps a POVM witness.
+    return (float(np.trace(e).real) / 2.0) ** 2
+
+
+# One small instance of every report type.
+REPORTS = {
+    "FrameReport": lambda: fl.analyze_frame(fl.simplex_etf(3)),
+    "VerificationReport": lambda: fl.verify_parseval_gleason(
+        fl.cos_counterexample(6), 3, trials=4, seed=1),
+    "FitResult": lambda: fl.fit_quadratic(
+        fl.cos_counterexample(6), samples=40, seed=1),
+    "ScalingReport": lambda: fl.homogeneity_check(
+        fl.expnorm_gleason(2), samples=20, seed=1),
+    "LadderReport": lambda: fl.degree_ladder_experiment(
+        fl.quadratic_gleason(np.eye(2)), 4, 5, trials=3),
+    "WeightTraceReport": lambda: fl.weight_trace_experiment(2, 3, trials=3),
+    "CounterexampleReport": lambda: fl.counterexample_battery(
+        fl.epsilon_1d_counterexample(0.2), trials=4, samples=40),
+    "MeasureCheckReport": lambda: fl.check_generalized_measure(
+        _not_a_measure, 2, 4, trials=3, seed=1),
+    "PovmReport": lambda: fl.analyze_povm(
+        fl.povm_from_frame(fl.standard_onb(2, "C"))),
+    "BuschReport": lambda: fl.busch_experiment(2, states=2, trials=2),
+    "BornReport": lambda: fl.born_experiment(2, trials=3),
+    "CazacReport": lambda: fl.is_cazac(fl.bjorck(7)),
+    "GaborReport": lambda: fl.analyze_gabor(fl.bjorck(7))[1],
+}
+
+
+def test_every_exported_report_type_is_covered():
+    assert sorted(REPORTS) == sorted(
+        name for name in fl.__all__
+        if name.endswith("Report") or name == "FitResult")
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_is_an_immutable_record_the_emitter_writes(name):
+    r = REPORTS[name]()
+    assert type(r) is getattr(fl, name)
+    with pytest.raises(AttributeError):
+        setattr(r, r._fields[0], None)
+    assert list(r._asdict()) == list(r._fields)
+    assert canonical_json(r) == canonical_json(flat_report_to_json(r))
+
+
+def test_emitter_writes_frames_and_povms_by_their_writers():
+    f = fl.random_parseval(2, 3, seed=1)
+    p = fl.povm_from_frame_grouped(f, [[0, 1], [2]])
+    assert canonical_json(f) == canonical_json(frame_to_json(f))
+    assert canonical_json(p) == canonical_json(povm_to_json(p))
+    # Nested in a report, at the depth the report puts them.
+    m = REPORTS["MeasureCheckReport"]()
+    assert isinstance(m.witness, fl.Povm)
+    assert canonical_json(m) == canonical_json(
+        {**m._asdict(), "witness": povm_to_json(m.witness)})
+
+
+def test_witness_unpacks_into_its_frame_and_sum():
+    r = REPORTS["VerificationReport"]()
+    for w in (r.witness_low, r.witness_high):
+        assert isinstance(w, fl.Witness)
+        frame, total = w
+        assert frame is w.frame and total == w.sum
+        assert isinstance(frame, fl.Frame)
+        assert canonical_json(w) == canonical_json(
+            {"frame": frame_to_json(frame), "sum": total})

@@ -38,3 +38,57 @@ def test_unused_import_scan_sees_an_unused_name():
         "np.zeros(a)\n"
     )
     assert unused_imports(tree) == ["b (line 3)", "os (line 1)"]
+
+
+def class_kinds(tree: ast.Module) -> dict[str, str]:
+    """Each class a module defines, as "record" (a ``NamedTuple``),
+    "dataclass" or "plain"."""
+    kinds = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = [ast.unparse(b) for b in node.bases]
+        decorators = [ast.unparse(getattr(d, "func", d))
+                      for d in node.decorator_list]
+        if "NamedTuple" in bases:
+            kinds[node.name] = "record"
+        elif any(d.split(".")[-1] == "dataclass" for d in decorators):
+            kinds[node.name] = "dataclass"
+        else:
+            kinds[node.name] = "plain"
+    return kinds
+
+
+def package_class_kinds() -> dict[str, str]:
+    kinds = {}
+    for path in SOURCES:
+        kinds.update(class_kinds(ast.parse(path.read_text())))
+    return kinds
+
+
+def test_every_report_is_a_record():
+    reports = {name: kind for name, kind in package_class_kinds().items()
+               if name.endswith("Report") or name == "FitResult"}
+    assert "FitResult" in reports and "GaborReport" in reports
+    assert {name for name, kind in reports.items() if kind != "record"} == set()
+
+
+def test_only_the_validating_objects_are_dataclasses():
+    # They validate in __post_init__, carry methods or compare by
+    # identity; everything else that is a plain value is a record.
+    kinds = package_class_kinds()
+    assert sorted(name for name, kind in kinds.items()
+                  if kind == "dataclass") == [
+        "AmbiguityTable", "Frame", "GleasonFn", "Povm"]
+
+
+def test_class_kind_scan_sees_each_kind():
+    tree = ast.parse(
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n"
+        "@dataclasses.dataclass\nclass B:\n    x: int\n"
+        "class CReport(NamedTuple):\n    x: int\n"
+        "class DReport:\n    x: int\n"
+    )
+    assert class_kinds(tree) == {
+        "A": "dataclass", "B": "dataclass", "CReport": "record",
+        "DReport": "plain"}
