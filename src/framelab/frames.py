@@ -33,8 +33,6 @@ from .errors import (
 from .linalg import resolve_tol
 from .rng import SplitMix64
 
-_FIELDS = ("R", "C")
-
 # Bytes of one row block of the Gram matrix in the streaming pass.
 _GRAM_BLOCK_BYTES = 2 << 20
 
@@ -43,33 +41,20 @@ _GRAM_BLOCK_BYTES = 2 << 20
 class Frame:
     """An ordered finite set of vectors in R^d or C^d.
 
-    ``vectors`` has one vector per row.  The constructor normalizes the
-    dtype to match ``field`` and rejects complex data tagged as real.
+    ``vectors`` has one vector per row, checked and cast to the field
+    by the array rule of :mod:`framelab.linalg`.
     """
 
     vectors: np.ndarray
     field: str = "C"
 
     def __post_init__(self):
-        if self.field not in _FIELDS:
-            raise InputError(f"field must be 'R' or 'C', got {self.field!r}")
         a = np.asarray(self.vectors)
         if a.ndim != 2:
             raise InputError(f"vectors must be a 2-d array, got ndim {a.ndim}")
         if a.shape[0] < 1 or a.shape[1] < 1:
             raise InputError(f"empty frame of shape {a.shape}")
-        if a.dtype.kind not in "fiucb":
-            raise InputError("vectors must be numeric")
-        if self.field == "R":
-            if np.iscomplexobj(a):
-                if a.imag.any():
-                    raise InputError("real frame has nonzero imaginary parts")
-                a = a.real
-            a = np.ascontiguousarray(a, dtype=np.float64)
-        else:
-            a = np.ascontiguousarray(a, dtype=np.complex128)
-        if not np.isfinite(a).all():
-            raise InputError("frame contains non-finite entries")
+        a = linalg._field_array(a, self.field, "frame")
         object.__setattr__(self, "vectors", a)
 
     @property
@@ -302,9 +287,8 @@ def random_onb(d: int, seed: int = 0, field: str = "C") -> Frame:
     if d < 1:
         raise BadCardinalityError("dimension must be at least 1")
     rng = SplitMix64(seed)
-    draw = rng.complex_gaussians if field == "C" else rng.gaussians
     rows: list[np.ndarray] = []
-    for v in draw((d, d)):
+    for v in rng.field_gaussians((d, d), field):
         while True:
             for _ in range(2):
                 for u in rows:
@@ -313,7 +297,7 @@ def random_onb(d: int, seed: int = 0, field: str = "C") -> Frame:
             if norm > 1e-8:
                 rows.append(v / norm)
                 break
-            v = draw(d)
+            v = rng.field_gaussians(d, field)
     return Frame(np.array(rows), field)
 
 
@@ -401,11 +385,7 @@ def random_parseval(
     n = int(n)
     if d < 1 or n < d:
         raise BadCardinalityError(f"need N >= d >= 1, got N={n}, d={d}")
-    rng = SplitMix64(seed)
-    if field == "C":
-        raw = rng.complex_gaussians((n, d))
-    else:
-        raw = rng.gaussians((n, d))
+    raw = SplitMix64(seed).field_gaussians((n, d), field)
     return canonical_parseval(Frame(raw, field))
 
 

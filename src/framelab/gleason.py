@@ -60,12 +60,13 @@ _TWO_PI = 2.0 * math.pi
 class GleasonFn:
     """A function on the closed unit ball of R^dim or C^dim.
 
-    ``kind`` names the construction, ``bound`` is an upper bound on
-    |g| over the ball, and ``params`` records construction inputs for
-    reporting.  ``fn`` evaluates a block: it takes an (n, dim) array of
-    points, already cast to the field and checked to lie in the ball,
-    and returns their n values as complex numbers in row order.
-    :meth:`values` checks and evaluates a block; calling an instance on
+    ``field`` is "R" or "C", ``kind`` names the construction, ``bound``
+    is an upper bound on |g| over the ball, and ``params`` records
+    construction inputs for reporting.  ``fn`` evaluates a block: it
+    takes an (n, dim) array of points and returns their n values as
+    complex numbers in row order.  :meth:`values` evaluates a block
+    whose points pass the array rule of :mod:`framelab.linalg` for the
+    field (which casts them) and lie in the ball; calling an instance on
     one vector evaluates it as a 1-row block and returns a float when
     the value is real.
     """
@@ -78,29 +79,21 @@ class GleasonFn:
     params: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        if self.field not in ("R", "C"):
-            raise InputError(f"field must be 'R' or 'C', got {self.field!r}")
+        linalg._field_array((), self.field, "block")
 
     def _checked(self, block) -> np.ndarray:
-        # Shape, field and the ball rule (each row within the slack),
-        # applied once.  Returns a C-contiguous (n, dim) block, so a row
-        # sum over a block has the same bits as the sum over that row
-        # alone.
+        # The checks of the class docstring, applied once.  Returns a
+        # C-contiguous (n, dim) block, so a row sum over a block has the
+        # same bits as the sum over that row alone.
         v = np.asarray(block)
         if v.ndim != 2 or v.shape[1] != self.dim:
             raise InputError(
                 f"expected an (n, {self.dim}) block, got shape {v.shape}"
             )
-        if self.field == "R":
-            if np.iscomplexobj(v):
-                if v.size and float(np.max(np.abs(v.imag))) > 0.0:
-                    raise InputError(
-                        "real-field function evaluated at a complex vector"
-                    )
-                v = v.real
-            v = np.ascontiguousarray(v, dtype=np.float64)
-        else:
-            v = np.ascontiguousarray(v, dtype=np.complex128)
+        v = linalg._field_array(
+            v, self.field, "block",
+            imaginary="real-field function evaluated at a complex vector",
+        )
         nsq = _squared_norms(v)
         outside = nsq[nsq > (1.0 + _BALL_SLACK) ** 2]
         if outside.size:
@@ -224,10 +217,14 @@ class CounterexampleReport(NamedTuple):
     is_counterexample: bool
 
 
+def _is_roundoff(im: float, re: float) -> bool:
+    # The one relative demotion rule: an imaginary part is roundoff of
+    # its real part when |im| <= 1e-12 * max(1, |re|).
+    return abs(im) <= 1e-12 * max(1.0, abs(re))
+
+
 def _demote_scalar(z: complex) -> float | complex:
-    if abs(z.imag) <= 1e-12 * max(1.0, abs(z.real)):
-        return z.real
-    return z
+    return z.real if _is_roundoff(z.imag, z.real) else z
 
 
 def _squared_norms(x: np.ndarray) -> np.ndarray:
@@ -239,9 +236,8 @@ def _direction(
 ) -> tuple[np.ndarray, float]:
     # A Gaussian direction and its norm, redrawn while the norm is at
     # most 1e-8.
-    draw = rng.complex_gaussians if field == "C" else rng.gaussians
     while True:
-        direction = draw(d)
+        direction = rng.field_gaussians(d, field)
         norm = math.sqrt(np.add.reduce(np.abs(direction) ** 2))
         if norm > 1e-8:
             return direction, norm
@@ -571,20 +567,18 @@ def fit_quadratic(
     "quadratic", above 1e-6 is "not_quadratic", between the two is
     "indeterminate".  These fixed thresholds are the whole verdict rule.
 
-    The reported ``operator`` is real when no imaginary part of the
-    polarized matrix exceeds 1e-12 in absolute value; only that copy
-    drops them.  ``residual``, ``weight`` and ``verdict`` are computed
-    from the matrix before this demotion, so it cannot change them.
+    The reported ``operator`` is real when its largest imaginary part
+    is at most 1e-12 * max(1, largest |real part|), the rule that makes
+    ``weight`` real; only that copy drops them.  ``residual``, ``weight``
+    and ``verdict`` come from the matrix before this demotion.
     """
     samples = int(samples)
     if samples < 1:
         raise InputError("need at least one sample point")
     d = g.dim
-    complex_field = g.field == "C"
-    dtype = np.complex128 if complex_field else np.float64
     a = np.zeros((d, d), dtype=np.complex128)
 
-    basis = np.eye(d, dtype=dtype)
+    basis = np.eye(d)
     for k in range(d):
         a[k, k] = complex(g(basis[k]))
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
@@ -592,7 +586,7 @@ def fit_quadratic(
         for k in range(j + 1, d):
             plus = (basis[j] + basis[k]) * inv_sqrt2
             s = 2.0 * complex(g(plus)) - a[j, j] - a[k, k]
-            if complex_field:
+            if g.field == "C":
                 mixed = (basis[j] + 1j * basis[k]) * inv_sqrt2
                 dterm = (2.0 * complex(g(mixed)) - a[j, j] - a[k, k]) / 1j
                 a[j, k] = (s + dterm) / 2.0
@@ -601,7 +595,8 @@ def fit_quadratic(
                 a[j, k] = s / 2.0
                 a[k, j] = s / 2.0
 
-    operator = a.real.copy() if float(np.max(np.abs(a.imag))) <= 1e-12 else a
+    real = _is_roundoff(np.abs(a.imag).max(), np.abs(a.real).max())
+    operator = a.real.copy() if real else a
 
     # Each direction is drawn and its norm taken one at a time, since
     # a resample changes the stream; scaling onto the unit sphere and
@@ -746,9 +741,9 @@ def quadratic_zero_count_s1(a) -> int | float:
     if mat.shape != (2, 2):
         raise NotSquareError(f"need a 2x2 matrix, got shape {mat.shape}")
     linalg._hermitian_part(mat, 1e-12)
-    if mat.imag.any():
-        raise InputError("matrix must be real")
-    mat = mat.real
+    mat = linalg._field_array(
+        mat, "R", "matrix", imaginary="matrix must be real"
+    )
     mean = (mat[0, 0] + mat[1, 1]) / 2.0
     amp = math.hypot((mat[0, 0] - mat[1, 1]) / 2.0, (mat[0, 1] + mat[1, 0]) / 2.0)
     if mean == 0.0 and amp == 0.0:
@@ -786,8 +781,7 @@ def degree_ladder_experiment(
     if n1 < n0:
         raise BadCardinalityError(f"empty ladder: {n0}..{n1}")
     rng = SplitMix64(seed)
-    zero = np.zeros(g.dim, dtype=np.float64 if g.field == "R" else np.complex128)
-    g0 = complex(g(zero)).real
+    g0 = complex(g(np.zeros(g.dim))).real
 
     degrees: list[int] = []
     weights: list[float] = []

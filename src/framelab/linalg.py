@@ -4,8 +4,13 @@ The eigensolver is a cyclic complex Jacobi iteration written here on
 purpose rather than delegated to LAPACK, so that eigenvalue order,
 eigenvector phases, and convergence behaviour are identical on every
 platform and fully under our control.  Everything runs through one
-complex code path.  The package's Hermitian rules are written here once:
+complex code path.  The package's array and Hermitian rules are
+written here once (the Gaussians of a field are drawn by
+``SplitMix64.field_gaussians`` alone):
 
+* Array rule: a caller's array must be numeric and finite.  It comes
+  back C-contiguous, float64 for field "R" or complex128 for "C"; one
+  tagged "R" may be complex only if every imaginary part is zero.
 * Hermitian check: a finite square M passes at ``tol`` when
   ``max|M - M*| <= tol * max|M|`` (so the zero matrix passes); its
   Hermitian part ``(M + M*)/2`` is what gets diagonalized.
@@ -77,18 +82,36 @@ def resolve_tol(tol: float | None) -> float:
     return tol
 
 
-def _as_matrix(m, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(m)
+def _field_array(
+    a, field: str, name: str, imaginary: str = "", non_finite: str = ""
+) -> np.ndarray:
+    # The array rule of the module docstring.  ``name`` is the subject of
+    # its messages; ``imaginary`` and ``non_finite`` override two of them.
+    if field not in ("R", "C"):
+        raise InputError(f"field must be 'R' or 'C', got {field!r}")
+    a = np.asarray(a)
     if a.dtype.kind not in "fiucb":
         raise InputError(f"{name} must be numeric")
-    a = a.astype(np.complex128, copy=False)
+    if field == "R" and a.dtype.kind == "c":
+        if a.imag.any():
+            raise InputError(
+                imaginary or f"real {name} has nonzero imaginary parts"
+            )
+        a = a.real
+    dtype = np.float64 if field == "R" else np.complex128
+    a = np.ascontiguousarray(a, dtype=dtype)
+    if not np.isfinite(a).all():
+        raise InputError(non_finite or f"{name} contains non-finite entries")
+    return a
+
+
+def _as_matrix(m, name: str = "matrix") -> np.ndarray:
+    a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSquareError(f"{name} must be square, got shape {a.shape}")
     if not a.size:
         raise InputError(f"{name} is empty")
-    if not np.isfinite(a).all():
-        raise InputError(f"{name} contains non-finite entries")
-    return a
+    return _field_array(a, "C", name)
 
 
 def _hermitian_part(
@@ -309,9 +332,5 @@ def random_hermitian(d: int, seed: int = 0, field: str = "C") -> np.ndarray:
     d = int(d)
     if d < 1:
         raise InputError("dimension must be at least 1")
-    rng = SplitMix64(seed)
-    if field == "C":
-        g = rng.complex_gaussians((d, d))
-    else:
-        g = rng.gaussians((d, d))
+    g = SplitMix64(seed).field_gaussians((d, d), field)
     return (g + g.conj().T) / 2.0

@@ -50,15 +50,15 @@ class Povm:
 
     Notes
     -----
-    Shapes and finiteness are enforced here; the numeric POVM axioms
-    are not.  :func:`check_povm` checks them, and
-    :func:`frame_from_povm` runs the same check before it factors.
-    Nothing else does: :func:`framelab.serialize.povm_from_json` checks
-    only shapes and finiteness, and :func:`born_probabilities` trusts
-    its effects, so call :func:`check_povm` on a loaded POVM before
-    relying on the axioms.  Keeping the numeric check explicit spares
-    constructions that are valid by construction its k
-    eigendecompositions.
+    Shapes and the array rule of :mod:`framelab.linalg` (numeric and
+    finite) are enforced here; the numeric POVM axioms are not.
+    :func:`check_povm` checks them, and :func:`frame_from_povm` runs the
+    same check before it factors.  Nothing else does:
+    :func:`framelab.serialize.povm_from_json` checks only shapes and the
+    array rule, and :func:`born_probabilities` trusts its effects, so
+    call :func:`check_povm` on a loaded POVM before relying on the
+    axioms.  Keeping the numeric check explicit spares constructions
+    that are valid by construction its k eigendecompositions.
     """
 
     effects: np.ndarray
@@ -72,9 +72,9 @@ class Povm:
             )
         if a.shape[0] < 1:
             raise InputError("a POVM needs at least one effect")
-        a = np.ascontiguousarray(a, dtype=np.complex128)
-        if not np.isfinite(a).all():
-            raise InputError("effects contain non-finite entries")
+        a = linalg._field_array(
+            a, "C", "effects", non_finite="effects contain non-finite entries"
+        )
         object.__setattr__(self, "effects", a)
         if self.partition is not None:
             part = [[int(i) for i in group] for group in self.partition]
@@ -322,8 +322,8 @@ def born_probabilities(rho, p: Povm, tol: float | None = None) -> np.ndarray:
     Parameters
     ----------
     rho : array_like
-        Density matrix (Hermitian, unit trace, positive).  Only the
-        dimension is validated here; garbage in, garbage out.
+        Density matrix (Hermitian, unit trace, positive).  Only its
+        shape and the array rule of :mod:`framelab.linalg` are checked.
     p : Povm
         The measurement.
 
@@ -335,13 +335,14 @@ def born_probabilities(rho, p: Povm, tol: float | None = None) -> np.ndarray:
         ``InputError``; Hermitian inputs leave only roundoff there.
     """
     tol = resolve_tol(tol)
-    r = np.asarray(rho, dtype=np.complex128)
+    r = np.asarray(rho)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise DimMismatchError(f"state must be square, got shape {r.shape}")
     if r.shape[0] != p.dim:
         raise DimMismatchError(
             f"state dimension {r.shape[0]} does not match POVM dimension {p.dim}"
         )
+    r = linalg._field_array(r, "C", "state")
     probs = np.empty(len(p), dtype=np.float64)
     for j in range(len(p)):
         t = complex(np.trace(r @ p.effects[j]))
@@ -359,11 +360,7 @@ def random_density(d: int, seed: int = 0, field: str = "C") -> np.ndarray:
     d = int(d)
     if d < 1:
         raise InputError("dimension must be at least 1")
-    rng = SplitMix64(seed)
-    if field == "C":
-        g = rng.complex_gaussians((d, d))
-    else:
-        g = rng.gaussians((d, d)).astype(np.complex128)
+    g = SplitMix64(seed).field_gaussians((d, d), field).astype(np.complex128)
     rho = g @ g.conj().T
     return rho / float(np.trace(rho).real)
 

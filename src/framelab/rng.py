@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from .errors import InputError
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _TWO_PI = 2.0 * math.pi
@@ -120,3 +122,12 @@ class SplitMix64:
         parts += parts[:, ::-1] * _ZERO_PRODUCTS
         parts /= _ROOT2
         return parts.view(np.complex128).reshape(shape)
+
+    def field_gaussians(self, shape, field: str) -> np.ndarray:
+        """:meth:`gaussians` for field "R", :meth:`complex_gaussians`
+        for "C"; another field raises :class:`InputError`."""
+        if field == "R":
+            return self.gaussians(shape)
+        if field == "C":
+            return self.complex_gaussians(shape)
+        raise InputError(f"field must be 'R' or 'C', got {field!r}")

@@ -23,8 +23,9 @@ report that nests a frame or a POVM needs no writer of its own; only
 :func:`fit_result_to_json` and :func:`scaling_report_to_json` recast
 fields (to complex) before emitting.
 
-The readers take a JSON number to be an int or float, never a bool or
-a string; a complex entry is a bare number or an ``[re, im]`` pair.
+The readers take a JSON number to be a finite int or float, never a
+bool, a string, ``NaN`` or ``Infinity`` (which Python's ``json`` reads);
+a complex entry is a bare number or an ``[re, im]`` pair.
 """
 
 from __future__ import annotations
@@ -208,9 +209,10 @@ def _plain(item):
 
 
 def _number(x, what: str) -> float:
-    # The one rule for a JSON number: an int or float, not a bool (a
-    # subclass of int), that fits a float64.
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
+    # The one rule for a JSON number: an int or float that fits a
+    # float64, not a bool (a subclass of int) nor NaN or Infinity.
+    if (not isinstance(x, (int, float)) or isinstance(x, bool)
+            or (isinstance(x, float) and not math.isfinite(x))):
         raise InputError(f"{what}: {x!r} is not a number")
     try:
         return float(x)

@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .errors import (
     BadCardinalityError,
     InputError,
@@ -98,12 +99,7 @@ def _as_sequence(u) -> np.ndarray:
     a = np.asarray(u)
     if a.ndim != 1 or a.shape[0] < 1:
         raise InputError(f"sequence must be a nonempty vector, got shape {a.shape}")
-    if a.dtype.kind not in "fiucb":
-        raise InputError("sequence must be numeric")
-    a = a.astype(np.complex128, copy=False)
-    if not np.isfinite(a).all():
-        raise InputError("sequence contains non-finite entries")
-    return a
+    return linalg._field_array(a, "C", "sequence")
 
 
 def _shifts(d: int) -> np.ndarray:

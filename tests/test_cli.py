@@ -207,6 +207,13 @@ def test_gleason_malformed_json_spec_exits_2(tmp_path, spec):
     ("cos2d:true", "cos2d", "n"),
     ("cos2d:x", "cos2d", "n"),
     ("epsilon1d:x", "epsilon1d", "eps"),
+    # NaN and Infinity are words Python's json reads, not JSON numbers
+    ("epsilon1d:NaN", "epsilon1d", "eps"),
+    ("epsilon1d:-Infinity", "epsilon1d", "eps"),
+    ('{"kind":"quadratic","operator":[[1,0],[0,2]],"const":NaN}',
+     "quadratic", "const"),
+    ('{"kind":"quadratic","operator":[[1,0],[0,2]],"const":Infinity}',
+     "quadratic", "const"),
 ])
 def test_gleason_spec_fields_follow_the_json_number_rule(
         spec, kind, key, tmp_path, monkeypatch, capsys):

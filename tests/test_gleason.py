@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -134,6 +135,23 @@ def test_values_guards():
         g.values(np.array([[0.6, 0.8], [0.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
     gc = fl.expnorm_gleason(2, field="C")
     assert gc.values(np.array([[0.6, 0.8j]]))[0] == pytest.approx(math.e - 1)
+
+
+@pytest.mark.parametrize("block, message", [
+    (np.array([[0.6, 0.0], [np.nan, 0.0]]), "block contains non-finite"),
+    (np.array([[np.inf, 0.0]]), "block contains non-finite"),
+    (np.array([[0.6, None]], dtype=object), "block must be numeric"),
+    (np.array([[0.6, complex(0.0, np.nan)]]), "evaluated at a complex"),
+], ids=["nan", "inf", "none", "nan-imaginary"])
+def test_values_apply_the_array_rule(block, message):
+    # A NaN row once passed the ball test and None became NaN, so both
+    # evaluated; a NaN imaginary part over R was dropped; an inf row
+    # raised OutOfBallError rather than an input error.
+    g = fl.quadratic_gleason(np.eye(2))
+    with pytest.raises(fl.InputError, match=message):
+        g.values(block)
+    with pytest.raises(fl.InputError, match=message):
+        g(block[-1])
 
 
 @pytest.mark.parametrize("make", [
@@ -329,6 +347,22 @@ def test_fit_recovers_random_operators():
         assert fit.residual <= 1e-9
         assert_allclose(np.asarray(fit.operator), a, atol=1e-10)
         assert_allclose(complex(fit.weight).real, np.trace(a).real, atol=1e-10)
+
+
+def test_fit_operator_demotes_by_the_relative_rule():
+    # A real form at scale 1e6 evaluated over C leaves imaginary parts
+    # of 2.9e-11 in the polarized matrix: roundoff at that scale, as
+    # the real weight already says, so the operator is real too.
+    a = 1e6 * fl.random_hermitian(3, seed=1, field="R")
+    g = dataclasses.replace(fl.quadratic_gleason(a), field="C")
+    fit = fl.fit_quadratic(g, samples=50)
+    assert isinstance(fit.weight, float)
+    assert fit.operator.dtype == np.float64
+    assert_allclose(fit.operator, a, rtol=1e-12)
+    # a genuinely complex form keeps its imaginary parts
+    b = fl.random_hermitian(3, seed=1, field="C")
+    assert fl.fit_quadratic(fl.quadratic_gleason(b), samples=50
+                            ).operator.dtype == np.complex128
 
 
 def test_fit_cos2_gives_diag_2_0():

@@ -203,6 +203,23 @@ def test_born_dim_mismatch():
         fl.born_probabilities(np.ones(2), p)
 
 
+@pytest.mark.parametrize("rho, message", [
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), "^state contains non-finite"),
+    (np.array([[0.5, 0.0], [0.0, complex(0.5, np.inf)]]),
+     "^state contains non-finite"),
+    (np.array([["a", "b"], ["c", "d"]]), "^state must be numeric$"),
+], ids=["nan", "inf-imaginary", "strings"])
+def test_born_applies_the_array_rule_to_the_state(rho, message):
+    # A NaN state once gave NaN probabilities, and a string matrix a
+    # bare ValueError.
+    p = _flat_povm(2, 4)
+    with pytest.raises(fl.InputError, match=message):
+        fl.born_probabilities(rho, p)
+    # a wrong shape is still reported as such first
+    with pytest.raises(fl.DimMismatchError):
+        fl.born_probabilities(np.full((3, 3), np.nan), p)
+
+
 def test_random_density_is_a_state():
     for field in ("C", "R"):
         rho = fl.random_density(4, seed=3, field=field)
@@ -279,6 +296,13 @@ def test_povm_json_rejects_malformed():
         povm_from_json(
             {"dim": 2, "effects": [[[[1.0, 0.0]]]], "partition": None}
         )
+
+
+def test_povm_rejects_non_numeric_effects():
+    # once a bare ValueError from the complex cast
+    for bad in (np.array([[["a"]]]), np.array([[[None]]], dtype=object)):
+        with pytest.raises(fl.InputError, match="^effects must be numeric$"):
+            Povm(bad)
 
 
 def test_povm_rejects_non_finite_imaginary_parts_alone():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import framelab as fl
 from framelab import SplitMix64
 
 
@@ -69,3 +70,59 @@ def test_zero_radius_seeds_reach_signed_zeros():
         z = SplitMix64(seed).complex_gaussians(1)[0]
         signs.append((math.copysign(1.0, z.real), math.copysign(1.0, z.imag)))
     assert signs == [(1.0, 1.0), (-1.0, 1.0)]
+
+
+# SHA-256 prefixes of each site that draws Gaussians by field, over
+# fields R and C, d in 1, 2, 3, 5 and five seeds; pinned while each
+# site still chose gaussians or complex_gaussians itself.
+FIELD_DRAW_DIGESTS = {
+    "random_onb": "b82ff2838b8f1249f366f8af17b3a9d2",
+    "random_parseval": "1904a3e548fb90bc491a4a0db6e33205",
+    "_direction": "77b2d8dc8d7aa4a3637c993c54f40b22",
+    "random_hermitian": "8868d5c8daafad4849897be4f2f6b0b5",
+    "random_density": "55f42adfbeb20b1390b8fa4da27cc6f9",
+}
+
+
+def _three_directions(d, seed, field):
+    rng = SplitMix64(seed)
+    return np.array(
+        [fl.gleason._direction(rng, d, field)[0] for _ in range(3)])
+
+
+FIELD_DRAW_SITES = {
+    "random_onb": lambda d, s, f: fl.random_onb(d, seed=s, field=f).vectors,
+    "random_parseval": lambda d, s, f: fl.random_parseval(
+        d, d + 2, seed=s, field=f).vectors,
+    "_direction": _three_directions,
+    "random_hermitian": lambda d, s, f: fl.random_hermitian(
+        d, seed=s, field=f),
+    "random_density": lambda d, s, f: fl.random_density(d, seed=s, field=f),
+}
+
+
+@pytest.mark.parametrize("site", sorted(FIELD_DRAW_DIGESTS))
+def test_field_draw_bits_are_pinned(site):
+    h = hashlib.sha256()
+    for field in ("R", "C"):
+        for d in (1, 2, 3, 5):
+            for seed in (0, 1, 2, 7919, 2**64 - 1):
+                v = FIELD_DRAW_SITES[site](d, seed, field)
+                h.update(f"{v.dtype.str}{v.shape}".encode())
+                h.update(v.tobytes())
+    assert h.hexdigest()[:32] == FIELD_DRAW_DIGESTS[site]
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: SplitMix64(0).field_gaussians(2, "X"),
+    lambda: fl.random_hermitian(2, field="X"),
+    lambda: fl.random_density(2, field="X"),
+    lambda: fl.random_onb(2, field="c"),
+    lambda: fl.random_parseval(2, 3, field="c"),
+], ids=["method", "random_hermitian", "random_density", "random_onb",
+        "random_parseval"])
+def test_field_draws_reject_an_unknown_field(draw):
+    # random_hermitian and random_density once drew real Gaussians for
+    # any field other than "C".
+    with pytest.raises(fl.InputError, match="^field must be 'R' or 'C'"):
+        draw()

@@ -136,6 +136,22 @@ def test_loaders_accept_only_json_numbers(name):
         LOADERS[fl.sniff_kind(obj)](obj)
 
 
+# Words Python's json reads as floats, though JSON has no such numbers.
+NON_JSON_NUMBERS = {
+    "frame-nan": '{"dim": 1, "field": "R", "vectors": [[NaN]]}',
+    "frame-infinity": '{"dim": 1, "field": "C", "vectors": [[[0, Infinity]]]}',
+    "povm-minus-infinity": '{"dim": 1, "effects": [[[-Infinity]]]}',
+    "sequence-nan": '{"length": 1, "entries": [NaN]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_JSON_NUMBERS))
+def test_loaders_reject_nan_and_infinity(name):
+    obj = fl.parse_json(NON_JSON_NUMBERS[name])
+    with pytest.raises(fl.InputError, match="is not a number$"):
+        LOADERS[fl.sniff_kind(obj)](obj)
+
+
 def test_parse_rejects_integers_too_long_to_convert():
     with pytest.raises(fl.InputError, match="invalid JSON"):
         fl.parse_json("[1" + "0" * 5000 + "]")

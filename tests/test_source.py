@@ -92,3 +92,16 @@ def test_class_kind_scan_sees_each_kind():
     assert class_kinds(tree) == {
         "A": "dataclass", "B": "dataclass", "CReport": "record",
         "DReport": "plain"}
+
+
+@pytest.mark.parametrize("text, home", [
+    ("fiucb", "linalg.py"),  # the numeric-dtype test of the array rule
+    ("complex_gaussians", "rng.py"),  # the field draw
+])
+def test_the_field_rules_are_written_once(text, home):
+    # The array rule lives in linalg and the field draw in rng; a
+    # second copy elsewhere in the package fails here.
+    package = Path(__file__).parent.parent / "src" / "framelab"
+    holders = sorted(p.name for p in package.glob("*.py")
+                     if text in p.read_text())
+    assert holders == [home]
