@@ -25,6 +25,7 @@ import sys
 from . import frames, gleason, povm, serialize, waveforms
 from .errors import InputError, PreconditionError
 from .linalg import DEFAULT_TOL, random_hermitian, resolve_tol
+from .rng import _integer
 
 
 def _env_tol() -> float | None:
@@ -166,18 +167,16 @@ def _cmd_convert(args) -> int:
 # gleason
 
 
-def _spec_field(obj: dict, key: str, convert, default=None):
-    # A JSON function-spec field follows the loaders' one rule for a
-    # number (serialize._number), and an int field takes only integral
-    # ones.  Anything else, or a missing field, is bad input.
+def _spec_field(obj: dict, key: str, rule, default=None):
+    # A JSON function-spec field follows the loaders' number rule
+    # (serialize._number) and its own ``rule``, the integer rule for a
+    # count.  Anything else, or a missing field, is bad input.
     value = obj.get(key, default)
     try:
-        number = serialize._number(value, key)
+        serialize._number(value, key)
+        return rule(value, key)
     except InputError:
-        number = None
-    if number is None or not (convert is float or number.is_integer()):
-        raise InputError(f"{obj['kind']} spec needs a valid {key!r}")
-    return convert(value)
+        raise InputError(f"{obj['kind']} spec needs a valid {key!r}") from None
 
 
 def _build_gleason_from_obj(obj, args) -> gleason.GleasonFn:
@@ -189,16 +188,17 @@ def _build_gleason_from_obj(obj, args) -> gleason.GleasonFn:
             raise InputError("quadratic spec needs an 'operator' matrix")
         mat = serialize.matrix_from_json(obj["operator"], "operator")
         return gleason.quadratic_gleason(
-            mat, _spec_field(obj, "const", float, 0.0)
+            mat, _spec_field(obj, "const", serialize._number, 0.0)
         )
     if kind == "cos2d":
-        return gleason.cos_counterexample(_spec_field(obj, "n", int))
+        return gleason.cos_counterexample(_spec_field(obj, "n", _integer))
     if kind == "epsilon1d":
-        return gleason.epsilon_1d_counterexample(_spec_field(obj, "eps", float))
+        return gleason.epsilon_1d_counterexample(
+            _spec_field(obj, "eps", serialize._number)
+        )
     if kind == "expnorm":
-        dim = _spec_field(obj, "dim", int, args.dim or 0)
-        if dim < 1:
-            raise InputError("expnorm spec needs a positive 'dim'")
+        positive = functools.partial(_integer, floor=1)
+        dim = _spec_field(obj, "dim", positive, args.dim or 0)
         return gleason.expnorm_gleason(dim, obj.get("field", "C"))
     if kind == "rational_indicator":
         return gleason.rational_indicator_counterexample()

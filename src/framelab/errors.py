@@ -4,8 +4,11 @@ Every domain error derives from :class:`FramelabError`, which is a
 ``ValueError`` so that callers who do not care about the fine-grained
 type can catch the usual thing.  :class:`InputError` marks malformed
 input (bad files, bad parameters), :class:`PreconditionError` marks a
-mathematically invalid request on well-formed data.  The command line
-tool maps the former to exit code 2 and the latter to exit code 3.
+mathematically invalid request on well-formed data.  So a count below
+its own floor (a dimension of 0) is an :class:`InputError`, and a
+relation between counts that fails (N < d) a :class:`PreconditionError`.
+The command line tool maps the former to exit code 2 and the latter to
+exit code 3.
 """
 
 from __future__ import annotations

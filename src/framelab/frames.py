@@ -31,7 +31,7 @@ from .errors import (
     TooFewVectorsError,
 )
 from .linalg import resolve_tol
-from .rng import SplitMix64
+from .rng import SplitMix64, _integer
 
 # Bytes of one row block of the Gram matrix in the streaming pass.
 _GRAM_BLOCK_BYTES = 2 << 20
@@ -189,12 +189,19 @@ def coherence(f: Frame, tol: float | None = None) -> float:
     return _pair_stats(f)[0]
 
 
+def _frame_size(d, n) -> tuple[int, int]:
+    # A dimension and a frame size under the integer rule, and the
+    # relation N >= d between them.
+    d = _integer(d, "dimension", 1)
+    n = _integer(n, "frame size")
+    if n < d:
+        raise BadCardinalityError(f"need N >= d >= 1, got N={n}, d={d}")
+    return d, n
+
+
 def welch_bound(n: int, d: int) -> float:
     """Lower bound sqrt((N - d) / (d (N - 1))) on unit-norm coherence."""
-    n = int(n)
-    d = int(d)
-    if d < 1 or n < d:
-        raise BadCardinalityError(f"need N >= d >= 1, got N={n}, d={d}")
+    d, n = _frame_size(d, n)
     if n == d:
         return 0.0
     return math.sqrt((n - d) / (d * (n - 1.0)))
@@ -265,9 +272,7 @@ def analyze_frame(f: Frame, tol: float | None = None) -> FrameReport:
 
 def standard_onb(d: int, field: str = "R") -> Frame:
     """The coordinate basis of R^d or C^d as a frame."""
-    d = int(d)
-    if d < 1:
-        raise BadCardinalityError("dimension must be at least 1")
+    d = _integer(d, "dimension", 1)
     return Frame(np.eye(d), field)
 
 
@@ -283,9 +288,7 @@ def random_onb(d: int, seed: int = 0, field: str = "C") -> Frame:
     Gaussians essentially never happens, is replaced by a fresh draw
     from the generator after the block.
     """
-    d = int(d)
-    if d < 1:
-        raise BadCardinalityError("dimension must be at least 1")
+    d = _integer(d, "dimension", 1)
     rng = SplitMix64(seed)
     rows: list[np.ndarray] = []
     for v in rng.field_gaussians((d, d), field):
@@ -310,9 +313,7 @@ def simplex_etf(d: int) -> Frame:
     Equiangular, unit norm, and tight with constant (d+1)/d, with
     coherence exactly at the Welch bound.
     """
-    d = int(d)
-    if d < 1:
-        raise BadCardinalityError("dimension must be at least 1")
+    d = _integer(d, "dimension", 1)
     n = d + 1
     ones = np.ones(n) / math.sqrt(n)
     # Orthonormal basis of the hyperplane, found by Gram-Schmidt on the
@@ -351,13 +352,10 @@ def harmonic_frame(
     The default selector is (1, ..., d).  Always a Parseval frame with
     all norms sqrt(d / n).
     """
-    d = int(d)
-    n = int(n)
-    if d < 1 or n < d:
-        raise BadCardinalityError(f"need N >= d >= 1, got N={n}, d={d}")
+    d, n = _frame_size(d, n)
     if selector is None:
         selector = tuple(range(1, d + 1))
-    sel = tuple(int(s) for s in selector)
+    sel = tuple(_integer(s, "selector entry") for s in selector)
     if len(sel) != d:
         raise BadSelectorError(
             f"selector has {len(sel)} entries for dimension {d}"
@@ -381,10 +379,7 @@ def random_parseval(
 ) -> Frame:
     """Canonical Parseval frame of n i.i.d. Gaussian vectors in
     dimension d.  Deterministic in ``seed``."""
-    d = int(d)
-    n = int(n)
-    if d < 1 or n < d:
-        raise BadCardinalityError(f"need N >= d >= 1, got N={n}, d={d}")
+    d, n = _frame_size(d, n)
     raw = SplitMix64(seed).field_gaussians((n, d), field)
     return canonical_parseval(Frame(raw, field))
 
@@ -396,9 +391,7 @@ def with_zeros(f: Frame, k: int) -> Frame:
     rank-one projections, which is what makes padded orthonormal bases
     useful as Parseval specimens with more vectors than dimensions.
     """
-    k = int(k)
-    if k < 0:
-        raise BadCardinalityError("cannot append a negative number of zeros")
+    k = _integer(k, "zeros", 0, "cannot append a negative number of zeros")
     if k == 0:
         return Frame(f.vectors.copy(), f.field)
     pad = np.zeros((k, f.dim), dtype=f.vectors.dtype)

@@ -43,6 +43,7 @@ from .errors import (
 )
 from .frames import (
     Frame,
+    _frame_size,
     harmonic_frame,
     random_onb,
     random_parseval,
@@ -50,9 +51,10 @@ from .frames import (
     with_zeros,
 )
 from .linalg import resolve_tol
-from .rng import SplitMix64
+from .rng import SplitMix64, _check_field, _integer
 
 _BALL_SLACK = 1e-6
+_NO_TRIAL = "need at least one trial"
 _TWO_PI = 2.0 * math.pi
 
 
@@ -60,6 +62,7 @@ _TWO_PI = 2.0 * math.pi
 class GleasonFn:
     """A function on the closed unit ball of R^dim or C^dim.
 
+    ``dim`` is at least 1 by the integer rule of :mod:`framelab.rng`,
     ``field`` is "R" or "C", ``kind`` names the construction, ``bound``
     is an upper bound on |g| over the ball, and ``params`` records
     construction inputs for reporting.  ``fn`` evaluates a block: it
@@ -79,7 +82,8 @@ class GleasonFn:
     params: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        linalg._field_array((), self.field, "block")
+        _check_field(self.field)
+        object.__setattr__(self, "dim", _integer(self.dim, "dimension", 1))
 
     def _checked(self, block) -> np.ndarray:
         # The checks of the class docstring, applied once.  Returns a
@@ -298,10 +302,6 @@ def expnorm_gleason(dim: int, field: str = "C") -> GleasonFn:
     dimension the sums genuinely depend on the frame, which is what
     separates basis frame functions from higher-degree ones.
     """
-    dim = int(dim)
-    if dim < 1:
-        raise InputError("dimension must be at least 1")
-
     def fn(x: np.ndarray) -> list[complex]:
         return [complex(math.expm1(t)) for t in _squared_norms(x).tolist()]
 
@@ -323,7 +323,7 @@ def cos_counterexample(n: int) -> GleasonFn:
     |n| = 2 gives a quadratic form (1 + cos 2t = 2 cos^2 t); larger
     |n| are weight-2 basis frame functions that no operator explains.
     """
-    n = int(n)
+    n = _integer(n, "index")
     if n % 4 != 2:
         raise BadNError(f"index must be 2 mod 4, got {n}")
 
@@ -422,10 +422,6 @@ def gleason_from_effect_measure(
     over all POVMs of some size N, the restriction is a degree-N
     Parseval frame function with weight v(identity) = 1.
     """
-    dim = int(dim)
-    if dim < 1:
-        raise InputError("dimension must be at least 1")
-
     def fn(x: np.ndarray) -> list[complex]:
         xc = x.astype(np.complex128, copy=False)
         return [complex(v(np.outer(r, r.conj()))) for r in xc]
@@ -494,9 +490,7 @@ def verify_onb_gleason(
     vectors.  Passing means the spread of sums stays within tol.
     """
     tol = resolve_tol(tol)
-    trials = int(trials)
-    if trials < 1:
-        raise InputError("need at least one trial")
+    trials = _integer(trials, "trials", 1, _NO_TRIAL)
     rng = SplitMix64(seed)
     frames: list[Frame] = []
     sums: list[complex] = []
@@ -537,14 +531,12 @@ def verify_parseval_gleason(
     are canonical Parseval frames of Gaussian vectors.
     """
     tol = resolve_tol(tol)
-    n = int(n)
-    trials = int(trials)
+    n = _integer(n, "frame size")
+    trials = _integer(trials, "trials", 1, _NO_TRIAL)
     if n < g.dim:
         raise BadCardinalityError(
             f"frame size {n} is below the dimension {g.dim}"
         )
-    if trials < 1:
-        raise InputError("need at least one trial")
     rng = SplitMix64(seed)
     frames = _parseval_specimens(g.dim, n, g.field, rng)[:trials]
     while len(frames) < trials:
@@ -572,9 +564,7 @@ def fit_quadratic(
     ``weight`` real; only that copy drops them.  ``residual``, ``weight``
     and ``verdict`` come from the matrix before this demotion.
     """
-    samples = int(samples)
-    if samples < 1:
-        raise InputError("need at least one sample point")
+    samples = _integer(samples, "samples", 1, "need at least one sample point")
     d = g.dim
     a = np.zeros((d, d), dtype=np.complex128)
 
@@ -643,9 +633,7 @@ def homogeneity_check(
     (interval over R), so the scaled point stays in the domain.
     """
     tol = resolve_tol(tol)
-    samples = int(samples)
-    if samples < 1:
-        raise InputError("need at least one sample")
+    samples = _integer(samples, "samples", 1, "need at least one sample")
     rng = SplitMix64(seed)
     d = g.dim
     points = []
@@ -772,8 +760,9 @@ def degree_ladder_experiment(
     increments match g(0) within tol.  Requires n0 >= dim + 2.
     """
     tol = resolve_tol(tol)
-    n0 = int(n0)
-    n1 = int(n1)
+    n0 = _integer(n0, "ladder start")
+    n1 = _integer(n1, "ladder end")
+    trials = _integer(trials, "trials", 1, _NO_TRIAL)
     if n0 < g.dim + 2:
         raise BadCardinalityError(
             f"ladder starts at dim + 2 = {g.dim + 2}, got {n0}"
@@ -824,9 +813,8 @@ def weight_trace_experiment(
     means every sum is within tol of its trace.
     """
     tol = resolve_tol(tol)
-    trials = int(trials)
-    if trials < 1:
-        raise InputError("need at least one trial")
+    trials = _integer(trials, "trials", 1, _NO_TRIAL)
+    dim, n = _frame_size(dim, n)
     rng = SplitMix64(seed)
     worst = 0.0
     for t in range(trials):
@@ -863,8 +851,7 @@ def counterexample_battery(
     explicit three-vector frame, which must give the Parseval weight.
     """
     tol = resolve_tol(tol)
-    if n is None:
-        n = g.dim + 1
+    n = g.dim + 1 if n is None else _integer(n, "frame size")
     onb = verify_onb_gleason(g, trials=trials, seed=seed, tol=tol)
     parseval = verify_parseval_gleason(g, n, trials=trials, seed=seed, tol=tol)
     fit = fit_quadratic(g, samples=samples, seed=seed)

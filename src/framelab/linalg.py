@@ -5,7 +5,8 @@ purpose rather than delegated to LAPACK, so that eigenvalue order,
 eigenvector phases, and convergence behaviour are identical on every
 platform and fully under our control.  Everything runs through one
 complex code path.  The package's array and Hermitian rules are
-written here once (the Gaussians of a field are drawn by
+written here once (the field and integer rules live in
+:mod:`framelab.rng`, and the Gaussians of a field are drawn by
 ``SplitMix64.field_gaussians`` alone):
 
 * Array rule: a caller's array must be numeric and finite.  It comes
@@ -60,7 +61,7 @@ from .errors import (
     NotSquareError,
     SingularOrIndefiniteError,
 )
-from .rng import SplitMix64
+from .rng import SplitMix64, _check_field, _integer
 
 DEFAULT_TOL = 1e-10
 
@@ -87,8 +88,7 @@ def _field_array(
 ) -> np.ndarray:
     # The array rule of the module docstring.  ``name`` is the subject of
     # its messages; ``imaginary`` and ``non_finite`` override two of them.
-    if field not in ("R", "C"):
-        raise InputError(f"field must be 'R' or 'C', got {field!r}")
+    _check_field(field)
     a = np.asarray(a)
     if a.dtype.kind not in "fiucb":
         raise InputError(f"{name} must be numeric")
@@ -100,7 +100,8 @@ def _field_array(
         a = a.real
     dtype = np.float64 if field == "R" else np.complex128
     a = np.ascontiguousarray(a, dtype=dtype)
-    if not np.isfinite(a).all():
+    # count_nonzero skips the fixed cost of an .all() reduction
+    if np.count_nonzero(np.isfinite(a)) != a.size:
         raise InputError(non_finite or f"{name} contains non-finite entries")
     return a
 
@@ -329,8 +330,6 @@ def psd_inv_sqrt(m, tol: float | None = None) -> np.ndarray:
 
 def random_hermitian(d: int, seed: int = 0, field: str = "C") -> np.ndarray:
     """Random Hermitian matrix (G + G*) / 2 from a Gaussian G."""
-    d = int(d)
-    if d < 1:
-        raise InputError("dimension must be at least 1")
+    d = _integer(d, "dimension", 1)
     g = SplitMix64(seed).field_gaussians((d, d), field)
     return (g + g.conj().T) / 2.0

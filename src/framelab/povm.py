@@ -32,7 +32,17 @@ from .errors import (
 )
 from .frames import Frame, is_parseval, random_parseval
 from .linalg import resolve_tol
-from .rng import SplitMix64
+from .rng import SplitMix64, _integer
+
+_NO_TRIAL = "need at least one trial"
+
+
+def _partition(groups) -> list[list[int]]:
+    # Groups of indices by the integer rule; their range is the caller's.
+    try:
+        return [[_integer(i, "partition index") for i in g] for g in groups]
+    except TypeError:  # a partition or a group that is not iterable
+        raise InputError("partition must be a list of index lists") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +87,7 @@ class Povm:
         )
         object.__setattr__(self, "effects", a)
         if self.partition is not None:
-            part = [[int(i) for i in group] for group in self.partition]
+            part = _partition(self.partition)
             if len(part) != a.shape[0]:
                 raise InputError(
                     "partition length does not match the number of effects"
@@ -249,7 +259,7 @@ def povm_from_frame_grouped(
     """
     tol = resolve_tol(tol)
     n = len(f)
-    groups = [[int(i) for i in g] for g in partition]
+    groups = _partition(partition)
     seen: set[int] = set()
     for g in groups:
         for i in g:
@@ -357,9 +367,7 @@ def born_probabilities(rho, p: Povm, tol: float | None = None) -> np.ndarray:
 
 def random_density(d: int, seed: int = 0, field: str = "C") -> np.ndarray:
     """Random density matrix G G* / trace(G G*) from a Gaussian G."""
-    d = int(d)
-    if d < 1:
-        raise InputError("dimension must be at least 1")
+    d = _integer(d, "dimension", 1)
     g = SplitMix64(seed).field_gaussians((d, d), field).astype(np.complex128)
     rho = g @ g.conj().T
     return rho / float(np.trace(rho).real)
@@ -399,17 +407,13 @@ def check_generalized_measure(
     the functional down.
     """
     tol = resolve_tol(tol)
-    d = int(d)
-    n_family = int(n_family)
-    trials = int(trials)
-    if d < 1:
-        raise InputError("dimension must be at least 1")
+    d = _integer(d, "dimension", 1)
+    n_family = _integer(n_family, "family size")
+    trials = _integer(trials, "trials", 1, _NO_TRIAL)
     if n_family < d + 2:
         raise BadFamilySizeError(
             f"family size {n_family} is below d + 2 = {d + 2}"
         )
-    if trials < 1:
-        raise InputError("need at least one trial")
 
     rng = SplitMix64(seed)
     ident_dev = abs(float(v(np.eye(d, dtype=np.complex128))) - 1.0)
@@ -471,11 +475,12 @@ def busch_experiment(
     ``n_family`` defaults to dim + 2; passing means every check passed.
     """
     tol = resolve_tol(tol)
-    states = int(states)
-    if states < 1:
-        raise InputError("need at least one trial")
+    states = _integer(states, "states", 1, _NO_TRIAL)
+    trials = _integer(trials, "trials", 1, _NO_TRIAL)
+    dim = _integer(dim, "dimension", 1)
     if n_family is None:
         n_family = dim + 2
+    n_family = _integer(n_family, "family size")
     rng = SplitMix64(seed)
     results = []
     for _ in range(states):
@@ -513,9 +518,8 @@ def born_experiment(
     within tol.
     """
     tol = resolve_tol(tol)
-    trials = int(trials)
-    if trials < 1:
-        raise InputError("need at least one trial")
+    trials = _integer(trials, "trials", 1, _NO_TRIAL)
+    dim = _integer(dim, "dimension", 1)
     rng = SplitMix64(seed)
     mins, sum_devs = [], []
     for _ in range(trials):

@@ -7,6 +7,13 @@ Box-Muller transform applied to the raw 64-bit stream; complex
 Gaussians are standard circular ones with unit total variance.  Every
 Gaussian, scalar or bulk, real or complex, comes from one private
 loop, so the transform and its cached-spare rule are written once.
+
+The package's integer and field rules live here too, in its lowest
+module.  Integer rule (:func:`_integer`): a count, index or seed a
+caller passes is a Python int (not a bool), a NumPy integer or a
+finite integral float, and becomes a Python int; anything else, or a
+count below its own floor, is an :class:`InputError`.  Field rule
+(:func:`_check_field`): a field is "R" or "C".
 """
 
 from __future__ import annotations
@@ -26,19 +33,39 @@ _ROOT2 = math.sqrt(2.0)
 _ZERO_PRODUCTS = np.array([0.0, -0.0])
 
 
+def _integer(x, name: str, floor: int | None = None, below: str = "") -> int:
+    # The integer rule.  ``name`` is the subject of its messages, and
+    # ``below`` overrides the one for a value under ``floor``.
+    if type(x) is not int:  # an exact int, such as most seeds, skips this
+        if isinstance(x, bool) or not (
+            isinstance(x, (int, np.integer))
+            or isinstance(x, (float, np.floating)) and float(x).is_integer()
+        ):
+            raise InputError(f"{name} must be an integer, got {x!r}")
+        x = int(x)
+    if floor is not None and x < floor:
+        raise InputError(below or f"{name} must be at least {floor}")
+    return x
+
+
+def _check_field(field) -> None:
+    if field not in ("R", "C"):
+        raise InputError(f"field must be 'R' or 'C', got {field!r}")
+
+
 class SplitMix64:
     """64-bit SplitMix generator with Box-Muller Gaussian output.
 
     Parameters
     ----------
     seed : int
-        Any integer; only the low 64 bits are kept.
+        Any integer, by the integer rule; only the low 64 bits are kept.
     """
 
     __slots__ = ("state", "_spare")
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK
+        self.state = _integer(seed, "seed") & _MASK
         self._spare: float | None = None
 
     def u64(self) -> int:
@@ -55,8 +82,7 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n). Bias is negligible for small n."""
-        if n <= 0:
-            raise ValueError("below() needs a positive bound")
+        n = _integer(n, "bound", 1, "below() needs a positive bound")
         return self.u64() % n
 
     def gaussian(self) -> float:
@@ -126,8 +152,7 @@ class SplitMix64:
     def field_gaussians(self, shape, field: str) -> np.ndarray:
         """:meth:`gaussians` for field "R", :meth:`complex_gaussians`
         for "C"; another field raises :class:`InputError`."""
+        _check_field(field)
         if field == "R":
             return self.gaussians(shape)
-        if field == "C":
-            return self.complex_gaussians(shape)
-        raise InputError(f"field must be 'R' or 'C', got {field!r}")
+        return self.complex_gaussians(shape)

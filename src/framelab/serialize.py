@@ -25,7 +25,9 @@ fields (to complex) before emitting.
 
 The readers take a JSON number to be a finite int or float, never a
 bool, a string, ``NaN`` or ``Infinity`` (which Python's ``json`` reads);
-a complex entry is a bare number or an ``[re, im]`` pair.
+a complex entry is a bare number or an ``[re, im]`` pair.  A dimension,
+length or partition entry is an integral number under the integer rule
+of :mod:`framelab.rng`, so ``2.0`` is 2 and ``true`` is rejected.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .errors import InputError
 from .frames import Frame
 from .gleason import CounterexampleReport, FitResult, ScalingReport
 from .povm import Povm
+from .rng import _integer
 from .waveforms import AmbiguityTable
 
 
@@ -274,11 +277,7 @@ def frame_from_json(obj) -> Frame:
         if key not in obj:
             raise InputError(f"frame: missing key {key!r}")
     field = obj["field"]
-    if field not in ("R", "C"):
-        raise InputError(f"frame: field must be 'R' or 'C', got {field!r}")
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise InputError(f"frame: bad dimension {dim!r}")
+    dim = _integer(obj["dim"], "frame: dimension", 1)
     vex = _plain(obj["vectors"])
     if not isinstance(vex, list) or not vex:
         raise InputError("frame: vectors must be a nonempty list")
@@ -309,9 +308,7 @@ def povm_from_json(obj) -> Povm:
     for key in ("dim", "effects"):
         if key not in obj:
             raise InputError(f"povm: missing key {key!r}")
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise InputError(f"povm: bad dimension {dim!r}")
+    dim = _integer(obj["dim"], "povm: dimension", 1)
     effects_json = _plain(obj["effects"])
     if not isinstance(effects_json, list) or not effects_json:
         raise InputError("povm: effects must be a nonempty list")
@@ -323,14 +320,7 @@ def povm_from_json(obj) -> Povm:
                 f"effect {j} has shape {mat.shape}, expected ({dim}, {dim})"
             )
         effects.append(mat)
-    partition = obj.get("partition")
-    if partition is not None:
-        if not isinstance(partition, list) or not all(
-            isinstance(g, list) and all(isinstance(i, int) for i in g)
-            for g in partition
-        ):
-            raise InputError("povm: partition must be a list of integer lists")
-    return Povm(np.array(effects), partition)
+    return Povm(np.array(effects), obj.get("partition"))
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +338,7 @@ def sequence_from_json(obj) -> np.ndarray:
     for key in ("length", "entries"):
         if key not in obj:
             raise InputError(f"sequence: missing key {key!r}")
-    length = obj["length"]
-    if not isinstance(length, int) or length < 1:
-        raise InputError(f"sequence: bad length {length!r}")
+    length = _integer(obj["length"], "sequence: length", 1)
     entries = _vector_from_json(_plain(obj["entries"]), "C", "sequence entries")
     if entries.shape[0] != length:
         raise InputError(

@@ -40,6 +40,7 @@ from .errors import (
 )
 from .frames import Frame, coherence, frame_operator
 from .linalg import resolve_tol
+from .rng import _integer
 
 _KAHAN_CUTOFF = 64
 
@@ -179,8 +180,9 @@ def _is_prime(n: int) -> bool:
 
 def legendre_symbol(k: int, p: int) -> int:
     """Quadratic residue symbol of k mod an odd prime p, in {-1, 0, 1}."""
-    r = pow(int(k) % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else int(r)
+    k, p = _integer(k, "residue"), _integer(p, "modulus")
+    r = pow(k % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
 
 
 def bjorck(p: int) -> np.ndarray:
@@ -193,7 +195,7 @@ def bjorck(p: int) -> np.ndarray:
     elsewhere.  The off-origin ambiguity of the result is uniformly
     small, on the order of 1 / sqrt(p).
     """
-    p = int(p)
+    p = _integer(p, "length")
     if not _is_prime(p):
         raise NotPrimeError(f"length {p} is not prime")
     if p < 5:
@@ -214,9 +216,7 @@ def bjorck(p: int) -> np.ndarray:
 
 def quadratic_phase(d: int) -> np.ndarray:
     """The odd-length CAZAC u(k) = exp(i pi k (k + 1) / d)."""
-    d = int(d)
-    if d < 1:
-        raise BadCardinalityError("length must be at least 1")
+    d = _integer(d, "length", 1)
     if d % 2 == 0:
         raise BadCardinalityError(f"length must be odd, got {d}")
     k = np.arange(d, dtype=np.float64)
@@ -228,7 +228,7 @@ def bjorck_peak_bound(p: int) -> float:
     Legendre-phase CAZAC: 2/sqrt(p) + 4/p when p = 1 mod 4, and
     2/sqrt(p) + 4/p^(3/2) when p = 3 mod 4.  Both are below 3/sqrt(p)
     once p > 16."""
-    p = int(p)
+    p = _integer(p, "length")
     if not _is_prime(p):
         raise NotPrimeError(f"bound is defined for primes >= 5, got {p}")
     if p < 5:

@@ -13,7 +13,7 @@ import pytest
 import framelab as fl
 from framelab import cli
 
-from test_serialize import NOT_NUMBERS
+from test_serialize import NOT_INTEGERS, NOT_NUMBERS
 
 
 def run_cli(args, cwd, env_extra=None):
@@ -198,6 +198,8 @@ def test_gleason_malformed_json_spec_exits_2(tmp_path, spec):
     ('{"kind":"cos2d","n":"6"}', "cos2d", "n"),
     ('{"kind":"expnorm","dim":2.5}', "expnorm", "dim"),
     ('{"kind":"expnorm","dim":true}', "expnorm", "dim"),
+    # an integer beyond the float range is no JSON number either
+    ('{"kind":"cos2d","n":1%s}' % ("0" * 400), "cos2d", "n"),
     ('{"kind":"quadratic","operator":[[1,0],[0,2]],"const":"0.5"}',
      "quadratic", "const"),
     ('{"kind":"quadratic","operator":[[1,0],[0,2]],"const":false}',
@@ -341,6 +343,21 @@ def test_experiments_reject_a_zero_count(command, tmp_path, monkeypatch,
     assert capsys.readouterr() == ("", "error: need at least one trial\n")
 
 
+@pytest.mark.parametrize("command, code, message", [
+    # a count below its own floor is bad input ...
+    ("experiment weight-trace --dim 0", 2, "dimension must be at least 1"),
+    ("experiment born --dim 0", 2, "dimension must be at least 1"),
+    # ... and a relation between counts a precondition
+    ("experiment weight-trace --n 0", 3, "need N >= d >= 1, got N=0, d=3"),
+    ("experiment busch --n-family 4", 3, "family size 4 is below d + 2 = 5"),
+])
+def test_experiment_count_floors_and_relations(command, code, message,
+                                               tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(command.split()) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("mode", ["born", "busch"])
 def test_experiment_tol_below_roundoff_fails_the_verdict_only(
         mode, tmp_path, monkeypatch, capsys):
@@ -392,6 +409,34 @@ def test_analyze_exits_2_on_an_entry_that_is_not_a_number(
     fl.write_json("bad.json", NOT_NUMBERS[name])
     assert cli.main(["analyze", "bad.json"]) == 2
     assert "not a number" in capsys.readouterr().err
+
+
+# A dimension, length or partition entry of a file follows the integer
+# rule: `true` loaded as 1 (exit 0) and `2.0` was a bad dimension
+# (exit 2) before it.
+@pytest.mark.parametrize("name", ["frame-dim-true", "povm-dim-true",
+                                  "povm-partition-true",
+                                  "sequence-length-true"])
+def test_analyze_exits_2_on_a_count_that_is_no_integer(
+        name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    fl.write_json("bad.json", NOT_INTEGERS[name])
+    assert cli.main(["analyze", "bad.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "must be an integer, got True" in err
+
+
+def test_analyze_takes_an_integral_float_dimension(tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for dim in ("2", "2.0"):  # the emitter would write 2.0 as 2
+        with open("f.json", "w") as fh:
+            fh.write('{"dim": %s, "field": "R", "vectors": [[1, 0], [0, 1]]}'
+                     % dim)
+        assert cli.main(["analyze", "f.json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_exit_2_bad_tol_env(tmp_path):

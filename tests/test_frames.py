@@ -201,7 +201,8 @@ def test_welch_bound_values():
     assert_allclose(fl.welch_bound(4, 2), math.sqrt(2.0 / 6.0))
     with pytest.raises(fl.BadCardinalityError):
         fl.welch_bound(2, 3)
-    with pytest.raises(fl.BadCardinalityError):
+    # d = 0 is below the dimension's own floor: bad input, not a relation
+    with pytest.raises(fl.InputError, match="^dimension must be at least 1$"):
         fl.welch_bound(0, 0)
 
 
@@ -248,7 +249,8 @@ def test_with_zeros():
     assert len(f) == 5
     assert fl.is_parseval(f)
     assert_allclose(f.vectors[2:], np.zeros((3, 2)))
-    with pytest.raises(fl.BadCardinalityError):
+    with pytest.raises(fl.InputError,
+                       match="^cannot append a negative number of zeros$"):
         fl.with_zeros(f, -1)
 
 

@@ -313,3 +313,24 @@ def test_povm_rejects_non_finite_imaginary_parts_alone():
         with pytest.raises(fl.InputError,
                            match="^effects contain non-finite entries$"):
             Povm(effects)
+
+
+# Each was a bare TypeError from iterating a number, except through the
+# JSON loader, which checked the shape itself.
+NOT_PARTITIONS = {
+    "povm-number": lambda: Povm(np.eye(1)[None], partition=5),
+    "povm-group-number": lambda: Povm(np.eye(1)[None], partition=[0]),
+    "povm-group-none": lambda: Povm(np.full((2, 1, 1), 0.5),
+                                    partition=[[0], None]),
+    "grouped-flat": lambda: fl.povm_from_frame_grouped(
+        fl.standard_onb(2), [0, 1]),
+    "json-number": lambda: povm_from_json(
+        {"dim": 1, "effects": [[[1.0]]], "partition": 5}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_PARTITIONS))
+def test_a_partition_is_a_list_of_index_lists(name):
+    with pytest.raises(fl.InputError,
+                       match="^partition must be a list of index lists$"):
+        NOT_PARTITIONS[name]()

@@ -126,3 +126,132 @@ def test_field_draws_reject_an_unknown_field(draw):
     # any field other than "C".
     with pytest.raises(fl.InputError, match="^field must be 'R' or 'C'"):
         draw()
+
+
+# --- the integer rule ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("x, expected", [
+    (5, 5), (-3, -3), (np.int64(5), 5), (np.uint64(2**64 - 1), 2**64 - 1),
+    (np.int8(-3), -3), (5.0, 5), (-0.0, 0), (np.float32(2.0), 2),
+    (2.0**70, 2**70),
+])
+def test_integer_rule_returns_a_python_int(x, expected):
+    n = fl.rng._integer(x, "count")
+    assert type(n) is int and n == expected
+
+
+@pytest.mark.parametrize("x", [
+    True, False, np.bool_(True), 2.5, np.float64(0.5), math.nan, math.inf,
+    -math.inf, "3", None, 1 + 0j, [1],
+], ids=repr)
+def test_integer_rule_rejects_what_is_no_integer(x):
+    with pytest.raises(fl.InputError, match="^count must be an integer, got "):
+        fl.rng._integer(x, "count", 0)
+
+
+def test_integer_rule_floor_is_an_input_error():
+    rule = fl.rng._integer
+    assert rule(0, "count", 0) == 0 and rule(1.0, "count", 1) == 1
+    with pytest.raises(fl.InputError, match="^dimension must be at least 1$"):
+        rule(0, "dimension", 1)
+    with pytest.raises(fl.InputError, match="^no zeros$"):
+        rule(np.int64(-1), "zeros", 0, "no zeros")
+
+
+# Seeds at the edges of int64 and uint64; each is also tried as an
+# np.int64 or np.uint64 where that holds it and, if exact, as a float.
+EDGE_SEEDS = (0, 1, 5, 2**53, 2**63 - 1, 2**63, 2**64 - 1, -1, -5,
+              -(2**63))
+
+
+def _stream(seed):
+    rng = SplitMix64(seed)
+    words = [rng.u64() for _ in range(3)]
+    return words, rng.gaussians(3).tobytes(), rng.complex_gaussians(2).tobytes()
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_numpy_and_float_seeds_give_the_int_stream(seed):
+    expected = _stream(seed)
+    alike = [kind(seed) for kind in (np.int64, np.uint64)
+             if np.iinfo(kind).min <= seed <= np.iinfo(kind).max]
+    if float(seed) == seed:
+        alike.append(float(seed))
+    assert alike  # every edge seed has some other form
+    for other in alike:
+        assert _stream(other) == expected, repr(other)
+    # a seed is kept to its low 64 bits
+    assert _stream(seed + 2**64) == expected
+
+
+# Each pair runs with a NumPy integer and with the Python int of equal
+# value; the NumPy call raised OverflowError from `seed & mask` or
+# `u64() % n` on an int64.
+NUMPY_INTEGER_CALLS = {
+    "random_onb-seed": lambda i: fl.random_onb(2, seed=i(5)).vectors,
+    "ladder-seed": lambda i: fl.degree_ladder_experiment(
+        fl.quadratic_gleason(np.diag([1.0, 2.0])), 4, 5, trials=2,
+        seed=i(1)),
+    "below-bound": lambda i: SplitMix64(1).below(i(3)),
+    "born-dim": lambda i: fl.born_experiment(i(2), trials=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMPY_INTEGER_CALLS))
+def test_numpy_integers_are_the_ints_they_equal(name):
+    call = NUMPY_INTEGER_CALLS[name]
+    assert (fl.canonical_json(call(np.int64))
+            == fl.canonical_json(call(int)))
+
+
+def test_below_keeps_its_bound_check():
+    with pytest.raises(fl.InputError, match="^below\\(\\) needs a positive"):
+        SplitMix64(1).below(0)
+    with pytest.raises(fl.InputError, match="^bound must be an integer"):
+        SplitMix64(1).below(2.5)
+
+
+# Calls that once truncated a non-integral value, or raised a bare
+# TypeError or ValueError, and now apply the integer rule.
+NOT_INTEGER_CALLS = {
+    "verify_onb-trials-2.5": lambda: fl.verify_onb_gleason(
+        fl.cos_counterexample(6), trials=2.5),
+    "verify_onb-trials-x": lambda: fl.verify_onb_gleason(
+        fl.cos_counterexample(6), trials="x"),
+    "verify_parseval-n-4.9": lambda: fl.verify_parseval_gleason(
+        fl.cos_counterexample(6), 4.9, trials=2),
+    "cos_counterexample-6.5": lambda: fl.cos_counterexample(6.5),
+    "expnorm-dim-2.5": lambda: fl.expnorm_gleason(2.5),
+    "harmonic-selector-1.5": lambda: fl.harmonic_frame(
+        2, 6, selector=(1.5, 3)),
+    "grouped-partition-0.5": lambda: fl.povm_from_frame_grouped(
+        fl.with_zeros(fl.standard_onb(2), 2), [[0.5, 1], [2, 3]]),
+    "povm-partition-0.7": lambda: fl.Povm(
+        np.eye(1)[None], partition=[[0.7]]),
+    "weight_trace-2.5": lambda: fl.weight_trace_experiment(2.5, 4.5),
+    "random_onb-dim-none": lambda: fl.random_onb(None),
+    "random_onb-seed-none": lambda: fl.random_onb(2, seed=None),
+    "standard_onb-true": lambda: fl.standard_onb(True),
+    "quadratic_phase-7.5": lambda: fl.quadratic_phase(7.5),
+    "bjorck-string": lambda: fl.bjorck("7"),
+    "check_measure-n_family-4.5": lambda: fl.check_generalized_measure(
+        lambda e: 0.5, 2, 4.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_INTEGER_CALLS))
+def test_entry_points_apply_the_integer_rule(name):
+    with pytest.raises(fl.InputError, match="must be an integer, got "):
+        NOT_INTEGER_CALLS[name]()
+
+
+def test_integral_floats_are_the_integers_they_equal():
+    report = fl.weight_trace_experiment(2.0, 4.0, trials=2, seed=3)
+    assert (type(report.dim), type(report.n)) == (int, int)
+    assert report == fl.weight_trace_experiment(2, 4, trials=2, seed=3)
+    g = fl.cos_counterexample(6.0)
+    assert g.params == {"n": 6} and type(g.params["n"]) is int
+    assert (fl.harmonic_frame(2.0, 6.0, selector=(1.0, 3.0)).vectors.tobytes()
+            == fl.harmonic_frame(2, 6, selector=(1, 3)).vectors.tobytes())
+    assert fl.Povm(np.eye(1)[None], partition=[[0.0]]).partition == [[0]]

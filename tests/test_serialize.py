@@ -303,3 +303,38 @@ def test_witness_unpacks_into_its_frame_and_sum():
         assert isinstance(frame, fl.Frame)
         assert canonical_json(w) == canonical_json(
             {"frame": frame_to_json(frame), "sum": total})
+
+
+# Objects whose only fault is a dimension, length or partition entry
+# that is no integer; `true` loaded as 1 before the integer rule.
+NOT_INTEGERS = {
+    "frame-dim-true": {"dim": True, "field": "R", "vectors": [[1.0]]},
+    "frame-dim-half": {"dim": 1.5, "field": "R", "vectors": [[1.0]]},
+    "povm-dim-true": {"dim": True, "effects": [[[1.0]]]},
+    "povm-partition-true": {"dim": 1, "effects": [[[1.0]]],
+                            "partition": [[True]]},
+    "povm-partition-half": {"dim": 1, "effects": [[[1.0]]],
+                            "partition": [[0.5]]},
+    "sequence-length-true": {"length": True, "entries": [1.0]},
+    "sequence-length-string": {"length": "1", "entries": [1.0]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_INTEGERS))
+def test_loaders_apply_the_integer_rule(name):
+    obj = NOT_INTEGERS[name]
+    with pytest.raises(fl.InputError, match="must be an integer, got "):
+        LOADERS[fl.sniff_kind(obj)](obj)
+
+
+def test_loaders_take_integral_floats_as_integers():
+    f = frame_from_json({"dim": 2.0, "field": "R", "vectors": [[1, 0.5]]})
+    assert f.dim == 2
+    p = povm_from_json({"dim": 1.0, "effects": [[[0.5]], [[0.5]]],
+                        "partition": [[0.0], [1.0]]})
+    assert p.partition == [[0], [1]]
+    assert sequence_from_json({"length": 1.0, "entries": [1]}).tolist() == [1]
+    with pytest.raises(fl.InputError, match="^frame: dimension must be at "):
+        frame_from_json({"dim": 0, "field": "R", "vectors": [[]]})
+    with pytest.raises(fl.InputError, match="^field must be 'R' or 'C'"):
+        frame_from_json({"dim": 1, "field": "X", "vectors": [[1.0]]})

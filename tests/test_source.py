@@ -97,11 +97,74 @@ def test_class_kind_scan_sees_each_kind():
 @pytest.mark.parametrize("text, home", [
     ("fiucb", "linalg.py"),  # the numeric-dtype test of the array rule
     ("complex_gaussians", "rng.py"),  # the field draw
+    ("field must be 'R' or 'C'", "rng.py"),  # the field check
+    ("is_integer", "rng.py"),  # the integral-float test of the integer rule
 ])
 def test_the_field_rules_are_written_once(text, home):
-    # The array rule lives in linalg and the field draw in rng; a
-    # second copy elsewhere in the package fails here.
+    # The array rule lives in linalg, the field draw, the field check
+    # and the integer rule in rng; a second copy elsewhere in the
+    # package fails here.
     package = Path(__file__).parent.parent / "src" / "framelab"
     holders = sorted(p.name for p in package.glob("*.py")
                      if text in p.read_text())
     assert holders == [home]
+
+
+def int_coercions(tree: ast.Module) -> list[str]:
+    """``int()`` calls in the public functions and methods of a module
+    whose argument is one of the function's parameters, or a name a loop
+    or comprehension binds from one, as ``"function(name)"``."""
+
+    def public(body, prefix=""):
+        for node in body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.ClassDef):
+                yield from public(node.body, f"{node.name}.")
+            elif isinstance(node, ast.FunctionDef):
+                yield f"{prefix}{node.name}", node
+
+    found = set()
+    for name, fn in public(tree.body):
+        params = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        loops = [n for n in ast.walk(fn)
+                 if isinstance(n, (ast.For, ast.comprehension))
+                 and isinstance(n.iter, ast.Name)]
+        grown = True
+        while grown:  # names bound from a parameter, at any depth
+            bound = {t.id for n in loops if n.iter.id in params
+                     for t in ast.walk(n.target) if isinstance(t, ast.Name)}
+            grown = not bound <= params
+            params |= bound
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "int" and node.args
+                    and isinstance(node.args[0], ast.Name)
+                    and node.args[0].id in params):
+                found.add(f"{name}({node.args[0].id})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_public_function_coerces_its_own_parameter_with_int(path):
+    # Counts, indices and seeds go through the integer rule in rng,
+    # which rejects what int() would truncate or turn from a bool.
+    assert int_coercions(ast.parse(path.read_text())) == []
+
+
+def test_int_coercion_scan_sees_parameters_and_their_loops():
+    tree = ast.parse(
+        "def f(n, xs, k):\n"
+        "    a = int(n) + int(len(xs)) + int(3)\n"
+        "    b = [int(x) for x in xs]\n"
+        "    for group in xs:\n"
+        "        for i in group:\n"
+        "            int(i)\n"
+        "def _g(n):\n    return int(n)\n"
+        "class C:\n"
+        "    def m(self, n):\n        return int(n)\n"
+        "    def _p(self, n):\n        return int(n)\n"
+        "class _D:\n"
+        "    def m(self, n):\n        return int(n)\n"
+    )
+    assert int_coercions(tree) == ["C.m(n)", "f(i)", "f(n)", "f(x)"]

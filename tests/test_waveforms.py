@@ -149,8 +149,10 @@ def test_quadratic_phase_is_cazac():
         assert report.ok, (d, report.ca_deviation, report.zac_peak)
         assert report.ca_deviation <= 1e-12
         assert report.zac_peak <= 1e-10
-    for bad in (6, 0, -3):
-        with pytest.raises(fl.BadCardinalityError):
+    with pytest.raises(fl.BadCardinalityError, match="odd"):
+        fl.quadratic_phase(6)
+    for bad in (0, -3):  # below the length's own floor
+        with pytest.raises(fl.InputError, match="^length must be at least 1$"):
             fl.quadratic_phase(bad)
 
 
