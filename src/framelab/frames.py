@@ -5,7 +5,9 @@ a field tag "R" or "C".  Real frames keep a float64 array with zero
 imaginary part by construction; complex frames keep complex128.  The
 frame operator of row matrix X is X^T conj(X) acting on column
 vectors, its extreme eigenvalues are the optimal frame bounds, and a
-frame is Parseval exactly when that operator is the identity.
+frame is Parseval exactly when that operator is the identity.  The
+rank-one rule (projections x_j x_j*) and the c I rule (largest entry of
+|S - c I|) are written here once, for frames, POVMs and Gabor frames.
 
 No diagnostic forms the N x N Gram matrix.  Coherence and
 equiangularity stream it in row blocks of bounded size, and the frame
@@ -93,17 +95,24 @@ def frame_operator(f: Frame) -> np.ndarray:
     return x.T @ x.conj()
 
 
-# The rules behind frame_bounds, is_parseval and frame_potential, on
-# an already formed frame operator s, so analyze_frame forms it once.
+def _projections(x: np.ndarray) -> np.ndarray:
+    # The rank-one rule: the complex128 stack of np.outer(x_j, conj(x_j)).
+    x = x.astype(np.complex128, copy=False)
+    return x[:, :, None] * x.conj()[:, None, :]
+
+
+def _identity_deviation(s: np.ndarray, c: float = 1.0) -> float:
+    # The c I rule: the largest entry of |s - c I|.
+    return float(np.abs(s - c * np.eye(len(s))).max())
+
+
+# The rules behind frame_bounds and frame_potential, on an already
+# formed frame operator s, so analyze_frame forms it once.
 
 
 def _bounds(s: np.ndarray, tol: float | None) -> tuple[float, float]:
     values, _ = linalg.hermitian_eig(s, tol)
     return float(values[0]), float(values[-1])
-
-
-def _is_identity(s: np.ndarray, tol: float) -> bool:
-    return float(np.abs(s - np.eye(len(s))).max()) <= tol
 
 
 def _potential(s: np.ndarray) -> float:
@@ -121,7 +130,7 @@ def frame_bounds(f: Frame, tol: float | None = None) -> tuple[float, float]:
 
 def is_parseval(f: Frame, tol: float | None = None) -> bool:
     """True when the frame operator is the identity within tol."""
-    return _is_identity(frame_operator(f), resolve_tol(tol))
+    return _identity_deviation(frame_operator(f)) <= resolve_tol(tol)
 
 
 def canonical_parseval(f: Frame, tol: float | None = None) -> Frame:
@@ -237,7 +246,7 @@ def analyze_frame(f: Frame, tol: float | None = None) -> FrameReport:
     s = frame_operator(f)
     lower, upper = _bounds(s, tol)
     tight = abs(upper - lower) <= tol * max(1.0, abs(upper))
-    parseval = _is_identity(s, tol)
+    parseval = _identity_deviation(s) <= tol
     norms = f.norms()
     unit = bool(float(np.max(np.abs(norms - 1.0))) <= tol)
     n, d = len(f), f.dim

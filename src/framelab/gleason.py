@@ -44,6 +44,7 @@ from .errors import (
 from .frames import (
     Frame,
     _frame_size,
+    _projections,
     harmonic_frame,
     random_onb,
     random_parseval,
@@ -51,10 +52,9 @@ from .frames import (
     with_zeros,
 )
 from .linalg import resolve_tol
-from .rng import SplitMix64, _check_field, _integer
+from .rng import _NO_TRIAL, SplitMix64, _check_field, _integer
 
 _BALL_SLACK = 1e-6
-_NO_TRIAL = "need at least one trial"
 _TWO_PI = 2.0 * math.pi
 
 
@@ -63,21 +63,19 @@ class GleasonFn:
     """A function on the closed unit ball of R^dim or C^dim.
 
     ``dim`` is at least 1 by the integer rule of :mod:`framelab.rng`,
-    ``field`` is "R" or "C", ``kind`` names the construction, ``bound``
-    is an upper bound on |g| over the ball, and ``params`` records
-    construction inputs for reporting.  ``fn`` evaluates a block: it
-    takes an (n, dim) array of points and returns their n values as
-    complex numbers in row order.  :meth:`values` evaluates a block
-    whose points pass the array rule of :mod:`framelab.linalg` for the
-    field (which casts them) and lie in the ball; calling an instance on
-    one vector evaluates it as a 1-row block and returns a float when
-    the value is real.
+    ``field`` is "R" or "C", ``kind`` names the construction, and
+    ``params`` records construction inputs for reporting.  ``fn``
+    evaluates a block: it takes an (n, dim) array of points and returns
+    their n values as complex numbers in row order.  :meth:`values`
+    evaluates a block whose points pass the array rule of
+    :mod:`framelab.linalg` for the field (which casts them) and lie in
+    the ball; calling an instance on one vector evaluates it as a 1-row
+    block and returns a float when the value is real.
     """
 
     dim: int
     field: str
     kind: str
-    bound: float
     fn: Callable[[np.ndarray], Sequence[complex]]
     params: dict = dc_field(default_factory=dict)
 
@@ -279,7 +277,6 @@ def quadratic_gleason(a, const: float = 0.0) -> GleasonFn:
     const = float(const)
     field = "C" if mat.imag.any() else "R"
     mat = mat.copy() if field == "C" else mat.real.copy()
-    fro = float(np.sqrt(np.sum(np.abs(mat) ** 2)))
 
     def fn(x: np.ndarray) -> list[complex]:
         return [complex(np.vdot(r, mat @ r)) + const for r in x]
@@ -288,7 +285,6 @@ def quadratic_gleason(a, const: float = 0.0) -> GleasonFn:
         dim=int(mat.shape[0]),
         field=field,
         kind="quadratic",
-        bound=fro + abs(const),
         fn=fn,
         params={"operator": mat, "const": const},
     )
@@ -309,7 +305,6 @@ def expnorm_gleason(dim: int, field: str = "C") -> GleasonFn:
         dim=dim,
         field=field,
         kind="expnorm",
-        bound=math.e - 1.0,
         fn=fn,
         params={},
     )
@@ -331,7 +326,6 @@ def cos_counterexample(n: int) -> GleasonFn:
         dim=2,
         field="R",
         kind="cos2d",
-        bound=2.0,
         fn=_on_circle(lambda theta: 1.0 + math.cos(n * theta)),
         params={"n": n},
     )
@@ -370,7 +364,6 @@ def rational_indicator_counterexample() -> GleasonFn:
         dim=2,
         field="R",
         kind="rational_indicator",
-        bound=1.0,
         fn=_on_circle(_rational_branch),
         params={},
     )
@@ -404,7 +397,6 @@ def epsilon_1d_counterexample(eps: float) -> GleasonFn:
         dim=1,
         field="R",
         kind="epsilon1d",
-        bound=1.0,
         fn=fn,
         params={"eps": eps},
     )
@@ -414,7 +406,6 @@ def gleason_from_effect_measure(
     v: Callable[[np.ndarray], float],
     dim: int,
     field: str = "C",
-    bound: float = 1.0,
 ) -> GleasonFn:
     """Restrict an effect functional to rank-one effects.
 
@@ -423,14 +414,12 @@ def gleason_from_effect_measure(
     Parseval frame function with weight v(identity) = 1.
     """
     def fn(x: np.ndarray) -> list[complex]:
-        xc = x.astype(np.complex128, copy=False)
-        return [complex(v(np.outer(r, r.conj()))) for r in xc]
+        return [complex(v(e)) for e in _projections(x)]
 
     return GleasonFn(
         dim=dim,
         field=field,
         kind="effect_measure",
-        bound=float(bound),
         fn=fn,
         params={},
     )
@@ -440,21 +429,22 @@ def gleason_from_effect_measure(
 # verifiers
 
 
-def _sum_over_frame(g: GleasonFn, f: Frame) -> complex:
+def _frame_sum(g: GleasonFn, block) -> complex:
+    # The frame sum: g over the rows of a block, added in row order.
     total = 0.0 + 0.0j
-    for value in g.values(f.vectors).tolist():
+    for value in g.values(block).tolist():
         total += value
     return total
 
 
-def _verdict_from_sums(
+def _frame_sum_verdict(
     g: GleasonFn,
     frames: list[Frame],
-    sums: list[complex],
     n: int | None,
     seed: int,
     tol: float,
 ) -> VerificationReport:
+    sums = [_frame_sum(g, f.vectors) for f in frames]
     arr = np.asarray(sums, dtype=np.complex128)
     re = arr.real
     im = arr.imag
@@ -493,7 +483,6 @@ def verify_onb_gleason(
     trials = _integer(trials, "trials", 1, _NO_TRIAL)
     rng = SplitMix64(seed)
     frames: list[Frame] = []
-    sums: list[complex] = []
     for _ in range(trials):
         if g.dim == 2 and g.field == "R":
             theta = _TWO_PI * rng.uniform()
@@ -502,8 +491,7 @@ def verify_onb_gleason(
         else:
             f = random_onb(g.dim, seed=rng.u64(), field=g.field)
         frames.append(f)
-        sums.append(_sum_over_frame(g, f))
-    return _verdict_from_sums(g, frames, sums, None, seed, tol)
+    return _frame_sum_verdict(g, frames, None, seed, tol)
 
 
 def _parseval_specimens(dim: int, n: int, field: str, rng: SplitMix64) -> list[Frame]:
@@ -541,8 +529,7 @@ def verify_parseval_gleason(
     frames = _parseval_specimens(g.dim, n, g.field, rng)[:trials]
     while len(frames) < trials:
         frames.append(random_parseval(g.dim, n, seed=rng.u64(), field=g.field))
-    sums = [_sum_over_frame(g, f) for f in frames]
-    return _verdict_from_sums(g, frames, sums, n, seed, tol)
+    return _frame_sum_verdict(g, frames, n, seed, tol)
 
 
 def fit_quadratic(
@@ -692,10 +679,7 @@ def partition_scaling_check(
     scaled = np.array(
         [al * xv if g.field == "C" else al.real * xv for al in coeffs]
     )
-    acc = 0.0 + 0.0j
-    for value in g.values(scaled).tolist():
-        acc += value
-    return abs(acc - base) <= tol
+    return abs(_frame_sum(g, scaled) - base) <= tol
 
 
 def rational_scaling_check(
@@ -707,13 +691,7 @@ def rational_scaling_check(
     if qf < 0.0:
         raise OutOfBallError("scaling factor must be nonnegative")
     xv = np.asarray(x)
-    root = math.sqrt(qf)
-    nsq = qf * float(np.sum(np.abs(xv) ** 2))
-    if nsq > (1.0 + _BALL_SLACK) ** 2:
-        raise OutOfBallError("scaled argument leaves the unit ball")
-    lhs = complex(g(root * xv))
-    rhs = qf * complex(g(xv))
-    return abs(lhs - rhs) <= tol
+    return abs(complex(g(math.sqrt(qf) * xv)) - qf * complex(g(xv))) <= tol
 
 
 def quadratic_zero_count_s1(a) -> int | float:
@@ -821,7 +799,7 @@ def weight_trace_experiment(
         field = "C" if t % 2 == 0 else "R"
         a = linalg.random_hermitian(dim, seed=rng.u64(), field=field)
         f = random_parseval(dim, n, seed=rng.u64(), field=field)
-        total = _sum_over_frame(quadratic_gleason(a), f)
+        total = _frame_sum(quadratic_gleason(a), f.vectors)
         worst = max(worst, abs(total - complex(np.trace(a))))
     return WeightTraceReport(
         dim=dim,
@@ -863,7 +841,7 @@ def counterexample_battery(
     if g.kind == "epsilon1d":
         eps = float(g.params["eps"])
         entries = [math.sqrt(eps), math.sqrt(eps), math.sqrt(1.0 - 2.0 * eps)]
-        total = sum(g.values(np.array(entries)[:, None]).real.tolist())
+        total = _frame_sum(g, np.array(entries)[:, None]).real
         weight = complex(parseval.mean_weight).real
         witness = {"vectors": entries, "sum": total, "degree2_weight": weight}
         is_counterexample = is_counterexample or abs(total - weight) > tol

@@ -2,7 +2,8 @@
 
 Every Parseval frame yields a POVM by taking the rank-one projection
 of each vector, or coarser effects by summing projections over a
-partition of the index set.  Conversely any POVM factors through a
+partition of the index set, by the rank-one and c I rules of
+:mod:`framelab.frames`.  Conversely any POVM factors through a
 Parseval frame by eigendecomposing each effect and keeping the scaled
 eigenvectors with nonnegligible eigenvalues.  The probability rule
 p_j = trace(rho E_j) then turns density matrices into probability
@@ -19,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import linalg
+from . import frames, linalg
 from .errors import (
     BadFamilySizeError,
     BadPartitionError,
@@ -30,11 +31,9 @@ from .errors import (
     NotParsevalError,
     NotSquareError,
 )
-from .frames import Frame, is_parseval, random_parseval
+from .frames import Frame, random_parseval
 from .linalg import resolve_tol
-from .rng import SplitMix64, _integer
-
-_NO_TRIAL = "need at least one trial"
+from .rng import _NO_TRIAL, SplitMix64, _integer
 
 
 def _partition(groups) -> list[list[int]]:
@@ -180,11 +179,9 @@ def _measured_axioms(
     p: Povm, tol: float
 ) -> tuple[list[linalg.HermitianEig | None], float]:
     # The POVM axioms, measured: each effect's eigendecomposition (None
-    # for an invalid effect) and the largest entry of the effects' sum
-    # minus the identity.
+    # for an invalid effect) and the c I deviation of the effects' sum.
     eigs = [_effect_eig(p.effects[j], tol) for j in range(len(p))]
-    total = np.sum(p.effects, axis=0)
-    return eigs, float(np.max(np.abs(total - np.eye(p.dim))))
+    return eigs, frames._identity_deviation(np.sum(p.effects, axis=0))
 
 
 def _checked_eigs(p: Povm, tol: float) -> list[linalg.HermitianEig]:
@@ -233,19 +230,21 @@ def analyze_povm(p: Povm, tol: float | None = None) -> PovmReport:
     )
 
 
+def _rank_one_effects(f: Frame, tol: float) -> np.ndarray:
+    dev = frames._identity_deviation(frames.frame_operator(f))
+    if dev > tol:
+        raise NotParsevalError(f"not a Parseval frame: its operator is off the"
+                               f" identity by {dev:.3e} (allowed {tol:.3e})")
+    return frames._projections(f.vectors)
+
+
 def povm_from_frame(f: Frame, tol: float | None = None) -> Povm:
     """One rank-one effect per frame vector of a Parseval frame.
 
     Effect j is the outer product of vector j with itself, so the sum
     over j reproduces the frame operator, which is the identity.
     """
-    tol = resolve_tol(tol)
-    if not is_parseval(f, tol):
-        raise NotParsevalError("rank-one effects sum to the identity only "
-                               "for Parseval frames")
-    x = f.vectors.astype(np.complex128, copy=False)
-    effects = x[:, :, None] * x.conj()[:, None, :]
-    return Povm(np.ascontiguousarray(effects), partition=None)
+    return Povm(_rank_one_effects(f, resolve_tol(tol)))
 
 
 def povm_from_frame_grouped(
@@ -271,12 +270,8 @@ def povm_from_frame_grouped(
     if len(seen) != n:
         missing = sorted(set(range(n)) - seen)
         raise BadPartitionError(f"indices not covered: {missing}")
-    if not is_parseval(f, tol):
-        raise NotParsevalError("grouped effects sum to the identity only "
-                               "for Parseval frames")
 
-    x = f.vectors.astype(np.complex128, copy=False)
-    rank_one = x[:, :, None] * x.conj()[:, None, :]
+    rank_one = _rank_one_effects(f, tol)
     effects = np.zeros((len(groups), f.dim, f.dim), dtype=np.complex128)
     for j, g in enumerate(groups):
         for i in g:

@@ -12,7 +12,8 @@ The package's integer and field rules live here too, in its lowest
 module.  Integer rule (:func:`_integer`): a count, index or seed a
 caller passes is a Python int (not a bool), a NumPy integer or a
 finite integral float, and becomes a Python int; anything else, or a
-count below its own floor, is an :class:`InputError`.  Field rule
+count below its own floor, is an :class:`InputError`; a draw's shape
+is one count or a tuple of counts under it with floor 0.  Field rule
 (:func:`_check_field`): a field is "R" or "C".
 """
 
@@ -31,6 +32,7 @@ _ULP = 2.0 ** -53
 _ROOT2 = math.sqrt(2.0)
 # (im * 0.0, -(re * 0.0)) of CPython's complex-by-float division
 _ZERO_PRODUCTS = np.array([0.0, -0.0])
+_NO_TRIAL = "need at least one trial"
 
 
 def _integer(x, name: str, floor: int | None = None, below: str = "") -> int:
@@ -46,6 +48,19 @@ def _integer(x, name: str, floor: int | None = None, below: str = "") -> int:
     if floor is not None and x < floor:
         raise InputError(below or f"{name} must be at least {floor}")
     return x
+
+
+def _draw_array(shape, dtype) -> np.ndarray:
+    # The empty output of a draw, formed before any variate is drawn so
+    # that NumPy refuses a size it cannot hold at once.
+    if isinstance(shape, (tuple, list)):
+        dims = tuple([_integer(n, "shape entry", 0) for n in shape])
+    else:
+        dims = _integer(shape, "shape entry", 0)
+    try:
+        return np.empty(dims, dtype)
+    except (ValueError, MemoryError):
+        raise InputError(f"a draw of shape {dims} is too large") from None
 
 
 def _check_field(field) -> None:
@@ -125,10 +140,9 @@ class SplitMix64:
 
     def gaussians(self, shape: int | tuple[int, ...]) -> np.ndarray:
         """Array of independent standard normals, filled in C order."""
-        if isinstance(shape, (int, np.integer)):
-            shape = (shape,)
-        flat = self._normals(math.prod(shape))
-        return np.array(flat, dtype=np.float64).reshape(shape)
+        out = _draw_array(shape, np.float64)
+        out.ravel()[:] = self._normals(out.size)
+        return out
 
     def complex_gaussians(self, shape: int | tuple[int, ...]) -> np.ndarray:
         """Array of standard circular complex normals (unit variance).
@@ -141,13 +155,13 @@ class SplitMix64:
         only set the signs of the zero parts that radius -0.0 (``u1``
         exactly 1) yields.
         """
-        if isinstance(shape, (int, np.integer)):
-            shape = (shape,)
-        flat = self._normals(2 * math.prod(shape))
-        parts = np.array(flat, dtype=np.float64).reshape(-1, 2)
+        out = _draw_array(shape, np.complex128)
+        flat = out.ravel().view(np.float64)
+        flat[:] = self._normals(flat.size)
+        parts = flat.reshape(-1, 2)
         parts += parts[:, ::-1] * _ZERO_PRODUCTS
         parts /= _ROOT2
-        return parts.view(np.complex128).reshape(shape)
+        return out
 
     def field_gaussians(self, shape, field: str) -> np.ndarray:
         """:meth:`gaussians` for field "R", :meth:`complex_gaussians`

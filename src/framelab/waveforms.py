@@ -38,7 +38,7 @@ from .errors import (
     NotUnimodularError,
     TooSmallError,
 )
-from .frames import Frame, coherence, frame_operator
+from .frames import Frame, _identity_deviation, coherence, frame_operator
 from .linalg import resolve_tol
 from .rng import _integer
 
@@ -178,11 +178,29 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
-def legendre_symbol(k: int, p: int) -> int:
-    """Quadratic residue symbol of k mod an odd prime p, in {-1, 0, 1}."""
-    k, p = _integer(k, "residue"), _integer(p, "modulus")
+def _residue_symbol(k: int, p: int) -> int:
+    # Euler's criterion, for an odd prime p the caller has checked.
     r = pow(k % p, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
+
+
+def legendre_symbol(k: int, p: int) -> int:
+    """Quadratic residue symbol of k mod an odd prime p, in {-1, 0, 1};
+    any other p raises :class:`NotPrimeError`."""
+    k, p = _integer(k, "residue"), _integer(p, "modulus")
+    if p == 2 or not _is_prime(p):
+        raise NotPrimeError(f"modulus {p} is not an odd prime")
+    return _residue_symbol(k, p)
+
+
+def _bjorck_length(p) -> int:
+    # A prime length of at least 5, by the integer rule.
+    p = _integer(p, "length")
+    if not _is_prime(p):
+        raise NotPrimeError(f"length {p} is not prime")
+    if p < 5:
+        raise TooSmallError(f"length must be at least 5, got {p}")
+    return p
 
 
 def bjorck(p: int) -> np.ndarray:
@@ -195,22 +213,12 @@ def bjorck(p: int) -> np.ndarray:
     elsewhere.  The off-origin ambiguity of the result is uniformly
     small, on the order of 1 / sqrt(p).
     """
-    p = _integer(p, "length")
-    if not _is_prime(p):
-        raise NotPrimeError(f"length {p} is not prime")
-    if p < 5:
-        raise TooSmallError(f"length must be at least 5, got {p}")
-
-    theta = np.zeros(p, dtype=np.float64)
+    p = _bjorck_length(p)
+    symbols = np.array([_residue_symbol(k, p) for k in range(p)])
     if p % 4 == 1:
-        angle = math.acos(1.0 / (1.0 + math.sqrt(p)))
-        for k in range(p):
-            theta[k] = legendre_symbol(k, p) * angle
+        theta = symbols * math.acos(1.0 / (1.0 + math.sqrt(p)))
     else:
-        angle = math.acos((1.0 - p) / (1.0 + p))
-        for k in range(1, p):
-            if legendre_symbol(k, p) == -1:
-                theta[k] = angle
+        theta = np.where(symbols == -1, math.acos((1.0 - p) / (1.0 + p)), 0.0)
     return np.exp(1j * theta)
 
 
@@ -228,11 +236,7 @@ def bjorck_peak_bound(p: int) -> float:
     Legendre-phase CAZAC: 2/sqrt(p) + 4/p when p = 1 mod 4, and
     2/sqrt(p) + 4/p^(3/2) when p = 3 mod 4.  Both are below 3/sqrt(p)
     once p > 16."""
-    p = _integer(p, "length")
-    if not _is_prime(p):
-        raise NotPrimeError(f"bound is defined for primes >= 5, got {p}")
-    if p < 5:
-        raise TooSmallError(f"bound is defined for primes >= 5, got {p}")
+    p = _bjorck_length(p)
     if p % 4 == 1:
         return 2.0 / math.sqrt(p) + 4.0 / p
     return 2.0 / math.sqrt(p) + 4.0 / (p ** 1.5)
@@ -274,12 +278,11 @@ def analyze_gabor(u, tol: float | None = None) -> tuple[Frame, GaborReport]:
     tol = resolve_tol(tol)
     f = gabor_frame(u, tol)
     d = f.dim
-    s = frame_operator(f)
     return f, GaborReport(
         length=d,
         num_vectors=len(f),
         tight_constant=float(d),
-        tight_deviation=float(np.max(np.abs(s - d * np.eye(d)))),
+        tight_deviation=_identity_deviation(frame_operator(f), d),
         coherence=coherence(f, tol),
         ambiguity_peak=ambiguity(u).peak_off_origin(),
         tol=tol,

@@ -358,6 +358,16 @@ def test_experiment_count_floors_and_relations(command, code, message,
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_gen_exits_2_at_once_on_a_dimension_too_large_to_draw(
+        tmp_path, monkeypatch, capsys):
+    # Its 10**24 normals overflow the index type, so nothing is drawn.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main("gen random-onb --dim 1000000000000".split()) == 2
+    assert capsys.readouterr() == ("", "error: a draw of shape "
+                                   "(1000000000000, 1000000000000) is too "
+                                   "large\n")
+
+
 @pytest.mark.parametrize("mode", ["born", "busch"])
 def test_experiment_tol_below_roundoff_fails_the_verdict_only(
         mode, tmp_path, monkeypatch, capsys):

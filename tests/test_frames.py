@@ -121,6 +121,21 @@ def test_frame_rejects_non_finite_imaginary_parts_alone():
             Frame(vectors, "R")
 
 
+@pytest.mark.parametrize("make", [
+    lambda: fl.random_parseval(3, 7, seed=5, field="R"),
+    lambda: fl.harmonic_frame(2, 5),
+    lambda: Frame(np.array([[1.0, 0.1], [0.0, 0.9]]), "R"),
+])
+def test_parseval_verdicts_judge_the_largest_entry_of_s_minus_identity(make):
+    f = make()
+    x = f.vectors
+    dev = float(np.max(np.abs(x.T @ x.conj() - np.eye(f.dim))))
+    below = math.nextafter(dev, 0.0)
+    assert fl.is_parseval(f, dev) and not fl.is_parseval(f, below)
+    assert fl.analyze_frame(f, dev).is_parseval
+    assert not fl.analyze_frame(f, below).is_parseval
+
+
 def test_canonical_parseval_makes_parseval():
     rng = SplitMix64(12)
     for field in ("R", "C"):

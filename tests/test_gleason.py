@@ -67,9 +67,9 @@ def test_eval_guards():
         g(np.array([1.0j, 0.0]))  # real-field function, complex point
 
 
-def _pointwise(fn, dim, field, bound=math.inf):
+def _pointwise(fn, dim, field):
     # A function of one vector, evaluated row by row over each block.
-    return fl.GleasonFn(dim=dim, field=field, kind="custom", bound=bound,
+    return fl.GleasonFn(dim=dim, field=field, kind="custom",
                         fn=lambda x: [complex(fn(r)) for r in x])
 
 
@@ -158,8 +158,7 @@ def test_values_apply_the_array_rule(block, message):
     lambda: fl.expnorm_gleason(2, field="X"),
     lambda: fl.gleason_from_effect_measure(lambda e: 0.0, 2, field="X"),
     lambda: _pointwise(lambda x: 0.0, 2, "X"),
-    lambda: fl.GleasonFn(dim=2, field="c", kind="custom", bound=1.0,
-                         fn=lambda x: 0.0),
+    lambda: fl.GleasonFn(dim=2, field="c", kind="custom", fn=lambda x: 0.0),
 ], ids=["expnorm", "effect_measure", "custom", "direct"])
 def test_gleason_functions_reject_unknown_field(make):
     with pytest.raises(fl.InputError, match="field must be 'R' or 'C'"):
@@ -269,7 +268,7 @@ def test_verify_onb_expnorm_weight():
 
 def test_verify_onb_detects_a_non_frame_function():
     # x -> x_0^4 is not a frame function; rotations expose it
-    g = _pointwise(lambda x: float(x[0].real) ** 4, 2, "R", bound=1.0)
+    g = _pointwise(lambda x: float(x[0].real) ** 4, 2, "R")
     report = fl.verify_onb_gleason(g, trials=50, seed=1)
     assert not report.passed
     assert report.max_deviation > 0.1
@@ -334,6 +333,27 @@ def test_effect_measure_restriction_is_degree_n():
     report = fl.verify_parseval_gleason(g, 5, trials=25, seed=6)
     assert report.passed
     assert_allclose(complex(report.mean_weight).real, 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("dim, field", [(1, "R"), (2, "R"), (3, "C"),
+                                         (4, "C")])
+def test_effect_measure_sees_the_outer_products_bit_for_bit(dim, field):
+    rho = fl.random_density(dim, seed=dim)
+    seen = []
+
+    def v(e):
+        seen.append(e.copy())
+        return complex(np.trace(rho @ e)) + 0.25j * e[0, -1]
+
+    g = fl.gleason_from_effect_measure(v, dim, field=field)
+    f = fl.random_parseval(dim, dim + 3, seed=9, field=field)
+    x = f.vectors.astype(np.complex128)
+    outer = np.array([np.outer(r, r.conj()) for r in x])
+    values = g.values(f.vectors)
+    assert np.array(seen).tobytes() == outer.tobytes()
+    seen.clear()
+    expected = np.array([v(e) for e in outer], dtype=np.complex128)
+    assert values.tobytes() == expected.tobytes()
 
 
 # --- quadratic fitting ------------------------------------------------------
@@ -426,7 +446,8 @@ def test_rational_scaling():
     x = np.array([0.3, 0.2])
     assert fl.rational_scaling_check(g, x, Fraction(1, 4))
     assert fl.rational_scaling_check(g, x, 2)
-    with pytest.raises(fl.OutOfBallError):
+    with pytest.raises(fl.OutOfBallError,
+                       match="^argument norm 2.000000 leaves the unit ball$"):
         fl.rational_scaling_check(g, np.array([1.0, 0.0]), 4)
     with pytest.raises(fl.OutOfBallError):
         fl.rational_scaling_check(g, x, -1)
@@ -502,6 +523,10 @@ def test_counterexample_battery_needs_the_explicit_witness_for_epsilon():
     assert report.homogeneity.passed and report.fit.verdict == "quadratic"
     witness = report.explicit_degree3
     assert_allclose(witness["sum"], 2.2, atol=1e-12)
+    # the plain float sum of the function at the three points
+    g = fl.epsilon_1d_counterexample(0.2)
+    plain = sum(float(g(np.array([t]))) for t in witness["vectors"])
+    assert type(witness["sum"]) is float and witness["sum"] == plain
     assert witness["degree2_weight"] == 1.0
     assert report.is_counterexample
 

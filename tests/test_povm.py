@@ -334,3 +334,67 @@ def test_a_partition_is_a_list_of_index_lists(name):
     with pytest.raises(fl.InputError,
                        match="^partition must be a list of index lists$"):
         NOT_PARTITIONS[name]()
+
+
+# --- the rank-one rule and the c I rule ------------------------------------
+
+
+RANK_ONE_FRAMES = {
+    "R-d1": lambda: fl.random_parseval(1, 3, seed=2, field="R"),
+    "R-d3": lambda: fl.random_parseval(3, 7, seed=3, field="R"),
+    "C-d2": lambda: fl.random_parseval(2, 5, seed=4),
+    "C-harmonic": lambda: fl.harmonic_frame(3, 8),
+    "padded-onb": lambda: fl.with_zeros(fl.standard_onb(2, "C"), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_ONE_FRAMES))
+def test_rank_one_effects_are_the_outer_products_bit_for_bit(name):
+    f = RANK_ONE_FRAMES[name]()
+    x = f.vectors.astype(np.complex128)
+    outer = np.array([np.outer(r, r.conj()) for r in x])
+    p = fl.povm_from_frame(f)
+    assert p.effects.dtype == np.complex128
+    assert p.effects.tobytes() == outer.tobytes()
+    n = len(f)
+    # Each group is summed from zero in its own order, so a singleton
+    # group turns a -0.0 of its projection into 0.0.
+    for part in ([list(range(n - 1, -1, -2)), [], list(range(n - 2, -1, -2))],
+                 [[i] for i in range(n)]):
+        summed = np.zeros((len(part), f.dim, f.dim), dtype=np.complex128)
+        for j, group in enumerate(part):
+            for i in group:
+                summed[j] += outer[i]
+        q = fl.povm_from_frame_grouped(f, part)
+        assert q.effects.tobytes() == summed.tobytes()
+
+
+def test_sum_deviation_is_the_largest_entry_of_the_sum_minus_identity():
+    for p in (_flat_povm(3, 6, seed=1),
+              Povm(np.array([np.eye(2), 0.25 * np.eye(2)])),
+              Povm(np.array([[[0.5, 0.2j], [-0.2j, 0.4]]]))):
+        oracle = np.max(np.abs(p.effects.sum(axis=0) - np.eye(p.dim)))
+        assert fl.analyze_povm(p).sum_deviation == oracle
+
+
+def test_a_bad_partition_is_reported_before_a_non_parseval_frame():
+    f = Frame(np.ones((3, 2)), "R")
+    with pytest.raises(fl.BadPartitionError, match="appears twice"):
+        fl.povm_from_frame_grouped(f, [[0], [0, 1, 2]])
+    with pytest.raises(fl.NotParsevalError):
+        fl.povm_from_frame_grouped(f, [[0], [1, 2]])
+
+
+@pytest.mark.parametrize("make", [
+    lambda f: fl.povm_from_frame(f),
+    lambda f: fl.povm_from_frame_grouped(f, [[0], [1]]),
+], ids=["flat", "grouped"])
+def test_the_parseval_precondition_reports_its_margin(make):
+    f = Frame(2.0 * fl.standard_onb(2).vectors, "R")
+    with pytest.raises(
+        fl.NotParsevalError,
+        match=r"^not a Parseval frame: its operator is off the identity by "
+              r"3\.000e\+00 "
+              r"\(allowed 1\.000e-10\)$",
+    ):
+        make(f)

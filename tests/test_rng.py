@@ -255,3 +255,50 @@ def test_integral_floats_are_the_integers_they_equal():
     assert (fl.harmonic_frame(2.0, 6.0, selector=(1.0, 3.0)).vectors.tobytes()
             == fl.harmonic_frame(2, 6, selector=(1, 3)).vectors.tobytes())
     assert fl.Povm(np.eye(1)[None], partition=[[0.0]]).partition == [[0]]
+
+
+# --- the draw shape -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape, message", [
+    (2.5, "shape entry must be an integer, got 2.5"),
+    ((2, 2.5), "shape entry must be an integer, got 2.5"),
+    ((2, True), "shape entry must be an integer, got True"),
+    (-1, "shape entry must be at least 0"),
+    ((2, -1), "shape entry must be at least 0"),
+])
+@pytest.mark.parametrize("method", ["gaussians", "complex_gaussians"])
+def test_draw_shapes_follow_the_integer_rule(method, shape, message):
+    # Once a bare TypeError, an IndexError from the Box-Muller loop, or
+    # an empty array for a negative count.
+    with pytest.raises(fl.InputError, match=f"^{message}$"):
+        getattr(SplitMix64(1), method)(shape)
+
+
+@pytest.mark.parametrize("method", ["gaussians", "complex_gaussians"])
+def test_integral_float_shapes_draw_the_int_shape(method):
+    for shape, same in [(2.0, 2), ((2, 2.0), (2, 2)), ([3, 1], (3, 1)),
+                        (np.int64(3), 3), ((0, 4), (0, 4))]:
+        a = getattr(SplitMix64(5), method)(shape)
+        b = getattr(SplitMix64(5), method)(same)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Sizes whose element count overflows the index type, so NumPy refuses
+# them without allocating.  Each once grew a list of normals until the
+# process was killed.
+TOO_LARGE_DRAWS = {
+    "gaussians": lambda: SplitMix64(1).gaussians((10**12, 10**12)),
+    "complex_gaussians": lambda: SplitMix64(1).complex_gaussians(
+        (10**12, 10**12)),
+    "random_onb": lambda: fl.random_onb(10**12),
+    "random_parseval": lambda: fl.random_parseval(10**12, 10**12, field="R"),
+    "random_hermitian": lambda: fl.random_hermitian(10**12),
+    "random_density": lambda: fl.random_density(10**12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOO_LARGE_DRAWS))
+def test_draws_refuse_a_size_numpy_cannot_hold_before_drawing(name):
+    with pytest.raises(fl.InputError, match="too large$"):
+        TOO_LARGE_DRAWS[name]()

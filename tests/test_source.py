@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -99,14 +100,19 @@ def test_class_kind_scan_sees_each_kind():
     ("complex_gaussians", "rng.py"),  # the field draw
     ("field must be 'R' or 'C'", "rng.py"),  # the field check
     ("is_integer", "rng.py"),  # the integral-float test of the integer rule
+    ("need at least one trial", "rng.py"),  # the trial-count message
+    (r"\[:, :, None\]", "frames.py"),  # the rank-one broadcast
+    (r"- (\w+ \* )?np\.eye\(", "frames.py"),  # the c I deviation
+    ("not a Parseval frame", "povm.py"),  # the Parseval precondition
 ])
 def test_the_field_rules_are_written_once(text, home):
     # The array rule lives in linalg, the field draw, the field check
-    # and the integer rule in rng; a second copy elsewhere in the
-    # package fails here.
+    # and the integer rule in rng, the rank-one and c I rules in frames;
+    # a second copy elsewhere in the package fails here.  Each text is a
+    # regular expression.
     package = Path(__file__).parent.parent / "src" / "framelab"
     holders = sorted(p.name for p in package.glob("*.py")
-                     if text in p.read_text())
+                     if re.search(text, p.read_text()))
     assert holders == [home]
 
 

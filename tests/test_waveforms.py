@@ -173,6 +173,28 @@ def test_legendre_symbol_known_residues():
     assert fl.legendre_symbol(26, 13) == 0
 
 
+@pytest.mark.parametrize("k, p", [(1, 0), (3, 4), (2, 9), (1, 2), (1, 1),
+                                  (1, -3), (5, 15)])
+def test_legendre_symbol_rejects_a_modulus_that_is_no_odd_prime(k, p):
+    # (1, 0) raised ZeroDivisionError, (3, 4) gave -1 and (2, 9) gave 7.
+    with pytest.raises(fl.NotPrimeError,
+                       match=f"^modulus {p} is not an odd prime$"):
+        fl.legendre_symbol(k, p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 23])
+def test_bjorck_phases_follow_the_legendre_symbol(p):
+    u = fl.bjorck(p)
+    symbols = [fl.legendre_symbol(k, p) for k in range(p)]
+    if p % 4 == 1:
+        angle = math.acos(1.0 / (1.0 + math.sqrt(p)))
+        theta = [s * angle for s in symbols]
+    else:
+        angle = math.acos((1.0 - p) / (1.0 + p))
+        theta = [angle if s == -1 else 0.0 for s in symbols]
+    assert u.tobytes() == np.exp(1j * np.array(theta)).tobytes()
+
+
 def test_bjorck_input_validation():
     for not_prime in (1, 4, 9, 12):
         with pytest.raises(fl.NotPrimeError):
