@@ -94,10 +94,6 @@ class BadNError(PreconditionError):
     """Cosine counterexample index must be congruent to 2 mod 4."""
 
 
-class BadAlphasError(PreconditionError):
-    """Scaling coefficients must have squared magnitudes summing to 1."""
-
-
 class OutOfBallError(PreconditionError):
     """Argument leaves the closed unit ball where the function lives."""
 

@@ -7,7 +7,9 @@ frame operator of row matrix X is X^T conj(X) acting on column
 vectors, its extreme eigenvalues are the optimal frame bounds, and a
 frame is Parseval exactly when that operator is the identity.  The
 rank-one rule (projections x_j x_j*) and the c I rule (largest entry of
-|S - c I|) are written here once, for frames, POVMs and Gabor frames.
+|S - c I|) are written here once, for frames, POVMs and Gabor frames,
+and so are the squared-norm rule (|x|^2 summed over the last axis) and
+the unit-modulus deviation (largest |m - 1|).
 
 No diagnostic forms the N x N Gram matrix.  Coherence and
 equiangularity stream it in row blocks of bounded size, and the frame
@@ -68,7 +70,7 @@ class Frame:
 
     def norms(self) -> np.ndarray:
         """Euclidean norm of each vector, in row order."""
-        return np.sqrt(np.sum(np.abs(self.vectors) ** 2, axis=1))
+        return np.sqrt(_squared_norms(self.vectors))
 
 
 class FrameReport(NamedTuple):
@@ -104,6 +106,17 @@ def _projections(x: np.ndarray) -> np.ndarray:
 def _identity_deviation(s: np.ndarray, c: float = 1.0) -> float:
     # The c I rule: the largest entry of |s - c I|.
     return float(np.abs(s - c * np.eye(len(s))).max())
+
+
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    # The squared-norm rule: |x|^2 summed over the last axis, a scalar
+    # for one vector and one entry per row for a block.
+    return np.add.reduce(np.abs(x) ** 2, axis=-1)
+
+
+def _unit_deviation(m: np.ndarray) -> float:
+    # The unit-modulus deviation: the largest |m - 1| over moduli m.
+    return float(np.max(np.abs(m - 1.0)))
 
 
 # The rules behind frame_bounds and frame_potential, on an already
@@ -186,11 +199,9 @@ def _equiangular(stats, tol: float) -> tuple[bool, float | None]:
 def coherence(f: Frame, tol: float | None = None) -> float:
     """Largest pairwise inner-product magnitude of a unit-norm frame."""
     tol = resolve_tol(tol)
-    n = len(f)
-    if n < 2:
+    if len(f) < 2:
         raise TooFewVectorsError("coherence needs at least two vectors")
-    norms = f.norms()
-    worst = float(np.max(np.abs(norms - 1.0)))
+    worst = _unit_deviation(f.norms())
     if worst > tol:
         raise NotUnitNormError(
             f"vector norms deviate from 1 by up to {worst:.3e}"
@@ -245,10 +256,9 @@ def analyze_frame(f: Frame, tol: float | None = None) -> FrameReport:
     tol = resolve_tol(tol)
     s = frame_operator(f)
     lower, upper = _bounds(s, tol)
-    tight = abs(upper - lower) <= tol * max(1.0, abs(upper))
+    tight = linalg._negligible(upper - lower, upper, tol)
     parseval = _identity_deviation(s) <= tol
-    norms = f.norms()
-    unit = bool(float(np.max(np.abs(norms - 1.0))) <= tol)
+    unit = _unit_deviation(f.norms()) <= tol
     n, d = len(f), f.dim
 
     equi, angle, coh = True, None, None
@@ -305,7 +315,7 @@ def random_onb(d: int, seed: int = 0, field: str = "C") -> Frame:
             for _ in range(2):
                 for u in rows:
                     v = v - np.vdot(u, v) * u
-            norm = math.sqrt(np.add.reduce(np.abs(v) ** 2))
+            norm = math.sqrt(_squared_norms(v))
             if norm > 1e-8:
                 rows.append(v / norm)
                 break
@@ -401,7 +411,5 @@ def with_zeros(f: Frame, k: int) -> Frame:
     useful as Parseval specimens with more vectors than dimensions.
     """
     k = _integer(k, "zeros", 0, "cannot append a negative number of zeros")
-    if k == 0:
-        return Frame(f.vectors.copy(), f.field)
     pad = np.zeros((k, f.dim), dtype=f.vectors.dtype)
     return Frame(np.vstack([f.vectors, pad]), f.field)

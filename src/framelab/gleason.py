@@ -7,7 +7,7 @@ frame equals W.  Quadratic forms x -> <A x, x> are the tame examples,
 with W = trace(A).  This module builds those, builds the classical
 pathological examples in dimension 2 and in dimension 1 that are
 frame functions without being quadratic, and provides randomized
-verifiers, a quadratic-form fitter, scaling checks, the
+verifiers, a quadratic-form fitter, the homogeneity check, the
 degree-ladder experiment that separates the degrees, the
 weight-trace experiment, and the counterexample battery that runs
 every check on one function.
@@ -33,7 +33,6 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    BadAlphasError,
     BadCardinalityError,
     BadEpsilonError,
     BadNError,
@@ -45,6 +44,7 @@ from .frames import (
     Frame,
     _frame_size,
     _projections,
+    _squared_norms,
     harmonic_frame,
     random_onb,
     random_parseval,
@@ -109,10 +109,16 @@ class GleasonFn:
         """Values at the rows of an (n, dim) block, as complex128.
 
         Entry i is the number ``self(block[i])`` returns; every row
-        must lie in the ball.
+        must lie in the ball.  A NaN or infinite value raises
+        :class:`InputError`, since the min, max and comparisons behind
+        a verdict would pass over it.
         """
-        out = self.fn(self._checked(block))
-        return np.array(out, dtype=np.complex128)
+        out = np.array(self.fn(self._checked(block)), dtype=np.complex128)
+        finite = np.isfinite(out)
+        if np.count_nonzero(finite) != out.size:
+            i = int(np.argmin(finite))
+            raise InputError(f"{self.kind} function is {out[i]} at row {i}")
+        return out
 
     def __call__(self, x) -> float | complex:
         v = np.asarray(x)
@@ -220,17 +226,12 @@ class CounterexampleReport(NamedTuple):
 
 
 def _is_roundoff(im: float, re: float) -> bool:
-    # The one relative demotion rule: an imaginary part is roundoff of
-    # its real part when |im| <= 1e-12 * max(1, |re|).
-    return abs(im) <= 1e-12 * max(1.0, abs(re))
+    # The one demotion rule: the mixed-relative comparison at 1e-12.
+    return linalg._negligible(im, re, 1e-12)
 
 
 def _demote_scalar(z: complex) -> float | complex:
     return z.real if _is_roundoff(z.imag, z.real) else z
-
-
-def _squared_norms(x: np.ndarray) -> np.ndarray:
-    return np.add.reduce(np.abs(x) ** 2, axis=1)
 
 
 def _direction(
@@ -240,7 +241,7 @@ def _direction(
     # most 1e-8.
     while True:
         direction = rng.field_gaussians(d, field)
-        norm = math.sqrt(np.add.reduce(np.abs(direction) ** 2))
+        norm = math.sqrt(_squared_norms(direction))
         if norm > 1e-8:
             return direction, norm
 
@@ -657,41 +658,6 @@ def homogeneity_check(
         passed=passed,
         witness=None if passed else witness,
     )
-
-
-def partition_scaling_check(
-    g: GleasonFn, x, alphas: Sequence[complex], tol: float | None = None
-) -> bool:
-    """Check sum_i g(alpha_i x) = g(x) for |alpha|^2 summing to 1."""
-    tol = resolve_tol(tol)
-    coeffs = [complex(al) for al in alphas]
-    if not coeffs:
-        raise BadAlphasError("need at least one coefficient")
-    if g.field == "R" and any(al.imag != 0.0 for al in coeffs):
-        raise BadAlphasError("real-field function needs real coefficients")
-    total = sum(abs(al) ** 2 for al in coeffs)
-    if abs(total - 1.0) > tol:
-        raise BadAlphasError(
-            f"squared magnitudes sum to {total}, expected 1"
-        )
-    xv = np.asarray(x)
-    base = complex(g(xv))
-    scaled = np.array(
-        [al * xv if g.field == "C" else al.real * xv for al in coeffs]
-    )
-    return abs(_frame_sum(g, scaled) - base) <= tol
-
-
-def rational_scaling_check(
-    g: GleasonFn, x, q, tol: float | None = None
-) -> bool:
-    """Check g(sqrt(q) x) = q g(x) for a nonnegative rational q."""
-    tol = resolve_tol(tol)
-    qf = float(q)
-    if qf < 0.0:
-        raise OutOfBallError("scaling factor must be nonnegative")
-    xv = np.asarray(x)
-    return abs(complex(g(math.sqrt(qf) * xv)) - qf * complex(g(xv))) <= tol
 
 
 def quadratic_zero_count_s1(a) -> int | float:

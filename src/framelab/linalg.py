@@ -19,6 +19,9 @@ written here once (the field and integer rules live in
   exactly when that Hermitian part has no nonzero imaginary entry,
   which makes the demotion lossless.
 * Inverse square root: :func:`psd_inv_sqrt`, and nowhere else.
+* Mixed-relative comparison: ``|x| <= tol * max(1, |ref|)``, which
+  judges a frame's tightness gap, a Born trace's imaginary residue and
+  an imaginary part demoted as roundoff.
 
 The sweeps run on Python lists of ``complex`` scalars, not NumPy
 arrays: at the dimensions used here (mostly d <= 20) the fixed cost
@@ -81,6 +84,12 @@ def resolve_tol(tol: float | None) -> float:
     if not (tol > 0.0) or not math.isfinite(tol):
         raise InputError("tolerance must be a positive finite number")
     return tol
+
+
+def _negligible(x, ref, tol: float) -> bool:
+    # The mixed-relative comparison of the module docstring: absolute
+    # while |ref| <= 1, relative to ref above it.  A NaN x fails it.
+    return abs(x) <= tol * max(1.0, abs(ref))
 
 
 def _field_array(

@@ -15,6 +15,7 @@ on random states and random grouped POVMs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -336,7 +337,7 @@ def born_probabilities(rho, p: Povm, tol: float | None = None) -> np.ndarray:
     -------
     np.ndarray
         Real probabilities in effect order.  A trace whose imaginary
-        residue exceeds ``tol * max(1, |real part|)`` raises
+        residue is NaN or exceeds ``tol * max(1, |real part|)`` raises
         ``InputError``; Hermitian inputs leave only roundoff there.
     """
     tol = resolve_tol(tol)
@@ -351,7 +352,7 @@ def born_probabilities(rho, p: Povm, tol: float | None = None) -> np.ndarray:
     probs = np.empty(len(p), dtype=np.float64)
     for j in range(len(p)):
         t = complex(np.trace(r @ p.effects[j]))
-        if abs(t.imag) > tol * max(1.0, abs(t.real)):
+        if not linalg._negligible(t.imag, t.real, tol):
             raise InputError(
                 f"probability {j} has imaginary residue {t.imag:.3e}; "
                 "state or effects are far from Hermitian"
@@ -366,6 +367,14 @@ def random_density(d: int, seed: int = 0, field: str = "C") -> np.ndarray:
     g = SplitMix64(seed).field_gaussians((d, d), field).astype(np.complex128)
     rho = g @ g.conj().T
     return rho / float(np.trace(rho).real)
+
+
+def _functional_value(v: Callable[[np.ndarray], float], e) -> float:
+    # v(e), which must be finite: min, max and comparisons pass over NaN.
+    val = float(v(e))
+    if not math.isfinite(val):
+        raise InputError(f"effect functional is {val} at an effect")
+    return val
 
 
 def _random_povm(rng: SplitMix64, d: int, k: int, field: str) -> Povm:
@@ -399,7 +408,8 @@ def check_generalized_measure(
 
     ``n_family`` below d + 2 raises :class:`BadFamilySizeError`, since
     smaller families are too coarse for additivity over them to pin
-    the functional down.
+    the functional down.  A NaN or infinite value of ``v`` raises
+    :class:`InputError`.
     """
     tol = resolve_tol(tol)
     d = _integer(d, "dimension", 1)
@@ -411,7 +421,7 @@ def check_generalized_measure(
         )
 
     rng = SplitMix64(seed)
-    ident_dev = abs(float(v(np.eye(d, dtype=np.complex128))) - 1.0)
+    ident_dev = abs(_functional_value(v, np.eye(d, dtype=np.complex128)) - 1.0)
     lo = float("inf")
     hi = float("-inf")
     add_dev = 0.0
@@ -423,7 +433,7 @@ def check_generalized_measure(
         total = 0.0
         family_bad = False
         for j in range(len(p)):
-            val = float(v(p.effects[j]))
+            val = _functional_value(v, p.effects[j])
             total += val
             lo = min(lo, val)
             hi = max(hi, val)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
+from . import frames, linalg
 from .errors import (
     BadCardinalityError,
     InputError,
@@ -156,7 +156,7 @@ def is_cazac(u, tol: float | None = None) -> CazacReport:
     tol = resolve_tol(tol)
     a = _as_sequence(u)
     d = a.shape[0]
-    ca_dev = float(np.max(np.abs(np.abs(a) - 1.0)))
+    ca_dev = frames._unit_deviation(np.abs(a))
     zac_peak = 0.0
     for lag in _lags(a)[1:]:
         corr = complex(np.sum(lag)) / d
@@ -182,15 +182,6 @@ def _residue_symbol(k: int, p: int) -> int:
     # Euler's criterion, for an odd prime p the caller has checked.
     r = pow(k % p, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
-
-
-def legendre_symbol(k: int, p: int) -> int:
-    """Quadratic residue symbol of k mod an odd prime p, in {-1, 0, 1};
-    any other p raises :class:`NotPrimeError`."""
-    k, p = _integer(k, "residue"), _integer(p, "modulus")
-    if p == 2 or not _is_prime(p):
-        raise NotPrimeError(f"modulus {p} is not an odd prime")
-    return _residue_symbol(k, p)
 
 
 def _bjorck_length(p) -> int:
@@ -255,7 +246,7 @@ def gabor_frame(u, tol: float | None = None) -> Frame:
     tol = resolve_tol(tol)
     a = _as_sequence(u)
     d = a.shape[0]
-    dev = float(np.max(np.abs(np.abs(a) - 1.0)))
+    dev = frames._unit_deviation(np.abs(a))
     if dev > tol:
         raise NotUnimodularError(
             f"entry moduli deviate from 1 by up to {dev:.3e}"

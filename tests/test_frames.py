@@ -264,6 +264,9 @@ def test_with_zeros():
     assert len(f) == 5
     assert fl.is_parseval(f)
     assert_allclose(f.vectors[2:], np.zeros((3, 2)))
+    same = fl.with_zeros(f, 0)
+    assert same.vectors.tobytes() == f.vectors.tobytes()
+    assert not np.shares_memory(same.vectors, f.vectors)
     with pytest.raises(fl.InputError,
                        match="^cannot append a negative number of zeros$"):
         fl.with_zeros(f, -1)

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -131,7 +130,8 @@ def test_values_guards():
         g.values(np.zeros((3, 3)))
     with pytest.raises(fl.InputError, match="complex"):
         g.values(np.array([[0.6, 0.0], [0.0, 0.5j]]))
-    with pytest.raises(fl.OutOfBallError, match="norm 2.000000"):
+    with pytest.raises(fl.OutOfBallError,
+                       match="^argument norm 2.000000 leaves the unit ball$"):
         g.values(np.array([[0.6, 0.8], [0.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
     gc = fl.expnorm_gleason(2, field="C")
     assert gc.values(np.array([[0.6, 0.8j]]))[0] == pytest.approx(math.e - 1)
@@ -430,27 +430,41 @@ def test_homogeneity_fails_for_expnorm():
     assert report.witness is not None
 
 
-def test_partition_scaling():
-    g = fl.quadratic_gleason(fl.random_hermitian(2, seed=31))
-    x = np.array([0.3, 0.4], dtype=complex)
-    assert fl.partition_scaling_check(g, x, [1.0 / math.sqrt(2)] * 2)
-    assert fl.partition_scaling_check(g, x, [0.6, 0.8])
-    with pytest.raises(fl.BadAlphasError):
-        fl.partition_scaling_check(g, x, [0.5, 0.5])
-    with pytest.raises(fl.BadAlphasError):
-        fl.partition_scaling_check(g, x, [])
+def _all_nan(x):
+    return [complex(math.nan)] * len(x)
 
 
-def test_rational_scaling():
-    g = fl.cos_counterexample(6)
-    x = np.array([0.3, 0.2])
-    assert fl.rational_scaling_check(g, x, Fraction(1, 4))
-    assert fl.rational_scaling_check(g, x, 2)
-    with pytest.raises(fl.OutOfBallError,
-                       match="^argument norm 2.000000 leaves the unit ball$"):
-        fl.rational_scaling_check(g, np.array([1.0, 0.0]), 4)
-    with pytest.raises(fl.OutOfBallError):
-        fl.rational_scaling_check(g, x, -1)
+def _nan_at_odd_rows(x):
+    # |x|^2, a quadratic form, except NaN at every other row of a block
+    return [complex(math.nan) if i % 2 else complex(np.vdot(r, r))
+            for i, r in enumerate(x)]
+
+
+def test_values_reject_a_non_finite_value():
+    g = fl.GleasonFn(dim=2, field="R", kind="probe",
+                     fn=lambda x: [0.0, complex(math.inf, 0.0)][:len(x)])
+    with pytest.raises(fl.InputError,
+                       match=r"^probe function is \(inf\+0j\) at row 1$"):
+        g.values(np.zeros((2, 2)))
+    assert g(np.zeros(2)) == 0.0
+
+
+@pytest.mark.parametrize("fn", [_all_nan, _nan_at_odd_rows],
+                         ids=["nan", "nan-at-odd-rows"])
+def test_fit_rejects_a_non_finite_value(fn):
+    # Python's max passed over NaN: both fits read "quadratic" with
+    # residual 0.0.
+    g = fl.GleasonFn(dim=2, field="R", kind="nan", fn=fn)
+    with pytest.raises(fl.InputError, match=r"^nan function is \(nan\+0j\)"):
+        fl.fit_quadratic(g, samples=10)
+
+
+def test_homogeneity_rejects_a_non_finite_value():
+    # NaN deviations were never above the worst, so the check passed.
+    g = fl.GleasonFn(dim=2, field="R", kind="nan", fn=_all_nan)
+    with pytest.raises(fl.InputError,
+                       match=r"^nan function is \(nan\+0j\) at row 0$"):
+        fl.homogeneity_check(g, samples=10)
 
 
 # --- zeros of quadratic forms on the circle ---------------------------------

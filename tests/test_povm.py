@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -193,6 +195,12 @@ def test_born_imaginary_residue_is_judged_at_tol():
     assert probs.tolist() == [0.5, 0.5]
     with pytest.raises(fl.InputError, match="imaginary residue"):
         fl.born_probabilities(rho, p, tol=1e-10)
+    # A trace that overflows to NaN passed the residue test and gave [nan].
+    huge = np.array([[1e308 + 1e308j, 1e308 + 1e308j], [0.0, 0.0]])
+    q = Povm(np.array([[[2.0, 0.0], [-2.0, 0.0]]]))
+    with np.errstate(all="ignore"), pytest.raises(
+            fl.InputError, match="imaginary residue nan;"):
+        fl.born_probabilities(huge, q)
 
 
 def test_born_dim_mismatch():
@@ -251,6 +259,19 @@ def test_generalized_measure_rejects_nonadditive():
     assert report.additivity_deviation > 1e-3
     assert report.witness is not None
     fl.check_povm(report.witness)  # the witness is a genuine POVM
+
+
+@pytest.mark.parametrize("at_identity", [1.0, math.nan],
+                         ids=["elsewhere", "identity"])
+def test_generalized_measure_rejects_a_non_finite_value(at_identity):
+    # min and max passed over NaN: a functional that is 1 at I and NaN
+    # elsewhere passed, with range_min inf and range_max -inf.
+    def v(e):
+        return at_identity if np.array_equal(e, np.eye(2)) else math.nan
+
+    with pytest.raises(fl.InputError,
+                       match="^effect functional is nan at an effect$"):
+        fl.check_generalized_measure(v, 2, 4, trials=3)
 
 
 def test_generalized_measure_family_size_floor():

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+import framelab
+
+PACKAGE = Path(__file__).parent.parent / "src" / "framelab"
 SOURCES = sorted(
-    p for p in (Path(__file__).parent.parent / "src" / "framelab").glob("*.py")
+    p for p in PACKAGE.glob("*.py")
     if p.name != "__init__.py"  # its imports are the package's re-exports
 )
 
@@ -103,17 +106,29 @@ def test_class_kind_scan_sees_each_kind():
     ("need at least one trial", "rng.py"),  # the trial-count message
     (r"\[:, :, None\]", "frames.py"),  # the rank-one broadcast
     (r"- (\w+ \* )?np\.eye\(", "frames.py"),  # the c I deviation
+    (r"np\.abs\(\w+\) \*\* 2", "frames.py"),  # the squared-norm rule
+    (r"np\.max\(np\.abs\(", "frames.py"),  # the unit-modulus deviation
+    (r"max\(1\.0, abs\(", "linalg.py"),  # the mixed-relative comparison
     ("not a Parseval frame", "povm.py"),  # the Parseval precondition
 ])
 def test_the_field_rules_are_written_once(text, home):
-    # The array rule lives in linalg, the field draw, the field check
-    # and the integer rule in rng, the rank-one and c I rules in frames;
-    # a second copy elsewhere in the package fails here.  Each text is a
+    # The array rule and the mixed-relative comparison live in linalg,
+    # the field draw, the field check and the integer rule in rng, the
+    # rank-one, c I, squared-norm and unit-modulus rules in frames; a
+    # second copy elsewhere in the package fails here.  Each text is a
     # regular expression.
-    package = Path(__file__).parent.parent / "src" / "framelab"
-    holders = sorted(p.name for p in package.glob("*.py")
+    holders = sorted(p.name for p in PACKAGE.glob("*.py")
                      if re.search(text, p.read_text()))
     assert holders == [home]
+
+
+def test_the_exports_are_the_imports():
+    # A deletion leaves no dangling export and no imported name unlisted.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert len(set(framelab.__all__)) == len(framelab.__all__)
+    assert set(framelab.__all__) == imported
 
 
 def int_coercions(tree: ast.Module) -> list[str]:
