@@ -123,8 +123,24 @@ def _unit_deviation(m: np.ndarray) -> float:
 # formed frame operator s, so analyze_frame forms it once.
 
 
+def _spectral(solve, s: np.ndarray, tol: float | None):
+    # The eigensolver call solve(s, tol) on a frame operator s.  Finite
+    # vectors can still overflow s, which the array rule then rejects as
+    # a "matrix"; this names the frame operator instead.  The test runs
+    # only once the call has failed, so it costs other frames nothing.
+    try:
+        return solve(s, tol)
+    except InputError:
+        if np.isfinite(s).all():
+            raise
+        raise InputError(
+            "frame operator overflows: sums of squared vector entries "
+            "exceed the float64 range"
+        ) from None
+
+
 def _bounds(s: np.ndarray, tol: float | None) -> tuple[float, float]:
-    values, _ = linalg.hermitian_eig(s, tol)
+    values, _ = _spectral(linalg.hermitian_eig, s, tol)
     return float(values[0]), float(values[-1])
 
 
@@ -136,7 +152,8 @@ def frame_bounds(f: Frame, tol: float | None = None) -> tuple[float, float]:
     """Optimal frame bounds (A, B).
 
     These are the extreme eigenvalues of the frame operator.  A is
-    positive exactly when the vectors span; A == B means tight.
+    positive exactly when the vectors span; A == B means tight.  A
+    frame operator that overflows raises :class:`InputError`.
     """
     return _bounds(frame_operator(f), tol)
 
@@ -152,12 +169,13 @@ def canonical_parseval(f: Frame, tol: float | None = None) -> Frame:
 
     Each vector is hit with S^(-1/2), which preserves span and keeps
     every norm at most 1.  Raises :class:`NotAFrameError` when the
-    vectors do not span, detected by an eigenvalue of S below tol.
+    vectors do not span, detected by an eigenvalue of S below tol, and
+    :class:`InputError` when S overflows.
     """
     tol = resolve_tol(tol)
     s = frame_operator(f)
     try:
-        root = linalg.psd_inv_sqrt(s, tol)
+        root = _spectral(linalg.psd_inv_sqrt, s, tol)
     except SingularOrIndefiniteError:
         raise NotAFrameError(
             f"vectors do not span: smallest frame-operator eigenvalue "
@@ -252,7 +270,10 @@ def frame_potential(f: Frame) -> float:
 
 
 def analyze_frame(f: Frame, tol: float | None = None) -> FrameReport:
-    """Run the standard diagnostics and bundle them in a report."""
+    """Run the standard diagnostics and bundle them in a report.
+
+    A frame operator that overflows raises :class:`InputError`.
+    """
     tol = resolve_tol(tol)
     s = frame_operator(f)
     lower, upper = _bounds(s, tol)

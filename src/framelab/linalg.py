@@ -20,19 +20,21 @@ written here once (the field and integer rules live in
   which makes the demotion lossless.
 * Inverse square root: :func:`psd_inv_sqrt`, and nowhere else.
 * Mixed-relative comparison: ``|x| <= tol * max(1, |ref|)``, which
-  judges a frame's tightness gap, a Born trace's imaginary residue and
-  an imaginary part demoted as roundoff.
+  judges a frame's tightness gap, a Born trace's imaginary residue, a
+  probed effect functional's imaginary part and an imaginary part
+  demoted as roundoff.
 
 The sweeps run on Python lists of ``complex`` scalars, not NumPy
 arrays: at the dimensions used here (mostly d <= 20) the fixed cost
 of a NumPy call exceeds the O(d) arithmetic of a rotation.  Each
-rotation updates two rows of the working matrix and writes the
-conjugates back as columns, so the matrix stays exactly Hermitian;
-eigenvectors are accumulated as rows.  The Frobenius norms behind the
-stopping rule are scaled (``math.hypot``), so matrices with entries
-near the overflow or underflow limits of a double are handled.  Pivot
-order, rotation formulas and stopping rules are those of the textbook
-cyclic method and fixed: see :func:`_jacobi`.
+rotation is one pass over the columns: it rotates two rows of the
+working matrix in place, writes their conjugates into the other rows
+as columns, so the matrix stays exactly Hermitian, and rotates two
+eigenvector rows (eigenvectors are accumulated as rows).  The
+Frobenius norms behind the stopping rule are scaled (``math.hypot``),
+so matrices with entries near the overflow or underflow limits of a
+double are handled.  Pivot order, rotation formulas and stopping rules
+are those of the textbook cyclic method and fixed: see :func:`_jacobi`.
 
 Pivots at roundoff of the input, at most ``min(2**-52, tol / d)``
 times its Frobenius norm, are not rotated (Rutishauser's threshold,
@@ -168,17 +170,19 @@ def _jacobi(
     lists of each matrix and makes no NumPy call.
 
     Each sweep visits the pivots (p, q), p < q, row by row.  A
-    rotation forms the two rotated rows, applies the column rotation
-    to their 2x2 pivot block, and writes columns p and q as the
-    conjugates of those rows, so the working matrix stays exactly
-    Hermitian with a real diagonal.  A pivot of magnitude at most
-    ``min(2**-52, tol / d)`` times the Frobenius norm of the input is
-    skipped: it is at roundoff of the input, and rotating it by its
-    noisy angle mixes clusters of equal eigenvalues.  The floor is
-    relative so that it works at every scale, and capped at ``tol / d``
-    because the d(d-1) off-diagonal entries at or below it then have a
-    Frobenius norm below ``tol`` times the input norm: skipped pivots
-    alone never hold a sweep above the stopping threshold below.
+    rotation is one pass over the columns j: it rotates entry j of
+    rows p and q in place, writes their conjugates into columns p and
+    q of row j for every other j, and rotates entry j of eigenvector
+    rows p and q.  The column rotation of the 2x2 pivot block then
+    follows, so the working matrix stays exactly Hermitian with a real
+    diagonal.  A pivot of magnitude at most ``min(2**-52, tol / d)``
+    times the Frobenius norm of the input is skipped: it is at roundoff
+    of the input, and rotating it by its noisy angle mixes clusters of
+    equal eigenvalues.  The floor is relative so that it works at every
+    scale, and capped at ``tol / d`` because the d(d-1) off-diagonal
+    entries at or below it then have a Frobenius norm below ``tol``
+    times the input norm: skipped pivots alone never hold a sweep above
+    the stopping threshold below.
 
     Sweeps stop once the off-diagonal Frobenius norm drops below
     ``tol`` times the Frobenius norm of the input, after which one
@@ -204,8 +208,9 @@ def _jacobi(
             polish = True
 
         for p in range(d - 1):
+            rp = a[p]
+            vp = vt[p]
             for q in range(p + 1, d):
-                rp = a[p]
                 rq = a[q]
                 apq = rp[q]
                 mag = abs(apq)
@@ -228,25 +233,34 @@ def _jacobi(
                 sc = se.conjugate()
                 cc = ce.conjugate()
 
-                new_p = [c * x - se * y for x, y in zip(rp, rq)]
-                new_q = [s * x + ce * y for x, y in zip(rp, rq)]
-                # column rotation of the pivot block; Hermitian by fiat
-                xp = new_p[p]
-                xq = new_p[q]
-                new_p[p] = complex((c * xp - sc * xq).real)
-                new_p[q] = s * xp + cc * xq
-                new_q[q] = complex((s * new_q[p] + cc * new_q[q]).real)
-                new_q[p] = new_p[q].conjugate()
-                a[p] = new_p
-                a[q] = new_q
-                for row, x, y in zip(a, new_p, new_q):
-                    row[p] = x.conjugate()
-                    row[q] = y.conjugate()
-
-                vp = vt[p]
+                # Entry j of rows p and q is read before it is written,
+                # so the pass rotates them in place.  Their own pivot
+                # entries take no write-back: the block rotation below
+                # sets all four.
                 vq = vt[q]
-                vt[p] = [c * x - sc * y for x, y in zip(vp, vq)]
-                vt[q] = [s * x + cc * y for x, y in zip(vp, vq)]
+                for j in range(d):
+                    x = rp[j]
+                    y = rq[j]
+                    u = c * x - se * y
+                    w = s * x + ce * y
+                    rp[j] = u
+                    rq[j] = w
+                    if j != p and j != q:
+                        row = a[j]
+                        row[p] = u.conjugate()
+                        row[q] = w.conjugate()
+                    x = vp[j]
+                    y = vq[j]
+                    vp[j] = c * x - sc * y
+                    vq[j] = s * x + cc * y
+                # column rotation of the pivot block; Hermitian by fiat,
+                # its diagonal imaginary parts -0.0 as a conjugate leaves
+                xp = rp[p]
+                xq = rp[q]
+                rp[p] = complex((c * xp - sc * xq).real, -0.0)
+                rp[q] = s * xp + cc * xq
+                rq[q] = complex((s * rq[p] + cc * rq[q]).real, -0.0)
+                rq[p] = rp[q].conjugate()
 
     else:
         if _offdiag_norm(a) > thresh:

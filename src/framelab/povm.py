@@ -369,12 +369,22 @@ def random_density(d: int, seed: int = 0, field: str = "C") -> np.ndarray:
     return rho / float(np.trace(rho).real)
 
 
-def _functional_value(v: Callable[[np.ndarray], float], e) -> float:
+def _functional_value(
+    v: Callable[[np.ndarray], float], e, tol: float
+) -> float:
     # v(e), which must be finite: min, max and comparisons pass over NaN.
-    val = float(v(e))
-    if not math.isfinite(val):
-        raise InputError(f"effect functional is {val} at an effect")
-    return val
+    # A complex value counts as real when its imaginary part passes the
+    # mixed-relative comparison of linalg, as a Born trace's does.
+    val = complex(v(e))
+    re = val.real
+    if not math.isfinite(re):
+        raise InputError(f"effect functional is {re} at an effect")
+    if val.imag and not linalg._negligible(val.imag, re, tol):
+        raise InputError(
+            f"effect functional has imaginary part {val.imag:.3e} "
+            "at an effect"
+        )
+    return re
 
 
 def _random_povm(rng: SplitMix64, d: int, k: int, field: str) -> Povm:
@@ -409,7 +419,9 @@ def check_generalized_measure(
     ``n_family`` below d + 2 raises :class:`BadFamilySizeError`, since
     smaller families are too coarse for additivity over them to pin
     the functional down.  A NaN or infinite value of ``v`` raises
-    :class:`InputError`.
+    :class:`InputError`, and so does a complex one whose imaginary part
+    exceeds ``tol * max(1, |real part|)``; below that it is roundoff
+    and dropped.
     """
     tol = resolve_tol(tol)
     d = _integer(d, "dimension", 1)
@@ -421,7 +433,8 @@ def check_generalized_measure(
         )
 
     rng = SplitMix64(seed)
-    ident_dev = abs(_functional_value(v, np.eye(d, dtype=np.complex128)) - 1.0)
+    eye = np.eye(d, dtype=np.complex128)
+    ident_dev = abs(_functional_value(v, eye, tol) - 1.0)
     lo = float("inf")
     hi = float("-inf")
     add_dev = 0.0
@@ -433,7 +446,7 @@ def check_generalized_measure(
         total = 0.0
         family_bad = False
         for j in range(len(p)):
-            val = _functional_value(v, p.effects[j])
+            val = _functional_value(v, p.effects[j], tol)
             total += val
             lo = min(lo, val)
             hi = max(hi, val)

@@ -168,6 +168,19 @@ def test_canonical_parseval_rejects_non_spanning():
         fl.canonical_parseval(bad)
 
 
+@pytest.mark.parametrize("run", [fl.frame_bounds, fl.analyze_frame,
+                                 fl.canonical_parseval],
+                         ids=lambda fn: fn.__name__)
+def test_an_overflowing_frame_operator_is_named(run):
+    # Finite vectors whose frame operator overflows were rejected by the
+    # eigensolver's array rule as "matrix contains non-finite entries".
+    f = Frame([[1e200, 1e200], [1e200, -1e200], [1e200, 0.0]], "R")
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+        fl.InputError, match="^frame operator overflows: sums of squared "
+                             "vector entries exceed the float64 range$"):
+        run(f)
+
+
 def test_simplex_frozen_d2():
     f = fl.simplex_etf(2)
     expect = np.array(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from framelab import (
     random_hermitian,
     random_parseval,
 )
+from framelab.linalg import DEFAULT_TOL, _jacobi
 
 
 # --- rng -------------------------------------------------------------------
@@ -240,6 +242,62 @@ def test_eig_rejects_nonpositive_tol():
         hermitian_eig(np.eye(2), tol=0.0)
     with pytest.raises(InputError):
         hermitian_eig(np.eye(2), tol=-1.0)
+
+
+JACOBI_SHA256 = (
+    "69f18edef28eb6ede07bdcd6a0271120d4c97011ddb5f98054947d484ee798e6"
+)
+
+
+def _jacobi_battery():
+    # Built elementwise, with no BLAS call, so that what the tests below
+    # see follows from _jacobi's own Python arithmetic alone.  Each
+    # direct sum of a block with itself repeats every eigenvalue exactly.
+    for field in ("R", "C"):
+        for d in (*range(1, 9), 13, 20):
+            m = random_hermitian(d, seed=d, field=field)
+            blocks = [m]
+            if d <= 8:
+                twice = np.zeros((2 * d, 2 * d), dtype=m.dtype)
+                twice[:d, :d] = twice[d:, d:] = m
+                blocks.append(twice)
+            for block in blocks:
+                for scale in (1.0, 1e-150, 1e150):
+                    yield (block * scale).astype(complex).tolist()
+
+
+def _hex(z: complex) -> str:
+    return f"{z.real.hex()},{z.imag.hex()}"
+
+
+def test_jacobi_bits_are_pinned():
+    # The diagonal, the eigenvector rows and the working matrix that
+    # _jacobi leaves, every real and imaginary part to the bit.  A
+    # rewrite of the rotation that keeps each floating-point operation
+    # and its order keeps this hash.
+    h = hashlib.sha256()
+    for a in _jacobi_battery():
+        diag, vt = _jacobi(a, DEFAULT_TOL)
+        h.update(" ".join(x.hex() for x in diag).encode())
+        for rows in (vt, a):
+            for row in rows:
+                h.update(" ".join(map(_hex, row)).encode())
+    assert h.hexdigest() == JACOBI_SHA256
+
+
+def test_jacobi_leaves_the_working_matrix_hermitian_by_fiat():
+    # Each rotation writes columns p and q as the conjugates of rows p
+    # and q, so the result is exactly Hermitian, with a real diagonal; a
+    # dropped or misplaced write-back breaks this.  The comparison is
+    # float ==, exact but blind to the sign of a zero, which the input
+    # does not keep Hermitian: a real entry x + 0j faces x + 0j.
+    for a in _jacobi_battery():
+        _jacobi(a, DEFAULT_TOL)
+        d = len(a)
+        for r in range(d):
+            assert a[r][r].imag == 0.0
+            for c in range(r + 1, d):
+                assert a[r][c] == a[c][r].conjugate(), (d, r, c)
 
 
 # --- psd_inv_sqrt ----------------------------------------------------------

@@ -274,6 +274,27 @@ def test_generalized_measure_rejects_a_non_finite_value(at_identity):
         fl.check_generalized_measure(v, 2, 4, trials=3)
 
 
+def test_generalized_measure_rejects_a_complex_value():
+    # float() dropped the imaginary part with only a ComplexWarning, and
+    # this functional passed.
+    rho = fl.random_density(2, seed=1)
+    with pytest.raises(fl.InputError,
+                       match="^effect functional has imaginary part "
+                             r"5\.000e-01 at an effect$"):
+        fl.check_generalized_measure(
+            lambda e: np.trace(rho @ e) + 0.5j, 2, 4, trials=3)
+
+
+def test_generalized_measure_takes_a_complex_value_at_roundoff_as_real():
+    # float() of a Python complex raised a bare TypeError.
+    rho = fl.random_density(2, seed=1)
+    report = fl.check_generalized_measure(
+        lambda e: complex(np.trace(rho @ e)), 2, 4, trials=3)
+    assert report.passed
+    assert report == fl.check_generalized_measure(
+        lambda e: float(np.trace(rho @ e).real), 2, 4, trials=3)
+
+
 def test_generalized_measure_family_size_floor():
     with pytest.raises(fl.BadFamilySizeError):
         fl.check_generalized_measure(lambda e: 1.0, 3, 4, trials=5)

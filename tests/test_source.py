@@ -189,3 +189,31 @@ def test_int_coercion_scan_sees_parameters_and_their_loops():
         "    def m(self, n):\n        return int(n)\n"
     )
     assert int_coercions(tree) == ["C.m(n)", "f(i)", "f(n)", "f(x)"]
+
+
+def numpy_uses(tree: ast.Module, function: str) -> list[str]:
+    """The ``np.`` attribute accesses in a module-level function of a
+    module, as source text."""
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == function)
+    return sorted({ast.unparse(node) for node in ast.walk(fn)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id == "np"})
+
+
+@pytest.mark.parametrize("function", ["_jacobi", "_magnitudes",
+                                      "_offdiag_norm"])
+def test_the_jacobi_sweeps_make_no_numpy_call(function):
+    # The sweeps run in Python scalar arithmetic, whose order alone fixes
+    # their bits; the bit pin of _jacobi in test_linalg relies on it.
+    tree = ast.parse((PACKAGE / "linalg.py").read_text())
+    assert numpy_uses(tree, function) == []
+
+
+def test_numpy_use_scan_sees_np_attributes():
+    tree = ast.parse(
+        "def f(a):\n    return np.abs(a) + np.linalg.norm(a) + a.np\n"
+        "def g(a):\n    return np.pi\n"
+    )
+    assert numpy_uses(tree, "f") == ["np.abs", "np.linalg"]
