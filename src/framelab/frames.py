@@ -123,20 +123,34 @@ def _unit_deviation(m: np.ndarray) -> float:
 # formed frame operator s, so analyze_frame forms it once.
 
 
-def _spectral(solve, s: np.ndarray, tol: float | None):
-    # The eigensolver call solve(s, tol) on a frame operator s.  Finite
-    # vectors can still overflow s, which the array rule then rejects as
-    # a "matrix"; this names the frame operator instead.  The test runs
-    # only once the call has failed, so it costs other frames nothing.
-    try:
-        return solve(s, tol)
-    except InputError:
-        if np.isfinite(s).all():
-            raise
+def _overflow_check(s: np.ndarray) -> None:
+    # Finite vectors can still overflow their frame operator s, which
+    # the eigensolver's array rule then rejects as a "matrix" and the
+    # other diagnostics turn into inf or NaN; this names the frame
+    # operator instead.  Callers run it only once a result from s has
+    # failed or is not finite, so it costs other frames nothing.
+    if not np.isfinite(s).all():
         raise InputError(
             "frame operator overflows: sums of squared vector entries "
             "exceed the float64 range"
         ) from None
+
+
+def _spectral(solve, s: np.ndarray, tol: float | None):
+    # The eigensolver call solve(s, tol) on a frame operator s.
+    try:
+        return solve(s, tol)
+    except InputError:
+        _overflow_check(s)
+        raise
+
+
+def _finite(value: float, s: np.ndarray) -> float:
+    # A diagnostic computed from a frame operator s, which the overflow
+    # check takes up when it is not finite.
+    if not math.isfinite(value):
+        _overflow_check(s)
+    return value
 
 
 def _bounds(s: np.ndarray, tol: float | None) -> tuple[float, float]:
@@ -159,8 +173,12 @@ def frame_bounds(f: Frame, tol: float | None = None) -> tuple[float, float]:
 
 
 def is_parseval(f: Frame, tol: float | None = None) -> bool:
-    """True when the frame operator is the identity within tol."""
-    return _identity_deviation(frame_operator(f)) <= resolve_tol(tol)
+    """True when the frame operator is the identity within tol.
+
+    A frame operator that overflows raises :class:`InputError`.
+    """
+    s = frame_operator(f)
+    return _finite(_identity_deviation(s), s) <= resolve_tol(tol)
 
 
 def canonical_parseval(f: Frame, tol: float | None = None) -> Frame:
@@ -264,9 +282,11 @@ def frame_potential(f: Frame) -> float:
     """Sum of squared magnitudes of all N^2 pairwise inner products.
 
     Computed as ||S||_F^2 = tr(S^2) of the d x d frame operator S,
-    which equals tr(G^2) for the Gram matrix G, at O(N d^2) cost.
+    which equals tr(G^2) for the Gram matrix G, at O(N d^2) cost.  A
+    frame operator that overflows raises :class:`InputError`.
     """
-    return _potential(frame_operator(f))
+    s = frame_operator(f)
+    return _finite(_potential(s), s)
 
 
 def analyze_frame(f: Frame, tol: float | None = None) -> FrameReport:

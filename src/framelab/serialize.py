@@ -8,12 +8,16 @@ complex numbers become [re, im] pairs, and non-finite numbers are
 rejected.  Files end with a single newline.
 
 :func:`fmt_float` is the one float rule.  Float and complex arrays
-follow it too, one row template at a time, so the ``*_to_json``
-writers hand arrays to the emitter and the readers accept them back.
-Arrays are emitted in blocks of whole rows of bounded size, so the
-emitter holds the text once plus one block: :func:`canonical_json`
-peaks at about twice its text (the pieces and their join), and
-:func:`write_json`, which writes the pieces, at about once.
+follow it too, so the ``*_to_json`` writers hand arrays to the emitter
+and the readers accept them back.  The emitter formats each distinct
+entry once per unit of whole rows and joins every row from the
+gathered texts, so a Gabor frame, whose p^3 entries take fewer than
+p^2 values, is formatted value by value, not entry by entry.  Arrays
+are emitted in blocks of whole rows of bounded size, two units to a
+block, so the emitter holds the text once plus one block:
+:func:`canonical_json` peaks at about twice its text (the pieces and
+their join), and :func:`write_json`, which writes the pieces, at about
+once plus one block.
 
 Reports are immutable ``NamedTuple`` records, and the emitter writes
 them by one rule: a record becomes the object of its fields, a
@@ -49,9 +53,15 @@ from .waveforms import AmbiguityTable
 # 17 significant digits; applied to x + 0.0 so that -0.0 prints as 0.
 _FLOAT = "%.17g"
 
-# Float parts (a complex entry has two) formatted per block of rows.
-# About 1.5 MB of text; small arrays are one block.
+# Float parts (a complex entry has two) per block of whole rows, which
+# is emitted as one piece of text of about 1.5 MB; small arrays are one
+# block.  Each distinct entry is formatted once per unit of whole rows,
+# half a block, because its text is held as a Python str, 49 bytes
+# beyond its characters, until the unit's rows are joined.  A unit of a
+# p = 67 Gabor frame is 244 rows and holds nearly all of the frame's
+# 2,638 distinct entries.
 _BLOCK_PARTS = 2**16
+_UNIT_PARTS = _BLOCK_PARTS // 2
 
 
 def fmt_float(x: float) -> str:
@@ -62,30 +72,56 @@ def fmt_float(x: float) -> str:
     return _FLOAT % (x + 0.0)
 
 
+def _rows_per(parts: int, a: np.ndarray) -> int:
+    # Whole innermost rows of a in at most `parts` float parts; one row
+    # at least.
+    row_parts = a.shape[-1] * (2 if np.iscomplexobj(a) else 1)
+    return max(1, parts // max(1, row_parts))
+
+
 def _float_rows(a: np.ndarray, left: str = "[", right: str = "]") -> list[str]:
     """Text of each innermost row of a float or complex array.
 
     Entries follow :func:`fmt_float`; complex entries become
-    ``[re,im]`` pairs.  One template per row length is filled once per
-    row, and one finite check covers every real and imaginary part.
+    ``[re,im]`` pairs.  Rows go in units of at most ``_UNIT_PARTS``
+    float parts; in each unit every distinct entry is formatted once
+    and each row is joined from the gathered texts.
     """
-    kind = np.complex128 if np.iscomplexobj(a) else np.float64
-    a = np.ascontiguousarray(a, dtype=kind) + 0.0
-    parts = a.view(np.float64)
+    rows = np.reshape(a, (math.prod(a.shape[:-1]), a.shape[-1]))
+    step = _rows_per(_UNIT_PARTS, rows)
+    out: list[str] = []
+    for start in range(0, rows.shape[0], step):
+        out += _unit_rows(rows[start:start + step], left, right)
+    return out
+
+
+def _unit_rows(rows: np.ndarray, left: str, right: str) -> list[str]:
+    # One unit of _float_rows, whose distinct texts are freed on return.
+    # One finite check covers every real and imaginary part.  After
+    # + 0.0, equal entries have equal bits, so a key is a whole entry.
+    kind = np.complex128 if np.iscomplexobj(rows) else np.float64
+    rows = np.ascontiguousarray(rows, dtype=kind) + 0.0
+    parts = rows.view(np.float64)
     finite = np.isfinite(parts)
     if not finite.all():
         bad = float(parts[~finite][0])
         raise InputError(f"cannot serialize non-finite number {bad!r}")
-    cell = f"[{_FLOAT},{_FLOAT}]" if kind is np.complex128 else _FLOAT
-    template = left + ",".join([cell] * a.shape[-1]) + right
-    rows = parts.reshape(math.prod(a.shape[:-1]), parts.shape[-1])
-    return [template % tuple(row) for row in rows.tolist()]
+    keys, index = np.unique(rows, return_inverse=True)
+    if kind is np.complex128:
+        cell, columns = f"[{_FLOAT},{_FLOAT}]", (keys.real, keys.imag)
+    else:
+        cell, columns = _FLOAT, (keys,)
+    texts = np.array([cell % p for p in zip(*(c.tolist() for c in columns))],
+                     dtype=object)
+    cells = texts[index.reshape(rows.shape)].tolist()
+    return [left + ",".join(row) + right for row in cells]
 
 
 def _emit_float_array(a: np.ndarray, out: list[str]) -> None:
     # Whole rows in blocks of at most _BLOCK_PARTS float parts, so no
-    # more than one block is held as Python floats and row strings at
-    # a time; higher ranks recurse on their leading axis.
+    # more than one block of row texts and one unit of distinct texts
+    # are held beside the pieces; higher ranks recurse on their leading
+    # axis.
     if a.ndim > 2:
         out.append("[")
         for i, slab in enumerate(a):
@@ -97,8 +133,7 @@ def _emit_float_array(a: np.ndarray, out: list[str]) -> None:
     if a.ndim == 1:
         out.extend(_float_rows(a))
         return
-    row_parts = a.shape[1] * (2 if np.iscomplexobj(a) else 1)
-    step = max(1, _BLOCK_PARTS // max(1, row_parts))
+    step = _rows_per(_BLOCK_PARTS, a)
     out.append("[")
     for start in range(0, a.shape[0], step):
         if start:

@@ -169,11 +169,13 @@ def test_canonical_parseval_rejects_non_spanning():
 
 
 @pytest.mark.parametrize("run", [fl.frame_bounds, fl.analyze_frame,
-                                 fl.canonical_parseval],
+                                 fl.canonical_parseval, fl.is_parseval,
+                                 fl.frame_potential],
                          ids=lambda fn: fn.__name__)
 def test_an_overflowing_frame_operator_is_named(run):
     # Finite vectors whose frame operator overflows were rejected by the
-    # eigensolver's array rule as "matrix contains non-finite entries".
+    # eigensolver's array rule as "matrix contains non-finite entries",
+    # and is_parseval and frame_potential returned False and inf.
     f = Frame([[1e200, 1e200], [1e200, -1e200], [1e200, 0.0]], "R")
     with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
         fl.InputError, match="^frame operator overflows: sums of squared "

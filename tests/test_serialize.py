@@ -26,11 +26,48 @@ from framelab.serialize import (
 
 VALUES = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 3.0, -7.0, 2.0**53, 0.0,
           0.1, 1.0 / 3.0, -2.5e-7]
+
+
+def _field(a, dtype):
+    # A complex array as it is, or its real part.
+    return a if dtype == np.complex128 else a.real.copy()
+
+
+def _gabor(dtype):
+    return _field(fl.gabor_frame(fl.bjorck(13)).vectors, dtype)
+
+
+def _harmonic(dtype):
+    return _field(fl.harmonic_frame(5, 12).vectors, dtype)
+
+
+def _recurring(dtype):
+    # Distinct entries over two or three blocks but for 0.1, which
+    # starts every row and so recurs in every block.
+    a = _field(fl.SplitMix64(5).complex_gaussians((B // 2 + 1, 2)), dtype)
+    a[:, 0] = 0.1
+    return a
+
+
+def _signed_zeros(dtype):
+    # -0.0 and 0.0 in each part, each pairing recurring.
+    values = np.array([-0.0, 0.0, 1.5])
+    if dtype != np.complex128:
+        return np.resize(values, (5, 9))
+    a = np.empty(9, dtype=np.complex128)
+    a.real = np.repeat(values, 3)
+    a.imag = np.tile(values, 3)
+    return np.resize(a, (5, 9))
+
+
 # Rows of one real part: B rows fill one block.  The transposes are
 # single rows longer than a block, and the last shape has slabs that
-# span several blocks.
+# span several blocks.  The functions of the dtype after them give
+# arrays whose entries repeat: a Gabor and a harmonic frame, a value
+# recurring in every block, and zeros of both signs.
 SHAPES = [(0,), (1,), (5, 3), (2, 3, 3), (4, 0), (0, 2, 2),
-          (B - 1, 1), (B, 1), (B + 1, 1), (2 * B + 1, 1), (3, B + 1, 1)]
+          (B - 1, 1), (B, 1), (B + 1, 1), (2 * B + 1, 1), (3, B + 1, 1),
+          _gabor, _harmonic, _recurring, _signed_zeros]
 
 
 def _entrywise(a):
@@ -46,6 +83,8 @@ def _entrywise(a):
 
 
 def _filled(shape, dtype):
+    if callable(shape):
+        return shape(dtype)
     size = int(np.prod(shape))
     re = np.resize(np.array(VALUES), size)
     if dtype == np.complex128:
@@ -174,17 +213,19 @@ def _peak(fn):
 
 
 def test_emitter_memory_is_bounded_by_the_text(tmp_path):
-    # Eight blocks of complex rows: canonical_json holds the pieces and
-    # their join (2x the text), write_json only the pieces and one
-    # block in flight.
-    a = fl.SplitMix64(17).complex_gaussians((B // 2, 8))
-    text = canonical_json(a)
-    n = len(text)
-    del text
-    assert _peak(lambda: canonical_json(a)) <= 2.2 * n
-    path = tmp_path / "a.json"
-    assert _peak(lambda: write_json(path, a)) <= 1.4 * n
-    assert path.read_text() == canonical_json(a) + "\n"
+    # Eight blocks of complex rows, all distinct, and the nine blocks of
+    # the p = 67 Gabor frame, whose entries repeat: canonical_json holds
+    # the pieces and their join (2x the text), write_json only the
+    # pieces and one block in flight.
+    for a in (fl.SplitMix64(17).complex_gaussians((B // 2, 8)),
+              fl.gabor_frame(fl.bjorck(67)).vectors):
+        text = canonical_json(a)
+        n = len(text)
+        del text
+        assert _peak(lambda: canonical_json(a)) <= 2.2 * n
+        path = tmp_path / "a.json"
+        assert _peak(lambda: write_json(path, a)) <= 1.4 * n
+        assert path.read_text() == canonical_json(a) + "\n"
 
 
 def test_ambiguity_csv_follows_fmt_float():
