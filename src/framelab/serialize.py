@@ -9,15 +9,15 @@ rejected.  Files end with a single newline.
 
 :func:`fmt_float` is the one float rule.  Float and complex arrays
 follow it too, so the ``*_to_json`` writers hand arrays to the emitter
-and the readers accept them back.  The emitter formats each distinct
-entry once per unit of whole rows and joins every row from the
-gathered texts, so a Gabor frame, whose p^3 entries take fewer than
-p^2 values, is formatted value by value, not entry by entry.  Arrays
-are emitted in blocks of whole rows of bounded size, two units to a
-block, so the emitter holds the text once plus one block:
-:func:`canonical_json` peaks at about twice its text (the pieces and
-their join), and :func:`write_json`, which writes the pieces, at about
-once plus one block.
+and the readers accept them back.  An array is emitted as one piece of
+text per unit of whole rows of bounded size.  Each unit formats only
+the distinct entries that the unit before it, in the same array, did
+not hold, and joins every row from the gathered texts; so a Gabor
+frame, whose p^3 entries take fewer than p^2 values, is formatted
+once per value, not once per entry.  The emitter holds the text once
+plus one unit's rows and piece: :func:`canonical_json` peaks at about
+twice its text (the pieces and their join), and :func:`write_json`,
+which writes the pieces, at about once plus one unit.
 
 Reports are immutable ``NamedTuple`` records, and the emitter writes
 them by one rule: a record becomes the object of its fields, a
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -53,13 +54,14 @@ from .waveforms import AmbiguityTable
 # 17 significant digits; applied to x + 0.0 so that -0.0 prints as 0.
 _FLOAT = "%.17g"
 
-# Float parts (a complex entry has two) per block of whole rows, which
-# is emitted as one piece of text of about 1.5 MB; small arrays are one
-# block.  Each distinct entry is formatted once per unit of whole rows,
-# half a block, because its text is held as a Python str, 49 bytes
-# beyond its characters, until the unit's rows are joined.  A unit of a
-# p = 67 Gabor frame is 244 rows and holds nearly all of the frame's
-# 2,638 distinct entries.
+# Float and complex arrays are emitted as one piece of text per unit of
+# whole rows.  Beside the pieces, the emitter holds one unit's row texts,
+# its distinct texts and, while it joins the rows, its piece, so a unit
+# is half of _BLOCK_PARTS float parts (a complex entry has two): about
+# 0.7 MB of text.  The rows of each 2-D slab are split into near-equal
+# units, so no short last unit drops the texts the next unit needs: the
+# 4,489 rows of a p = 67 Gabor frame go in 19 units of 236 or 237 rows,
+# each holding nearly all of the frame's 2,638 distinct entries.
 _BLOCK_PARTS = 2**16
 _UNIT_PARTS = _BLOCK_PARTS // 2
 
@@ -72,33 +74,35 @@ def fmt_float(x: float) -> str:
     return _FLOAT % (x + 0.0)
 
 
-def _rows_per(parts: int, a: np.ndarray) -> int:
-    # Whole innermost rows of a in at most `parts` float parts; one row
-    # at least.
-    row_parts = a.shape[-1] * (2 if np.iscomplexobj(a) else 1)
-    return max(1, parts // max(1, row_parts))
-
-
-def _float_rows(a: np.ndarray, left: str = "[", right: str = "]") -> list[str]:
-    """Text of each innermost row of a float or complex array.
+def _float_rows(a: np.ndarray, carry: list, left: str = "[",
+                right: str = "]", sep: str = ",") -> Iterator[str]:
+    """Text of each unit of rows of a 1-D or 2-D float or complex array:
+    its rows, each between ``left`` and ``right``, joined by ``sep``.
 
     Entries follow :func:`fmt_float`; complex entries become
-    ``[re,im]`` pairs.  Rows go in units of at most ``_UNIT_PARTS``
-    float parts; in each unit every distinct entry is formatted once
-    and each row is joined from the gathered texts.
+    ``[re,im]`` pairs.  The rows are split into near-equal units of at
+    most ``_UNIT_PARTS`` float parts.  ``carry`` holds the sorted
+    distinct entries of the unit before, of this array or of an earlier
+    slab of the same array, with their texts; an empty list starts an
+    array.  A unit takes over those texts, formats only the entries the
+    unit before did not hold and leaves its own in ``carry``, so an
+    entry that recurs from unit to unit is formatted once per array.
     """
-    rows = np.reshape(a, (math.prod(a.shape[:-1]), a.shape[-1]))
-    step = _rows_per(_UNIT_PARTS, rows)
-    out: list[str] = []
-    for start in range(0, rows.shape[0], step):
-        out += _unit_rows(rows[start:start + step], left, right)
-    return out
+    rows = np.atleast_2d(a)
+    row_parts = rows.shape[1] * (2 if np.iscomplexobj(rows) else 1)
+    n = rows.shape[0]
+    units = -(-n // max(1, _UNIT_PARTS // max(1, row_parts)))
+    for j in range(units):
+        yield sep.join(_unit_rows(rows[j * n // units:(j + 1) * n // units],
+                                  carry, left, right))
 
 
-def _unit_rows(rows: np.ndarray, left: str, right: str) -> list[str]:
-    # One unit of _float_rows, whose distinct texts are freed on return.
-    # One finite check covers every real and imaginary part.  After
-    # + 0.0, equal entries have equal bits, so a key is a whole entry.
+def _unit_rows(rows: np.ndarray, carry: list, left: str,
+               right: str) -> list[str]:
+    # One unit of _float_rows.  One finite check covers every real and
+    # imaginary part.  After + 0.0, equal entries have equal bits, so a
+    # key is a whole entry, and a key the carry holds is found by
+    # equality.  The unit's keys and texts replace the carry.
     kind = np.complex128 if np.iscomplexobj(rows) else np.float64
     rows = np.ascontiguousarray(rows, dtype=kind) + 0.0
     parts = rows.view(np.float64)
@@ -107,38 +111,47 @@ def _unit_rows(rows: np.ndarray, left: str, right: str) -> list[str]:
         bad = float(parts[~finite][0])
         raise InputError(f"cannot serialize non-finite number {bad!r}")
     keys, index = np.unique(rows, return_inverse=True)
-    if kind is np.complex128:
-        cell, columns = f"[{_FLOAT},{_FLOAT}]", (keys.real, keys.imag)
-    else:
-        cell, columns = _FLOAT, (keys,)
-    texts = np.array([cell % p for p in zip(*(c.tolist() for c in columns))],
-                     dtype=object)
+    texts = np.empty(keys.size, dtype=object)
+    old_keys, old_texts = carry or (keys[:0], texts[:0])
+    carry.clear()
+    at = np.searchsorted(old_keys, keys)
+    known = at < old_keys.size
+    known[known] = old_keys[at[known]] == keys[known]
+    texts[known] = old_texts[at[known]]
+    del old_texts  # free the texts this unit drops before it formats
+    new = ~known
+    texts[new] = _cell_texts(keys[new])
+    carry[:] = keys, texts
     cells = texts[index.reshape(rows.shape)].tolist()
     return [left + ",".join(row) + right for row in cells]
 
 
-def _emit_float_array(a: np.ndarray, out: list[str]) -> None:
-    # Whole rows in blocks of at most _BLOCK_PARTS float parts, so no
-    # more than one block of row texts and one unit of distinct texts
-    # are held beside the pieces; higher ranks recurse on their leading
-    # axis.
-    if a.ndim > 2:
-        out.append("[")
-        for i, slab in enumerate(a):
-            if i:
-                out.append(",")
-            _emit_float_array(slab, out)
-        out.append("]")
-        return
+def _cell_texts(keys: np.ndarray) -> np.ndarray:
+    # The text of each key by the one cell rule: fmt_float of a float,
+    # [re,im] of a complex entry.
+    if keys.dtype.kind == "c":
+        cell, columns = f"[{_FLOAT},{_FLOAT}]", (keys.real, keys.imag)
+    else:
+        cell, columns = _FLOAT, (keys,)
+    return np.array([cell % p for p in zip(*(c.tolist() for c in columns))],
+                    dtype=object)
+
+
+def _emit_float_array(a: np.ndarray, out: list[str], carry: list) -> None:
+    # One piece per unit of whole rows, so no more than one unit's row
+    # texts and its piece are held beside the pieces; higher ranks
+    # recurse on their leading axis with the same carry.
     if a.ndim == 1:
-        out.extend(_float_rows(a))
+        out.extend(_float_rows(a, carry))
         return
-    step = _rows_per(_BLOCK_PARTS, a)
     out.append("[")
-    for start in range(0, a.shape[0], step):
-        if start:
+    for i, item in enumerate(a if a.ndim > 2 else _float_rows(a, carry)):
+        if i:
             out.append(",")
-        out.append(",".join(_float_rows(a[start:start + step])))
+        if a.ndim > 2:
+            _emit_float_array(item, out, carry)
+        else:
+            out.append(item)
     out.append("]")
 
 
@@ -162,7 +175,7 @@ def _emit(obj, out: list[str]) -> None:
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
         if obj.ndim and obj.dtype.kind in "fc":
-            _emit_float_array(obj, out)
+            _emit_float_array(obj, out, [])
         else:
             _emit(obj.tolist(), out)
     elif isinstance(obj, dict):
@@ -447,4 +460,4 @@ def counterexample_report_to_json(r: CounterexampleReport) -> dict:
 
 def ambiguity_to_csv(table: AmbiguityTable) -> str:
     """Magnitude grid as CSV, row m per line, columns n = 0..d-1."""
-    return "\n".join(_float_rows(table.magnitudes(), "", "")) + "\n"
+    return "\n".join(_float_rows(table.magnitudes(), [], "", "", "\n")) + "\n"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import framelab as fl
+from framelab import serialize
 from framelab.serialize import (
     _BLOCK_PARTS as B,
     ambiguity_to_csv,
@@ -49,6 +50,32 @@ def _recurring(dtype):
     return a
 
 
+def _rows_per_unit(width, dtype):
+    # Rows of `width` entries that fill one unit, half a block of float
+    # parts.
+    return B // 2 // (width * (2 if dtype == np.complex128 else 1))
+
+
+def _stacked(dtype):
+    # Three equal slabs of one unit each: the carry crosses slabs.
+    return np.stack([_gabor(dtype)] * 3)
+
+
+def _returning(dtype):
+    # Three units of distinct entries but for 0.25, which is in the
+    # first unit, not in the second and back in the third.
+    rows = 3 * _rows_per_unit(2, dtype)
+    a = _field(fl.SplitMix64(9).complex_gaussians((rows, 2)), dtype)
+    a[0, 0] = a[-1, 0] = 0.25
+    return a
+
+
+def _tiled(dtype):
+    # A Gabor frame tiled to one row past two units.
+    g = _gabor(dtype)
+    return np.resize(g, (2 * _rows_per_unit(13, dtype) + 1, 13))
+
+
 def _signed_zeros(dtype):
     # -0.0 and 0.0 in each part, each pairing recurring.
     values = np.array([-0.0, 0.0, 1.5])
@@ -64,10 +91,13 @@ def _signed_zeros(dtype):
 # single rows longer than a block, and the last shape has slabs that
 # span several blocks.  The functions of the dtype after them give
 # arrays whose entries repeat: a Gabor and a harmonic frame, a value
-# recurring in every block, and zeros of both signs.
+# recurring in every block, and zeros of both signs.  The last three
+# test the carry of formatted entries from unit to unit: across slabs,
+# over a unit that lacks a value, and one row past two units.
 SHAPES = [(0,), (1,), (5, 3), (2, 3, 3), (4, 0), (0, 2, 2),
           (B - 1, 1), (B, 1), (B + 1, 1), (2 * B + 1, 1), (3, B + 1, 1),
-          _gabor, _harmonic, _recurring, _signed_zeros]
+          _gabor, _harmonic, _recurring, _signed_zeros,
+          _stacked, _returning, _tiled]
 
 
 def _entrywise(a):
@@ -213,11 +243,12 @@ def _peak(fn):
 
 
 def test_emitter_memory_is_bounded_by_the_text(tmp_path):
-    # Eight blocks of complex rows, all distinct, and the nine blocks of
-    # the p = 67 Gabor frame, whose entries repeat: canonical_json holds
-    # the pieces and their join (2x the text), write_json only the
-    # pieces and one block in flight.
+    # Sixteen units of complex rows, all distinct, and the Gabor frames
+    # of p = 43 (five units) and p = 67 (19), whose entries repeat:
+    # canonical_json holds the pieces and their join (2x the text),
+    # write_json only the pieces and one unit in flight.
     for a in (fl.SplitMix64(17).complex_gaussians((B // 2, 8)),
+              fl.gabor_frame(fl.bjorck(43)).vectors,
               fl.gabor_frame(fl.bjorck(67)).vectors):
         text = canonical_json(a)
         n = len(text)
@@ -226,6 +257,28 @@ def test_emitter_memory_is_bounded_by_the_text(tmp_path):
         path = tmp_path / "a.json"
         assert _peak(lambda: write_json(path, a)) <= 1.4 * n
         assert path.read_text() == canonical_json(a) + "\n"
+
+
+def test_each_distinct_entry_is_formatted_once_per_array(monkeypatch):
+    # Each unit formats only the entries the unit before did not hold:
+    # the p = 67 Gabor frame, 300,763 entries in 19 units, takes one
+    # format per distinct entry, and an array of distinct entries one
+    # per entry.
+    formatted = []
+    cell_texts = serialize._cell_texts
+
+    def counted(keys):
+        formatted.append(keys.size)
+        return cell_texts(keys)
+
+    monkeypatch.setattr(serialize, "_cell_texts", counted)
+    gabor = fl.gabor_frame(fl.bjorck(67)).vectors
+    distinct = fl.SplitMix64(17).complex_gaussians((B // 2, 8))
+    for a, formats in ((gabor, 2638), (distinct, distinct.size)):
+        formatted.clear()
+        canonical_json(a)
+        assert np.unique(a + 0.0).size == formats
+        assert sum(formatted) == formats
 
 
 def test_ambiguity_csv_follows_fmt_float():

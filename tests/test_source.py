@@ -111,13 +111,15 @@ def test_class_kind_scan_sees_each_kind():
     (r"max\(1\.0, abs\(", "linalg.py"),  # the mixed-relative comparison
     ("not a Parseval frame", "povm.py"),  # the Parseval precondition
     (r"%\.17g", "serialize.py"),  # the float format
+    (r"np\.unique", "serialize.py"),  # the dedupe of array entries
 ])
 def test_the_field_rules_are_written_once(text, home):
     # The array rule and the mixed-relative comparison live in linalg,
     # the field draw, the field check and the integer rule in rng, the
     # rank-one, c I, squared-norm and unit-modulus rules in frames, the
-    # float format in serialize; a second copy elsewhere in the package
-    # fails here.  Each text is a regular expression.
+    # float format and the dedupe of array entries in serialize; a
+    # second copy elsewhere in the package fails here.  Each text is a
+    # regular expression.
     holders = sorted(p.name for p in PACKAGE.glob("*.py")
                      if re.search(text, p.read_text()))
     assert holders == [home]
