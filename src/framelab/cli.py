@@ -44,10 +44,18 @@ def _tol_of(args) -> float:
     return resolve_tol(_env_tol())
 
 
-def _emit_report(args, obj, ok: bool) -> int:
+def _report_text(record, **keys) -> str:
+    # The one place the CLI forms a report: the record as the emitter
+    # writes it, plus the CLI's own keys.
+    return serialize.canonical_json(
+        serialize.flat_report_to_json(record) | keys
+    )
+
+
+def _emit_report(args, record, ok: bool, **keys) -> int:
     # Emitted once: stdout and the --out file hold the same bytes.
     # Returns the exit code: 4 when the check failed under --strict.
-    text = serialize.canonical_json(obj)
+    text = _report_text(record, **keys)
     print(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -97,22 +105,19 @@ def _cmd_analyze(args) -> int:
     tol = _tol_of(args)
     obj = serialize.load_json(args.path)
     kind = serialize.sniff_kind(obj)
+    keys = {"object": kind}
     if kind == "frame":
-        f = serialize.frame_from_json(obj)
-        report = serialize.flat_report_to_json(frames.analyze_frame(f, tol))
+        report = frames.analyze_frame(serialize.frame_from_json(obj), tol)
         ok = True
     elif kind == "sequence":
         u = serialize.sequence_from_json(obj)
-        cz = waveforms.is_cazac(u, tol)
-        report = serialize.flat_report_to_json(cz)
-        report["ambiguity_peak"] = waveforms.ambiguity(u).peak_off_origin()
-        ok = cz.ok
+        report = waveforms.is_cazac(u, tol)
+        keys["ambiguity_peak"] = waveforms.ambiguity(u).peak_off_origin()
+        ok = report.ok
     else:
-        rep = povm.analyze_povm(serialize.povm_from_json(obj), tol)
-        report = serialize.flat_report_to_json(rep)
-        ok = rep.valid
-    report["object"] = kind
-    return _emit_report(args, report, ok)
+        report = povm.analyze_povm(serialize.povm_from_json(obj), tol)
+        ok = report.valid
+    return _emit_report(args, report, ok, **keys)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +139,17 @@ def _parse_partition(text: str) -> list[list[int]]:
 
 
 def _cmd_convert(args) -> int:
+    # Each option belongs to one direction; given to the other, it is
+    # bad input rather than silently ignored.
+    for option, given, direction in (
+        ("--partition", args.partition is not None, "povm"),
+        ("--pad-zeros", args.pad_zeros, "frame"),
+    ):
+        if given and args.to != direction:
+            raise InputError(
+                f"{option} applies to 'convert --to {direction}', "
+                f"not 'convert --to {args.to}'"
+            )
     tol = _tol_of(args)
     obj = serialize.load_json(args.path)
     if args.to == "povm":
@@ -250,11 +266,11 @@ def _build_gleason(args) -> gleason.GleasonFn:
 def _cmd_gleason(args) -> int:
     tol = _tol_of(args)
     g = _build_gleason(args)
+    keys = {}
     if args.mode == "verify-onb":
         report = gleason.verify_onb_gleason(
             g, trials=args.trials, seed=args.seed, tol=tol
         )
-        payload = serialize.flat_report_to_json(report)
         ok = report.passed
     elif args.mode == "verify-parseval":
         if args.n is None:
@@ -262,18 +278,16 @@ def _cmd_gleason(args) -> int:
         report = gleason.verify_parseval_gleason(
             g, args.n, trials=args.trials, seed=args.seed, tol=tol
         )
-        payload = serialize.flat_report_to_json(report)
         ok = report.passed
     elif args.mode == "fit":
         report = gleason.fit_quadratic(g, samples=args.samples, seed=args.seed)
-        payload = serialize.fit_result_to_json(report)
         ok = report.verdict != "not_quadratic"
     elif args.mode == "counterexample":
         report = gleason.counterexample_battery(
             g, args.n, trials=args.trials, samples=args.samples,
             seed=args.seed, tol=tol,
         )
-        payload = serialize.counterexample_report_to_json(report)
+        keys["object"] = "counterexample"
         ok = report.is_counterexample
     else:  # ladder
         if args.n0 is None or args.n1 is None:
@@ -281,9 +295,8 @@ def _cmd_gleason(args) -> int:
         report = gleason.degree_ladder_experiment(
             g, args.n0, args.n1, trials=args.trials, seed=args.seed, tol=tol
         )
-        payload = serialize.flat_report_to_json(report)
         ok = report.increments_ok and all(report.passed)
-    return _emit_report(args, payload, ok)
+    return _emit_report(args, report, ok, **keys)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +313,7 @@ def _cmd_cazac(args) -> int:
     u = serialize.sequence_from_json(serialize.load_json(args.path))
     if args.mode == "test":
         report = waveforms.is_cazac(u, tol)
-        return _emit_report(
-            args, serialize.flat_report_to_json(report), report.ok
-        )
+        return _emit_report(args, report, report.ok)
     if args.mode == "ambiguity":
         table = waveforms.ambiguity(u)
         out = args.out or "ambiguity.csv"
@@ -318,9 +329,8 @@ def _cmd_cazac(args) -> int:
     f, report = waveforms.analyze_gabor(u, tol)
     out = args.out or "gabor.json"
     serialize.write_json(out, serialize.frame_to_json(f))
-    payload = serialize.flat_report_to_json(report)
-    payload["out"] = out
-    print(serialize.canonical_json(payload))
+    # --out names the frame file, so the report goes to stdout only.
+    print(_report_text(report, out=out))
     return 0
 
 
@@ -343,9 +353,7 @@ def _cmd_experiment(args) -> int:
         report = povm.born_experiment(
             args.dim, trials=args.trials, seed=args.seed, tol=tol
         )
-    payload = serialize.flat_report_to_json(report)
-    payload["experiment"] = args.mode
-    return _emit_report(args, payload, report.passed)
+    return _emit_report(args, report, report.passed, experiment=args.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", default=None,
                    help="groups like '0,1;2,3' (frame -> povm only)")
     p.add_argument("--pad-zeros", action="store_true",
-                   help="keep zero vectors for dropped eigenvalues")
+                   help="keep zero vectors for dropped eigenvalues "
+                        "(povm -> frame only)")
     p.add_argument("--out", required=True)
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=_cmd_convert)

@@ -119,42 +119,26 @@ def _unit_deviation(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - 1.0)))
 
 
-# The rules behind frame_bounds and frame_potential, on an already
-# formed frame operator s, so analyze_frame forms it once.
-
-
-def _overflow_check(s: np.ndarray) -> None:
-    # Finite vectors can still overflow their frame operator s, which
-    # the eigensolver's array rule then rejects as a "matrix" and the
-    # other diagnostics turn into inf or NaN; this names the frame
-    # operator instead.  Callers run it only once a result from s has
-    # failed or is not finite, so it costs other frames nothing.
+def _checked_operator(f: Frame) -> np.ndarray:
+    # The frame operator of f, named when it overflows: finite vectors
+    # can still overflow it, which the eigensolver's array rule would
+    # reject as a "matrix" and the other diagnostics turn into inf or
+    # NaN.  Every diagnostic built on the operator forms it here.
+    s = frame_operator(f)
     if not np.isfinite(s).all():
         raise InputError(
             "frame operator overflows: sums of squared vector entries "
             "exceed the float64 range"
-        ) from None
+        )
+    return s
 
 
-def _spectral(solve, s: np.ndarray, tol: float | None):
-    # The eigensolver call solve(s, tol) on a frame operator s.
-    try:
-        return solve(s, tol)
-    except InputError:
-        _overflow_check(s)
-        raise
-
-
-def _finite(value: float, s: np.ndarray) -> float:
-    # A diagnostic computed from a frame operator s, which the overflow
-    # check takes up when it is not finite.
-    if not math.isfinite(value):
-        _overflow_check(s)
-    return value
+# The rules behind frame_bounds and frame_potential, on an already
+# formed frame operator s, so analyze_frame forms it once.
 
 
 def _bounds(s: np.ndarray, tol: float | None) -> tuple[float, float]:
-    values, _ = _spectral(linalg.hermitian_eig, s, tol)
+    values, _ = linalg.hermitian_eig(s, tol)
     return float(values[0]), float(values[-1])
 
 
@@ -169,7 +153,7 @@ def frame_bounds(f: Frame, tol: float | None = None) -> tuple[float, float]:
     positive exactly when the vectors span; A == B means tight.  A
     frame operator that overflows raises :class:`InputError`.
     """
-    return _bounds(frame_operator(f), tol)
+    return _bounds(_checked_operator(f), tol)
 
 
 def is_parseval(f: Frame, tol: float | None = None) -> bool:
@@ -177,8 +161,7 @@ def is_parseval(f: Frame, tol: float | None = None) -> bool:
 
     A frame operator that overflows raises :class:`InputError`.
     """
-    s = frame_operator(f)
-    return _finite(_identity_deviation(s), s) <= resolve_tol(tol)
+    return _identity_deviation(_checked_operator(f)) <= resolve_tol(tol)
 
 
 def canonical_parseval(f: Frame, tol: float | None = None) -> Frame:
@@ -191,9 +174,9 @@ def canonical_parseval(f: Frame, tol: float | None = None) -> Frame:
     :class:`InputError` when S overflows.
     """
     tol = resolve_tol(tol)
-    s = frame_operator(f)
+    s = _checked_operator(f)
     try:
-        root = _spectral(linalg.psd_inv_sqrt, s, tol)
+        root = linalg.psd_inv_sqrt(s, tol)
     except SingularOrIndefiniteError:
         raise NotAFrameError(
             f"vectors do not span: smallest frame-operator eigenvalue "
@@ -285,8 +268,7 @@ def frame_potential(f: Frame) -> float:
     which equals tr(G^2) for the Gram matrix G, at O(N d^2) cost.  A
     frame operator that overflows raises :class:`InputError`.
     """
-    s = frame_operator(f)
-    return _finite(_potential(s), s)
+    return _potential(_checked_operator(f))
 
 
 def analyze_frame(f: Frame, tol: float | None = None) -> FrameReport:
@@ -295,7 +277,7 @@ def analyze_frame(f: Frame, tol: float | None = None) -> FrameReport:
     A frame operator that overflows raises :class:`InputError`.
     """
     tol = resolve_tol(tol)
-    s = frame_operator(f)
+    s = _checked_operator(f)
     lower, upper = _bounds(s, tol)
     tight = linalg._negligible(upper - lower, upper, tol)
     parseval = _identity_deviation(s) <= tol

@@ -166,7 +166,13 @@ class FitResult(NamedTuple):
 
 
 class ScalingReport(NamedTuple):
-    """Result of the |alpha|^2 homogeneity spot check."""
+    """Result of the |alpha|^2 homogeneity spot check.
+
+    ``witness`` is None when the check passes, else the worst sample:
+    the point ``x`` as a complex128 vector, the complex scalar
+    ``alpha`` and the complex ``lhs`` g(alpha x) and ``rhs``
+    |alpha|^2 g(x), over either field.
+    """
 
     samples: int
     seed: int
@@ -210,6 +216,7 @@ class CounterexampleReport(NamedTuple):
     ``explicit_degree3`` is set for the epsilon swap only: its
     three-vector frame of the line (``vectors``), the function's
     ``sum`` over it and the ``degree2_weight`` that sum should equal.
+    Every other kind holds None there, which is written as null.
     """
 
     kind: str
@@ -547,10 +554,11 @@ def fit_quadratic(
     "quadratic", above 1e-6 is "not_quadratic", between the two is
     "indeterminate".  These fixed thresholds are the whole verdict rule.
 
-    The reported ``operator`` is real when its largest imaginary part
-    is at most 1e-12 * max(1, largest |real part|), the rule that makes
-    ``weight`` real; only that copy drops them.  ``residual``, ``weight``
-    and ``verdict`` come from the matrix before this demotion.
+    The reported ``operator`` is complex128.  Its imaginary parts are
+    zeroed when the largest is at most 1e-12 * max(1, largest |real
+    part|), the rule that makes ``weight`` real; only that copy drops
+    them.  ``residual``, ``weight`` and ``verdict`` come from the matrix
+    before this demotion.
     """
     samples = _integer(samples, "samples", 1, "need at least one sample point")
     d = g.dim
@@ -574,7 +582,7 @@ def fit_quadratic(
                 a[k, j] = s / 2.0
 
     real = _is_roundoff(np.abs(a.imag).max(), np.abs(a.real).max())
-    operator = a.real.copy() if real else a
+    operator = a.real.astype(np.complex128) if real else a
 
     # Each direction is drawn and its norm taken one at a time, since
     # a resample changes the stream; scaling onto the unit sphere and
@@ -649,7 +657,8 @@ def homogeneity_check(
         dev = abs(lhs - rhs)
         if dev > worst:
             worst = dev
-            witness = {"x": x, "alpha": alpha, "lhs": lhs, "rhs": rhs}
+            witness = {"x": x.astype(np.complex128), "alpha": complex(alpha),
+                       "lhs": lhs, "rhs": rhs}
     passed = worst <= tol
     return ScalingReport(
         samples=samples,

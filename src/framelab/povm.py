@@ -232,7 +232,7 @@ def analyze_povm(p: Povm, tol: float | None = None) -> PovmReport:
 
 
 def _rank_one_effects(f: Frame, tol: float) -> np.ndarray:
-    dev = frames._identity_deviation(frames.frame_operator(f))
+    dev = frames._identity_deviation(frames._checked_operator(f))
     if dev > tol:
         raise NotParsevalError(f"not a Parseval frame: its operator is off the"
                                f" identity by {dev:.3e} (allowed {tol:.3e})")
@@ -243,7 +243,8 @@ def povm_from_frame(f: Frame, tol: float | None = None) -> Povm:
     """One rank-one effect per frame vector of a Parseval frame.
 
     Effect j is the outer product of vector j with itself, so the sum
-    over j reproduces the frame operator, which is the identity.
+    over j reproduces the frame operator, which is the identity.  A
+    frame operator that overflows raises :class:`InputError`.
     """
     return Povm(_rank_one_effects(f, resolve_tol(tol)))
 
@@ -255,7 +256,8 @@ def povm_from_frame_grouped(
 
     ``partition`` must split the 0-based index range of the frame into
     disjoint groups covering every index; empty groups are allowed and
-    produce zero effects.
+    produce zero effects.  A frame operator that overflows raises
+    :class:`InputError`.
     """
     tol = resolve_tol(tol)
     n = len(f)

@@ -19,13 +19,17 @@ plus one unit's rows and piece: :func:`canonical_json` peaks at about
 twice its text (the pieces and their join), and :func:`write_json`,
 which writes the pieces, at about once plus one unit.
 
-Reports are immutable ``NamedTuple`` records, and the emitter writes
-them by one rule: a record becomes the object of its fields, a
-:class:`Frame` the object :func:`frame_to_json` gives and a
-:class:`Povm` the one :func:`povm_to_json` gives, at any depth.  So a
-report that nests a frame or a POVM needs no writer of its own; only
-:func:`fit_result_to_json` and :func:`scaling_report_to_json` recast
-fields (to complex) before emitting.
+Reports are immutable ``NamedTuple`` records that hold what is
+emitted, and the emitter writes them by one rule: a record becomes the
+object of its fields, a :class:`Frame` the object
+:func:`frame_to_json` gives and a :class:`Povm` the one
+:func:`povm_to_json` gives, at any depth.  So no report needs a writer
+of its own.  :func:`flat_report_to_json` gives a record's fields as a
+dict, to which a caller adds keys of its own; its aliases
+``fit_result_to_json``, ``frame_report_to_json``,
+``cazac_report_to_json``, ``measure_report_to_json`` and
+``verification_report_to_json`` are kept for ``perfbench``, which
+binds them by name.
 
 The readers take a JSON number to be a finite int or float, never a
 bool, a string, ``NaN`` or ``Infinity`` (which Python's ``json`` reads);
@@ -45,7 +49,6 @@ import numpy as np
 
 from .errors import InputError
 from .frames import Frame
-from .gleason import CounterexampleReport, FitResult, ScalingReport
 from .povm import Povm
 from .rng import _integer
 from .waveforms import AmbiguityTable
@@ -291,10 +294,6 @@ def _vector_from_json(item, field: str, what: str) -> np.ndarray:
     return np.array(entries, dtype=np.complex128)
 
 
-def matrix_to_json(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m, dtype=np.complex128)
-
-
 def matrix_from_json(item, what: str) -> np.ndarray:
     item = _plain(item)
     if not isinstance(item, list) or not item:
@@ -420,38 +419,11 @@ def flat_report_to_json(r) -> dict:
 
 # Reports the emitter writes whole by its one rule, under the names
 # their callers know.
+fit_result_to_json = flat_report_to_json
 frame_report_to_json = flat_report_to_json
 cazac_report_to_json = flat_report_to_json
 measure_report_to_json = flat_report_to_json
 verification_report_to_json = flat_report_to_json
-
-
-def fit_result_to_json(r: FitResult) -> dict:
-    out = flat_report_to_json(r)
-    out["operator"] = matrix_to_json(r.operator)
-    return out
-
-
-def scaling_report_to_json(r: ScalingReport) -> dict:
-    out = flat_report_to_json(r)
-    if r.witness is not None:
-        out["witness"] = {
-            "x": np.asarray(r.witness["x"], dtype=np.complex128),
-            "alpha": complex(r.witness["alpha"]),
-            "lhs": complex(r.witness["lhs"]),
-            "rhs": complex(r.witness["rhs"]),
-        }
-    return out
-
-
-def counterexample_report_to_json(r: CounterexampleReport) -> dict:
-    out = flat_report_to_json(r)
-    out["object"] = "counterexample"
-    out["fit"] = fit_result_to_json(r.fit)
-    out["homogeneity"] = scaling_report_to_json(r.homogeneity)
-    if r.explicit_degree3 is None:
-        del out["explicit_degree3"]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,40 @@ def test_convert_roundtrip(tmp_path):
     assert fl.is_parseval(g)
 
 
+@pytest.mark.parametrize("option, direction, other", [
+    (["--to", "povm", "--pad-zeros"], "frame", "povm"),
+    (["--to", "frame", "--partition", "0;1,2"], "povm", "frame"),
+], ids=["pad-zeros", "partition"])
+def test_convert_rejects_an_option_of_the_other_direction(
+        option, direction, other, tmp_path, monkeypatch, capsys):
+    # Both commands exited 0 and ignored the option.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main("gen random-parseval --dim 2 --n 3 --seed 1 "
+                    "--out f.json".split()) == 0
+    assert cli.main("convert f.json --to povm --out p.json".split()) == 0
+    capsys.readouterr()
+    source = "f.json" if other == "povm" else "p.json"
+    assert cli.main(["convert", source, *option, "--out", "x.json"]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: {option[2]} applies to 'convert --to {direction}', "
+        f"not 'convert --to {other}'\n"))
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_convert_names_an_overflowing_frame_operator(tmp_path, monkeypatch,
+                                                     capsys):
+    # It exited 3, calling the frame not Parseval, off by inf.
+    monkeypatch.chdir(tmp_path)
+    fl.write_json("f.json", {"dim": 2, "field": "R", "vectors": [
+        [1e200, 1e200], [1e200, -1e200], [1e200, 0.0]]})
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = cli.main("convert f.json --to povm --out p.json".split())
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: frame operator overflows: sums "
+                                   "of squared vector entries exceed the "
+                                   "float64 range\n")
+
+
 def test_gleason_fit_and_verify(tmp_path):
     r = run_cli(
         ["gleason", "fit", "--spec", "cos2d:2", "--samples", "200",
@@ -569,6 +603,32 @@ def test_out_file_matches_stdout_json(tmp_path):
         assert (tmp_path / "report.json").read_bytes() == r.stdout.encode()
 
 
+@pytest.mark.parametrize("command, record, keys", [
+    ("gleason fit --spec cos2d:6 --samples 64 --seed 1",
+     lambda: fl.fit_quadratic(fl.cos_counterexample(6), samples=64, seed=1),
+     {}),
+    ("gleason counterexample --spec expnorm --dim 2 --field R --trials 8 "
+     "--samples 30 --seed 13",
+     lambda: fl.counterexample_battery(fl.expnorm_gleason(2, "R"), trials=8,
+                                       samples=30, seed=13),
+     {"object": "counterexample"}),
+    ("experiment born --dim 2 --trials 5 --seed 0",
+     lambda: fl.born_experiment(2, trials=5, seed=0),
+     {"experiment": "born"}),
+], ids=["fit", "counterexample", "experiment"])
+def test_a_printed_report_is_its_record_plus_the_cli_keys(
+        command, record, keys, tmp_path, monkeypatch, capsys):
+    # The library's canonical_json of a record and the CLI's report are
+    # one text.  The fit's operator was written as reals by the one and
+    # as [re, im] pairs by the other, and a real-field homogeneity
+    # witness as real x and alpha by the one and complex by the other.
+    monkeypatch.delenv("FRAMELAB_TOL", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(command.split()) == 0
+    want = fl.canonical_json(record()._asdict() | keys)
+    assert capsys.readouterr() == (want + "\n", "")
+
+
 # Fixed-seed commands whose stdout is pinned by SHA-256: every gleason
 # mode (a complex quadratic form, the epsilon swap on the line, the
 # cos(6 t) family, expnorm with a homogeneity witness), the three
@@ -701,11 +761,11 @@ SWEEP_SHA256 = {
     "cazac-test-67":
         "4a8ba7bde9623e6e9b61576980b1d601ab367925644fa8be3ca97da7c7006591",
     "ce-cos6":
-        "e757769043b09da0da4388f060d4707c4fdc59f03ee9fbd7efb6d209598269a6",
+        "c16bff1075dc95ad629a4ffcb22707e1ccf3a4a915b6b01ac98c1eded9926853",
     "ce-epsilon1d":
         "ff329945e4a9d5ff0860c6c8b319565a7a100429d3392bc1d921cdebf3beae20",
     "ce-expnorm":
-        "a2cc73191047761a73950945b2b9a5193be8b69a273a56a632bb5a22d5e5ebbb",
+        "e059823de18fbdfd35d5749c662b8570a5ee9192edc9c7eb5de9a04979f07f9f",
     "convert-pad-zeros":
         "8d22a50c46f5bfd226da310d5418c33468572e9709d255c69c6e7389dd71f60e",
     "convert-partition":

@@ -168,14 +168,20 @@ def test_canonical_parseval_rejects_non_spanning():
         fl.canonical_parseval(bad)
 
 
+def povm_from_frame_grouped(f):
+    return fl.povm_from_frame_grouped(f, [[0, 1], [2]])
+
+
 @pytest.mark.parametrize("run", [fl.frame_bounds, fl.analyze_frame,
                                  fl.canonical_parseval, fl.is_parseval,
-                                 fl.frame_potential],
+                                 fl.frame_potential, fl.povm_from_frame,
+                                 povm_from_frame_grouped],
                          ids=lambda fn: fn.__name__)
 def test_an_overflowing_frame_operator_is_named(run):
     # Finite vectors whose frame operator overflows were rejected by the
     # eigensolver's array rule as "matrix contains non-finite entries",
-    # and is_parseval and frame_potential returned False and inf.
+    # is_parseval and frame_potential returned False and inf, and the
+    # POVM builders called the frame not Parseval, off by inf.
     f = Frame([[1e200, 1e200], [1e200, -1e200], [1e200, 0.0]], "R")
     with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
         fl.InputError, match="^frame operator overflows: sums of squared "

@@ -220,3 +220,63 @@ def test_numpy_use_scan_sees_np_attributes():
         "def g(a):\n    return np.pi\n"
     )
     assert numpy_uses(tree, "f") == ["np.abs", "np.linalg"]
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The modules a module imports from, and the names it imports from
+    its own package, without the leading dots."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                found.add(node.module)
+            if node.level and not node.module:
+                found |= {alias.name for alias in node.names}
+    return found
+
+
+def test_serialize_imports_nothing_from_gleason():
+    # Records hold what is emitted, so the emitter needs no report type.
+    tree = ast.parse((PACKAGE / "serialize.py").read_text())
+    assert "gleason" not in imported_modules(tree)
+
+
+def test_import_scan_sees_each_form():
+    tree = ast.parse("import json\nfrom .gleason import F\n"
+                     "from . import povm\nfrom .rng import _integer\n")
+    assert imported_modules(tree) == {"json", "gleason", "povm", "rng"}
+
+
+def calling_functions(tree: ast.Module, names: set[str]) -> list[str]:
+    """The module-level functions of a module that call any of ``names``,
+    as a bare name or an attribute."""
+    found = set()
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "attr",
+                                 getattr(node.func, "id", None))
+                if called in names:
+                    found.add(fn.name)
+    return sorted(found)
+
+
+def test_the_cli_forms_report_text_in_one_function():
+    # Every report the CLI prints is the record's fields plus the CLI's
+    # own keys, formed in one place.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    assert calling_functions(
+        tree, {"canonical_json", "flat_report_to_json"}) == ["_report_text"]
+
+
+def test_call_scan_sees_names_and_attributes():
+    tree = ast.parse(
+        "def f(a):\n    return s.canonical_json(a)\n"
+        "def g(a):\n    return canonical_json(a)\n"
+        "def h(a):\n    return a.canonical_json\n"
+    )
+    assert calling_functions(tree, {"canonical_json"}) == ["f", "g"]
