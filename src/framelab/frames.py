@@ -8,8 +8,9 @@ vectors, its extreme eigenvalues are the optimal frame bounds, and a
 frame is Parseval exactly when that operator is the identity.  The
 rank-one rule (projections x_j x_j*) and the c I rule (largest entry of
 |S - c I|) are written here once, for frames, POVMs and Gabor frames,
-and so are the squared-norm rule (|x|^2 summed over the last axis) and
-the unit-modulus deviation (largest |m - 1|).
+and so are the squared-norm rule (|x|^2 summed over the last axis),
+the unit-modulus deviation (largest |m - 1|) and the orthonormalization
+rule (Gram-Schmidt on a Gaussian block) behind every random frame.
 
 No diagnostic forms the N x N Gram matrix.  Coherence and
 equiangularity stream it in row blocks of bounded size, and the frame
@@ -165,8 +166,8 @@ def is_parseval(f: Frame, tol: float | None = None) -> bool:
 
 
 def canonical_parseval(f: Frame, tol: float | None = None) -> Frame:
-    """Canonical Parseval frame obtained through the inverse square
-    root of the frame operator.
+    """The tightening of a given frame: its canonical Parseval frame,
+    obtained through the inverse square root of the frame operator.
 
     Each vector is hit with S^(-1/2), which preserves span and keeps
     every norm at most 1.  Raises :class:`NotAFrameError` when the
@@ -318,22 +319,17 @@ def standard_onb(d: int, field: str = "R") -> Frame:
     return Frame(np.eye(d), field)
 
 
-def random_onb(d: int, seed: int = 0, field: str = "C") -> Frame:
-    """Haar-ish random orthonormal basis via Gram-Schmidt on Gaussians.
-
-    Deterministic in ``seed``.  The d x d Gaussian block is drawn in
-    one call, row i being the start vector of basis vector i.  Each
-    vector is projected off the earlier ones twice: one pass leaves
-    errors that grow as the vector loses norm to the projection, the
-    second brings orthonormality to roundoff.  A vector that falls too
-    close to the span of the earlier ones, which for continuous
-    Gaussians essentially never happens, is replaced by a fresh draw
-    from the generator after the block.
-    """
-    d = _integer(d, "dimension", 1)
-    rng = SplitMix64(seed)
+def _orthonormal_rows(rng: SplitMix64, k: int, m: int, field: str):
+    # The orthonormalization rule: Gram-Schmidt on the rows of one
+    # k x m Gaussian block (k <= m) drawn in one call.  Each row is
+    # projected off the earlier ones twice: one pass leaves errors that
+    # grow as the row loses norm to the projection, the second brings
+    # orthonormality to roundoff.  A row that falls too close to the
+    # span of the earlier ones, which for continuous Gaussians
+    # essentially never happens, is replaced by a fresh draw from the
+    # generator after the block.
     rows: list[np.ndarray] = []
-    for v in rng.field_gaussians((d, d), field):
+    for v in rng.field_gaussians((k, m), field):
         while True:
             for _ in range(2):
                 for u in rows:
@@ -342,8 +338,19 @@ def random_onb(d: int, seed: int = 0, field: str = "C") -> Frame:
             if norm > 1e-8:
                 rows.append(v / norm)
                 break
-            v = rng.field_gaussians(d, field)
-    return Frame(np.array(rows), field)
+            v = rng.field_gaussians(m, field)
+    return np.array(rows)
+
+
+def random_onb(d: int, seed: int = 0, field: str = "C") -> Frame:
+    """Haar-random orthonormal basis by Gram-Schmidt on Gaussians.
+
+    Deterministic in ``seed``; the square case of the orthonormalization
+    rule.  Gram-Schmidt with positive norms is QR with a positive
+    diagonal, which is Haar (Mezzadri, Notices AMS 54(5), 592, 2007).
+    """
+    d = _integer(d, "dimension", 1)
+    return Frame(_orthonormal_rows(SplitMix64(seed), d, d, field), field)
 
 
 def simplex_etf(d: int) -> Frame:
@@ -419,11 +426,14 @@ def harmonic_frame(
 def random_parseval(
     d: int, n: int, seed: int = 0, field: str = "C"
 ) -> Frame:
-    """Canonical Parseval frame of n i.i.d. Gaussian vectors in
-    dimension d.  Deterministic in ``seed``."""
+    """Haar-random Parseval frame by Gram-Schmidt: n vectors in
+    dimension d, deterministic in ``seed``.
+
+    The orthonormalization rule makes the d rows of a d x n Gaussian
+    block orthonormal; they are the columns of the frame's n x d matrix.
+    """
     d, n = _frame_size(d, n)
-    raw = SplitMix64(seed).field_gaussians((n, d), field)
-    return canonical_parseval(Frame(raw, field))
+    return Frame(_orthonormal_rows(SplitMix64(seed), d, n, field).T, field)
 
 
 def with_zeros(f: Frame, k: int) -> Frame:

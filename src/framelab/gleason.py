@@ -502,10 +502,8 @@ def verify_onb_gleason(
     return _frame_sum_verdict(g, frames, None, seed, tol)
 
 
-def _parseval_specimens(dim: int, n: int, field: str, rng: SplitMix64) -> list[Frame]:
+def _parseval_specimens(dim: int, n: int, field: str) -> list[Frame]:
     specimens = [with_zeros(standard_onb(dim, field), n - dim)]
-    big = random_onb(n, seed=rng.u64(), field=field)
-    specimens.append(Frame(big.vectors[:, :dim], field))
     if field == "C":
         specimens.append(harmonic_frame(dim, n))
     return specimens
@@ -522,9 +520,8 @@ def verify_parseval_gleason(
 
     The sample always leads with structured frames that randomized
     sampling would essentially never find: a zero-padded orthonormal
-    basis, the first-coordinates projection of a random orthonormal
-    basis of the big space, and (over C) a harmonic frame.  The rest
-    are canonical Parseval frames of Gaussian vectors.
+    basis and (over C) a harmonic frame.  The rest are Haar-random
+    Parseval frames.
     """
     tol = resolve_tol(tol)
     n = _integer(n, "frame size")
@@ -534,7 +531,7 @@ def verify_parseval_gleason(
             f"frame size {n} is below the dimension {g.dim}"
         )
     rng = SplitMix64(seed)
-    frames = _parseval_specimens(g.dim, n, g.field, rng)[:trials]
+    frames = _parseval_specimens(g.dim, n, g.field)[:trials]
     while len(frames) < trials:
         frames.append(random_parseval(g.dim, n, seed=rng.u64(), field=g.field))
     return _frame_sum_verdict(g, frames, n, seed, tol)

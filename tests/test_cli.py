@@ -731,7 +731,7 @@ SWEEP_FILES = {
 
 SWEEP_SHA256 = {
     "analyze-povm":
-        "02fb942591a40bff8f99bcc994eedb2a689f9a967fa0e9a7871bceeff3c53547",
+        "1d971ddba04fec7afe09287727a0469cbd3344aa8ee634a128d00e235354a030",
     "analyze-povm-bad-effects":
         "dda6a0f8af2988d7d0c2675a4e7db38fa1a753587678a8df620e9420221b2ac1",
     "analyze-povm-half-strict":
@@ -739,15 +739,15 @@ SWEEP_SHA256 = {
     "analyze-quadratic-phase":
         "468ee715d486598ec2fb837797f101848570910081d3db79969132b3a8e91b0c",
     "analyze-random-parseval":
-        "906d9b26cc283b65d482a4b2d6e448a5a9cb7ae5c0a95f7a3a78e2bc82a6033b",
+        "c980529037dabc8e4940c343678eadcf7d4eddd6b017e36d6c904c9d004d5faa",
     "bjorck-23":
         "82d4745e49f684e18e63f67b7cfbc929e9996fab4fb7eb536e08ca1b7cacc925",
     "bjorck-67":
         "63e1b6fe518d2a536f192108cfbf71e088293603d54e0c9b0407d618752f96d1",
     "born":
-        "455b63eaf579031dc9f12f46748d18f222bcae1b50a395361a0b7ce8431e459d",
+        "b1937abfac11b85920fc92e3ed231ae637a1c11415e82249b6c1508491c90db5",
     "busch":
-        "e94719ecf232cb2b57576b2bf4175cfd99a5f10992c2c2c9ebf4763ca40d20b0",
+        "dc0cb1305e1830c3b7cce0469a854547ac81e3e56acd988bae6a074e4f6404b3",
     "cazac-ambiguity-23":
         "74cf1800c3641460db18ba3b15dde0bc9589345b1d0bb8bdbc26c128a903dee7",
     "cazac-ambiguity-67":
@@ -761,17 +761,17 @@ SWEEP_SHA256 = {
     "cazac-test-67":
         "4a8ba7bde9623e6e9b61576980b1d601ab367925644fa8be3ca97da7c7006591",
     "ce-cos6":
-        "c16bff1075dc95ad629a4ffcb22707e1ccf3a4a915b6b01ac98c1eded9926853",
+        "a52d18313723917813365bd10e00731c6fbdfbe17e7b70f101cd3743d5e8ea38",
     "ce-epsilon1d":
-        "ff329945e4a9d5ff0860c6c8b319565a7a100429d3392bc1d921cdebf3beae20",
+        "f379d6063166b1b374ed8bb9b40cdb4519917e34b838f26ae4785f4b576dc47b",
     "ce-expnorm":
-        "e059823de18fbdfd35d5749c662b8570a5ee9192edc9c7eb5de9a04979f07f9f",
+        "2b61aafe5c50a6c35afca7783498b76198802870dd928f84738d41b07e8b1604",
     "convert-pad-zeros":
-        "8d22a50c46f5bfd226da310d5418c33468572e9709d255c69c6e7389dd71f60e",
+        "5a13a3edfe3dff552ef809094575abd50853c9cfa39ed24819fafeb4485f4ab1",
     "convert-partition":
-        "1ccd81797f8adc60436c764efa740869b000727b161a63eb178db71baafb4bbb",
+        "48f785eeeb68023aefdfe346fb5f2414bc51fe68b7b78ce71a1c47a8e378ed28",
     "convert-roundtrip":
-        "1b92b0e0dce32025d6dfca56cbb7c8580043abf245cc1ce45f3894f9b76844eb",
+        "47dc1f3cb36c9a8e599be82ae5ac088cc92b2764dc1af4aac2471efe08eb6a9c",
     "fit-cos6":
         "2bb5e76e2f337f7c4667b2cfef8176cdd030361a2ebb09b3478b12fe568efc1f",
     "fit-quadratic-C":
@@ -791,9 +791,9 @@ SWEEP_SHA256 = {
     "onb-quadratic-C":
         "9f8532c943cf0fb1c5b2e2f66d34eecd0d5121bf1523a357af6dcaebe6c85dac",
     "parseval-expnorm":
-        "067c47bb0fd9c8394240691a19b7a8c434a4be3f30e875339f1569fc2b96fd85",
+        "7548ef3abc322c7c94115b883efaf4aa6d1e6fe3096b2ef36c656b3bac89bcca",
     "parseval-quadratic-R":
-        "d53fe4de96981d1fc81fc7ad2528ad675a88dad864015df6f06014fc2f2c7f8c",
+        "0ee9d7600741f83d8a6cf269bdab1343ccc24059e153578d9e18b564b6032144",
     "random-onb-C-2":
         "1b246dca70c2d86929435ff3873c8bc6c237ca28468cefd646392e71e321e663",
     "random-onb-C-4":
@@ -807,15 +807,15 @@ SWEEP_SHA256 = {
     "random-onb-R-7":
         "3c15597cd51aacfaca5fbd9e3adceb26c4844cc78711076fb44cbbdaf954b625",
     "random-parseval-C":
-        "39ff4a08a538c044b36a51853eeece639f7f7391bec129c6d9d4a204cb83ef61",
+        "823b65610267e00868453dafbf71979d0bf007bcedfc90fa85ffdb3affc1e4dc",
     "random-parseval-R":
-        "ceb9dd8851aa619655a004b97d47d24ff052281e04e83ab3d9cccb8bd243c1e1",
+        "d441bcea10d1b7a71a3eb033c575960cece3539a1b6aaf383aae1010b6a6e065",
     "spec-inline-json":
-        "3e1863c43389ca4960bf4a43a074c3cad6e30de99d5d5c43f83996c19b4244d8",
+        "e56597b26021ea5654e51150e4b8abc140156098ad41d228f7802085a6a81514",
     "spec-json-file":
-        "4f4e96e98d9d0b86eed32f245cd6c2b9e23d63068bb07ddb39fa15f2a782acdb",
+        "e45caf77ce81051f67f542386e0f206265d3047dca891fa2218e00d7023d32b1",
     "weight-trace":
-        "10210598cc01a2fe9d4cf12fe72c693c3e42806d0864e4d6e06f946dd71b31ab",
+        "733b682914c5856b706c2ffbc7724b6f8fdcce37409d0d99b7caa3ea8420d2d2",
 }
 
 

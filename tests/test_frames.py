@@ -109,6 +109,41 @@ def test_random_onb_bytes_are_pinned(field, d):
     assert h.hexdigest()[:32] == RANDOM_ONB_DIGESTS[field, d]
 
 
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_random_parseval_of_a_square_size_is_random_onb_transposed(field):
+    # One orthonormalization rule draws both: the square Parseval draw
+    # is the transposed basis, bit for bit.
+    for d in range(1, 9):
+        for seed in (0, 1, 7919):
+            par = fl.random_parseval(d, d, seed=seed, field=field).vectors
+            onb = fl.random_onb(d, seed=seed, field=field).vectors
+            assert np.array_equal(par, onb.T)
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+@pytest.mark.parametrize("d", [4, 8, 13, 20])
+def test_random_parseval_is_parseval_to_roundoff(field, d):
+    # numpy.linalg is the oracle.  Tightening Gaussians through the
+    # Jacobi inverse square root read up to 1.1e-9 here (R, d = n = 13).
+    worst = 0.0
+    for n in (d, d + 2, 2 * d + 7):
+        for seed in range(30):
+            x = fl.random_parseval(d, n, seed=seed, field=field).vectors
+            values = np.linalg.eigvalsh(x.T @ x.conj())
+            worst = max(worst, float(np.abs(values - 1.0).max()))
+    assert worst <= 1e-14
+
+
+def test_random_draws_run_no_eigendecomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("hermitian_eig called")
+
+    g = fl.quadratic_gleason(fl.random_hermitian(3, seed=1))
+    monkeypatch.setattr(fl.linalg, "hermitian_eig", refuse)
+    assert len(fl.random_parseval(4, 6)) == 6
+    assert fl.verify_parseval_gleason(g, 5, trials=6).passed
+
+
 def test_frame_rejects_non_finite_imaginary_parts_alone():
     for bad in (np.inf, -np.inf, np.nan):
         vectors = np.array([[1.0, complex(0.0, bad)]])

@@ -301,7 +301,7 @@ def test_golden_bytes():
     assert _sha(canonical_json(frame_to_json(fl.gabor_frame(u)))) == (
         "fc2e590f1d37a35f351f50333aae96a03a01d2117ac1e1d4573134f139978185")
     assert _sha(canonical_json(povm_to_json(grouped))) == (
-        "d9707b171e5c521b7d272dd71ab328b44fbde10aa26c0ef317a79803dfbfdfdd")
+        "7468988189a824cc21c894948619f02a203b56ad30e8044e8543cadd3aa4dfd4")
     assert _sha(canonical_json(sequence_to_json(u))) == (
         "6ad1bbbcce7fc95287fc72acd7e66fd121f4dfda6d64da653f67d28264780804")
     assert _sha(ambiguity_to_csv(fl.ambiguity(u))) == (
@@ -326,7 +326,7 @@ def test_report_golden_bytes():
     fit = fl.fit_quadratic(fl.cos_counterexample(6), samples=64, seed=1)
     texts.append(canonical_json(fit_result_to_json(fit)))
     assert _sha("\n".join(texts)) == (
-        "4a5760e00ddfd53d8f9591b9ab3eb30ab403394d5f293aae06609927070dcdc7")
+        "6acf856897cb83d1858263add76c55394e44a69b069bd2fedd7458438b899c0c")
 
 
 def _not_a_measure(e):

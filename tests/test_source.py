@@ -108,6 +108,7 @@ def test_class_kind_scan_sees_each_kind():
     (r"- (\w+ \* )?np\.eye\(", "frames.py"),  # the c I deviation
     (r"np\.abs\(\w+\) \*\* 2", "frames.py"),  # the squared-norm rule
     (r"np\.max\(np\.abs\(", "frames.py"),  # the unit-modulus deviation
+    (r"np\.vdot\(u, v\) \* u", "frames.py"),  # the projection step
     (r"max\(1\.0, abs\(", "linalg.py"),  # the mixed-relative comparison
     ("not a Parseval frame", "povm.py"),  # the Parseval precondition
     (r"%\.17g", "serialize.py"),  # the float format
@@ -116,10 +117,10 @@ def test_class_kind_scan_sees_each_kind():
 def test_the_field_rules_are_written_once(text, home):
     # The array rule and the mixed-relative comparison live in linalg,
     # the field draw, the field check and the integer rule in rng, the
-    # rank-one, c I, squared-norm and unit-modulus rules in frames, the
-    # float format and the dedupe of array entries in serialize; a
-    # second copy elsewhere in the package fails here.  Each text is a
-    # regular expression.
+    # rank-one, c I, squared-norm, unit-modulus and orthonormalization
+    # rules in frames, the float format and the dedupe of array entries
+    # in serialize; a second copy elsewhere in the package fails here.
+    # Each text is a regular expression.
     holders = sorted(p.name for p in PACKAGE.glob("*.py")
                      if re.search(text, p.read_text()))
     assert holders == [home]
