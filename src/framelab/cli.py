@@ -68,7 +68,7 @@ def _emit_report(args, record, ok: bool, **keys) -> int:
 
 
 def _selector(text: str | None) -> tuple[int, ...] | None:
-    if not text:
+    if text is None:
         return None
     try:
         return tuple(int(s) for s in text.split(","))
@@ -154,7 +154,7 @@ def _cmd_convert(args) -> int:
     obj = serialize.load_json(args.path)
     if args.to == "povm":
         f = serialize.frame_from_json(obj)
-        if args.partition:
+        if args.partition is not None:
             p = povm.povm_from_frame_grouped(
                 f, _parse_partition(args.partition), tol
             )

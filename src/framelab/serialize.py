@@ -14,8 +14,14 @@ text per unit of whole rows of bounded size.  Each unit formats only
 the distinct entries that the unit before it, in the same array, did
 not hold, and joins every row from the gathered texts; so a Gabor
 frame, whose p^3 entries take fewer than p^2 values, is formatted
-once per value, not once per entry.  The emitter holds the text once
-plus one unit's rows and piece: :func:`canonical_json` peaks at about
+once per value, not once per entry.  A unit groups its equal entries
+by sorting a 64-bit key of each, which NumPy sorts far faster than
+complex values, and ends a group wherever the sorted entry changes; a
+text is taken over from the unit before only for an equal entry.  So
+two entries whose keys collide cost one more format of a text, never
+the wrong text, and as each entry takes its own group's text, the key
+order never reaches the output.  The emitter holds the text once plus
+one unit's rows and piece: :func:`canonical_json` peaks at about
 twice its text (the pieces and their join), and :func:`write_json`,
 which writes the pieces, at about once plus one unit.
 
@@ -84,12 +90,13 @@ def _float_rows(a: np.ndarray, carry: list, left: str = "[",
 
     Entries follow :func:`fmt_float`; complex entries become
     ``[re,im]`` pairs.  The rows are split into near-equal units of at
-    most ``_UNIT_PARTS`` float parts.  ``carry`` holds the sorted
-    distinct entries of the unit before, of this array or of an earlier
-    slab of the same array, with their texts; an empty list starts an
-    array.  A unit takes over those texts, formats only the entries the
-    unit before did not hold and leaves its own in ``carry``, so an
-    entry that recurs from unit to unit is formatted once per array.
+    most ``_UNIT_PARTS`` float parts.  ``carry`` holds the distinct
+    entries of the unit before, of this array or of an earlier slab of
+    the same array, in key order, with their texts; an empty list
+    starts an array.  A unit takes over those texts, formats only the
+    entries the unit before did not hold and leaves its own in
+    ``carry``, so an entry that recurs from unit to unit is formatted
+    once per array.
     """
     rows = np.atleast_2d(a)
     row_parts = rows.shape[1] * (2 if np.iscomplexobj(rows) else 1)
@@ -103,9 +110,14 @@ def _float_rows(a: np.ndarray, carry: list, left: str = "[",
 def _unit_rows(rows: np.ndarray, carry: list, left: str,
                right: str) -> list[str]:
     # One unit of _float_rows.  One finite check covers every real and
-    # imaginary part.  After + 0.0, equal entries have equal bits, so a
-    # key is a whole entry, and a key the carry holds is found by
-    # equality.  The unit's keys and texts replace the carry.
+    # imaginary part.  After + 0.0, equal entries have equal bits and so
+    # equal keys.  A group starts wherever the sorted entry changes, and
+    # an entry the carry holds is found by its key and taken over only
+    # if it is equal, so entries whose keys collide at worst split a
+    # group and format one text twice.  The unit's distinct entries, in
+    # key order, and their texts replace the carry; its keys are
+    # recomputed, not kept, and the sort and lookup arrays are freed
+    # before any text is formatted.
     kind = np.complex128 if np.iscomplexobj(rows) else np.float64
     rows = np.ascontiguousarray(rows, dtype=kind) + 0.0
     parts = rows.view(np.float64)
@@ -113,29 +125,62 @@ def _unit_rows(rows: np.ndarray, carry: list, left: str,
     if not finite.all():
         bad = float(parts[~finite][0])
         raise InputError(f"cannot serialize non-finite number {bad!r}")
-    keys, index = np.unique(rows, return_inverse=True)
-    texts = np.empty(keys.size, dtype=object)
-    old_keys, old_texts = carry or (keys[:0], texts[:0])
+    entries = rows.reshape(-1)
+    keys = _entry_keys(entries)
+    order = np.argsort(keys)
+    entries = entries[order]
+    starts = np.empty(entries.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(entries[1:], entries[:-1], out=starts[1:])
+    index = np.empty(entries.size, dtype=np.intp)
+    index[order] = np.cumsum(starts) - 1
+    keys, entries = keys[order[starts]], entries[starts]
+    del order, starts
+    old_entries, old_texts = carry or (entries[:0], np.empty(0, dtype=object))
     carry.clear()
-    at = np.searchsorted(old_keys, keys)
-    known = at < old_keys.size
-    known[known] = old_keys[at[known]] == keys[known]
+    at = np.searchsorted(_entry_keys(old_entries), keys)
+    known = at < old_entries.size
+    known[known] = old_entries[at[known]] == entries[known]
+    del keys, old_entries  # free the sort and lookup before formatting
+    texts = np.empty(entries.size, dtype=object)
     texts[known] = old_texts[at[known]]
-    del old_texts  # free the texts this unit drops before it formats
+    del old_texts, at  # and the carry's texts this unit drops
     new = ~known
-    texts[new] = _cell_texts(keys[new])
-    carry[:] = keys, texts
+    texts[new] = _cell_texts(entries[new])
+    carry[:] = entries, texts
     cells = texts[index.reshape(rows.shape)].tolist()
     return [left + ",".join(row) + right for row in cells]
 
 
-def _cell_texts(keys: np.ndarray) -> np.ndarray:
-    # The text of each key by the one cell rule: fmt_float of a float,
+_MIX = np.uint64(0xBF58476D1CE4E5B9)
+_FOLD = np.uint64(31)
+
+
+def _entry_keys(entries: np.ndarray) -> np.ndarray:
+    # The 64-bit sort key of each entry of a contiguous 1-D float or
+    # complex array.  A float is keyed by its bits.  A complex entry is
+    # keyed by a bijective mix of its real part's bits (an odd
+    # multiplier carries each bit upward, the shift folds the high half
+    # back down) XORed with its imaginary part's bits, so [a, b] and
+    # [b, a] do not share a key.  Equal entries have equal keys.  A
+    # second mix would change the key order but not which entries share
+    # a key, so there is none.
+    bits = entries.view(np.uint64)
+    if entries.dtype.kind != "c":
+        return bits
+    keys = bits[0::2] * _MIX
+    keys ^= keys >> _FOLD
+    keys ^= bits[1::2]
+    return keys
+
+
+def _cell_texts(entries: np.ndarray) -> np.ndarray:
+    # The text of each entry by the one cell rule: fmt_float of a float,
     # [re,im] of a complex entry.
-    if keys.dtype.kind == "c":
-        cell, columns = f"[{_FLOAT},{_FLOAT}]", (keys.real, keys.imag)
+    if entries.dtype.kind == "c":
+        cell, columns = f"[{_FLOAT},{_FLOAT}]", (entries.real, entries.imag)
     else:
-        cell, columns = _FLOAT, (keys,)
+        cell, columns = _FLOAT, (entries,)
     return np.array([cell % p for p in zip(*(c.tolist() for c in columns))],
                     dtype=object)
 

@@ -165,6 +165,29 @@ def test_convert_rejects_an_option_of_the_other_direction(
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("command, empty, separator, code, error", [
+    ("gen harmonic --dim 2 --n 5 --out x.json --selector", "", ",", 2,
+     "bad selector: {!r}"),
+    ("convert f.json --to povm --out x.json --partition", "", ";", 3,
+     "indices not covered: [0, 1, 2]"),
+], ids=["selector", "partition"])
+def test_an_empty_value_is_given_not_absent(command, empty, separator, code,
+                                            error, tmp_path, monkeypatch,
+                                            capsys):
+    # An empty --selector or --partition was read as not given: both
+    # commands exited 0 and wrote the default selector's frame or an
+    # ungrouped POVM.  Now each fails as the bare separator does.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main("gen random-parseval --dim 2 --n 3 --seed 1 "
+                    "--out f.json".split()) == 0
+    capsys.readouterr()
+    for value in (empty, separator):
+        assert cli.main([*command.split(), value]) == code
+        assert capsys.readouterr() == (
+            "", "error: " + error.format(value) + "\n")
+        assert not (tmp_path / "x.json").exists()
+
+
 def test_convert_names_an_overflowing_frame_operator(tmp_path, monkeypatch,
                                                      capsys):
     # It exited 3, calling the frame not Parseval, off by inf.

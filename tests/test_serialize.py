@@ -267,9 +267,9 @@ def test_each_distinct_entry_is_formatted_once_per_array(monkeypatch):
     formatted = []
     cell_texts = serialize._cell_texts
 
-    def counted(keys):
-        formatted.append(keys.size)
-        return cell_texts(keys)
+    def counted(entries):
+        formatted.append(entries.size)
+        return cell_texts(entries)
 
     monkeypatch.setattr(serialize, "_cell_texts", counted)
     gabor = fl.gabor_frame(fl.bjorck(67)).vectors
@@ -279,6 +279,35 @@ def test_each_distinct_entry_is_formatted_once_per_array(monkeypatch):
         canonical_json(a)
         assert np.unique(a + 0.0).size == formats
         assert sum(formatted) == formats
+
+
+def _colliding_entries():
+    # [1, 0.5] and [2, im2] with equal keys.  A complex key is the mixed
+    # bits of the real part XORed with the bits of the imaginary part,
+    # so im2 = -6.3174680710424494e-176 undoes the change of real part:
+    # its bits are the key of [1, 0.5] XOR the key of [2, 0].
+    z1 = complex(1.0, 0.5)
+    keys = serialize._entry_keys(np.array([z1, 2.0]))
+    z2 = complex(2.0, (keys[:1] ^ keys[1:]).view(np.float64)[0])
+    assert np.unique(serialize._entry_keys(np.array([z1, z2]))).size == 1
+    return z1, z2
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_entries_whose_keys_collide_keep_their_own_text(first, tmp_path):
+    # Two entries with one key, in one unit and in two units, where
+    # the second unit finds the other entry under its key in the carry.
+    z = _colliding_entries()
+    one_unit = np.array([z[first], z[1 - first], z[first], 3.0, z[1 - first]])
+    rows = _rows_per_unit(1, np.complex128)
+    two_units = np.full((2 * rows, 1), z[first])
+    two_units[rows:-1] = z[1 - first]
+    path = tmp_path / "a.json"
+    for a in (one_unit, two_units):
+        text = canonical_json(a)
+        assert text == _entrywise(a)
+        write_json(path, a)
+        assert path.read_text() == text + "\n"
 
 
 def test_ambiguity_csv_follows_fmt_float():

@@ -112,14 +112,14 @@ def test_class_kind_scan_sees_each_kind():
     (r"max\(1\.0, abs\(", "linalg.py"),  # the mixed-relative comparison
     ("not a Parseval frame", "povm.py"),  # the Parseval precondition
     (r"%\.17g", "serialize.py"),  # the float format
-    (r"np\.unique", "serialize.py"),  # the dedupe of array entries
+    (r"_entry_keys\(", "serialize.py"),  # the sort key of array entries
 ])
 def test_the_field_rules_are_written_once(text, home):
     # The array rule and the mixed-relative comparison live in linalg,
     # the field draw, the field check and the integer rule in rng, the
     # rank-one, c I, squared-norm, unit-modulus and orthonormalization
-    # rules in frames, the float format and the dedupe of array entries
-    # in serialize; a second copy elsewhere in the package fails here.
+    # rules in frames, the float format and the sort key of array
+    # entries in serialize; a second copy elsewhere in the package fails here.
     # Each text is a regular expression.
     holders = sorted(p.name for p in PACKAGE.glob("*.py")
                      if re.search(text, p.read_text()))
