@@ -14,7 +14,11 @@ rule (Gram-Schmidt on a Gaussian block) behind every random frame.
 
 No diagnostic forms the N x N Gram matrix.  Coherence and
 equiangularity stream it in row blocks of bounded size, and the frame
-potential is ||S||_F^2 of the d x d frame operator S.
+potential is ||S||_F^2 of the d x d frame operator S.  The streaming
+pass keeps the largest pair magnitude, and the smallest and the sum
+only until their spread passes the tolerance, which rules out a
+common angle; it ends there when the largest is not wanted either, as
+for :func:`is_equiangular` and a frame that is not unit-norm.
 """
 
 from __future__ import annotations
@@ -186,34 +190,45 @@ def canonical_parseval(f: Frame, tol: float | None = None) -> Frame:
     return Frame(f.vectors @ root.T, f.field)
 
 
-def _pair_stats(f: Frame) -> tuple[float, float, float]:
-    """Max, min and mean of |<x_i, x_j>| over the pairs i < j.
+def _pair_stats(f: Frame, tol: float,
+                need_max: bool = True) -> tuple[float, float | None]:
+    """Max of |<x_i, x_j>| over the pairs i < j, and their common
+    magnitude, the mean, when all of them lie within ``tol`` of each
+    other, else None.
 
     One pass over row blocks of the Gram matrix, each of about
     ``_GRAM_BLOCK_BYTES`` (one row at least): the block of rows s..e-1
-    is formed against columns s..N-1 only, so N x N is never held.
+    is formed against columns s..N-1 only, so N x N is never held.  The
+    pass keeps the running max, and the running min and sum only while
+    the spread max - min stays within ``tol``: the max only grows and
+    the min only falls, so a spread past ``tol`` at any block is past
+    it at the end, and the angle is None.  Without ``need_max`` the
+    pass ends there, and the max returned covers only the blocks seen.
     """
     x = f.vectors
     n = len(f)
-    rows = max(1, _GRAM_BLOCK_BYTES // (x.itemsize * n))
+    rows = min(n, max(1, _GRAM_BLOCK_BYTES // (x.itemsize * n)))
+    tri = np.triu_indices(rows, 1)  # pairs inside a diagonal tile
     hi, lo, total = -math.inf, math.inf, 0.0
+    equi = True
     for s in range(0, n, rows):
         e = min(s + rows, n)
+        if e - s < rows:  # the short last block
+            tri = np.triu_indices(e - s, 1)
         # mags[r, c] = |<x_{s+r}, x_{s+c}>|; conjugating the first
         # factor gives the conjugate inner product, of equal magnitude.
         mags = np.abs(np.conj(x[s:e]) @ x[s:].T)
-        diag_block = mags[:, : e - s][np.triu_indices(e - s, 1)]
-        for part in (diag_block, mags[:, e - s:]):
+        for part in (mags[:, : e - s][tri], mags[:, e - s:]):
             if part.size:
                 hi = max(hi, float(part.max()))
-                lo = min(lo, float(part.min()))
-                total += float(part.sum())
-    return hi, lo, total / (n * (n - 1) / 2)
-
-
-def _equiangular(stats, tol: float) -> tuple[bool, float | None]:
-    hi, lo, mean = stats
-    return (True, mean) if hi - lo <= tol else (False, None)
+                if equi:
+                    lo = min(lo, float(part.min()))
+                    total += float(part.sum())
+        if equi and not hi - lo <= tol:
+            if not need_max:
+                return hi, None
+            equi = False
+    return hi, total / (n * (n - 1) / 2) if equi else None
 
 
 def coherence(f: Frame, tol: float | None = None) -> float:
@@ -226,7 +241,7 @@ def coherence(f: Frame, tol: float | None = None) -> float:
         raise NotUnitNormError(
             f"vector norms deviate from 1 by up to {worst:.3e}"
         )
-    return _pair_stats(f)[0]
+    return _pair_stats(f, tol)[0]
 
 
 def _frame_size(d, n) -> tuple[int, int]:
@@ -259,7 +274,8 @@ def is_equiangular(
     tol = resolve_tol(tol)
     if len(f) < 2:
         raise TooFewVectorsError("equiangularity needs at least two vectors")
-    return _equiangular(_pair_stats(f), tol)
+    angle = _pair_stats(f, tol, need_max=False)[1]
+    return angle is not None, angle
 
 
 def frame_potential(f: Frame) -> float:
@@ -287,9 +303,8 @@ def analyze_frame(f: Frame, tol: float | None = None) -> FrameReport:
 
     equi, angle, coh = True, None, None
     if n >= 2:
-        stats = _pair_stats(f)
-        equi, angle = _equiangular(stats, tol)
-        coh = stats[0] if unit else None
+        top, angle = _pair_stats(f, tol, need_max=unit)
+        equi, coh = angle is not None, top if unit else None
     welch = welch_bound(n, d) if n >= d else None
 
     return FrameReport(

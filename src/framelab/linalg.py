@@ -227,6 +227,9 @@ def _jacobi(
                     t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
+                # c * x promotes a float c to complex(c, 0.0) at every
+                # product; promoting it once here gives the same bits.
+                c, s = complex(c, 0.0), complex(s, 0.0)
                 eiphi = apq / mag
                 se = s * eiphi
                 ce = c * eiphi
@@ -275,14 +278,14 @@ def _fix_phases(rows: np.ndarray) -> None:
     # eigenvectors stored as rows.  Each row has unit norm, so some
     # entry has magnitude at least 1/sqrt(d) > 1e-12 and argmax finds
     # the first entry above 1e-12 in every row.
-    pivots = (np.abs(rows) > 1e-12).argmax(axis=1)
-    for k, i in enumerate(pivots.tolist()):
-        row = rows[k]
-        pivot = row[i]
-        # NumPy scalar arithmetic, not Python's: the bits differ.
-        rows[k] = row * (pivot.conjugate() / abs(pivot))
-        # Scrub the tiny imaginary residue the rotation leaves behind.
-        rows[k, i] = abs(rows[k, i].real)
+    k = np.arange(len(rows))
+    at = (np.abs(rows) > 1e-12).argmax(axis=1)
+    pivots = rows[k, at]
+    # abs of each NumPy scalar, not np.abs of the array, whose SIMD loop
+    # gives other bits for some pivots.
+    rows *= (pivots.conjugate() / np.array([abs(z) for z in pivots]))[:, None]
+    # Scrub the tiny imaginary residue the rotation leaves behind.
+    rows[k, at] = np.abs(rows[k, at].real)
 
 
 def hermitian_eig(m, tol: float | None = None) -> HermitianEig:

@@ -10,9 +10,14 @@ rejected.  Files end with a single newline.
 :func:`fmt_float` is the one float rule.  Float and complex arrays
 follow it too, so the ``*_to_json`` writers hand arrays to the emitter
 and the readers accept them back.  An array is emitted as one piece of
-text per unit of whole rows of bounded size.  Each unit formats only
-the distinct entries that the unit before it, in the same array, did
-not hold, and joins every row from the gathered texts; so a Gabor
+text per unit of whole rows of bounded size, its rows along the last
+axis taken across every slab, so the units of a stack of POVM effects
+cross from one effect to the next.  A row's text is its entries joined
+by commas, and a unit joins its rows by ``],[``, with the brackets
+that open and close the array and its slabs put on the first and last
+row of each, so a slab boundary reads ``]],[[``.  Each unit formats
+only the distinct entries that the unit before it, in the same array,
+did not hold, and joins every row from the gathered texts; so a Gabor
 frame, whose p^3 entries take fewer than p^2 values, is formatted
 once per value, not once per entry.  A unit groups its equal entries
 by sorting a 64-bit key of each, which NumPy sorts far faster than
@@ -21,9 +26,11 @@ text is taken over from the unit before only for an equal entry.  So
 two entries whose keys collide cost one more format of a text, never
 the wrong text, and as each entry takes its own group's text, the key
 order never reaches the output.  The emitter holds the text once plus
-one unit's rows and piece: :func:`canonical_json` peaks at about
-twice its text (the pieces and their join), and :func:`write_json`,
-which writes the pieces, at about once plus one unit.
+one unit's rows and piece, as a unit is joined only once its arrays
+are freed and the brackets go on its rows, not on the joined text:
+:func:`canonical_json` peaks at about twice its text (the pieces and
+their join), and :func:`write_json`, which writes the pieces, at
+about once plus one unit.
 
 Reports are immutable ``NamedTuple`` records that hold what is
 emitted, and the emitter writes them by one rule: a record becomes the
@@ -67,10 +74,11 @@ _FLOAT = "%.17g"
 # whole rows.  Beside the pieces, the emitter holds one unit's row texts,
 # its distinct texts and, while it joins the rows, its piece, so a unit
 # is half of _BLOCK_PARTS float parts (a complex entry has two): about
-# 0.7 MB of text.  The rows of each 2-D slab are split into near-equal
-# units, so no short last unit drops the texts the next unit needs: the
-# 4,489 rows of a p = 67 Gabor frame go in 19 units of 236 or 237 rows,
-# each holding nearly all of the frame's 2,638 distinct entries.
+# 0.7 MB of text.  The rows of an array, across its slabs, are split
+# into near-equal units, so no short last unit drops the texts the next
+# unit needs: the 4,489 rows of a p = 67 Gabor frame go in 19 units of
+# 236 or 237 rows, each holding nearly all of the frame's 2,638
+# distinct entries.
 _BLOCK_PARTS = 2**16
 _UNIT_PARTS = _BLOCK_PARTS // 2
 
@@ -83,32 +91,53 @@ def fmt_float(x: float) -> str:
     return _FLOAT % (x + 0.0)
 
 
-def _float_rows(a: np.ndarray, carry: list, left: str = "[",
-                right: str = "]", sep: str = ",") -> Iterator[str]:
-    """Text of each unit of rows of a 1-D or 2-D float or complex array:
-    its rows, each between ``left`` and ``right``, joined by ``sep``.
+def _float_rows(a: np.ndarray, left: str = "[", right: str = "]",
+                sep: str = ",") -> Iterator[str]:
+    """Text of a nonempty float or complex array, one piece per unit of
+    rows; the pieces joined with no separator are the array's text.
 
     Entries follow :func:`fmt_float`; complex entries become
-    ``[re,im]`` pairs.  The rows are split into near-equal units of at
-    most ``_UNIT_PARTS`` float parts.  ``carry`` holds the distinct
-    entries of the unit before, of this array or of an earlier slab of
-    the same array, in key order, with their texts; an empty list
-    starts an array.  A unit takes over those texts, formats only the
-    entries the unit before did not hold and leaves its own in
-    ``carry``, so an entry that recurs from unit to unit is formatted
+    ``[re,im]`` pairs.  The rows along the last axis, across all
+    leading axes, are split into near-equal units of at most
+    ``_UNIT_PARTS`` float parts.  The row rule joins a unit's rows by
+    ``right + sep + left``; ``left`` is put on the first row of the
+    unit and of each sub-array along a leading axis, the whole array
+    included, ``right`` on the last, and ``sep`` after every unit but
+    the last.  A unit is joined only after :func:`_unit_rows` has
+    returned and freed its arrays, and the brackets go on its rows, not
+    on the joined text, which would copy it.
+
+    The carry holds the distinct entries of the unit before, in key
+    order, with their texts.  A unit takes over those texts, formats
+    only the entries the unit before did not hold and leaves its own in
+    the carry, so an entry that recurs from unit to unit is formatted
     once per array.
     """
-    rows = np.atleast_2d(a)
+    rows = a.reshape(-1, a.shape[-1])
+    # rows in each sub-array along a leading axis
+    spans = [math.prod(a.shape[i:-1]) for i in range(a.ndim - 1)]
     row_parts = rows.shape[1] * (2 if np.iscomplexobj(rows) else 1)
     n = rows.shape[0]
-    units = -(-n // max(1, _UNIT_PARTS // max(1, row_parts)))
+    units = -(-n // max(1, _UNIT_PARTS // row_parts))
+    carry: list = []
     for j in range(units):
-        yield sep.join(_unit_rows(rows[j * n // units:(j + 1) * n // units],
-                                  carry, left, right))
+        lo, hi = j * n // units, (j + 1) * n // units
+        lines = _unit_rows(rows[lo:hi], carry)
+        lines[0] = left + lines[0]
+        lines[-1] += right
+        for span in spans:
+            for i in range(-lo % span, hi - lo, span):  # first rows
+                lines[i] = left + lines[i]
+            for i in range((-lo - 1) % span, hi - lo, span):  # last rows
+                lines[i] += right
+        if hi < n:
+            lines[-1] += sep
+        piece = (right + sep + left).join(lines)
+        del lines  # not held while the next unit forms its rows
+        yield piece
 
 
-def _unit_rows(rows: np.ndarray, carry: list, left: str,
-               right: str) -> list[str]:
+def _unit_rows(rows: np.ndarray, carry: list) -> list[str]:
     # One unit of _float_rows.  One finite check covers every real and
     # imaginary part.  After + 0.0, equal entries have equal bits and so
     # equal keys.  A group starts wherever the sorted entry changes, and
@@ -117,7 +146,8 @@ def _unit_rows(rows: np.ndarray, carry: list, left: str,
     # group and format one text twice.  The unit's distinct entries, in
     # key order, and their texts replace the carry; its keys are
     # recomputed, not kept, and the sort and lookup arrays are freed
-    # before any text is formatted.
+    # before any text is formatted.  It returns the row texts, bare:
+    # _float_rows puts on the brackets and joins them.
     kind = np.complex128 if np.iscomplexobj(rows) else np.float64
     rows = np.ascontiguousarray(rows, dtype=kind) + 0.0
     parts = rows.view(np.float64)
@@ -149,7 +179,7 @@ def _unit_rows(rows: np.ndarray, carry: list, left: str,
     texts[new] = _cell_texts(entries[new])
     carry[:] = entries, texts
     cells = texts[index.reshape(rows.shape)].tolist()
-    return [left + ",".join(row) + right for row in cells]
+    return list(map(",".join, cells))
 
 
 _MIX = np.uint64(0xBF58476D1CE4E5B9)
@@ -185,24 +215,6 @@ def _cell_texts(entries: np.ndarray) -> np.ndarray:
                     dtype=object)
 
 
-def _emit_float_array(a: np.ndarray, out: list[str], carry: list) -> None:
-    # One piece per unit of whole rows, so no more than one unit's row
-    # texts and its piece are held beside the pieces; higher ranks
-    # recurse on their leading axis with the same carry.
-    if a.ndim == 1:
-        out.extend(_float_rows(a, carry))
-        return
-    out.append("[")
-    for i, item in enumerate(a if a.ndim > 2 else _float_rows(a, carry)):
-        if i:
-            out.append(",")
-        if a.ndim > 2:
-            _emit_float_array(item, out, carry)
-        else:
-            out.append(item)
-    out.append("]")
-
-
 def _emit(obj, out: list[str]) -> None:
     if obj is None:
         out.append("null")
@@ -222,8 +234,8 @@ def _emit(obj, out: list[str]) -> None:
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
-        if obj.ndim and obj.dtype.kind in "fc":
-            _emit_float_array(obj, out, [])
+        if obj.size and obj.ndim and obj.dtype.kind in "fc":
+            out.extend(_float_rows(obj))
         else:
             _emit(obj.tolist(), out)
     elif isinstance(obj, dict):
@@ -477,4 +489,4 @@ verification_report_to_json = flat_report_to_json
 
 def ambiguity_to_csv(table: AmbiguityTable) -> str:
     """Magnitude grid as CSV, row m per line, columns n = 0..d-1."""
-    return "\n".join(_float_rows(table.magnitudes(), [], "", "", "\n")) + "\n"
+    return "".join(_float_rows(table.magnitudes(), "", "", "\n")) + "\n"

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import framelab as fl
 from framelab import Frame, SplitMix64
-from framelab.serialize import frame_from_json, frame_to_json
+from framelab.serialize import canonical_json, frame_from_json, frame_to_json
 
 
 def test_frame_dtype_normalization():
@@ -438,6 +438,67 @@ def test_equiangular_frames_report_their_angle():
     equi, angle = fl.is_equiangular(fl.harmonic_frame(3, 7, (1, 2, 4)))
     assert equi
     assert_allclose(angle, math.sqrt(2.0) / 7.0, rtol=1e-14)
+
+
+def _two_block_frames():
+    # harmonic_frame(1, 400) spans two row blocks of 327 rows, and every
+    # pair has magnitude 1/400.  Appending [[0.025]] adds pairs of
+    # magnitude 1/800, which the first block's columns already hold.
+    f = fl.harmonic_frame(1, 400)
+    return f, Frame(np.vstack([f.vectors, [[0.025]]]), "C")
+
+
+def test_an_equiangular_frame_over_two_blocks_keeps_its_angle():
+    f, _ = _two_block_frames()
+    assert fl.is_equiangular(f) == (True, 0.0025)
+    assert canonical_json(fl.analyze_frame(f)) == (
+        '{"coherence":null,"common_angle":0.0025000000000000001,"dim":1,'
+        '"field":"C","frame_potential":1,"is_equiangular":true,'
+        '"is_parseval":true,"is_tight":true,"is_unit_norm":false,'
+        '"lower_bound":1,"num_vectors":400,"upper_bound":1,'
+        '"welch_bound":1}')
+
+
+def test_a_spread_past_tol_inside_the_pass_gives_no_angle():
+    _, g = _two_block_frames()
+    assert fl.is_equiangular(g) == (False, None)
+    assert canonical_json(fl.analyze_frame(g)) == (
+        '{"coherence":null,"common_angle":null,"dim":1,"field":"C",'
+        '"frame_potential":1.0012503906249997,"is_equiangular":false,'
+        '"is_parseval":false,"is_tight":true,"is_unit_norm":false,'
+        '"lower_bound":1.0006249999999999,"num_vectors":401,'
+        '"upper_bound":1.0006249999999999,"welch_bound":1}')
+
+
+def test_the_largest_pair_after_the_spread_passes_tol_is_the_coherence():
+    # Unit vectors at angles m pi / 800, m < 400, and one at 399.5 pi /
+    # 800: the largest pair, cos(pi / 1600), is the last two vectors,
+    # both in the second of two row blocks, where the first block has
+    # already ruled out a common angle.
+    phi = np.append(np.arange(400) * math.pi / 800, 399.5 * math.pi / 800)
+    f = Frame(np.stack([np.cos(phi), np.sin(phi)], axis=1), "C")
+    assert fl.is_equiangular(f) == (False, None)
+    assert fl.coherence(f) == math.cos(math.pi / 1600) == 0.9999980723435097
+    report = fl.analyze_frame(f)
+    assert report.is_unit_norm and not report.is_equiangular
+    assert (report.coherence, report.common_angle) == (fl.coherence(f), None)
+
+
+def test_a_frame_that_is_not_unit_norm_reports_no_coherence():
+    f = fl.random_parseval(3, 11, seed=2)
+    report = fl.analyze_frame(f)
+    assert not report.is_unit_norm and report.coherence is None
+    assert fl.is_equiangular(f) == (False, None)
+    assert not report.is_equiangular and report.common_angle is None
+
+
+def test_gabor_coherence_is_the_ambiguity_peak():
+    # The same magnitude by a GEMM and by an FFT, which round apart in
+    # the last bits; the coherence bits are pinned.
+    u = fl.bjorck(43)
+    coherence = fl.coherence(fl.gabor_frame(u))
+    assert coherence == 0.2798172648776434
+    assert_allclose(coherence, fl.ambiguity(u).peak_off_origin(), rtol=1e-14)
 
 
 def test_analyze_frame_never_forms_the_gram_matrix():

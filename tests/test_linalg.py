@@ -12,6 +12,9 @@ from framelab import (
     NotSquareError,
     SingularOrIndefiniteError,
     SplitMix64,
+    bjorck,
+    frame_operator,
+    gabor_frame,
     hermitian_eig,
     povm_from_frame_grouped,
     psd_inv_sqrt,
@@ -298,6 +301,38 @@ def test_jacobi_leaves_the_working_matrix_hermitian_by_fiat():
             assert a[r][r].imag == 0.0
             for c in range(r + 1, d):
                 assert a[r][c] == a[c][r].conjugate(), (d, r, c)
+
+
+HERMITIAN_EIG_SHA256 = (
+    "762fa4059c247008563dff9c0cf6d36f53fc3e1daf6aaa5d9e3416d72ddac7df"
+)
+
+
+def _eig_battery():
+    # Random Hermitian matrices in both fields, the effects of grouped
+    # POVMs of random Parseval frames, and Gabor frame operators.
+    for field in ("R", "C"):
+        for d in range(1, 25):
+            yield random_hermitian(d, seed=d, field=field)
+    for d, n, k in ((6, 9, 3), (13, 20, 4), (20, 27, 5)):
+        groups = [list(range(j, n, k)) for j in range(k)]
+        yield from povm_from_frame_grouped(
+            random_parseval(d, n, seed=d), groups).effects
+    for p in (5, 7, 11, 13):
+        yield frame_operator(gabor_frame(bjorck(p)))
+
+
+def test_hermitian_eig_bits_are_pinned():
+    # Eigenvalues and phase-fixed eigenvectors to the bit: the phase
+    # rule must scale each row by NumPy complex arithmetic on the
+    # scalar magnitude of its pivot, which np.abs on an array of pivots
+    # does not always match.
+    h = hashlib.sha256()
+    for m in _eig_battery():
+        values, vecs = hermitian_eig(m)
+        h.update(" ".join(float(x).hex() for x in values).encode())
+        h.update(" ".join(_hex(complex(z)) for z in vecs.reshape(-1)).encode())
+    assert h.hexdigest() == HERMITIAN_EIG_SHA256
 
 
 # --- psd_inv_sqrt ----------------------------------------------------------

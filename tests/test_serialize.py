@@ -87,17 +87,42 @@ def _signed_zeros(dtype):
     return np.resize(a, (5, 9))
 
 
+def _effects(dtype, d, slabs):
+    # A stack of d x d slabs, as the effects of a POVM are stored, with
+    # 0.1 starting every slab, so that it recurs in every unit.
+    a = _field(fl.SplitMix64(11).complex_gaussians((slabs, d, d)), dtype)
+    a[:, 0, 0] = 0.1
+    return a
+
+
+def _slab_split(dtype):
+    # 6 x 6 slabs, an odd number of them just past one unit: two units
+    # of near-equal rows, whose boundary at row 3 * slabs falls three
+    # rows into a slab.
+    return _effects(dtype, 6, (_rows_per_unit(6, dtype) // 6 + 1) | 1)
+
+
+def _slab_aligned(dtype):
+    # 8 x 8 slabs filling two units whose rows the slab height divides:
+    # the unit boundary falls on a slab boundary.
+    return _effects(dtype, 8, 2 * (_rows_per_unit(8, dtype) // 8))
+
+
 # Rows of one real part: B rows fill one block.  The transposes are
 # single rows longer than a block, and the last shape has slabs that
 # span several blocks.  The functions of the dtype after them give
 # arrays whose entries repeat: a Gabor and a harmonic frame, a value
 # recurring in every block, and zeros of both signs.  The last three
 # test the carry of formatted entries from unit to unit: across slabs,
-# over a unit that lacks a value, and one row past two units.
+# over a unit that lacks a value, and one row past two units.  Then
+# come stacks of slabs whose units cross slabs, with a unit boundary
+# inside a slab and on a slab boundary, empty slabs and empty rows, and
+# a 4-D array, whose rows close two brackets at once.
 SHAPES = [(0,), (1,), (5, 3), (2, 3, 3), (4, 0), (0, 2, 2),
           (B - 1, 1), (B, 1), (B + 1, 1), (2 * B + 1, 1), (3, B + 1, 1),
           _gabor, _harmonic, _recurring, _signed_zeros,
-          _stacked, _returning, _tiled]
+          _stacked, _returning, _tiled,
+          _slab_split, _slab_aligned, (3, 0, 2), (2, 3, 0), (2, 3, 2, 2)]
 
 
 def _entrywise(a):

@@ -113,13 +113,16 @@ def test_class_kind_scan_sees_each_kind():
     ("not a Parseval frame", "povm.py"),  # the Parseval precondition
     (r"%\.17g", "serialize.py"),  # the float format
     (r"_entry_keys\(", "serialize.py"),  # the sort key of array entries
+    (r"np\.triu_indices", "frames.py"),  # the pairs of a Gram tile
+    (r"\(right \+ sep \+ left\)\.join", "serialize.py"),  # the row rule
 ])
 def test_the_field_rules_are_written_once(text, home):
     # The array rule and the mixed-relative comparison live in linalg,
     # the field draw, the field check and the integer rule in rng, the
     # rank-one, c I, squared-norm, unit-modulus and orthonormalization
-    # rules in frames, the float format and the sort key of array
-    # entries in serialize; a second copy elsewhere in the package fails here.
+    # rules and the pairs of a Gram tile in frames, the float format,
+    # the sort key of array entries and the row rule in serialize; a
+    # second copy elsewhere in the package fails here.
     # Each text is a regular expression.
     holders = sorted(p.name for p in PACKAGE.glob("*.py")
                      if re.search(text, p.read_text()))
