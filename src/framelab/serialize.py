@@ -351,6 +351,16 @@ def _vector_from_json(item, field: str, what: str) -> np.ndarray:
     return np.array(entries, dtype=np.complex128)
 
 
+def _require_keys(obj, kind: str, keys: tuple[str, ...]) -> None:
+    # The preamble of every object reader: a JSON object holding the
+    # kind's required keys, checked in order.
+    if not isinstance(obj, dict):
+        raise InputError(f"{kind}: expected a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise InputError(f"{kind}: missing key {key!r}")
+
+
 def matrix_from_json(item, what: str) -> np.ndarray:
     item = _plain(item)
     if not isinstance(item, list) or not item:
@@ -375,11 +385,7 @@ def frame_to_json(f: Frame) -> dict:
 
 
 def frame_from_json(obj) -> Frame:
-    if not isinstance(obj, dict):
-        raise InputError("frame: expected a JSON object")
-    for key in ("dim", "field", "vectors"):
-        if key not in obj:
-            raise InputError(f"frame: missing key {key!r}")
+    _require_keys(obj, "frame", ("dim", "field", "vectors"))
     field = obj["field"]
     dim = _integer(obj["dim"], "frame: dimension", 1)
     vex = _plain(obj["vectors"])
@@ -407,11 +413,7 @@ def povm_to_json(p: Povm) -> dict:
 
 
 def povm_from_json(obj) -> Povm:
-    if not isinstance(obj, dict):
-        raise InputError("povm: expected a JSON object")
-    for key in ("dim", "effects"):
-        if key not in obj:
-            raise InputError(f"povm: missing key {key!r}")
+    _require_keys(obj, "povm", ("dim", "effects"))
     dim = _integer(obj["dim"], "povm: dimension", 1)
     effects_json = _plain(obj["effects"])
     if not isinstance(effects_json, list) or not effects_json:
@@ -437,11 +439,7 @@ def sequence_to_json(u: np.ndarray) -> dict:
 
 
 def sequence_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise InputError("sequence: expected a JSON object")
-    for key in ("length", "entries"):
-        if key not in obj:
-            raise InputError(f"sequence: missing key {key!r}")
+    _require_keys(obj, "sequence", ("length", "entries"))
     length = _integer(obj["length"], "sequence: length", 1)
     entries = _vector_from_json(_plain(obj["entries"]), "C", "sequence entries")
     if entries.shape[0] != length:

@@ -36,13 +36,12 @@ from .errors import (
     InputError,
     NotPrimeError,
     NotUnimodularError,
+    TooFewVectorsError,
     TooSmallError,
 )
-from .frames import Frame, _identity_deviation, coherence, frame_operator
+from .frames import Frame, _identity_deviation, frame_operator
 from .linalg import resolve_tol
 from .rng import _integer
-
-_KAHAN_CUTOFF = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,9 +81,8 @@ class GaborReport(NamedTuple):
     """Tightness and coherence of the Gabor frame of one sequence.
 
     ``tight_deviation`` is the largest entry of |S - d I| for the frame
-    operator S.  ``coherence`` comes from the frame and
-    ``ambiguity_peak`` from the ambiguity table: two routes to the same
-    number.
+    operator S.  ``coherence``, the largest |<x_i, x_j>| over distinct
+    vectors, is read off the ambiguity table as its off-origin peak.
     """
 
     length: int
@@ -92,7 +90,6 @@ class GaborReport(NamedTuple):
     tight_constant: float
     tight_deviation: float
     coherence: float
-    ambiguity_peak: float
     tol: float
 
 
@@ -120,30 +117,14 @@ def _lags(a: np.ndarray) -> np.ndarray:
 def ambiguity(u) -> AmbiguityTable:
     """Discrete periodic ambiguity table of a sequence.
 
-    Small lengths use plain matrix summation.  Above length 64 the sum
-    over k runs with Kahan compensation, one rank-one term per k, so
-    the table stays accurate when thousands of unit-size terms cancel
-    to something near zero.
+    One matrix product at every length: the lag matrix times the
+    d x d table of phases exp(-2 pi i k n / d), divided by d.
     """
     a = _as_sequence(u)
     d = a.shape[0]
     ks = np.arange(d)
-    lags = _lags(a)
     phases = np.exp(-2j * math.pi * np.outer(ks, ks) / d)
-
-    if d <= _KAHAN_CUTOFF:
-        table = lags @ phases / d
-        return AmbiguityTable(table)
-
-    acc = np.zeros((d, d), dtype=np.complex128)
-    comp = np.zeros((d, d), dtype=np.complex128)
-    for k in range(d):
-        term = np.outer(lags[:, k], phases[k, :])
-        y = term - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-    return AmbiguityTable(acc / d)
+    return AmbiguityTable(_lags(a) @ phases / d)
 
 
 def is_cazac(u, tol: float | None = None) -> CazacReport:
@@ -262,19 +243,24 @@ def gabor_frame(u, tol: float | None = None) -> Frame:
 def analyze_gabor(u, tol: float | None = None) -> tuple[Frame, GaborReport]:
     """The Gabor frame of a unimodular sequence and its report.
 
-    The frame and the ambiguity table are each built once.  Raises what
-    :func:`gabor_frame` and :func:`framelab.frames.coherence` raise, so
-    a length-1 sequence, whose frame has one vector, is rejected.
+    The frame and the ambiguity table are each built once, and no Gram
+    matrix is formed: <x_(m,n), x_(m',n')> is, up to a unimodular
+    factor, A(u)(m' - m, n' - n), so the coherence is the off-origin
+    peak of the table (Benedetto and Donatelli, IEEE J. Sel. Topics
+    Signal Process. 1(1), 2007).  Raises what :func:`gabor_frame`
+    raises, and :class:`TooFewVectorsError` for a length-1 sequence,
+    whose frame has one vector and so no coherence.
     """
     tol = resolve_tol(tol)
     f = gabor_frame(u, tol)
     d = f.dim
+    if d < 2:
+        raise TooFewVectorsError("coherence needs at least two vectors")
     return f, GaborReport(
         length=d,
         num_vectors=len(f),
         tight_constant=float(d),
         tight_deviation=_identity_deviation(frame_operator(f), d),
-        coherence=coherence(f, tol),
-        ambiguity_peak=ambiguity(u).peak_off_origin(),
+        coherence=ambiguity(u).peak_off_origin(),
         tol=tol,
     )

@@ -104,6 +104,16 @@ def test_cazac_gabor_report(tmp_path):
     assert f.vectors.shape == (81, 9)
 
 
+def test_cazac_gabor_of_a_length_1_sequence_exits_3(tmp_path):
+    # Its frame has one vector, so there is no coherence to report.
+    (tmp_path / "u.json").write_text('{"length": 1, "entries": [[1, 0]]}')
+    r = run_cli(["cazac", "gabor", "u.json"], tmp_path)
+    assert r.returncode == 3
+    assert r.stderr == "error: coherence needs at least two vectors\n"
+    assert r.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["u.json"]
+
+
 def test_analyze_sequence_and_povm(tmp_path):
     run_cli(["gen", "quadratic-phase", "--len", "7", "--out", "u.json"], tmp_path)
     r = run_cli(["analyze", "u.json"], tmp_path)
@@ -656,10 +666,10 @@ def test_a_printed_report_is_its_record_plus_the_cli_keys(
 # mode (a complex quadratic form, the epsilon swap on the line, the
 # cos(6 t) family, expnorm with a homogeneity witness), the three
 # experiments, the CAZAC tools on Bjorck sequences of lengths 23
-# and 67 (above the length-64 Kahan cutoff of the ambiguity table),
-# every gen kind, analyze of each object kind (valid and invalid
-# POVMs among them), both convert directions with their options, and
-# the inline-JSON and .json-file spec forms.
+# and 67 (a 529- and a 4489-vector Gabor frame), every gen kind,
+# analyze of each object kind (valid and invalid POVMs among them),
+# both convert directions with their options, and the inline-JSON and
+# .json-file spec forms.
 # Commands joined by " && " run in turn in one directory; the files
 # they leave there are hashed with their stdout.
 SWEEP = {
@@ -774,11 +784,11 @@ SWEEP_SHA256 = {
     "cazac-ambiguity-23":
         "74cf1800c3641460db18ba3b15dde0bc9589345b1d0bb8bdbc26c128a903dee7",
     "cazac-ambiguity-67":
-        "34718f6cd8f0a8a9dbddbe131550c57b76bd33846eec011422a1d2c4a9bdf590",
+        "3b3bc2920abbdcc434330f0ea9d875d427c1ea428f6ac65256f310bc0a758bfc",
     "cazac-gabor-23":
-        "3bd17de5ef245bcf32a051c97a8833e62340ec97ac8e11df661720b2c73142fd",
+        "b6802f7e34b3bbb59820420c7ebe5d8f79963326dbbe87fc260548a73bfd6cb7",
     "cazac-gabor-67":
-        "dc7ba7b8e4e95fb9170ad6c1e4136cec5cb01bb53661ef65b746114b3bc8e463",
+        "563ea7eda9d160e4783e8735c9f8340047ef9bf9f63ad096dbf303544b25033e",
     "cazac-test-23":
         "aada555dfd662611ad5dfbf4193edee2be75eccaa9e888447bc586099bffab0b",
     "cazac-test-67":

@@ -493,8 +493,9 @@ def test_a_frame_that_is_not_unit_norm_reports_no_coherence():
 
 
 def test_gabor_coherence_is_the_ambiguity_peak():
-    # The same magnitude by a GEMM and by an FFT, which round apart in
-    # the last bits; the coherence bits are pinned.
+    # The same magnitude by the Gram pass and by the ambiguity table's
+    # product, which round apart in the last bits; the coherence bits
+    # are pinned.
     u = fl.bjorck(43)
     coherence = fl.coherence(fl.gabor_frame(u))
     assert coherence == 0.2798172648776434

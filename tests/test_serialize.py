@@ -150,15 +150,37 @@ def _filled(shape, dtype):
     return re.reshape(shape)
 
 
+def first_difference(got: str, want: str, context: int = 40):
+    """None when the texts are equal, else the first offset at which
+    they differ with about ``context`` characters of each around it.
+    Texts here run to megabytes, where pytest's own string diff of a
+    failed ``==`` takes minutes."""
+    if got == want:
+        return None
+    at = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+              min(len(got), len(want)))
+    lo, hi = max(0, at - context // 2), at + context // 2
+    return (f"offset {at} of {len(got)} against {len(want)}: "
+            f"got {got[lo:hi]!r}, want {want[lo:hi]!r}")
+
+
+def test_first_difference_names_the_offset():
+    assert first_difference("abc", "abc") is None
+    assert first_difference("abXd", "abcd").startswith("offset 2 of 4 ")
+    assert first_difference("ab", "abc").startswith("offset 2 of 2 against 3")
+    assert first_difference("", "") is None
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_array_path_equals_fmt_float_entrywise(shape, dtype):
     a = _filled(shape, dtype)
-    assert canonical_json(a) == _entrywise(a)
+    assert first_difference(canonical_json(a), _entrywise(a)) is None
     # non-contiguous views and nesting inside containers as well
     if a.ndim == 2:
-        assert canonical_json(a.T) == _entrywise(a.T)
-    assert canonical_json({"a": [a]}) == '{"a":[' + _entrywise(a) + "]}"
+        assert first_difference(canonical_json(a.T), _entrywise(a.T)) is None
+    assert first_difference(canonical_json({"a": [a]}),
+                            '{"a":[' + _entrywise(a) + "]}") is None
 
 
 def test_negative_zero_collapses_in_both_parts():
@@ -256,6 +278,29 @@ def test_loaders_accept_ints_and_bare_complex_numbers():
     assert f.vectors.tolist() == [[1.0, 0.5]]
     u = sequence_from_json({"length": 2, "entries": [1, [0, -1]]})
     assert u.tolist() == [1, -1j]
+
+
+# Each loader's required keys, in the order it checks them.
+REQUIRED_KEYS = {"frame": ("dim", "field", "vectors"),
+                 "povm": ("dim", "effects"),
+                 "sequence": ("length", "entries")}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_loaders_name_a_missing_object_or_key(kind):
+    load = LOADERS[kind]
+    for bad in ([], "x", None, 1.0):
+        with pytest.raises(fl.InputError,
+                           match=f"^{kind}: expected a JSON object$"):
+            load(bad)
+    keys = REQUIRED_KEYS[kind]
+    for key in keys:
+        obj = {k: None for k in keys if k != key}
+        with pytest.raises(fl.InputError,
+                           match=f"^{kind}: missing key '{key}'$"):
+            load(obj)
+    with pytest.raises(fl.InputError, match=f"missing key '{keys[0]}'$"):
+        load({})
 
 
 def _peak(fn):

@@ -115,14 +115,16 @@ def test_class_kind_scan_sees_each_kind():
     (r"_entry_keys\(", "serialize.py"),  # the sort key of array entries
     (r"np\.triu_indices", "frames.py"),  # the pairs of a Gram tile
     (r"\(right \+ sep \+ left\)\.join", "serialize.py"),  # the row rule
+    (r"@ phases", "waveforms.py"),  # the ambiguity table's one product
 ])
 def test_the_field_rules_are_written_once(text, home):
     # The array rule and the mixed-relative comparison live in linalg,
     # the field draw, the field check and the integer rule in rng, the
     # rank-one, c I, squared-norm, unit-modulus and orthonormalization
     # rules and the pairs of a Gram tile in frames, the float format,
-    # the sort key of array entries and the row rule in serialize; a
-    # second copy elsewhere in the package fails here.
+    # the sort key of array entries and the row rule in serialize, the
+    # ambiguity table's product in waveforms; a second copy elsewhere in
+    # the package fails here.
     # Each text is a regular expression.
     holders = sorted(p.name for p in PACKAGE.glob("*.py")
                      if re.search(text, p.read_text()))
@@ -275,6 +277,12 @@ def test_the_cli_forms_report_text_in_one_function():
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     assert calling_functions(
         tree, {"canonical_json", "flat_report_to_json"}) == ["_report_text"]
+
+
+def test_the_gabor_report_runs_no_gram_pass():
+    # Its coherence is the ambiguity table's off-origin peak.
+    tree = ast.parse((PACKAGE / "waveforms.py").read_text())
+    assert calling_functions(tree, {"coherence", "_pair_stats"}) == []
 
 
 def test_call_scan_sees_names_and_attributes():

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import framelab as fl
-from framelab import waveforms
+from framelab import frames, waveforms
 
 
 # Reference forms that take each cyclic shift one at a time: the
@@ -25,16 +25,7 @@ def loop_ambiguity(a):
     ks = np.arange(d)
     lags = loop_lags(a)
     phases = np.exp(-2j * math.pi * np.outer(ks, ks) / d)
-    if d <= 64:
-        return lags @ phases / d
-    acc = np.zeros((d, d), dtype=np.complex128)
-    comp = np.zeros((d, d), dtype=np.complex128)
-    for k in range(d):
-        y = np.outer(lags[:, k], phases[k, :]) - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-    return acc / d
+    return lags @ phases / d
 
 
 def loop_zac_peak(a):
@@ -64,9 +55,9 @@ def _unimodular(d, seed):
     return z / np.abs(z)
 
 
-# Both congruence classes of primes 5..73, quadratic phases on both
-# sides of the length-64 Kahan cutoff, and random unimodular sequences
-# of even and odd lengths, 1 and 2 included.
+# Both congruence classes of primes 5..73, quadratic phases of odd
+# lengths up to 69, and random unimodular sequences of even and odd
+# lengths, 1 and 2 included.
 SHIFT_BATTERY = (
     [(f"bjorck-{p}", fl.bjorck(p))
      for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
@@ -119,7 +110,7 @@ def fft_ambiguity(u):
 
 
 def test_ambiguity_against_fft_oracle():
-    for d, seed in ((13, 1), (65, 2)):
+    for d, seed in ((13, 1), (65, 2), (67, 3), (101, 4)):
         rng = fl.SplitMix64(seed)
         u = rng.complex_gaussians(d)
         table = fl.ambiguity(u)
@@ -143,7 +134,7 @@ def test_ambiguity_rejects_garbage():
 
 
 def test_quadratic_phase_is_cazac():
-    for d in (7, 65, 101):  # 65 and 101 exercise the compensated path
+    for d in (7, 65, 101):
         u = fl.quadratic_phase(d)
         report = fl.is_cazac(u)
         assert report.ok, (d, report.ca_deviation, report.zac_peak)
@@ -275,17 +266,60 @@ def test_gabor_report_matches_numpy_oracles(make, p):
     gram = np.abs(x.conj() @ x.T)
     np.fill_diagonal(gram, 0.0)
     assert_allclose(report.coherence, gram.max(), rtol=0, atol=1e-12)
-    assert_allclose(report.coherence, report.ambiguity_peak, rtol=0,
-                    atol=1e-12)
+    assert report.coherence == fl.ambiguity(u).peak_off_origin()
     if make is fl.bjorck:
-        assert report.ambiguity_peak <= fl.bjorck_peak_bound(p)
+        assert report.coherence <= fl.bjorck_peak_bound(p)
     assert report.tol == fl.DEFAULT_TOL
+
+
+# A length-1 sequence has a one-vector frame and no coherence.
+PAIRED_BATTERY = [(name, u) for name, u in SHIFT_BATTERY if len(u) > 1]
+
+
+@pytest.mark.parametrize(
+    "name, u", PAIRED_BATTERY, ids=[name for name, _ in PAIRED_BATTERY])
+def test_gabor_report_coherence_is_the_gram_coherence(name, u):
+    # The table's off-origin peak and the Gram pass over the frame's
+    # pairs are two routes to one magnitude, apart only by rounding.
+    assert_allclose(fl.analyze_gabor(u)[1].coherence,
+                    fl.coherence(fl.gabor_frame(u)), rtol=0, atol=1e-14)
+
+
+def test_gabor_report_forms_no_gram_matrix(monkeypatch):
+    def gram_pass(*args, **kwargs):
+        raise AssertionError("the Gram pass ran")
+
+    monkeypatch.setattr(frames, "_pair_stats", gram_pass)
+    u = fl.bjorck(13)
+    _, report = fl.analyze_gabor(u)
+    assert report.coherence == fl.ambiguity(u).peak_off_origin()
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="long double is no wider than float64 here")
+@pytest.mark.parametrize("d", [67, 127, 257])
+@pytest.mark.parametrize("make", [
+    fl.bjorck, fl.quadratic_phase, lambda d: _unimodular(d, 300 + d),
+], ids=["bjorck", "quadratic", "random"])
+def test_ambiguity_is_its_product_rounded_once_more(make, d):
+    # The same lags and phases multiplied in long double: the float64
+    # product is off by a few units of roundoff at every length, so no
+    # length needs a compensated sum.
+    u = make(d)
+    ks = np.arange(d)
+    phases = np.exp(-2j * math.pi * np.outer(ks, ks) / d)
+    wide = (waveforms._lags(u).astype(np.clongdouble)
+            @ phases.astype(np.clongdouble)) / d
+    err = np.max(np.abs(fl.ambiguity(u).values - wide))
+    assert err <= 1e-15, err
 
 
 def test_gabor_report_rejects_what_its_parts_reject():
     with pytest.raises(fl.NotUnimodularError):
         fl.analyze_gabor(np.array([1.0, 0.5, 1.0], dtype=complex))
-    with pytest.raises(fl.TooFewVectorsError):
+    with pytest.raises(fl.TooFewVectorsError,
+                       match="^coherence needs at least two vectors$"):
         fl.analyze_gabor(np.array([1.0j]))
 
 
