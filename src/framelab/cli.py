@@ -110,9 +110,7 @@ def _cmd_analyze(args) -> int:
         report = frames.analyze_frame(serialize.frame_from_json(obj), tol)
         ok = True
     elif kind == "sequence":
-        u = serialize.sequence_from_json(obj)
-        report = waveforms.is_cazac(u, tol)
-        keys["ambiguity_peak"] = waveforms.ambiguity(u).peak_off_origin()
+        report = waveforms.is_cazac(serialize.sequence_from_json(obj), tol)
         ok = report.ok
     else:
         report = povm.analyze_povm(serialize.povm_from_json(obj), tol)

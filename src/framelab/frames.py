@@ -371,39 +371,23 @@ def random_onb(d: int, seed: int = 0, field: str = "C") -> Frame:
 def simplex_etf(d: int) -> Frame:
     """The d+1 vertex directions of a regular simplex in R^d.
 
-    Built by projecting the coordinate basis of R^(d+1) onto the
-    hyperplane orthogonal to the all-ones vector, renormalizing, and
-    expressing the result in an orthonormal basis of that hyperplane.
-    Equiangular, unit norm, and tight with constant (d+1)/d, with
-    coherence exactly at the Welch bound.
+    In closed form, with n = d + 1: row i of an orthonormal basis of
+    the hyperplane of R^n orthogonal to the all-ones vector is
+    (0, ..., 0, n-i-1, -1, ..., -1) / sqrt((n-i-1)(n-i)), its first
+    nonzero entry at column i.  Vector k is sqrt(n/d) times column k
+    of that d x n basis: the k-th coordinate vector projected onto the
+    hyperplane, renormalized and written in the basis.  Equiangular,
+    unit norm, and tight with constant (d+1)/d, with coherence exactly
+    at the Welch bound.
     """
     d = _integer(d, "dimension", 1)
     n = d + 1
-    ones = np.ones(n) / math.sqrt(n)
-    # Orthonormal basis of the hyperplane, found by Gram-Schmidt on the
-    # coordinate basis against the all-ones direction.
-    basis = []
-    for k in range(n):
-        v = np.zeros(n)
-        v[k] = 1.0
-        v -= np.dot(ones, v) * ones
-        for b in basis:
-            v -= np.dot(b, v) * b
-        norm = float(np.sqrt(np.dot(v, v)))
-        if norm > 1e-12:
-            basis.append(v / norm)
-        if len(basis) == d:
-            break
-    bmat = np.array(basis)
-
-    rows = np.zeros((n, d))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        p = e - np.dot(ones, e) * ones
-        p /= float(np.sqrt(np.dot(p, p)))
-        rows[k] = bmat @ p
-    return Frame(rows, "R")
+    i = np.arange(d)[:, None]
+    k = np.arange(n)
+    r = (n - 1 - i).astype(np.float64)
+    # The basis scaled by sqrt(n/d) in one factor per row, r = n-i-1.
+    basis = np.where(k == i, r, np.where(k > i, -1.0, 0.0))
+    return Frame((basis * np.sqrt(n / (d * r * (r + 1.0)))).T, "R")
 
 
 def harmonic_frame(

@@ -68,10 +68,22 @@ class AmbiguityTable:
 
 
 class CazacReport(NamedTuple):
+    """The CA and ZAC verdicts of one sequence, read off its ambiguity table.
+
+    ``ca_deviation`` is the largest |abs(u(k)) - 1|.  ``zac_peak`` is the
+    largest magnitude of column n = 0 of the table below the origin,
+    max |A(u)(m, 0)| over m >= 1: the largest nontrivial
+    autocorrelation, 0.0 at length 1.  ``ambiguity_peak`` is the
+    table's off-origin peak; for a unimodular sequence it is the
+    coherence of its Gabor frame.  ``ca_ok`` and ``zac_ok`` judge the
+    first two against ``tol``, and ``ok`` is both.
+    """
+
     length: int
     tol: float
     ca_deviation: float
     zac_peak: float
+    ambiguity_peak: float
     ca_ok: bool
     zac_ok: bool
     ok: bool
@@ -130,25 +142,24 @@ def ambiguity(u) -> AmbiguityTable:
 def is_cazac(u, tol: float | None = None) -> CazacReport:
     """Check the constant-amplitude and zero-autocorrelation axioms.
 
-    ``ca_deviation`` is the largest deviation of an entry modulus from
-    1 and ``zac_peak`` the largest nontrivial autocorrelation
-    magnitude; both must stay within tol for ``ok``.
+    One d x d ambiguity table is formed, so the check costs one table
+    product; ``zac_peak`` is its column n = 0 below the origin and
+    ``ambiguity_peak`` its off-origin peak (see :class:`CazacReport`).
+    ``ca_deviation`` and ``zac_peak`` must stay within tol for ``ok``.
     """
     tol = resolve_tol(tol)
     a = _as_sequence(u)
-    d = a.shape[0]
+    table = ambiguity(a)
     ca_dev = frames._unit_deviation(np.abs(a))
-    zac_peak = 0.0
-    for lag in _lags(a)[1:]:
-        corr = complex(np.sum(lag)) / d
-        zac_peak = max(zac_peak, abs(corr))
+    zac_peak = float(np.abs(table.values[1:, 0]).max(initial=0.0))
     ca_ok = ca_dev <= tol
     zac_ok = zac_peak <= tol
     return CazacReport(
-        length=d,
+        length=table.length,
         tol=tol,
         ca_deviation=ca_dev,
         zac_peak=zac_peak,
+        ambiguity_peak=table.peak_off_origin(),
         ca_ok=ca_ok,
         zac_ok=zac_ok,
         ok=ca_ok and zac_ok,

@@ -244,6 +244,20 @@ def test_simplex_properties_up_to_d8():
         assert_allclose(angle, 1.0 / d, atol=1e-12)
 
 
+@pytest.mark.parametrize("d", range(1, 21))
+def test_simplex_closed_form_against_numpy(d):
+    x = fl.simplex_etf(d).vectors
+    assert x.shape == (d + 1, d) and x.dtype == np.float64
+    gram = x @ x.T
+    off = gram[~np.eye(d + 1, dtype=bool)]
+    assert np.max(np.abs(off + 1.0 / d), initial=0.0) <= 1e-15
+    assert np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) <= 1e-15
+    assert np.max(np.abs(x.T @ x - (d + 1) / d * np.eye(d))) <= 2e-15
+    # Basis vector i starts at coordinate i, so vector k has exact
+    # zeros past its k-th entry.
+    assert not np.triu(x, 1).any()
+
+
 def test_harmonic_parseval_and_norms():
     for d, n in ((2, 3), (2, 5), (3, 7), (4, 9), (3, 3)):
         f = fl.harmonic_frame(d, n)

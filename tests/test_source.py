@@ -285,6 +285,29 @@ def test_the_gabor_report_runs_no_gram_pass():
     assert calling_functions(tree, {"coherence", "_pair_stats"}) == []
 
 
+def test_the_cli_forms_no_ambiguity_peak():
+    # A sequence's peaks are is_cazac's fields; only the ambiguity mode
+    # reads the table itself, to write it.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    assert calling_functions(
+        tree, {"ambiguity", "peak_off_origin"}) == ["_cmd_cazac"]
+
+
+def test_the_lags_are_formed_only_for_the_ambiguity_table():
+    # is_cazac reads the autocorrelation off column 0 of the table.
+    tree = ast.parse((PACKAGE / "waveforms.py").read_text())
+    assert calling_functions(tree, {"_lags"}) == ["ambiguity"]
+
+
+def test_the_simplex_is_built_with_no_blas_call():
+    # Its closed form needs no Gram-Schmidt pass and no product.
+    tree = ast.parse((PACKAGE / "frames.py").read_text())
+    assert "np.dot" not in numpy_uses(tree, "simplex_etf")
+    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "simplex_etf")
+    assert not any(isinstance(node, ast.MatMult) for node in ast.walk(fn))
+
+
 def test_call_scan_sees_names_and_attributes():
     tree = ast.parse(
         "def f(a):\n    return s.canonical_json(a)\n"

@@ -29,6 +29,13 @@ def loop_ambiguity(a):
 
 
 def loop_zac_peak(a):
+    # Column n = 0 of the table is the autocorrelation; rows 1 and up
+    # are the nontrivial lags.
+    return float(np.max(np.abs(loop_ambiguity(a)[1:, 0]), initial=0.0))
+
+
+def summed_zac_peak(a):
+    # Each lag summed on its own: the same magnitudes, rounded apart.
     d = len(a)
     peak = 0.0
     for m in range(1, d):
@@ -76,7 +83,15 @@ def test_shift_gathers_match_loop_forms_bit_for_bit(name, u):
     assert fl.ambiguity(u).values.tobytes() == loop_ambiguity(u).tobytes()
     report = fl.is_cazac(u)
     assert report.zac_peak == loop_zac_peak(u)
+    assert report.ambiguity_peak == fl.ambiguity(u).peak_off_origin()
     assert fl.gabor_frame(u).vectors.tobytes() == loop_gabor(u).tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, u", SHIFT_BATTERY, ids=[name for name, _ in SHIFT_BATTERY])
+def test_zac_peak_matches_lags_summed_one_by_one(name, u):
+    # Reading the table moves only the rounding of each lag's sum.
+    assert abs(fl.is_cazac(u).zac_peak - summed_zac_peak(u)) <= 1e-15
 
 
 def test_shift_constructions_at_lengths_1_and_2():
@@ -92,6 +107,7 @@ def test_shift_constructions_at_lengths_1_and_2():
         assert report.ca_ok and report.ok
     # length 1 has no nontrivial shift; [1, -i] is a CAZAC of length 2
     assert fl.is_cazac(np.array([1.0])).zac_peak == 0.0
+    assert fl.is_cazac(_unimodular(1, 7)).ambiguity_peak == 0.0
     assert fl.is_cazac(np.array([1.0, -1.0j])).zac_peak == 0.0
     assert fl.gabor_frame(np.array([-1.0j])).vectors.tolist() == [[-1.0j]]
     table = fl.ambiguity(np.array([1.0, 1.0]))
@@ -151,8 +167,23 @@ def test_constant_sequence_fails_zac():
     report = fl.is_cazac(np.ones(8, dtype=complex))
     assert report.ca_ok
     assert not report.zac_ok
-    assert report.zac_peak > 0.9
+    assert report.zac_peak == 1.0 == report.ambiguity_peak
     assert not report.ok
+
+
+def test_cazac_report_reads_its_peaks_off_one_table(monkeypatch):
+    built = []
+    real = waveforms.ambiguity
+
+    def counted(u):
+        built.append(len(u))
+        return real(u)
+
+    monkeypatch.setattr(waveforms, "ambiguity", counted)
+    report = fl.is_cazac(fl.bjorck(13))
+    assert built == [13]
+    assert report.zac_peak <= 1e-15 and report.ok
+    assert report.ambiguity_peak <= fl.bjorck_peak_bound(13)
 
 
 @pytest.mark.parametrize("p", [5, 7, 13, 23])
