@@ -16,10 +16,12 @@ Functions defined on the sphere extend to the closed ball by
 g(r u) = r^2 g(u), which is the convention used throughout.
 
 Evaluation works on blocks: a :class:`GleasonFn` holds one evaluator
-that maps an (n, dim) array of points to their n values, checked once
-per block.  The verifiers sum whole frames through
-:meth:`GleasonFn.values`; calling a function on one vector evaluates a
-1-row block.
+that maps an (n, dim) array of points to a 1-D result of n numbers, one
+per row, checked once per block.  Each verification stacks the frames
+of its sample into one block and evaluates it in one
+:meth:`GleasonFn.values` call, so a row number in an error counts rows
+across the stacked sample; each frame's sum then adds its own rows in
+row order.  Calling a function on one vector evaluates a 1-row block.
 """
 
 from __future__ import annotations
@@ -43,16 +45,16 @@ from .errors import (
 from .frames import (
     Frame,
     _frame_size,
+    _orthonormal_rows,
     _projections,
     _squared_norms,
     harmonic_frame,
-    random_onb,
     random_parseval,
     standard_onb,
     with_zeros,
 )
 from .linalg import resolve_tol
-from .rng import _NO_TRIAL, SplitMix64, _check_field, _integer
+from .rng import _NO_TRIAL, SplitMix64, _check_field, _finite, _integer
 
 _BALL_SLACK = 1e-6
 _TWO_PI = 2.0 * math.pi
@@ -66,7 +68,8 @@ class GleasonFn:
     ``field`` is "R" or "C", ``kind`` names the construction, and
     ``params`` records construction inputs for reporting.  ``fn``
     evaluates a block: it takes an (n, dim) array of points and returns
-    their n values as complex numbers in row order.  :meth:`values`
+    their n values in row order, as a 1-D result of n numbers (a list
+    or an array of ints, floats or complex numbers).  :meth:`values`
     evaluates a block whose points pass the array rule of
     :mod:`framelab.linalg` for the field (which casts them) and lie in
     the ball; calling an instance on one vector evaluates it as a 1-row
@@ -109,11 +112,27 @@ class GleasonFn:
         """Values at the rows of an (n, dim) block, as complex128.
 
         Entry i is the number ``self(block[i])`` returns; every row
-        must lie in the ball.  A NaN or infinite value raises
-        :class:`InputError`, since the min, max and comparisons behind
-        a verdict would pass over it.
+        must lie in the ball.  An ``fn`` result that is not a 1-D run
+        of n numbers raises :class:`InputError`: a short or long one
+        would shift the values of one stacked frame into the next.  A
+        NaN or infinite value raises :class:`InputError`, since the
+        min, max and comparisons behind a verdict would pass over it;
+        the message names its row in the block, which for a verifier
+        counts rows across its stacked sample.
         """
-        out = np.array(self.fn(self._checked(block)), dtype=np.complex128)
+        v = self._checked(block)
+        raw = self.fn(v)
+        try:
+            out = np.array(raw)
+        except (TypeError, ValueError):  # such as a ragged nesting
+            out = np.array(None)
+        if out.shape != (len(v),) or out.dtype.kind not in "iufc":
+            raise InputError(
+                f"{self.kind} function must return one number per row of"
+                f" its {len(v)}-row block, got {type(raw).__name__} of"
+                f" shape {out.shape} and dtype {out.dtype}"
+            )
+        out = out.astype(np.complex128, copy=False)
         finite = np.isfinite(out)
         if np.count_nonzero(finite) != out.size:
             i = int(np.argmin(finite))
@@ -279,10 +298,11 @@ def quadratic_gleason(a, const: float = 0.0) -> GleasonFn:
     so with const = 0 it is a frame function of every degree at once.
     A must pass the Hermitian check of :mod:`framelab.linalg` at 1e-12;
     the field is "C" exactly when A has a nonzero imaginary entry.
+    ``const`` must pass the number rule of :mod:`framelab.rng`.
     """
     mat = linalg._as_matrix(a, "operator")
     linalg._hermitian_part(mat, 1e-12, "operator")
-    const = float(const)
+    const = _finite(const, "constant")
     field = "C" if mat.imag.any() else "R"
     mat = mat.copy() if field == "C" else mat.real.copy()
 
@@ -437,23 +457,32 @@ def gleason_from_effect_measure(
 # verifiers
 
 
-def _frame_sum(g: GleasonFn, block) -> complex:
-    # The frame sum: g over the rows of a block, added in row order.
-    total = 0.0 + 0.0j
-    for value in g.values(block).tolist():
-        total += value
-    return total
+def _frame_sums(g: GleasonFn, blocks: Sequence[np.ndarray]) -> list[complex]:
+    # The frame sum: g over the rows of each block, added in row order
+    # from 0.0 + 0.0j.  The blocks are stacked and evaluated in one
+    # values call; a frame's sum has the bits it has on its own, since
+    # each row's value does not depend on the rows around it.
+    values = g.values(np.concatenate(blocks)).tolist()
+    sums = []
+    stop = 0
+    for block in blocks:
+        start, stop = stop, stop + len(block)
+        total = 0.0 + 0.0j
+        for value in values[start:stop]:
+            total += value
+        sums.append(total)
+    return sums
 
 
 def _frame_sum_verdict(
     g: GleasonFn,
-    frames: list[Frame],
+    blocks: Sequence[np.ndarray],
     n: int | None,
     seed: int,
     tol: float,
 ) -> VerificationReport:
-    sums = [_frame_sum(g, f.vectors) for f in frames]
-    arr = np.asarray(sums, dtype=np.complex128)
+    # Only the two witnesses become frames.
+    arr = np.asarray(_frame_sums(g, blocks), dtype=np.complex128)
     re = arr.real
     im = arr.imag
     deviation = math.hypot(
@@ -466,14 +495,18 @@ def _frame_sum_verdict(
         dim=g.dim,
         field=g.field,
         n=n,
-        trials=len(frames),
+        trials=len(blocks),
         seed=seed,
         tol=tol,
         mean_weight=_demote_scalar(complex(arr.mean())),
         max_deviation=deviation,
         passed=deviation <= tol,
-        witness_low=Witness(frames[lo], _demote_scalar(complex(arr[lo]))),
-        witness_high=Witness(frames[hi], _demote_scalar(complex(arr[hi]))),
+        witness_low=Witness(
+            Frame(blocks[lo], g.field), _demote_scalar(complex(arr[lo]))
+        ),
+        witness_high=Witness(
+            Frame(blocks[hi], g.field), _demote_scalar(complex(arr[hi]))
+        ),
     )
 
 
@@ -490,22 +523,27 @@ def verify_onb_gleason(
     tol = resolve_tol(tol)
     trials = _integer(trials, "trials", 1, _NO_TRIAL)
     rng = SplitMix64(seed)
-    frames: list[Frame] = []
-    for _ in range(trials):
-        if g.dim == 2 and g.field == "R":
+    if g.dim == 2 and g.field == "R":
+        rotations = []
+        for _ in range(trials):
             theta = _TWO_PI * rng.uniform()
             c, s = math.cos(theta), math.sin(theta)
-            f = Frame(np.array([[c, s], [-s, c]]), "R")
-        else:
-            f = random_onb(g.dim, seed=rng.u64(), field=g.field)
-        frames.append(f)
-    return _frame_sum_verdict(g, frames, None, seed, tol)
+            rotations.append([[c, s], [-s, c]])
+        blocks = np.array(rotations)
+    else:
+        # random_onb's draw: the square case of the orthonormalization
+        # rule, from a generator seeded with the next 64 bits
+        blocks = [
+            _orthonormal_rows(SplitMix64(rng.u64()), g.dim, g.dim, g.field)
+            for _ in range(trials)
+        ]
+    return _frame_sum_verdict(g, blocks, None, seed, tol)
 
 
-def _parseval_specimens(dim: int, n: int, field: str) -> list[Frame]:
-    specimens = [with_zeros(standard_onb(dim, field), n - dim)]
+def _parseval_specimens(dim: int, n: int, field: str) -> list[np.ndarray]:
+    specimens = [with_zeros(standard_onb(dim, field), n - dim).vectors]
     if field == "C":
-        specimens.append(harmonic_frame(dim, n))
+        specimens.append(harmonic_frame(dim, n).vectors)
     return specimens
 
 
@@ -531,10 +569,13 @@ def verify_parseval_gleason(
             f"frame size {n} is below the dimension {g.dim}"
         )
     rng = SplitMix64(seed)
-    frames = _parseval_specimens(g.dim, n, g.field)[:trials]
-    while len(frames) < trials:
-        frames.append(random_parseval(g.dim, n, seed=rng.u64(), field=g.field))
-    return _frame_sum_verdict(g, frames, n, seed, tol)
+    blocks = _parseval_specimens(g.dim, n, g.field)[:trials]
+    while len(blocks) < trials:
+        # random_parseval's draw: d orthonormal rows of length n, whose
+        # columns are the frame's vectors
+        rows = _orthonormal_rows(SplitMix64(rng.u64()), g.dim, n, g.field)
+        blocks.append(rows.T)
+    return _frame_sum_verdict(g, blocks, n, seed, tol)
 
 
 def fit_quadratic(
@@ -771,7 +812,7 @@ def weight_trace_experiment(
         field = "C" if t % 2 == 0 else "R"
         a = linalg.random_hermitian(dim, seed=rng.u64(), field=field)
         f = random_parseval(dim, n, seed=rng.u64(), field=field)
-        total = _frame_sum(quadratic_gleason(a), f.vectors)
+        [total] = _frame_sums(quadratic_gleason(a), [f.vectors])
         worst = max(worst, abs(total - complex(np.trace(a))))
     return WeightTraceReport(
         dim=dim,
@@ -813,7 +854,7 @@ def counterexample_battery(
     if g.kind == "epsilon1d":
         eps = float(g.params["eps"])
         entries = [math.sqrt(eps), math.sqrt(eps), math.sqrt(1.0 - 2.0 * eps)]
-        total = _frame_sum(g, np.array(entries)[:, None]).real
+        total = _frame_sums(g, [np.array(entries)[:, None]])[0].real
         weight = complex(parseval.mean_weight).real
         witness = {"vectors": entries, "sum": total, "degree2_weight": weight}
         is_counterexample = is_counterexample or abs(total - weight) > tol

@@ -49,7 +49,8 @@ Conventions
 * Eigenvalues are returned in ascending order.
 * Each eigenvector column is rotated so that its first entry of
   magnitude above 1e-12 is real and positive.
-* ``tol=None`` means use :data:`DEFAULT_TOL`.
+* ``tol=None`` means use :data:`DEFAULT_TOL`; any other ``tol`` is a
+  positive number by the number rule of :mod:`framelab.rng`.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .errors import (
     NotSquareError,
     SingularOrIndefiniteError,
 )
-from .rng import SplitMix64, _check_field, _integer
+from .rng import SplitMix64, _check_field, _finite, _integer
 
 DEFAULT_TOL = 1e-10
 
@@ -79,12 +80,17 @@ class HermitianEig(NamedTuple):
 
 
 def resolve_tol(tol: float | None) -> float:
-    """Replace ``None`` with the package default tolerance."""
+    """Replace ``None`` with the package default tolerance.
+
+    Any other ``tol`` must pass the number rule of :mod:`framelab.rng`
+    and be positive: a string or a bool is refused, not converted.
+    """
     if tol is None:
         return DEFAULT_TOL
-    tol = float(tol)
-    if not (tol > 0.0) or not math.isfinite(tol):
-        raise InputError("tolerance must be a positive finite number")
+    message = "tolerance must be a positive finite number"
+    tol = _finite(tol, "tolerance", message)
+    if tol <= 0.0:
+        raise InputError(message)
     return tol
 
 

@@ -13,13 +13,19 @@ module.  Integer rule (:func:`_integer`): a count, index or seed a
 caller passes is a Python int (not a bool), a NumPy integer or a
 finite integral float, and becomes a Python int; anything else, or a
 count below its own floor, is an :class:`InputError`; a draw's shape
-is one count or a tuple of counts under it with floor 0.  Field rule
-(:func:`_check_field`): a field is "R" or "C".
+is one count or a tuple of counts under it with floor 0.  Number rule
+(:func:`_finite`): a real number a caller passes, such as a tolerance
+or a constant, is a :class:`numbers.Real` that is not a bool (a Python
+int, float or fraction, or a NumPy integer or float) and is finite; it
+becomes a float, and anything else, a numeric string among them, is
+an :class:`InputError`.  Field rule (:func:`_check_field`): a field is
+"R" or "C".
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -47,6 +53,21 @@ def _integer(x, name: str, floor: int | None = None, below: str = "") -> int:
         x = int(x)
     if floor is not None and x < floor:
         raise InputError(below or f"{name} must be at least {floor}")
+    return x
+
+
+def _finite(x, name: str, message: str = "") -> float:
+    # The number rule.  ``name`` is the subject of its message, and
+    # ``message`` overrides it.
+    if type(x) is not float:  # an exact float, as most are, skips this
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise InputError(message or f"{name} must be a number, got {x!r}")
+        try:
+            x = float(x)
+        except OverflowError:
+            x = math.inf
+    if not math.isfinite(x):
+        raise InputError(message or f"{name} must be finite, got {x!r}")
     return x
 
 

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -354,6 +356,194 @@ def test_effect_measure_sees_the_outer_products_bit_for_bit(dim, field):
     seen.clear()
     expected = np.array([v(e) for e in outer], dtype=np.complex128)
     assert values.tobytes() == expected.tobytes()
+
+
+# --- one block per verification ---------------------------------------------
+
+
+def _frames_one_by_one(g, trials, seed, n=None):
+    # The trial frames as the verifiers once built them, one Frame per
+    # trial: rotations or random_onb draws for bases, specimens then
+    # random_parseval draws for Parseval frames.
+    rng = SplitMix64(seed)
+    if n is None:
+        frames = []
+        for _ in range(trials):
+            if g.dim == 2 and g.field == "R":
+                theta = 2.0 * math.pi * rng.uniform()
+                c, s = math.cos(theta), math.sin(theta)
+                frames.append(Frame(np.array([[c, s], [-s, c]]), "R"))
+            else:
+                frames.append(
+                    fl.random_onb(g.dim, seed=rng.u64(), field=g.field))
+        return frames
+    frames = [fl.with_zeros(fl.standard_onb(g.dim, g.field), n - g.dim)]
+    if g.field == "C":
+        frames.append(fl.harmonic_frame(g.dim, n))
+    frames = frames[:trials]
+    while len(frames) < trials:
+        frames.append(
+            fl.random_parseval(g.dim, n, seed=rng.u64(), field=g.field))
+    return frames
+
+
+def _sums_one_by_one(g, frames):
+    # One values call per frame, added in row order from 0.0 + 0.0j.
+    sums = []
+    for f in frames:
+        total = 0.0 + 0.0j
+        for value in g.values(f.vectors).tolist():
+            total += value
+        sums.append(total)
+    return sums
+
+
+# One function of each kind a verifier meets, over both fields.
+STACKED_KINDS = {
+    "quadratic-R": lambda: fl.quadratic_gleason(
+        fl.random_hermitian(3, seed=4, field="R"), const=0.125),
+    "quadratic-C": lambda: fl.quadratic_gleason(
+        fl.random_hermitian(3, seed=5, field="C")),
+    "expnorm": lambda: fl.expnorm_gleason(2, field="C"),
+    "cos6": lambda: fl.cos_counterexample(6),
+    "effect_measure": lambda: fl.gleason_from_effect_measure(
+        lambda e: complex(np.trace(np.diag([0.7, 0.3]) @ e))
+        + 0.01 * abs(e[0, 1]) ** 3, 2),
+}
+
+
+def _assert_report_is_one_by_one(report, g, frames):
+    sums = _sums_one_by_one(g, frames)
+    arr = np.array(sums, dtype=np.complex128)
+    deviation = math.hypot(float(arr.real.max() - arr.real.min()),
+                           float(arr.imag.max() - arr.imag.min()))
+    demote = fl.gleason._demote_scalar
+    assert report.trials == len(frames)
+    assert report.mean_weight == demote(complex(arr.mean()))
+    assert type(report.mean_weight) is type(demote(complex(arr.mean())))
+    assert report.max_deviation == deviation
+    for witness, i in ((report.witness_low, int(np.argmin(arr.real))),
+                       (report.witness_high, int(np.argmax(arr.real)))):
+        want = frames[i].vectors
+        got = witness.frame.vectors
+        assert witness.frame.field == g.field
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert witness.sum == demote(sums[i])
+
+
+@pytest.mark.parametrize("trials", [1, 2, 12])
+@pytest.mark.parametrize("name", sorted(STACKED_KINDS))
+def test_frame_sums_of_a_stack_are_the_sums_frame_by_frame(name, trials):
+    g = STACKED_KINDS[name]()
+    frames = (_frames_one_by_one(g, trials, seed=trials)
+              + _frames_one_by_one(g, trials, seed=trials, n=g.dim + 2))
+    got = fl.gleason._frame_sums(g, [f.vectors for f in frames])
+    want = _sums_one_by_one(g, frames)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("trials", [1, 2, 12])
+@pytest.mark.parametrize("name", sorted(STACKED_KINDS))
+def test_verify_onb_is_its_per_frame_reference(name, trials):
+    g = STACKED_KINDS[name]()
+    report = fl.verify_onb_gleason(g, trials=trials, seed=31 + trials)
+    _assert_report_is_one_by_one(
+        report, g, _frames_one_by_one(g, trials, seed=31 + trials))
+
+
+@pytest.mark.parametrize("trials", [1, 2, 12])
+@pytest.mark.parametrize("name", sorted(STACKED_KINDS))
+def test_verify_parseval_is_its_per_frame_reference(name, trials):
+    # Over C, two trials are the two specimens and no random frame.
+    g = STACKED_KINDS[name]()
+    n = g.dim + 2
+    report = fl.verify_parseval_gleason(g, n, trials=trials, seed=trials)
+    _assert_report_is_one_by_one(
+        report, g, _frames_one_by_one(g, trials, seed=trials, n=n))
+
+
+def test_a_non_finite_value_names_its_row_in_the_stacked_sample():
+    # NaN strictly inside the ball: the padded basis (rows 0-3) sums,
+    # and the harmonic frame's first vector is row 4 of the stack.
+    def fn(x):
+        return [complex(math.nan) if 0.0 < t < 0.999 else complex(t)
+                for t in np.einsum("ij,ij->i", x, x.conj()).real.tolist()]
+
+    g = fl.GleasonFn(dim=2, field="C", kind="probe", fn=fn)
+    with pytest.raises(fl.InputError,
+                       match=r"^probe function is \(nan\+0j\) at row 4$"):
+        fl.verify_parseval_gleason(g, 4, trials=3)
+
+
+@pytest.mark.parametrize("fn, got", [
+    (lambda x: [1 + 0j], "list of shape (1,) and dtype complex128"),
+    (lambda x: [0.5] * (len(x) + 1), "list of shape (3,) and dtype float64"),
+    (lambda x: np.ones((len(x), 1)), "ndarray of shape (2, 1)"),
+    (lambda x: None, "NoneType of shape () and dtype object"),
+    (lambda x: "x", "str of shape ()"),
+    (lambda x: ["0.5"] * len(x), "dtype <U3"),
+    (lambda x: [[0.5], [0.5, 0.5]][:len(x)], "list of shape ()"),
+    (lambda x: [True] * len(x), "dtype bool"),
+], ids=["short", "long", "2-d", "none", "string", "numeric-strings",
+        "ragged", "bools"])
+def test_values_hold_fn_to_one_number_per_row(fn, got):
+    # A short result once passed a verifier on the rows it covered, a
+    # long or 2-D one came back as it was, numeric strings and bools
+    # were converted, and None and "x" raised bare IndexError and
+    # ValueError.
+    g = fl.GleasonFn(dim=2, field="R", kind="bad", fn=fn)
+    match = r"^bad function must return one number per row of its 2-row block"
+    with pytest.raises(fl.InputError, match=match) as info:
+        g.values(np.zeros((2, 2)))
+    assert got in str(info.value)
+    with pytest.raises(fl.InputError, match="^bad function must return"):
+        fl.verify_onb_gleason(g, trials=3)
+
+
+def test_a_short_result_no_longer_passes_the_basis_verifier():
+    g = fl.GleasonFn(dim=2, field="R", kind="short", fn=lambda x: [1 + 0j])
+    assert g(np.array([0.6, 0.8])) == 1.0  # a 1-row block is one value
+    with pytest.raises(fl.InputError, match="6-row block"):
+        fl.verify_onb_gleason(g, trials=3)
+
+
+def test_values_take_any_numeric_array_and_keep_no_alias():
+    held = np.array([0.5, 0.25j])
+    g = fl.GleasonFn(dim=2, field="R", kind="held", fn=lambda x: held)
+    out = g.values(np.zeros((2, 2)))
+    assert out.tobytes() == held.tobytes() and not np.shares_memory(out, held)
+    for dtype in (np.float32, np.int64, np.uint8):
+        g = fl.GleasonFn(dim=2, field="R", kind="typed",
+                         fn=lambda x, t=dtype: np.ones(len(x), dtype=t))
+        out = g.values(np.zeros((3, 2)))
+        assert out.dtype == np.complex128 and out.tolist() == [1.0] * 3
+
+
+@pytest.mark.parametrize("const, message", [
+    ("x", "constant must be a number, got 'x'"),
+    ("0.5", "constant must be a number, got '0.5'"),
+    (True, "constant must be a number, got True"),
+    (0.5j, "constant must be a number, got 0.5j"),
+    (math.nan, "constant must be finite, got nan"),
+    (math.inf, "constant must be finite, got inf"),
+    (-math.inf, "constant must be finite, got -inf"),
+    (10 ** 400, "constant must be finite, got inf"),
+], ids=["string", "numeric-string", "bool", "complex", "nan", "inf",
+        "-inf", "huge-int"])
+def test_quadratic_constant_follows_the_number_rule(const, message):
+    # "x" raised a bare ValueError; "0.5" and True were taken; NaN and
+    # infinity built a function whose every value then failed.
+    with pytest.raises(fl.InputError, match=f"^{re.escape(message)}$"):
+        fl.quadratic_gleason(np.eye(2), const=const)
+
+
+def test_quadratic_constant_takes_real_numbers():
+    for const in (1, np.float32(0.5), np.int64(2), Fraction(1, 4)):
+        g = fl.quadratic_gleason(np.eye(2), const=const)
+        assert type(g.params["const"]) is float
+        assert g.params["const"] == float(const)
+        assert g(np.zeros(2)) == float(const)
 
 
 # --- quadratic fitting ------------------------------------------------------

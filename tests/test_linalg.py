@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from framelab import (
     random_hermitian,
     random_parseval,
 )
-from framelab.linalg import DEFAULT_TOL, _jacobi
+from framelab.linalg import DEFAULT_TOL, _jacobi, resolve_tol
 
 
 # --- rng -------------------------------------------------------------------
@@ -245,6 +246,30 @@ def test_eig_rejects_nonpositive_tol():
         hermitian_eig(np.eye(2), tol=0.0)
     with pytest.raises(InputError):
         hermitian_eig(np.eye(2), tol=-1.0)
+
+
+@pytest.mark.parametrize("tol", [
+    "x", "1e-3", True, False, np.bool_(True), 1e-3 + 0j, [1e-3],
+    np.array([1e-3]), 10**400, 0, -1e-3, math.nan, math.inf, np.float32(0.0),
+], ids=repr)
+def test_resolve_tol_applies_the_number_rule(tol):
+    # "x" raised a bare ValueError and 10**400 a bare OverflowError,
+    # while "1e-3", True and a one-entry array were taken as numbers.
+    message = "^tolerance must be a positive finite number$"
+    with pytest.raises(InputError, match=message):
+        resolve_tol(tol)
+    with pytest.raises(InputError, match=message):
+        hermitian_eig(np.eye(2), tol=tol)
+
+
+@pytest.mark.parametrize("tol, expected", [
+    (None, DEFAULT_TOL), (1e-3, 1e-3), (np.float64(1e-3), 1e-3),
+    (np.float32(0.5), 0.5), (1, 1.0), (np.int64(2), 2.0),
+    (Fraction(1, 1000), 1e-3),
+])
+def test_resolve_tol_takes_positive_real_numbers(tol, expected):
+    got = resolve_tol(tol)
+    assert type(got) is float and got == expected
 
 
 JACOBI_SHA256 = (

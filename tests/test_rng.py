@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -158,6 +159,40 @@ def test_integer_rule_floor_is_an_input_error():
         rule(0, "dimension", 1)
     with pytest.raises(fl.InputError, match="^no zeros$"):
         rule(np.int64(-1), "zeros", 0, "no zeros")
+
+
+# --- the number rule ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("x, expected", [
+    (0.5, 0.5), (-0.0, -0.0), (3, 3.0), (np.float32(0.5), 0.5),
+    (np.float64(1e-300), 1e-300), (np.int64(-2), -2.0), (np.uint8(7), 7.0),
+    (Fraction(1, 8), 0.125), (2**70, 2.0**70),
+])
+def test_number_rule_returns_a_float(x, expected):
+    y = fl.rng._finite(x, "constant")
+    assert type(y) is float and y == expected
+    assert math.copysign(1.0, y) == math.copysign(1.0, expected)
+
+
+@pytest.mark.parametrize("x", [
+    True, False, np.bool_(True), "0.5", b"1", None, 1 + 0j, np.complex128(1),
+    [1.0], np.array([1.0]),
+], ids=repr)
+def test_number_rule_rejects_what_is_no_real_number(x):
+    with pytest.raises(fl.InputError, match="^constant must be a number, got "):
+        fl.rng._finite(x, "constant")
+
+
+@pytest.mark.parametrize("x", [
+    math.nan, math.inf, -math.inf, np.float32("inf"), 10**400,
+    Fraction(10**400),
+], ids=repr)
+def test_number_rule_rejects_what_is_not_finite(x):
+    with pytest.raises(fl.InputError, match="^constant must be finite, got "):
+        fl.rng._finite(x, "constant")
+    with pytest.raises(fl.InputError, match="^no such number$"):
+        fl.rng._finite(x, "constant", "no such number")
 
 
 # Seeds at the edges of int64 and uint64; each is also tried as an

@@ -308,6 +308,16 @@ def test_the_simplex_is_built_with_no_blas_call():
     assert not any(isinstance(node, ast.MatMult) for node in ast.walk(fn))
 
 
+def test_each_verification_evaluates_one_block():
+    # The frames of a verification are stacked and evaluated in one
+    # values call, so the array rule, the ball check and the finiteness
+    # check run once per verification; no trial builds its own Frame.
+    tree = ast.parse((PACKAGE / "gleason.py").read_text())
+    assert calling_functions(tree, {"values"}) == [
+        "_frame_sums", "fit_quadratic", "homogeneity_check"]
+    assert calling_functions(tree, {"random_onb", "_frame_sum"}) == []
+
+
 def test_call_scan_sees_names_and_attributes():
     tree = ast.parse(
         "def f(a):\n    return s.canonical_json(a)\n"
