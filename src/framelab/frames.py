@@ -10,7 +10,9 @@ rank-one rule (projections x_j x_j*) and the c I rule (largest entry of
 |S - c I|) are written here once, for frames, POVMs and Gabor frames,
 and so are the squared-norm rule (|x|^2 summed over the last axis),
 the unit-modulus deviation (largest |m - 1|) and the orthonormalization
-rule (Gram-Schmidt on a Gaussian block) behind every random frame.
+rule behind every random frame: one Gram-Schmidt pass over a stack of
+Gaussian blocks, one block per generator, so that a verification draws
+all its trial frames at once and a single draw is a stack of one.
 
 No diagnostic forms the N x N Gram matrix.  Coherence and
 equiangularity stream it in row blocks of bounded size, and the frame
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -334,27 +336,44 @@ def standard_onb(d: int, field: str = "R") -> Frame:
     return Frame(np.eye(d), field)
 
 
-def _orthonormal_rows(rng: SplitMix64, k: int, m: int, field: str):
-    # The orthonormalization rule: Gram-Schmidt on the rows of one
-    # k x m Gaussian block (k <= m) drawn in one call.  Each row is
-    # projected off the earlier ones twice: one pass leaves errors that
-    # grow as the row loses norm to the projection, the second brings
-    # orthonormality to roundoff.  A row that falls too close to the
-    # span of the earlier ones, which for continuous Gaussians
-    # essentially never happens, is replaced by a fresh draw from the
-    # generator after the block.
+def _projected(v: np.ndarray, rows: Sequence[np.ndarray]) -> np.ndarray:
+    # The projection step of the orthonormalization rule on a stack:
+    # row t of v projected off row t of each of ``rows`` in turn, twice.
+    # One pass leaves errors that grow as the row loses norm to the
+    # projection, the second brings orthonormality to roundoff.
+    # np.vecdot conjugates its first argument, as np.vdot does, and has
+    # np.vdot's bits row by row.
+    for _ in range(2):
+        for u in rows:
+            v = v - np.vecdot(u, v)[:, None] * u
+    return v
+
+
+def _orthonormal_rows(
+    rngs: Sequence[SplitMix64], k: int, m: int, field: str
+) -> np.ndarray:
+    # The orthonormalization rule: Gram-Schmidt on the rows of k x m
+    # Gaussian blocks (k <= m), one per generator, each drawn in one
+    # call, returned as a (len(rngs), k, m) stack.  Row j of every block
+    # is projected and normalized in one pass over the stack, so each
+    # block gets the bits it gets when its generator runs alone.  A row
+    # that falls too close to the span of the earlier ones, which for
+    # continuous Gaussians essentially never happens, is replaced by a
+    # fresh draw from its own generator after that generator's block.
+    out = np.array([rng.field_gaussians((k, m), field) for rng in rngs])
     rows: list[np.ndarray] = []
-    for v in rng.field_gaussians((k, m), field):
-        while True:
-            for _ in range(2):
-                for u in rows:
-                    v = v - np.vdot(u, v) * u
-            norm = math.sqrt(_squared_norms(v))
-            if norm > 1e-8:
-                rows.append(v / norm)
-                break
-            v = rng.field_gaussians(m, field)
-    return np.array(rows)
+    for j in range(k):
+        v = _projected(out[:, j], rows)
+        norms = np.sqrt(_squared_norms(v))
+        if min(norms.tolist()) <= 1e-8:
+            for t, rng in enumerate(rngs):
+                while norms[t] <= 1e-8:
+                    w = rng.field_gaussians(m, field)[None]
+                    w = _projected(w, [u[t:t + 1] for u in rows])
+                    v[t] = w[0]
+                    norms[t] = np.sqrt(_squared_norms(w))[0]
+        rows.append(np.divide(v, norms[:, None], out=out[:, j]))
+    return out
 
 
 def random_onb(d: int, seed: int = 0, field: str = "C") -> Frame:
@@ -365,7 +384,7 @@ def random_onb(d: int, seed: int = 0, field: str = "C") -> Frame:
     diagonal, which is Haar (Mezzadri, Notices AMS 54(5), 592, 2007).
     """
     d = _integer(d, "dimension", 1)
-    return Frame(_orthonormal_rows(SplitMix64(seed), d, d, field), field)
+    return Frame(_orthonormal_rows([SplitMix64(seed)], d, d, field)[0], field)
 
 
 def simplex_etf(d: int) -> Frame:
@@ -432,7 +451,8 @@ def random_parseval(
     block orthonormal; they are the columns of the frame's n x d matrix.
     """
     d, n = _frame_size(d, n)
-    return Frame(_orthonormal_rows(SplitMix64(seed), d, n, field).T, field)
+    rows = _orthonormal_rows([SplitMix64(seed)], d, n, field)[0]
+    return Frame(rows.T, field)
 
 
 def with_zeros(f: Frame, k: int) -> Frame:

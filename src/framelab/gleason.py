@@ -272,6 +272,13 @@ def _direction(
             return direction, norm
 
 
+def _quadratic_values(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # <A x, x> at each row x of a block: one stacked matrix-vector
+    # product and one conjugated dot per row, with the bits of
+    # np.vdot(x, a @ x) row by row.
+    return np.vecdot(x, np.matmul(a, x[..., None])[..., 0])
+
+
 def _on_circle(h: Callable[[float], float]) -> Callable:
     """Block evaluator of r^2 h(theta) at the points r (cos theta,
     sin theta) of a real block, with value 0 at the origin."""
@@ -306,8 +313,8 @@ def quadratic_gleason(a, const: float = 0.0) -> GleasonFn:
     field = "C" if mat.imag.any() else "R"
     mat = mat.copy() if field == "C" else mat.real.copy()
 
-    def fn(x: np.ndarray) -> list[complex]:
-        return [complex(np.vdot(r, mat @ r)) + const for r in x]
+    def fn(x: np.ndarray) -> np.ndarray:
+        return _quadratic_values(mat, x) + const
 
     return GleasonFn(
         dim=int(mat.shape[0]),
@@ -406,8 +413,9 @@ def epsilon_1d_counterexample(eps: float) -> GleasonFn:
     summing to 1 keep summing to 1 after the swap, so every 2-vector
     Parseval frame of the line still sums to 1.  Three-vector frames
     hitting the swapped points break it, which pins the degree at 2.
+    ``eps`` must pass the number rule of :mod:`framelab.rng`.
     """
-    eps = float(eps)
+    eps = _finite(eps, "epsilon")
     if not (0.0 < eps < 1.0 / 3.0):
         raise BadEpsilonError(f"epsilon must be in (0, 1/3), got {eps}")
 
@@ -532,11 +540,9 @@ def verify_onb_gleason(
         blocks = np.array(rotations)
     else:
         # random_onb's draw: the square case of the orthonormalization
-        # rule, from a generator seeded with the next 64 bits
-        blocks = [
-            _orthonormal_rows(SplitMix64(rng.u64()), g.dim, g.dim, g.field)
-            for _ in range(trials)
-        ]
+        # rule, each basis from a generator seeded with the next 64 bits
+        rngs = [SplitMix64(rng.u64()) for _ in range(trials)]
+        blocks = _orthonormal_rows(rngs, g.dim, g.dim, g.field)
     return _frame_sum_verdict(g, blocks, None, seed, tol)
 
 
@@ -570,11 +576,12 @@ def verify_parseval_gleason(
         )
     rng = SplitMix64(seed)
     blocks = _parseval_specimens(g.dim, n, g.field)[:trials]
-    while len(blocks) < trials:
+    rngs = [SplitMix64(rng.u64()) for _ in range(trials - len(blocks))]
+    if rngs:
         # random_parseval's draw: d orthonormal rows of length n, whose
         # columns are the frame's vectors
-        rows = _orthonormal_rows(SplitMix64(rng.u64()), g.dim, n, g.field)
-        blocks.append(rows.T)
+        rows = _orthonormal_rows(rngs, g.dim, n, g.field)
+        blocks.extend(rows.transpose(0, 2, 1))
     return _frame_sum_verdict(g, blocks, n, seed, tol)
 
 
@@ -635,8 +642,8 @@ def fit_quadratic(
     unit = np.array(directions) / np.array(norms)[:, None]
     points = np.array(radii)[:, None] * unit
     residual = 0.0
-    for x, value in zip(points, g.values(points).tolist()):
-        predicted = complex(np.vdot(x, a @ x))
+    for value, predicted in zip(g.values(points).tolist(),
+                                _quadratic_values(a, points).tolist()):
         residual = max(residual, abs(value - predicted))
 
     if residual <= 1e-9:

@@ -144,6 +144,135 @@ def test_random_draws_run_no_eigendecomposition(monkeypatch):
     assert fl.verify_parseval_gleason(g, 5, trials=6).passed
 
 
+def _per_row_rows(rng, k, m, field):
+    # The orthonormalization rule one generator and one row at a time,
+    # with np.vdot, as it was written before the stacked pass: the
+    # reference for the stacked rule's bits and its redraws.
+    rows = []
+    for v in rng.field_gaussians((k, m), field):
+        while True:
+            for _ in range(2):
+                for u in rows:
+                    v = v - np.vdot(u, v) * u
+            norm = math.sqrt(np.add.reduce(np.abs(v) ** 2))
+            if norm > 1e-8:
+                rows.append(v / norm)
+                break
+            v = rng.field_gaussians(m, field)
+    return np.array(rows)
+
+
+def _generator_state(rng):
+    return rng.state, rng._spare
+
+
+class _RepeatedRow(SplitMix64):
+    """A generator whose first block repeats row 0 as row 1, so that
+    row 1 projects to zero and must be redrawn."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.first = True
+
+    def field_gaussians(self, shape, field):
+        out = super().field_gaussians(shape, field)
+        if self.first:
+            self.first = False
+            out[1] = out[0]
+        return out
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_stacked_orthonormal_rows_match_the_per_row_rule(field):
+    # Each frame of a stack has the bytes of the per-row rule on its
+    # own generator, and every generator ends where that rule leaves it.
+    for k, m in [(1, 1), (1, 4), (2, 2), (2, 5), (3, 3), (3, 6), (4, 4),
+                 (4, 7), (8, 8), (5, 13)]:
+        seeds = [0, 1, 7919, 2**64 - 1, 12345]
+        rngs = [SplitMix64(s) for s in seeds]
+        stack = fl.frames._orthonormal_rows(rngs, k, m, field)
+        assert stack.shape == (len(seeds), k, m)
+        for s, rng, got in zip(seeds, rngs, stack):
+            ref_rng = SplitMix64(s)
+            want = _per_row_rows(ref_rng, k, m, field)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert _generator_state(rng) == _generator_state(ref_rng)
+
+
+@pytest.mark.parametrize("field, k, m", [("R", 3, 5), ("C", 3, 4),
+                                         ("R", 2, 2), ("C", 4, 6)])
+def test_a_degenerate_row_is_redrawn_from_its_own_generator(field, k, m):
+    # Row 1 of the middle generator's block repeats row 0, so it
+    # projects to zero and is redrawn after that generator's block; its
+    # neighbours in the stack are untouched, and each frame is the one
+    # its generator gives alone.  (R, 3, 5) leaves a spare normal, which
+    # the redraw must take first.
+    def stack_of_three():
+        return [SplitMix64(11), _RepeatedRow(22), SplitMix64(33)]
+
+    rngs = stack_of_three()
+    stack = fl.frames._orthonormal_rows(rngs, k, m, field)
+    for rng, solo_rng, got in zip(rngs, stack_of_three(), stack):
+        solo = fl.frames._orthonormal_rows([solo_rng], k, m, field)[0]
+        assert got.tobytes() == solo.tobytes()
+        assert _generator_state(rng) == _generator_state(solo_rng)
+    ref_rng = _RepeatedRow(22)
+    assert stack[1].tobytes() == _per_row_rows(ref_rng, k, m, field).tobytes()
+    assert _generator_state(rngs[1]) == _generator_state(ref_rng)
+    # the redraw took variates beyond the block, and the rows are
+    # orthonormal
+    plain = SplitMix64(22)
+    plain.field_gaussians((k, m), field)
+    assert _generator_state(rngs[1]) != _generator_state(plain)
+    assert_allclose(stack[1] @ stack[1].conj().T, np.eye(k), atol=1e-12)
+
+
+def _stack_slices(r, rows, length, dtype):
+    # A contiguous (rows, length) block and a strided column of a
+    # (rows, 3, length) stack, both of the dtype.
+    def draw(shape):
+        x = r.standard_normal(shape)
+        if dtype == np.complex128:
+            x = x + 1j * r.standard_normal(shape)
+        return x
+
+    return draw((rows, length)), draw((rows, 3, length))[:, 1]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_the_stacked_dots_have_the_per_row_bits(dtype):
+    # The premise of the stacked Gram-Schmidt pass and of the quadratic
+    # form's block evaluator: np.vecdot gives np.vdot's bits row by row,
+    # and a stacked matrix-vector product gives a @ x's bits, on
+    # contiguous blocks and on strided stack slices alike.  Should a
+    # NumPy release move either off these kernels, this fails before the
+    # pinned sweep hashes do.
+    r = np.random.default_rng(20)
+    for length in range(1, 9):
+        for _ in range(20):
+            for u, v in [_stack_slices(r, 7, length, dtype),
+                         _stack_slices(r, 7, length, dtype)[::-1]]:
+                got = np.vecdot(u, v)
+                want = np.array([np.vdot(u[t], v[t]) for t in range(7)])
+                assert got.tobytes() == want.tobytes()
+            a = _stack_slices(r, length, length, dtype)[0]
+            for x in _stack_slices(r, 7, length, dtype):
+                got = np.matmul(a, x[..., None])[..., 0]
+                want = np.array([a @ x[t] for t in range(7)])
+                assert got.tobytes() == want.tobytes()
+            # a complex operator on real rows, as the quadratic fit has
+            if dtype == np.float64:
+                a = _stack_slices(r, length, length, np.complex128)[0]
+                for x in _stack_slices(r, 7, length, dtype):
+                    y = np.matmul(a, x[..., None])[..., 0]
+                    want = np.array([a @ x[t] for t in range(7)])
+                    assert y.tobytes() == want.tobytes()
+                    got = np.vecdot(x, y)
+                    want = np.array([np.vdot(x[t], y[t]) for t in range(7)])
+                    assert got.tobytes() == want.tobytes()
+
+
 def test_frame_rejects_non_finite_imaginary_parts_alone():
     for bad in (np.inf, -np.inf, np.nan):
         vectors = np.array([[1.0, complex(0.0, bad)]])

@@ -221,6 +221,27 @@ def test_epsilon_1d_branch_values():
             fl.epsilon_1d_counterexample(bad)
 
 
+@pytest.mark.parametrize("eps, message", [
+    ("0.1", "epsilon must be a number, got '0.1'"),
+    (True, "epsilon must be a number, got True"),
+    (np.array([0.1]), "epsilon must be a number, got array([0.1])"),
+    (0.1j, "epsilon must be a number, got 0.1j"),
+    (math.nan, "epsilon must be finite, got nan"),
+], ids=["numeric-string", "bool", "array", "complex", "nan"])
+def test_epsilon_follows_the_number_rule(eps, message):
+    # "0.1" built a function with eps 0.1, an array raised a bare
+    # TypeError, and True and NaN raised BadEpsilonError.
+    with pytest.raises(fl.InputError, match=f"^{re.escape(message)}$"):
+        fl.epsilon_1d_counterexample(eps)
+
+
+def test_epsilon_takes_real_numbers():
+    for eps in (Fraction(1, 5), np.float32(0.25), np.float64(0.2)):
+        g = fl.epsilon_1d_counterexample(eps)
+        assert type(g.params["eps"]) is float
+        assert g.params["eps"] == float(eps)
+
+
 # --- verify over orthonormal bases ----------------------------------------
 
 
@@ -544,6 +565,63 @@ def test_quadratic_constant_takes_real_numbers():
         assert type(g.params["const"]) is float
         assert g.params["const"] == float(const)
         assert g(np.zeros(2)) == float(const)
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_quadratic_values_are_the_per_row_forms(field):
+    # One stacked matrix-vector product and one dot per row give the
+    # bits of np.vdot(x, a @ x) + const, row by row.
+    for d in range(1, 9):
+        g = fl.quadratic_gleason(
+            fl.random_hermitian(d, seed=d, field=field), const=0.375)
+        mat = g.params["operator"]
+        x = np.ascontiguousarray(
+            fl.random_parseval(d, d + 3, seed=d, field=g.field).vectors)
+        want = np.array([complex(np.vdot(r, mat @ r)) + 0.375 for r in x])
+        assert g.values(x).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_fit_residual_is_the_per_point_residual(field):
+    # A quadratic form plus a cubic term, so the residual is not 0; the
+    # points are the block the fit evaluates, and each prediction is
+    # np.vdot(x, a @ x) of the operator before demotion, which for this
+    # function is the reported one.
+    a = fl.random_hermitian(3, seed=8, field=field)
+    blocks = []
+
+    def fn(x):
+        blocks.append(x)
+        return [complex(np.vdot(r, a @ r)) + 0.1 * abs(r[0]) ** 3
+                for r in x]
+
+    g = fl.GleasonFn(dim=3, field=field, kind="custom", fn=fn)
+    fit = fl.fit_quadratic(g, samples=64, seed=4)
+    points = blocks[-1]
+    assert len(points) == 64
+    op = np.asarray(fit.operator)
+    want = 0.0
+    for x, value in zip(points, fn(points)):
+        want = max(want, abs(value - complex(np.vdot(x, op @ x))))
+    assert fit.residual == want > 1e-3
+
+
+def test_each_verification_draws_its_trial_frames_as_one_stack(monkeypatch):
+    # One orthonormalization pass per verification, over a generator
+    # per random trial frame; specimens take none.
+    calls = []
+    rule = fl.gleason._orthonormal_rows
+
+    def spy(rngs, k, m, field):
+        calls.append((len(rngs), k, m, field))
+        return rule(rngs, k, m, field)
+
+    monkeypatch.setattr(fl.gleason, "_orthonormal_rows", spy)
+    g = fl.quadratic_gleason(fl.random_hermitian(3, seed=1, field="C"))
+    fl.verify_onb_gleason(g, trials=12, seed=2)
+    fl.verify_parseval_gleason(g, 5, trials=6, seed=2)
+    fl.verify_parseval_gleason(g, 5, trials=2, seed=2)
+    assert calls == [(12, 3, 3, "C"), (4, 3, 5, "C")]
 
 
 # --- quadratic fitting ------------------------------------------------------

@@ -108,7 +108,7 @@ def test_class_kind_scan_sees_each_kind():
     (r"- (\w+ \* )?np\.eye\(", "frames.py"),  # the c I deviation
     (r"np\.abs\(\w+\) \*\* 2", "frames.py"),  # the squared-norm rule
     (r"np\.max\(np\.abs\(", "frames.py"),  # the unit-modulus deviation
-    (r"np\.vdot\(u, v\) \* u", "frames.py"),  # the projection step
+    (r"np\.vecdot\(u, v\)\[:, None\] \* u", "frames.py"),  # the projection step
     (r"max\(1\.0, abs\(", "linalg.py"),  # the mixed-relative comparison
     ("not a Parseval frame", "povm.py"),  # the Parseval precondition
     (r"%\.17g", "serialize.py"),  # the float format
@@ -316,6 +316,19 @@ def test_each_verification_evaluates_one_block():
     assert calling_functions(tree, {"values"}) == [
         "_frame_sums", "fit_quadratic", "homogeneity_check"]
     assert calling_functions(tree, {"random_onb", "_frame_sum"}) == []
+
+
+def test_the_frame_draws_and_quadratic_forms_dot_a_whole_stack():
+    # Gram-Schmidt and <A x, x> take one np.vecdot per stack, with
+    # np.vdot's bits (the premise is tested in test_frames); no row is
+    # dotted on its own.
+    trees = {name: ast.parse((PACKAGE / name).read_text())
+             for name in ("frames.py", "gleason.py")}
+    for tree in trees.values():
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "vdot"]
+    assert calling_functions(trees["gleason.py"], {"_quadratic_values"}) == [
+        "fit_quadratic", "quadratic_gleason"]
 
 
 def test_call_scan_sees_names_and_attributes():
