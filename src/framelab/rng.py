@@ -2,11 +2,16 @@
 
 All randomized routines in the package draw from :class:`SplitMix64`
 seeded with a caller-supplied integer, so identical seeds reproduce
-identical results on every platform.  Gaussian variates come from the
-Box-Muller transform applied to the raw 64-bit stream; complex
-Gaussians are standard circular ones with unit total variance.  Every
-Gaussian, scalar or bulk, real or complex, comes from one private
-loop, so the transform and its cached-spare rule are written once.
+identical results on every platform.  SplitMix64 is counter-based:
+word k after state s is mix(s + k * gamma) (Steele, Lea and Flood,
+OOPSLA 2014), so its words are hashed ahead of use, in blocks, by one
+hash rule (:func:`_fill`) in exact uint64 NumPy arithmetic, and a
+generator reads them off its block; one fill can serve a whole stack of
+generators.  Gaussian variates come from the Box-Muller transform
+applied to those words; complex Gaussians are standard circular ones
+with unit total variance.  Every Gaussian, scalar or bulk, real or
+complex, comes from one private loop, so the transform and its
+cached-spare rule are written once.
 
 The package's integer and field rules live here too, in its lowest
 module.  Integer rule (:func:`_integer`): a count, index or seed a
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +39,12 @@ from .errors import InputError
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+# A fill hashes at least _FILL_MIN words and at most _FILL_MAX, so a
+# long draw holds one bounded block of words at a time; _STEPS[i] is
+# (i + 1) * gamma mod 2^64.
+_FILL_MIN = 64
+_FILL_MAX = 1024
+_STEPS = np.arange(1, _FILL_MAX + 1, dtype=np.uint64) * np.uint64(_GAMMA)
 _TWO_PI = 2.0 * math.pi
 _ULP = 2.0 ** -53
 _ROOT2 = math.sqrt(2.0)
@@ -89,6 +101,28 @@ def _check_field(field) -> None:
         raise InputError(f"field must be 'R' or 'C', got {field!r}")
 
 
+def _fill(rngs: Sequence[SplitMix64], count: int) -> None:
+    # The hash rule: make each generator hold at least
+    # min(count, _FILL_MAX) unread words.  Those that hold fewer get a
+    # new block from their current states, all in one uint64 pass; the
+    # unread rest of an old block is dropped and hashed again, so no
+    # fill changes the stream.
+    count = min(count, _FILL_MAX)
+    short = [rng for rng in rngs if len(rng._words) - rng._read < count]
+    if not short:
+        return
+    bases = [rng.state for rng in short]
+    steps = _STEPS[:max(count, _FILL_MIN)]
+    z = np.array(bases, dtype=np.uint64)[:, None] + steps
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    z ^= z >> 31
+    for rng, base, words in zip(short, bases, z.tolist()):
+        rng._base = base
+        rng._words = words
+        rng._read = 0
+
+
 class SplitMix64:
     """64-bit SplitMix generator with Box-Muller Gaussian output.
 
@@ -98,19 +132,29 @@ class SplitMix64:
         Any integer, by the integer rule; only the low 64 bits are kept.
     """
 
-    __slots__ = ("state", "_spare")
+    # Word i of ``_words`` is the one after state _base + i * gamma, and
+    # ``_read`` of them have been used.
+    __slots__ = ("_base", "_words", "_read", "_spare")
 
     def __init__(self, seed: int):
-        self.state = _integer(seed, "seed") & _MASK
+        self._base = _integer(seed, "seed") & _MASK
+        self._words: list[int] = []
+        self._read = 0
         self._spare: float | None = None
+
+    @property
+    def state(self) -> int:
+        """The counter: the seed plus gamma times the words used, mod 2^64."""
+        return (self._base + self._read * _GAMMA) & _MASK
 
     def u64(self) -> int:
         """Next raw 64-bit word."""
-        self.state = (self.state + _GAMMA) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return (z ^ (z >> 31)) & _MASK
+        read = self._read
+        if read == len(self._words):
+            _fill((self,), 1)
+            read = 0
+        self._read = read + 1
+        return self._words[read]
 
     def uniform(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
@@ -130,32 +174,31 @@ class SplitMix64:
         return self._normals(1)[0]
 
     def _normals(self, count: int) -> list[float]:
-        # The u64 steps are inlined: at a few variates per call the
-        # method calls cost more than the arithmetic.
         out: list[float] = []
-        state = self.state
         spare = self._spare
         if spare is not None and count > 0:
             out.append(spare)
             spare = None
             count -= 1
-        for _ in range((count + 1) // 2):
-            state = (state + _GAMMA) & _MASK
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-            # Shift into (0, 1] so the log never sees zero.
-            u1 = (((z ^ (z >> 31)) >> 11) + 1) * _ULP
-            state = (state + _GAMMA) & _MASK
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-            u2 = ((z ^ (z >> 31)) >> 11) * _ULP
-            radius = math.sqrt(-2.0 * math.log(u1))
-            theta = _TWO_PI * u2
-            out.append(radius * math.cos(theta))
-            out.append(radius * math.sin(theta))
+        pairs = (count + 1) // 2
+        while pairs:
+            if len(self._words) - self._read < 2:
+                _fill((self,), 2 * pairs)
+            read = self._read
+            take = min(pairs, (len(self._words) - read) // 2)
+            self._read = read + 2 * take
+            pairs -= take
+            words = iter(self._words[read:self._read])
+            for w1, w2 in zip(words, words):
+                # Shift into (0, 1] so the log never sees zero.
+                u1 = ((w1 >> 11) + 1) * _ULP
+                u2 = (w2 >> 11) * _ULP
+                radius = math.sqrt(-2.0 * math.log(u1))
+                theta = _TWO_PI * u2
+                out.append(radius * math.cos(theta))
+                out.append(radius * math.sin(theta))
         if count % 2:
             spare = out.pop()
-        self.state = state
         self._spare = spare
         return out
 

@@ -798,6 +798,40 @@ def test_weight_trace_experiment_sums_to_the_trace():
         fl.weight_trace_experiment(3, 5, trials=0)
 
 
+def test_weight_trace_stacks_each_fields_frames_with_per_trial_bits(
+        monkeypatch):
+    # One orthonormalization pass per field, over the frames of its
+    # trials, and each sum has the bits of the per-trial rule it
+    # replaced (kept here as the oracle): trial t draws its operator
+    # seed, then its frame seed, and sums over its own random_parseval
+    # frame.
+    calls = []
+    rule = fl.gleason._orthonormal_rows
+
+    def spy(rngs, k, m, field):
+        calls.append((len(rngs), k, m, field))
+        return rule(rngs, k, m, field)
+
+    monkeypatch.setattr(fl.gleason, "_orthonormal_rows", spy)
+    for dim, n, trials, seed in [(2, 2, 1, 0), (2, 4, 2, 1), (3, 5, 7, 2),
+                                 (4, 9, 6, 2**64 - 1)]:
+        calls.clear()
+        report = fl.weight_trace_experiment(dim, n, trials=trials, seed=seed)
+        assert calls == [((trials + 1) // 2, dim, n, "C"),
+                         (trials // 2, dim, n, "R")][:min(trials, 2)]
+        rng = SplitMix64(seed)
+        worst = 0.0
+        for t in range(trials):
+            field = "C" if t % 2 == 0 else "R"
+            a = fl.random_hermitian(dim, seed=rng.u64(), field=field)
+            f = fl.random_parseval(dim, n, seed=rng.u64(), field=field)
+            total = 0.0 + 0.0j
+            for value in fl.quadratic_gleason(a).values(f.vectors).tolist():
+                total += value
+            worst = max(worst, abs(total - complex(np.trace(a))))
+        assert report.max_deviation == worst
+
+
 def test_counterexample_battery_needs_the_explicit_witness_for_epsilon():
     # Sampling never hits the swapped points, so only the explicit
     # three-vector frame shows the defect.

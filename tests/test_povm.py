@@ -307,6 +307,104 @@ def test_busch_and_born_experiments_pass_on_the_trace_rule():
     assert born.passed and born.min_probability >= -1e-12
 
 
+def _per_trial_povm(rng, d, k_min, field):
+    # The per-trial rule the stacked draws replaced, kept as their
+    # oracle: each trial's k, n, frame seed and groups from the
+    # caller's generator, then its own random_parseval frame.
+    k = k_min + rng.below(3)
+    n = max(d, k) + rng.below(d + 2)
+    f = fl.random_parseval(d, n, seed=rng.u64(), field=field)
+    groups = [[] for _ in range(k)]
+    for i in range(n):
+        groups[rng.below(k)].append(i)
+    return fl.povm_from_frame_grouped(f, groups)
+
+
+@pytest.mark.parametrize("field", ["C", "R"])
+def test_measure_checks_see_the_effects_of_the_per_trial_rule(field):
+    # The functional sees the identity, then every effect of every
+    # trial in order, with the bits of the per-trial rule; the reports
+    # are equal to the last bit.
+    for d, n_family, trials, seed in [(1, 3, 5, 0), (2, 4, 7, 1),
+                                      (2, 5, 3, 2**64 - 1), (3, 5, 9, 7),
+                                      (4, 7, 4, 11)]:
+        rho = fl.random_density(d, seed=seed)
+        seen = []
+
+        def v(e):
+            seen.append(np.asarray(e).tobytes())
+            return float(np.trace(rho @ e).real) ** 2
+
+        report = fl.check_generalized_measure(
+            v, d, n_family, trials=trials, seed=seed, field=field)
+        rng = SplitMix64(seed)
+        want = [np.eye(d, dtype=np.complex128).tobytes()]
+        worst = 0.0
+        for _ in range(trials):
+            p = _per_trial_povm(rng, d, n_family, field)
+            want.extend(e.tobytes() for e in p.effects)
+            total = sum(float(np.trace(rho @ e).real) ** 2 for e in p.effects)
+            worst = max(worst, abs(total - 1.0))
+        assert seen == want
+        assert report.additivity_deviation == worst
+
+
+def test_a_measure_check_fills_once_and_stacks_each_frame_size(monkeypatch):
+    # One fill over every trial's generator, which leaves the fills of
+    # the stacks nothing to hash, and one orthonormalization pass per
+    # distinct frame size; random_parseval is not called.
+    fills, stacks = [], []
+    fill, rule = fl.povm._fill, fl.frames._orthonormal_rows
+
+    def fill_spy(rngs, count):
+        fills.append((len(rngs), sum(
+            len(r._words) - r._read < min(count, 1024) for r in rngs)))
+        return fill(rngs, count)
+
+    def rule_spy(rngs, k, m, field):
+        stacks.append((len(rngs), k, m, field))
+        return rule(rngs, k, m, field)
+
+    def no_single_draw(*args, **kwargs):
+        raise AssertionError("a trial drew its own frame")
+
+    monkeypatch.setattr(fl.povm, "_fill", fill_spy)
+    monkeypatch.setattr(fl.frames, "_fill", fill_spy)
+    monkeypatch.setattr(fl.frames, "_orthonormal_rows", rule_spy)
+    monkeypatch.setattr(fl.frames, "random_parseval", no_single_draw)
+    monkeypatch.setattr(fl.povm, "random_parseval", no_single_draw)
+    fl.check_generalized_measure(lambda e: 0.5, 3, 5, trials=12, seed=4)
+    sizes = [m for _, _, m, _ in stacks]
+    assert len(set(sizes)) == len(sizes) > 1
+    assert sum(count for count, _, _, _ in stacks) == 12
+    assert {(k, field) for _, k, _, field in stacks} == {(3, "C")}
+    assert fills[0] == (12, 12)
+    assert fills[1:] == [(count, 0) for count, _, _, _ in stacks]
+
+
+def test_born_experiment_draws_the_povms_of_the_per_trial_rule():
+    for dim, trials, seed in [(1, 4, 0), (2, 6, 3), (3, 5, 2**64 - 1)]:
+        rng = SplitMix64(seed)
+        mins, sum_devs = [], []
+        for _ in range(trials):
+            rho = fl.random_density(dim, seed=rng.u64())
+            probs = fl.born_probabilities(
+                rho, _per_trial_povm(rng, dim, dim + 2, "C"))
+            mins.append(float(np.min(probs)))
+            sum_devs.append(abs(float(np.sum(probs)) - 1.0))
+        report = fl.born_experiment(dim, trials=trials, seed=seed)
+        assert report.min_probability == min(mins)
+        assert report.max_sum_deviation == max(sum_devs)
+
+
+def test_born_experiment_refuses_a_huge_state_before_planning_a_trial():
+    # A plan loops over the frame's n >= dim vectors, so the state's
+    # size check must come first, as it did when each trial drew alone.
+    with pytest.raises(fl.InputError, match=r"^a draw of shape "
+                       r"\(1000000000000, 1000000000000\) is too large$"):
+        fl.born_experiment(10**12, trials=3)
+
+
 @pytest.mark.parametrize("run", [
     lambda: fl.born_experiment(2, trials=0),
     lambda: fl.busch_experiment(2, states=0),

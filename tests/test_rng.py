@@ -1,6 +1,13 @@
 import hashlib
 import math
+import os
+import re
+import subprocess
+import sys
+import tracemalloc
+from collections.abc import Sequence
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,3 +345,239 @@ TOO_LARGE_DRAWS = {
 def test_draws_refuse_a_size_numpy_cannot_hold_before_drawing(name):
     with pytest.raises(fl.InputError, match="too large$"):
         TOO_LARGE_DRAWS[name]()
+
+
+# --- the hash rule in blocks -------------------------------------------------
+
+
+class _ReferenceSplitMix64:
+    """The word-by-word generator the block fills replaced: one
+    SplitMix64 step per word in Python ints, and the Box-Muller loop
+    with the step inlined.  The oracle of the block fills' bits."""
+
+    _MASK = (1 << 64) - 1
+    _GAMMA = 0x9E3779B97F4A7C15
+
+    def __init__(self, seed):
+        self.state = seed & self._MASK
+        self._spare = None
+
+    def u64(self):
+        mask = self._MASK
+        self.state = (self.state + self._GAMMA) & mask
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return (z ^ (z >> 31)) & mask
+
+    def uniform(self):
+        return (self.u64() >> 11) * 2.0 ** -53
+
+    def below(self, n):
+        return self.u64() % n
+
+    def gaussian(self):
+        return self._normals(1)[0]
+
+    def _normals(self, count):
+        out = []
+        if self._spare is not None and count > 0:
+            out.append(self._spare)
+            self._spare = None
+            count -= 1
+        for _ in range((count + 1) // 2):
+            u1 = ((self.u64() >> 11) + 1) * 2.0 ** -53
+            u2 = (self.u64() >> 11) * 2.0 ** -53
+            radius = math.sqrt(-2.0 * math.log(u1))
+            theta = 2.0 * math.pi * u2
+            out.append(radius * math.cos(theta))
+            out.append(radius * math.sin(theta))
+        if count % 2:
+            self._spare = out.pop()
+        return out
+
+    def gaussians(self, shape):
+        out = np.empty(shape)
+        out.ravel()[:] = self._normals(out.size)
+        return out
+
+    def complex_gaussians(self, shape):
+        out = np.empty(shape, np.complex128)
+        flat = out.ravel().view(np.float64)
+        flat[:] = self._normals(flat.size)
+        parts = flat.reshape(-1, 2)
+        parts += parts[:, ::-1] * np.array([0.0, -0.0])
+        parts /= math.sqrt(2.0)
+        return out
+
+
+def _same_draw(rng, ref, method, *args):
+    # One draw from both generators: equal results by bits and equal
+    # state and spare afterwards.
+    got = getattr(rng, method)(*args)
+    want = getattr(ref, method)(*args)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        got, want = got.tobytes(), want.tobytes()
+    assert type(got) is type(want) and got == want, (method, args)
+    assert rng.state == ref.state, (method, args)
+    assert repr(rng._spare) == repr(ref._spare), (method, args)
+
+
+GAMMA = 0x9E3779B97F4A7C15
+# 0 and 2**64 - 1, states that wrap past 2**64 at the first, third and
+# 64th word, and two plain seeds.
+REFERENCE_SEEDS = (0, 2**64 - 1, -GAMMA, -3 * GAMMA, -64 * GAMMA, 1, 7919)
+
+
+@pytest.mark.parametrize("seed", REFERENCE_SEEDS)
+def test_block_fills_give_the_word_by_word_stream(seed):
+    rng, ref = SplitMix64(seed), _ReferenceSplitMix64(seed)
+    assert rng.state == ref.state
+    script = [
+        ("u64",), ("gaussian",), ("gaussians", 3), ("uniform",),
+        ("below", 7), ("complex_gaussians", 1), ("gaussians", 0),
+        ("gaussian",), ("gaussians", (2, 3)), ("complex_gaussians", (3, 1)),
+        ("below", 2**64), ("gaussians", 1), ("gaussian",), ("u64",),
+    ]
+    for _ in range(3):
+        for step in script:
+            _same_draw(rng, ref, *step)
+    # draws of 63, 64, 65 and 1025 words across fill boundaries, each
+    # run of words starting off a boundary and after an odd count
+    for count in (63, 64, 65, 1025):
+        for _ in range(count):
+            _same_draw(rng, ref, "u64")
+        _same_draw(rng, ref, "gaussians", count)
+        _same_draw(rng, ref, "gaussian")
+        _same_draw(rng, ref, "complex_gaussians", count)
+        _same_draw(rng, ref, "gaussians", count - 1)
+        for _ in range(count % 7):
+            _same_draw(rng, ref, "uniform")
+
+
+def test_stacked_fills_over_partly_read_generators_keep_each_stream():
+    # Generators at different depths into their blocks, with and
+    # without a spare, filled together by counts below, at and above
+    # what each holds; every later draw matches its reference.
+    fill = fl.rng._fill
+    for count in (1, 2, 5, 63, 64, 65, 200, 1024, 1025, 5000):
+        rngs = [SplitMix64(s) for s in REFERENCE_SEEDS]
+        refs = [_ReferenceSplitMix64(s) for s in REFERENCE_SEEDS]
+        for depth, (rng, ref) in enumerate(zip(rngs, refs)):
+            for _ in range(depth * 9):
+                _same_draw(rng, ref, "u64")
+            if depth % 2:
+                _same_draw(rng, ref, "gaussians", 2 * depth + 1)
+        fill(rngs[::2], count)
+        fill(rngs, count)
+        for rng in rngs:
+            assert len(rng._words) - rng._read >= min(count, 1024)
+        for rng, ref in zip(rngs, refs):
+            _same_draw(rng, ref, "gaussians", 5)
+            _same_draw(rng, ref, "u64")
+            _same_draw(rng, ref, "complex_gaussians", 70)
+            _same_draw(rng, ref, "below", 3)
+
+
+def test_a_long_draw_holds_one_bounded_block_of_words():
+    # A fill hashes at most 1024 words, and a longer draw refills as it
+    # goes, so it holds no list of every word beside its normals.  The
+    # figure is this draw's peak at the word-by-word parent, under
+    # tracemalloc, CPython 3.11, NumPy 2.4: the list of 10**6 floats
+    # and the output array.
+    rng = SplitMix64(1)
+    tracemalloc.start()
+    try:
+        rng.gaussians(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 40_447_108
+    assert len(rng._words) <= 1024
+
+
+class _HugeStack(Sequence):
+    """2**62 generators, none of which may be taken: a stack this tall
+    must fail its size check before any draw."""
+
+    def __len__(self):
+        return 2**62
+
+    def __getitem__(self, i):
+        raise AssertionError("a generator was read before the size check")
+
+
+@pytest.mark.parametrize("draw, shape", [
+    (lambda: fl.random_parseval(2, 10**12), (2, 10**12)),
+    (lambda: fl.frames._orthonormal_rows(_HugeStack(), 2, 2, "R"),
+     (2**62, 2, 2)),
+], ids=["random_parseval", "_orthonormal_rows-stack"])
+def test_a_draw_too_large_names_its_shape_before_any_fill(draw, shape):
+    with pytest.raises(fl.InputError,
+                       match=re.escape(f"a draw of shape {shape} is too large")):
+        draw()
+
+
+_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from framelab import SplitMix64
+from framelab.rng import _fill
+h = hashlib.sha256()
+rngs = [SplitMix64(s) for s in (0, 1, 7919, 2**64 - 1)]
+for rng in rngs[::2]:
+    rng.gaussians(9)
+_fill(rngs, 300)
+for rng in rngs:
+    h.update(str([rng.u64() for _ in range(70)]).encode())
+    for shape in (1, 7, 64, 1025, (3, 5)):
+        h.update(rng.gaussians(shape).tobytes())
+        h.update(rng.complex_gaussians(shape).tobytes())
+    h.update(f"{rng.uniform()!r}{rng.below(11)}{rng.state}".encode())
+print(h.hexdigest())
+print(" ".join(sorted(f for f, on in __cpu_features__.items() if on)))
+"""
+
+SIMD_FEATURES = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+# Each switch of ROADMAP items 11 and 5, and the host features it needs
+# to take effect.
+SWITCHES = {
+    "simd": ({"NPY_DISABLE_CPU_FEATURES": " ".join(SIMD_FEATURES)},
+             SIMD_FEATURES),
+    "blas-kernel": ({"OPENBLAS_CORETYPE": "Sandybridge"}, ("AVX",)),
+}
+
+
+def _run_digest(env):
+    # The digest, the CPU features NumPy enabled and OpenBLAS's report of
+    # its core, from a fresh interpreter under env.
+    src = str(Path(fl.__file__).resolve().parent.parent)
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    full = {**os.environ, **env, "OPENBLAS_VERBOSE": "2",
+            "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=full,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    digest, features = done.stdout.splitlines()
+    return digest, set(features.split()), done.stderr
+
+
+@pytest.mark.parametrize("switch", sorted(SWITCHES))
+def test_the_draws_keep_their_bits_under_each_kernel_switch(switch):
+    # The words are integer ufuncs, which do not round, and the
+    # Box-Muller step is libm's, so no SIMD level or BLAS kernel moves a
+    # bit: rng is a control group of the byte sweep's switches.
+    env, needs = SWITCHES[switch]
+    from numpy._core._multiarray_umath import __cpu_features__
+    missing = [f for f in needs if not __cpu_features__.get(f)]
+    if missing:
+        pytest.skip(f"this host lacks {', '.join(missing)}")
+    digest, features, report = _run_digest(env)
+    # the switch took effect
+    if switch == "simd":
+        assert not features & set(SIMD_FEATURES)
+    else:
+        assert "Core: Sandybridge" in report
+    assert digest == _run_digest({})[0]

@@ -338,3 +338,52 @@ def test_call_scan_sees_names_and_attributes():
         "def h(a):\n    return a.canonical_json\n"
     )
     assert calling_functions(tree, {"canonical_json"}) == ["f", "g"]
+
+
+MIXING_CONSTANTS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+
+def functions_using(tree: ast.Module, values) -> list[str]:
+    """The innermost functions of a module whose body holds an integer
+    literal among ``values``, one entry per literal, and "<module>" for
+    a literal outside every function."""
+
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                if (isinstance(child, ast.Constant)
+                        and type(child.value) is int
+                        and child.value in values):
+                    found.append(owner)
+                visit(child, owner)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+def test_the_splitmix64_hash_is_written_once():
+    # The mixing constants appear once each in rng.py, in _fill, the
+    # hash rule every word of every generator comes from; no word is
+    # hashed one at a time anywhere else.  serialize's sort key borrows
+    # the first multiplier, at module level, for one bijective multiply
+    # of each entry's bits, which draws no word.
+    rng_source = (PACKAGE / "rng.py").read_text()
+    assert [rng_source.count(f"0x{c:X}") for c in MIXING_CONSTANTS] == [1, 1]
+    uses = {path.name: functions_using(ast.parse(path.read_text()),
+                                       MIXING_CONSTANTS)
+            for path in PACKAGE.glob("*.py")}
+    assert {name: found for name, found in uses.items() if found} == {
+        "rng.py": ["_fill", "_fill"], "serialize.py": ["<module>"]}
+
+
+def test_constant_scan_sees_the_innermost_function():
+    tree = ast.parse(
+        "K = 7\n"
+        "def f():\n    def g():\n        return 7\n    return 7 + 8\n"
+        "class C:\n    def m(self):\n        return 8.0, True\n"
+    )
+    assert functions_using(tree, {7, 8}) == ["<module>", "f", "f", "g"]
