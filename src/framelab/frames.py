@@ -42,7 +42,7 @@ from .errors import (
     TooFewVectorsError,
 )
 from .linalg import resolve_tol
-from .rng import SplitMix64, _draw_array, _fill, _integer
+from .rng import SplitMix64, _field_blocks, _integer
 
 # Bytes of one row block of the Gram matrix in the streaming pass.
 _GRAM_BLOCK_BYTES = 2 << 20
@@ -360,15 +360,7 @@ def _orthonormal_rows(
     # that falls too close to the span of the earlier ones, which for
     # continuous Gaussians essentially never happens, is replaced by a
     # fresh draw from its own generator after that generator's block.
-    # The block's size check comes first, so that a block too large is
-    # named as its own draw names it, then the stack's; only then is
-    # every generator filled with its block's words in one hash pass.
-    dtype = np.complex128 if field == "C" else np.float64
-    _draw_array((k, m), dtype)
-    out = _draw_array((len(rngs), k, m), dtype)
-    _fill(rngs, k * m * (2 if field == "C" else 1) + 1)
-    for t, rng in enumerate(rngs):
-        out[t] = rng.field_gaussians((k, m), field)
+    out = _field_blocks(rngs, (k, m), field)
     rows: list[np.ndarray] = []
     for j in range(k):
         v = _projected(out[:, j], rows)

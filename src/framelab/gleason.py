@@ -56,11 +56,6 @@ from .frames import (
 from .linalg import resolve_tol
 from .rng import _NO_TRIAL, SplitMix64, _check_field, _finite, _integer
 
-# Bound here though every frame draw of this module is stacked:
-# perfbench's tracer wraps random_parseval at each module that imports
-# it, and its self-test reads this binding.
-_UNSTACKED_DRAW = random_parseval
-
 _BALL_SLACK = 1e-6
 _TWO_PI = 2.0 * math.pi
 
@@ -819,22 +814,12 @@ def weight_trace_experiment(
     trials = _integer(trials, "trials", 1, _NO_TRIAL)
     dim, n = _frame_size(dim, n)
     rng = SplitMix64(seed)
-    # Each trial's operator seed, then its frame seed, in trial order.
-    # The frames of each field are random_parseval's draws, made as one
-    # stack: the complex ones of the even trials, the real ones of the
-    # odd.
-    seeds = [(rng.u64(), rng.u64()) for _ in range(trials)]
-    stacks = [
-        _orthonormal_rows([SplitMix64(s) for _, s in seeds[first::2]],
-                          dim, n, field)
-        for first, field in enumerate(("C", "R")) if first < trials
-    ]
     worst = 0.0
-    for t, (a_seed, _) in enumerate(seeds):
+    for t in range(trials):
         field = "C" if t % 2 == 0 else "R"
-        a = linalg.random_hermitian(dim, seed=a_seed, field=field)
-        rows = stacks[t % 2][t // 2]
-        [total] = _frame_sums(quadratic_gleason(a), [rows.T])
+        a = linalg.random_hermitian(dim, seed=rng.u64(), field=field)
+        f = random_parseval(dim, n, seed=rng.u64(), field=field)
+        [total] = _frame_sums(quadratic_gleason(a), [f.vectors])
         worst = max(worst, abs(total - complex(np.trace(a))))
     return WeightTraceReport(
         dim=dim,

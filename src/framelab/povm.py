@@ -15,9 +15,11 @@ on random states and random grouped POVMs.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .errors import (
 )
 from .frames import Frame, random_parseval
 from .linalg import resolve_tol
-from .rng import _NO_TRIAL, SplitMix64, _fill, _integer
+from .rng import _NO_TRIAL, _STACK_PASS, SplitMix64, _integer
 
 # Bound here though every frame draw of this module is stacked:
 # perfbench's tracer wraps random_parseval at each module that imports
@@ -411,27 +413,28 @@ def _povm_plan(
 
 
 def _random_povms(
-    plans: Sequence[tuple[int, SplitMix64, list[list[int]]]],
+    plans: Iterable[tuple[int, SplitMix64, list[list[int]]]],
     d: int,
     field: str,
 ) -> Iterator[Povm]:
-    # The POVM of each plan, in plan order.  Every frame generator is
-    # filled in one hash pass and the frames of each n are drawn as one
-    # stack, each with the bits of random_parseval on its generator.
-    # The frames are Parseval by construction, so the grouping checks
-    # them at the default tolerance; a caller's tol judges only its
-    # verdict.
-    sizes = [n for n, _, _ in plans]
-    _fill([frame_rng for _, frame_rng, _ in plans],
-          d * max(sizes) * (2 if field == "C" else 1) + 1)
-    rows: dict[int, np.ndarray] = {}
-    for n in dict.fromkeys(sizes):
-        trials = [t for t, size in enumerate(sizes) if size == n]
-        stack = frames._orthonormal_rows(
-            [plans[t][1] for t in trials], d, n, field)
-        rows.update(zip(trials, stack))
-    for t, (_, _, groups) in enumerate(plans):
-        yield povm_from_frame_grouped(Frame(rows.pop(t).T, field), groups)
+    # The POVM of each plan, in plan order.  Plans are taken one hash
+    # pass of generators at a time, so a check of many trials holds one
+    # pass of plans and frames; the frames of each n in a pass are drawn
+    # as one stack, each with the bits of random_parseval on its
+    # generator.  The frames are Parseval by construction, so the
+    # grouping checks them at the default tolerance; a caller's tol
+    # judges only its verdict.
+    plans = iter(plans)
+    while part := list(itertools.islice(plans, _STACK_PASS)):
+        sizes = [n for n, _, _ in part]
+        rows: dict[int, np.ndarray] = {}
+        for n in dict.fromkeys(sizes):
+            trials = [t for t, size in enumerate(sizes) if size == n]
+            stack = frames._orthonormal_rows(
+                [part[t][1] for t in trials], d, n, field)
+            rows.update(zip(trials, stack))
+        for t, (_, _, groups) in enumerate(part):
+            yield povm_from_frame_grouped(Frame(rows.pop(t).T, field), groups)
 
 
 def check_generalized_measure(
@@ -475,7 +478,7 @@ def check_generalized_measure(
     add_dev = 0.0
     witness: Povm | None = None
 
-    plans = [_povm_plan(rng, d, n_family) for _ in range(trials)]
+    plans = (_povm_plan(rng, d, n_family) for _ in range(trials))
     for p in _random_povms(plans, d, field):
         total = 0.0
         family_bad = False
@@ -573,13 +576,17 @@ def born_experiment(
     trials = _integer(trials, "trials", 1, _NO_TRIAL)
     dim = _integer(dim, "dimension", 1)
     rng = SplitMix64(seed)
-    rhos, plans = [], []
-    for _ in range(trials):
-        rhos.append(random_density(dim, seed=rng.u64()))
-        plans.append(_povm_plan(rng, dim, dim + 2))
+    rhos: deque[np.ndarray] = deque()
+
+    def plans():
+        # Each trial's state, then its plan, as each trial drew them.
+        for _ in range(trials):
+            rhos.append(random_density(dim, seed=rng.u64()))
+            yield _povm_plan(rng, dim, dim + 2)
+
     mins, sum_devs = [], []
-    for rho, p in zip(rhos, _random_povms(plans, dim, "C")):
-        probs = born_probabilities(rho, p)
+    for p in _random_povms(plans(), dim, "C"):
+        probs = born_probabilities(rhos.popleft(), p)
         mins.append(float(np.min(probs)))
         sum_devs.append(abs(float(np.sum(probs)) - 1.0))
     return BornReport(

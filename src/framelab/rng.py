@@ -6,12 +6,13 @@ identical results on every platform.  SplitMix64 is counter-based:
 word k after state s is mix(s + k * gamma) (Steele, Lea and Flood,
 OOPSLA 2014), so its words are hashed ahead of use, in blocks, by one
 hash rule (:func:`_fill`) in exact uint64 NumPy arithmetic, and a
-generator reads them off its block; one fill can serve a whole stack of
-generators.  Gaussian variates come from the Box-Muller transform
-applied to those words; complex Gaussians are standard circular ones
-with unit total variance.  Every Gaussian, scalar or bulk, real or
-complex, comes from one private loop, so the transform and its
-cached-spare rule are written once.
+generator reads them off its block; one fill serves a pass of a stack
+of generators that each draw one block of Gaussians
+(:func:`_field_blocks`).  Gaussian variates come from the Box-Muller
+transform applied to those words; complex Gaussians are standard
+circular ones with unit total variance.  Every Gaussian, scalar or
+bulk, real or complex, comes from one private loop, so the transform
+and its cached-spare rule are written once.
 
 The package's integer and field rules live here too, in its lowest
 module.  Integer rule (:func:`_integer`): a count, index or seed a
@@ -41,9 +42,11 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 # A fill hashes at least _FILL_MIN words and at most _FILL_MAX, so a
 # long draw holds one bounded block of words at a time; _STEPS[i] is
-# (i + 1) * gamma mod 2^64.
+# (i + 1) * gamma mod 2^64.  A stacked draw fills _STACK_PASS
+# generators per pass, so a tall stack holds one pass of blocks.
 _FILL_MIN = 64
 _FILL_MAX = 1024
+_STACK_PASS = 64
 _STEPS = np.arange(1, _FILL_MAX + 1, dtype=np.uint64) * np.uint64(_GAMMA)
 _TWO_PI = 2.0 * math.pi
 _ULP = 2.0 ** -53
@@ -121,6 +124,30 @@ def _fill(rngs: Sequence[SplitMix64], count: int) -> None:
         rng._base = base
         rng._words = words
         rng._read = 0
+
+
+def _field_blocks(
+    rngs: Sequence[SplitMix64], shape: tuple[int, ...], field: str
+) -> np.ndarray:
+    # Block t of the result is rngs[t].field_gaussians(shape, field).
+    # The block's size check comes first, so that a block too large is
+    # named as its own draw names it, then the stack's.  The generators
+    # are then filled with a block's words _STACK_PASS at a time, one
+    # hash pass each, and each drops its unread words after its block:
+    # its state and spare are kept and the next draw hashes those words
+    # again, so the stream is unchanged and the stack never holds more
+    # than one pass of blocks.
+    _check_field(field)
+    dtype = np.complex128 if field == "C" else np.float64
+    words = _draw_array(shape, dtype).size * (2 if field == "C" else 1) + 1
+    out = _draw_array((len(rngs),) + shape, dtype)
+    for start in range(0, len(rngs), _STACK_PASS):
+        part = rngs[start:start + _STACK_PASS]
+        _fill(part, words)
+        for t, rng in enumerate(part, start):
+            out[t] = rng.field_gaussians(shape, field)
+            rng._base, rng._words, rng._read = rng.state, [], 0
+    return out
 
 
 class SplitMix64:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -624,6 +625,31 @@ def test_each_verification_draws_its_trial_frames_as_one_stack(monkeypatch):
     assert calls == [(12, 3, 3, "C"), (4, 3, 5, "C")]
 
 
+@pytest.mark.parametrize("name, run, per_trial", [
+    ("onb", lambda g, trials: fl.verify_onb_gleason(g, trials=trials,
+                                                    seed=3), 600),
+    ("parseval", lambda g, trials: fl.verify_parseval_gleason(
+        g, 5, trials=trials, seed=3), 1000),
+])
+def test_a_verification_keeps_no_words_per_trial(name, run, per_trial):
+    # The traced peak grows with trials by at most per_trial bytes a
+    # trial: the stacked frames and their sums, and no block of words
+    # for any trial's generator.  At d = 2 over C the word-by-word
+    # generator grew by 492 and 788 bytes a trial; keeping every
+    # generator's block after its draw grew by 3,660 and 3,750.
+    g = fl.quadratic_gleason(fl.random_hermitian(2, seed=1))
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            run(g, trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2000) - peak(200) <= per_trial * 1800, name
+
+
 # --- quadratic fitting ------------------------------------------------------
 
 
@@ -796,40 +822,6 @@ def test_weight_trace_experiment_sums_to_the_trace():
     assert report.passed and report.max_deviation <= 1e-12
     with pytest.raises(fl.InputError, match="need at least one trial"):
         fl.weight_trace_experiment(3, 5, trials=0)
-
-
-def test_weight_trace_stacks_each_fields_frames_with_per_trial_bits(
-        monkeypatch):
-    # One orthonormalization pass per field, over the frames of its
-    # trials, and each sum has the bits of the per-trial rule it
-    # replaced (kept here as the oracle): trial t draws its operator
-    # seed, then its frame seed, and sums over its own random_parseval
-    # frame.
-    calls = []
-    rule = fl.gleason._orthonormal_rows
-
-    def spy(rngs, k, m, field):
-        calls.append((len(rngs), k, m, field))
-        return rule(rngs, k, m, field)
-
-    monkeypatch.setattr(fl.gleason, "_orthonormal_rows", spy)
-    for dim, n, trials, seed in [(2, 2, 1, 0), (2, 4, 2, 1), (3, 5, 7, 2),
-                                 (4, 9, 6, 2**64 - 1)]:
-        calls.clear()
-        report = fl.weight_trace_experiment(dim, n, trials=trials, seed=seed)
-        assert calls == [((trials + 1) // 2, dim, n, "C"),
-                         (trials // 2, dim, n, "R")][:min(trials, 2)]
-        rng = SplitMix64(seed)
-        worst = 0.0
-        for t in range(trials):
-            field = "C" if t % 2 == 0 else "R"
-            a = fl.random_hermitian(dim, seed=rng.u64(), field=field)
-            f = fl.random_parseval(dim, n, seed=rng.u64(), field=field)
-            total = 0.0 + 0.0j
-            for value in fl.quadratic_gleason(a).values(f.vectors).tolist():
-                total += value
-            worst = max(worst, abs(total - complex(np.trace(a))))
-        assert report.max_deviation == worst
 
 
 def test_counterexample_battery_needs_the_explicit_witness_for_epsilon():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,7 +328,7 @@ def test_measure_checks_see_the_effects_of_the_per_trial_rule(field):
     # are equal to the last bit.
     for d, n_family, trials, seed in [(1, 3, 5, 0), (2, 4, 7, 1),
                                       (2, 5, 3, 2**64 - 1), (3, 5, 9, 7),
-                                      (4, 7, 4, 11)]:
+                                      (4, 7, 4, 11), (2, 4, 133, 5)]:
         rho = fl.random_density(d, seed=seed)
         seen = []
 
@@ -349,41 +350,67 @@ def test_measure_checks_see_the_effects_of_the_per_trial_rule(field):
         assert report.additivity_deviation == worst
 
 
-def test_a_measure_check_fills_once_and_stacks_each_frame_size(monkeypatch):
-    # One fill over every trial's generator, which leaves the fills of
-    # the stacks nothing to hash, and one orthonormalization pass per
-    # distinct frame size; random_parseval is not called.
-    fills, stacks = [], []
-    fill, rule = fl.povm._fill, fl.frames._orthonormal_rows
+def test_a_measure_check_stacks_each_frame_size_of_each_pass(monkeypatch):
+    # One orthonormalization pass per distinct frame size among each
+    # pass of plans, which covers every trial once; random_parseval is
+    # not called.
+    stacks = []
+    rule = fl.frames._orthonormal_rows
 
-    def fill_spy(rngs, count):
-        fills.append((len(rngs), sum(
-            len(r._words) - r._read < min(count, 1024) for r in rngs)))
-        return fill(rngs, count)
-
-    def rule_spy(rngs, k, m, field):
+    def spy(rngs, k, m, field):
         stacks.append((len(rngs), k, m, field))
         return rule(rngs, k, m, field)
 
     def no_single_draw(*args, **kwargs):
         raise AssertionError("a trial drew its own frame")
 
-    monkeypatch.setattr(fl.povm, "_fill", fill_spy)
-    monkeypatch.setattr(fl.frames, "_fill", fill_spy)
-    monkeypatch.setattr(fl.frames, "_orthonormal_rows", rule_spy)
+    monkeypatch.setattr(fl.frames, "_orthonormal_rows", spy)
     monkeypatch.setattr(fl.frames, "random_parseval", no_single_draw)
     monkeypatch.setattr(fl.povm, "random_parseval", no_single_draw)
-    fl.check_generalized_measure(lambda e: 0.5, 3, 5, trials=12, seed=4)
-    sizes = [m for _, _, m, _ in stacks]
-    assert len(set(sizes)) == len(sizes) > 1
-    assert sum(count for count, _, _, _ in stacks) == 12
-    assert {(k, field) for _, k, _, field in stacks} == {(3, "C")}
-    assert fills[0] == (12, 12)
-    assert fills[1:] == [(count, 0) for count, _, _, _ in stacks]
+    size = fl.rng._STACK_PASS
+    for trials in (12, 2 * size + 5):
+        stacks.clear()
+        fl.check_generalized_measure(lambda e: 0.5, 3, 5, trials=trials,
+                                     seed=4)
+        rng = SplitMix64(4)
+        sizes = [fl.povm._povm_plan(rng, 3, 5)[0] for _ in range(trials)]
+        want = []
+        for start in range(0, trials, size):
+            part = sizes[start:start + size]
+            want.extend((part.count(n), 3, n, "C")
+                        for n in dict.fromkeys(part))
+        assert stacks == want
+        assert len(want) > len(range(0, trials, size))
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name, run, per_trial", [
+    ("check", lambda trials: fl.check_generalized_measure(
+        lambda e: 0.5, 2, 4, trials=trials, seed=3), 16),
+    ("born", lambda trials: fl.born_experiment(3, trials=trials, seed=3),
+     100),
+])
+def test_a_measure_check_holds_one_pass_of_trials(name, run, per_trial):
+    # The traced peak grows with trials by at most per_trial bytes a
+    # trial: a check keeps nothing of a finished pass, and born keeps
+    # two floats a trial.  The word-by-word generator, drawing one trial
+    # at a time, grew by nothing and by 63 bytes; holding every trial's
+    # plan and words grew by 4,170 and 4,660.
+    growth = _traced_peak(lambda: run(2000)) - _traced_peak(lambda: run(200))
+    assert growth <= per_trial * 1800, name
 
 
 def test_born_experiment_draws_the_povms_of_the_per_trial_rule():
-    for dim, trials, seed in [(1, 4, 0), (2, 6, 3), (3, 5, 2**64 - 1)]:
+    for dim, trials, seed in [(1, 4, 0), (2, 6, 3), (3, 5, 2**64 - 1),
+                              (2, 70, 9)]:
         rng = SplitMix64(seed)
         mins, sum_devs = [], []
         for _ in range(trials):
