@@ -27,7 +27,7 @@ row order.  Calling a function on one vector evaluates a 1-row block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -54,9 +54,18 @@ from .frames import (
     with_zeros,
 )
 from .linalg import resolve_tol
-from .rng import _NO_TRIAL, SplitMix64, _check_field, _finite, _integer
+from .rng import (
+    _NO_TRIAL,
+    SplitMix64,
+    _check_field,
+    _complex_parts,
+    _finite,
+    _integer,
+)
 
 _BALL_SLACK = 1e-6
+# A sampled direction of norm at most this is drawn again.
+_NORM_FLOOR = 1e-8
 _TWO_PI = 2.0 * math.pi
 
 
@@ -260,16 +269,31 @@ def _demote_scalar(z: complex) -> float | complex:
     return z.real if _is_roundoff(z.imag, z.real) else z
 
 
-def _direction(
-    rng: SplitMix64, d: int, field: str
-) -> tuple[np.ndarray, float]:
-    # A Gaussian direction and its norm, redrawn while the norm is at
-    # most 1e-8.
-    while True:
-        direction = rng.field_gaussians(d, field)
-        norm = math.sqrt(_squared_norms(direction))
-        if norm > 1e-8:
-            return direction, norm
+def _directions(
+    rng: SplitMix64, d: int, field: str, uniforms: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    # Gaussian directions, one a sample, with their norms and the
+    # uniforms drawn after them: sample i draws a direction, again
+    # while its norm is at most _NORM_FLOOR, and then uniforms[i]
+    # uniforms.  One run of the stream draws them all, with the bits
+    # and the end state of the samples drawn one at a time; the norms
+    # of a run's directions are taken as one block.
+    rows, norms = [], []
+
+    def keep(normals: list[float]) -> int:
+        block = np.array(normals)
+        if field == "C":
+            block = _complex_parts(block)
+        block = block.reshape(-1, d)
+        size = np.sqrt(_squared_norms(block))
+        refused = np.flatnonzero(size <= _NORM_FLOOR)
+        kept = int(refused[0]) if refused.size else len(size)
+        rows.append(block[:kept])
+        norms.append(size[:kept])
+        return kept
+
+    draws = rng._run(d if field == "R" else 2 * d, uniforms, keep)
+    return np.concatenate(rows), np.concatenate(norms), draws
 
 
 def _quadratic_values(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -629,18 +653,15 @@ def fit_quadratic(
     real = _is_roundoff(np.abs(a.imag).max(), np.abs(a.real).max())
     operator = a.real.astype(np.complex128) if real else a
 
-    # Each direction is drawn and its norm taken one at a time, since
-    # a resample changes the stream; scaling onto the unit sphere and
-    # then by the radius runs once on the whole block.
-    rng = SplitMix64(seed)
-    directions, norms, radii = [], [], []
-    for i in range(samples):
-        direction, norm = _direction(rng, d, g.field)
-        directions.append(direction)
-        norms.append(norm)
-        radii.append(1.0 if i % 2 == 0 else rng.uniform() ** (1.0 / d))
-    unit = np.array(directions) / np.array(norms)[:, None]
-    points = np.array(radii)[:, None] * unit
+    # Even samples lie on the sphere and odd ones draw a radius.  The
+    # directions, their norms and the radii come from one run of the
+    # stream, and the points are scaled onto the sphere and then by
+    # the radius as one block.
+    directions, norms, draws = _directions(
+        SplitMix64(seed), d, g.field, [i % 2 for i in range(samples)])
+    radii = np.ones(samples)
+    radii[1::2] = [u ** (1.0 / d) for u in draws]
+    points = radii[:, None] * (directions / norms[:, None])
     residual = 0.0
     for value, predicted in zip(g.values(points).tolist(),
                                 _quadratic_values(a, points).tolist()):
@@ -675,20 +696,22 @@ def homogeneity_check(
     """
     tol = resolve_tol(tol)
     samples = _integer(samples, "samples", 1, "need at least one sample")
-    rng = SplitMix64(seed)
     d = g.dim
+    per_sample = 3 if g.field == "C" else 2
+    directions, norms, draws = _directions(
+        SplitMix64(seed), d, g.field, [per_sample] * samples)
+    uniform = iter(draws).__next__
     points = []
     alphas = []
-    for _ in range(samples):
-        direction, norm = _direction(rng, d, g.field)
-        x = (rng.uniform() ** (1.0 / d)) * direction / norm
+    for direction, norm in zip(directions, norms.tolist()):
+        x = (uniform() ** (1.0 / d)) * direction / norm
         if g.field == "C":
-            phase = _TWO_PI * rng.uniform()
-            alpha = math.sqrt(rng.uniform()) * complex(
+            phase = _TWO_PI * uniform()
+            alpha = math.sqrt(uniform()) * complex(
                 math.cos(phase), math.sin(phase)
             )
         else:
-            alpha = 2.0 * rng.uniform() - 1.0
+            alpha = 2.0 * uniform() - 1.0
         points.append(x)
         alphas.append(alpha)
     scaled = g.values(np.array([al * x for al, x in zip(alphas, points)]))
@@ -819,7 +842,10 @@ def weight_trace_experiment(
         field = "C" if t % 2 == 0 else "R"
         a = linalg.random_hermitian(dim, seed=rng.u64(), field=field)
         f = random_parseval(dim, n, seed=rng.u64(), field=field)
-        [total] = _frame_sums(quadratic_gleason(a), [f.vectors])
+        # A 1 x 1 complex draw is real, so the form takes the trial's
+        # field rather than the one its entries imply.
+        g = replace(quadratic_gleason(a), field=field)
+        [total] = _frame_sums(g, [f.vectors])
         worst = max(worst, abs(total - complex(np.trace(a))))
     return WeightTraceReport(
         dim=dim,

@@ -11,8 +11,14 @@ of generators that each draw one block of Gaussians
 (:func:`_field_blocks`).  Gaussian variates come from the Box-Muller
 transform applied to those words; complex Gaussians are standard
 circular ones with unit total variance.  Every Gaussian, scalar or
-bulk, real or complex, comes from one private loop, so the transform
-and its cached-spare rule are written once.
+bulk, real or complex, comes from one private loop
+(:func:`_box_muller`), so the transform is written once; the second
+normal of a pair is cached as the generator's spare for its next draw.
+A sampler that draws a direction and then a few uniforms per sample
+takes them all from one planned run of the stream
+(:meth:`SplitMix64._run`): the words are laid out, hashed in blocks
+and transformed once, with the bits, spare and end state of the draws
+made one by one.
 
 The package's integer and field rules live here too, in its lowest
 module.  Integer rule (:func:`_integer`): a count, index or seed a
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -150,6 +156,31 @@ def _field_blocks(
     return out
 
 
+def _box_muller(words: Sequence[int], out: list[float]) -> None:
+    # The Box-Muller transform: each pair of words appends two normals
+    # to out.  Every Gaussian of the package comes from this loop.
+    pairs = iter(words)
+    append = out.append
+    for w1, w2 in zip(pairs, pairs):
+        # Shift into (0, 1] so the log never sees zero.
+        u1 = ((w1 >> 11) + 1) * _ULP
+        u2 = (w2 >> 11) * _ULP
+        radius = math.sqrt(-2.0 * math.log(u1))
+        theta = _TWO_PI * u2
+        append(radius * math.cos(theta))
+        append(radius * math.sin(theta))
+
+
+def _complex_parts(flat: np.ndarray) -> np.ndarray:
+    # Pairs of normals in a float64 array become, in place, complex
+    # normals with the bits of SplitMix64.complex_gaussians; returns
+    # the complex view.
+    parts = flat.reshape(-1, 2)
+    parts += parts[:, ::-1] * _ZERO_PRODUCTS
+    parts /= _ROOT2
+    return flat.view(np.complex128)
+
+
 class SplitMix64:
     """64-bit SplitMix generator with Box-Muller Gaussian output.
 
@@ -215,19 +246,78 @@ class SplitMix64:
             take = min(pairs, (len(self._words) - read) // 2)
             self._read = read + 2 * take
             pairs -= take
-            words = iter(self._words[read:self._read])
-            for w1, w2 in zip(words, words):
-                # Shift into (0, 1] so the log never sees zero.
-                u1 = ((w1 >> 11) + 1) * _ULP
-                u2 = (w2 >> 11) * _ULP
-                radius = math.sqrt(-2.0 * math.log(u1))
-                theta = _TWO_PI * u2
-                out.append(radius * math.cos(theta))
-                out.append(radius * math.sin(theta))
+            _box_muller(self._words[read:self._read], out)
         if count % 2:
             spare = out.pop()
         self._spare = spare
         return out
+
+    def _take(self, count: int) -> list[int]:
+        # The next count words, read off blocks that _fill hashes, and
+        # the generator moves past them.
+        words: list[int] = []
+        while count:
+            read = self._read
+            if len(self._words) - read < count:
+                _fill((self,), count)
+                read = self._read
+            take = min(count, len(self._words) - read)
+            self._read = read + take
+            words += self._words[read:self._read]
+            count -= take
+        return words
+
+    def _run(
+        self,
+        width: int,
+        uniforms: Sequence[int],
+        keep: Callable[[list[float]], int],
+    ) -> list[float]:
+        # Steps that each draw width >= 1 normals, as _normals(width)
+        # does, and then uniforms[i] uniforms, as uniform() does, from
+        # one planned run of the stream: the bits, and the state and
+        # spare after the run, are those of the steps taken one by one.
+        # keep is handed the normals of the steps left, in step order,
+        # and returns how many leading steps it keeps; the next step is
+        # then drawn again from where its normals end, before its
+        # uniforms, and the run goes on from there.  Returns the kept
+        # steps' uniforms in order.
+        draws: list[float] = []
+        while uniforms:
+            # Plan: where each step's pair words and uniform words end,
+            # and whether a spare is held after its normals.
+            start, spare = self.state, self._spare
+            held = spare is not None
+            plan, total = [], 0
+            for u in uniforms:
+                pairs = (width - held + 1) // 2
+                held = 2 * pairs + held > width
+                total += 2 * pairs
+                plan.append((total, total + u, held))
+                total += u
+            words = self._take(total)
+            pair_words: list[int] = []
+            uniform_words: list[int] = []
+            at = 0
+            for paired, drawn, _ in plan:
+                pair_words += words[at:paired]
+                uniform_words += words[paired:drawn]
+                at = drawn
+            normals = [] if spare is None else [spare]
+            _box_muller(pair_words, normals)
+            kept = keep(normals[:len(uniforms) * width])
+            last = min(kept, len(uniforms) - 1)
+            paired, _, held = plan[last]
+            self._spare = normals[(last + 1) * width] if held else None
+            done = sum(uniforms[:kept])
+            draws += [(w >> 11) * _ULP for w in uniform_words[:done]]
+            if kept == len(uniforms):
+                return draws
+            # Redraw: back to the end of the refused step's normals.
+            self._base = (start + paired * _GAMMA) & _MASK
+            self._words, self._read = [], 0
+            uniforms = uniforms[kept:]
+        return draws
 
     def gaussians(self, shape: int | tuple[int, ...]) -> np.ndarray:
         """Array of independent standard normals, filled in C order."""
@@ -249,9 +339,7 @@ class SplitMix64:
         out = _draw_array(shape, np.complex128)
         flat = out.ravel().view(np.float64)
         flat[:] = self._normals(flat.size)
-        parts = flat.reshape(-1, 2)
-        parts += parts[:, ::-1] * _ZERO_PRODUCTS
-        parts /= _ROOT2
+        _complex_parts(flat)
         return out
 
     def field_gaussians(self, shape, field: str) -> np.ndarray:

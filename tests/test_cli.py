@@ -398,6 +398,13 @@ def test_experiment_commands(tmp_path):
     assert rep["max_sum_deviation"] <= 1e-10
 
 
+def test_weight_trace_runs_in_dimension_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main("experiment weight-trace --dim 1 --n 2".split()) == 0
+    rep = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert rep["dim"] == 1 and rep["passed"]
+
+
 @pytest.mark.parametrize("command", [
     "experiment born --trials 0",
     "experiment busch --states 0",

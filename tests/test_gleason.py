@@ -650,6 +650,97 @@ def test_a_verification_keeps_no_words_per_trial(name, run, per_trial):
     assert peak(2000) - peak(200) <= per_trial * 1800, name
 
 
+# --- sample directions -----------------------------------------------------
+
+
+def _directions_one_at_a_time(rng, d, field, uniforms):
+    # The per-sample loop the block draw replaces: a direction, drawn
+    # again while its norm is at most the floor, then its uniforms.
+    rows, norms, draws, redraws = [], [], [], 0
+    for count in uniforms:
+        while True:
+            direction = rng.field_gaussians(d, field)
+            norm = math.sqrt(fl.frames._squared_norms(direction))
+            if norm > fl.gleason._NORM_FLOOR:
+                break
+            redraws += 1
+        rows.append(direction)
+        norms.append(norm)
+        draws += [rng.uniform() for _ in range(count)]
+    return np.array(rows), np.array(norms), draws, redraws
+
+
+def _fit_uniforms(samples, field):
+    return [i % 2 for i in range(samples)]
+
+
+def _homogeneity_uniforms(samples, field):
+    return [3 if field == "C" else 2] * samples
+
+
+def _prepared(seed, prelude):
+    # A generator fresh, partly into its block, or holding a spare.
+    rng = SplitMix64(seed)
+    if prelude == "read":
+        for _ in range(seed % 61 + 1):
+            rng.u64()
+    elif prelude == "spare":
+        rng.gaussians(2 * (seed % 5) + 1)
+        assert rng._spare is not None
+    return rng
+
+
+def _same_directions(d, field, uniforms, seed, prelude):
+    rng, ref = _prepared(seed, prelude), _prepared(seed, prelude)
+    rows, norms, draws = fl.gleason._directions(rng, d, field, uniforms)
+    want_rows, want_norms, want_draws, redraws = _directions_one_at_a_time(
+        ref, d, field, uniforms)
+    assert rows.dtype == want_rows.dtype and rows.shape == want_rows.shape
+    assert rows.tobytes() == want_rows.tobytes()
+    assert norms.tobytes() == want_norms.tobytes()
+    assert np.array(draws).tobytes() == np.array(want_draws).tobytes()
+    assert rng.state == ref.state
+    assert repr(rng._spare) == repr(ref._spare)
+    return redraws
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("pattern", [_fit_uniforms, _homogeneity_uniforms])
+def test_block_directions_are_the_per_sample_draws(field, d, pattern):
+    # An odd d over R carries a spare from sample to sample.
+    for samples in (1, 2, 7, 64):
+        for seed, prelude in ((samples, "fresh"), (3 * samples, "read"),
+                              (5 * samples + 2, "spare")):
+            _same_directions(d, field, pattern(samples, field), seed,
+                             prelude)
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_block_directions_longer_than_a_fill(field):
+    # 300 samples of 5 draw 3,300 to 3,900 words, past _FILL_MAX.
+    words = 300 * (5 * (2 if field == "C" else 1) + 3)
+    assert words > fl.rng._FILL_MAX
+    for prelude in ("fresh", "read", "spare"):
+        _same_directions(5, field, _homogeneity_uniforms(300, field), 11,
+                         prelude)
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+@pytest.mark.parametrize("pattern", [_fit_uniforms, _homogeneity_uniforms])
+def test_block_directions_redraw_as_the_per_sample_loop(field, pattern,
+                                                        monkeypatch):
+    # A raised floor refuses about a fifth to two fifths of d = 1
+    # directions, so runs of refusals and refusals after a spare occur.
+    monkeypatch.setattr(fl.gleason, "_NORM_FLOOR", 0.5)
+    redraws = 0
+    for seed, prelude in ((1, "fresh"), (2, "read"), (3, "spare")):
+        redraws += _same_directions(1, field, pattern(64, field), seed,
+                                    prelude)
+    assert redraws > 10
+    _same_directions(2, field, pattern(40, field), 4, "spare")
+
+
 # --- quadratic fitting ------------------------------------------------------
 
 
@@ -819,6 +910,14 @@ def test_ladder_requires_dim_plus_two():
 
 def test_weight_trace_experiment_sums_to_the_trace():
     report = fl.weight_trace_experiment(3, 5, trials=6, seed=2)
+    assert report.passed and report.max_deviation <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_weight_trace_experiment_runs_in_every_dimension(dim):
+    # A 1 x 1 complex draw is real; its trials still sum over their
+    # complex frames.
+    report = fl.weight_trace_experiment(dim, dim + 1, trials=4, seed=1)
     assert report.passed and report.max_deviation <= 1e-12
     with pytest.raises(fl.InputError, match="need at least one trial"):
         fl.weight_trace_experiment(3, 5, trials=0)

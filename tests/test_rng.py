@@ -94,9 +94,7 @@ FIELD_DRAW_DIGESTS = {
 
 
 def _three_directions(d, seed, field):
-    rng = SplitMix64(seed)
-    return np.array(
-        [fl.gleason._direction(rng, d, field)[0] for _ in range(3)])
+    return fl.gleason._directions(SplitMix64(seed), d, field, [0, 0, 0])[0]
 
 
 FIELD_DRAW_SITES = {

@@ -387,3 +387,87 @@ def test_constant_scan_sees_the_innermost_function():
         "class C:\n    def m(self):\n        return 8.0, True\n"
     )
     assert functions_using(tree, {7, 8}) == ["<module>", "f", "f", "g"]
+
+
+def functions_calling(tree: ast.Module, owner: str, names: set[str]
+                      ) -> list[str]:
+    """The innermost functions of a module, methods among them, that
+    call ``owner.name`` for a name in ``names``, one entry per call."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and isinstance(child.func.value, ast.Name)
+                    and child.func.value.id == owner
+                    and child.func.attr in names):
+                found.append(function)
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+def test_the_box_muller_transform_is_written_once():
+    # Scalar, bulk and block draws of normals all run one loop.
+    tree = ast.parse((PACKAGE / "rng.py").read_text())
+    assert functions_calling(tree, "math", {"log", "cos", "sin"}) == [
+        "_box_muller"] * 3
+
+
+def test_method_call_scan_sees_methods_and_nested_functions():
+    tree = ast.parse(
+        "import math\n"
+        "class C:\n    def m(self):\n        return math.log(2)\n"
+        "def f():\n    def g():\n        return math.cos(1)\n"
+        "    return np.log(3), math.sin(1)\n"
+    )
+    assert functions_calling(tree, "math", {"log", "cos", "sin"}) == [
+        "f", "g", "m"]
+
+
+GAUSSIAN_DRAWS = {"field_gaussians", "gaussians", "complex_gaussians",
+                  "gaussian"}
+
+
+def calls_in_loops(tree: ast.Module, names: set[str]) -> list[str]:
+    """The functions of a module with a call to any of ``names``, as a
+    bare name or an attribute, inside a for or while loop or a
+    comprehension."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for loop in ast.walk(fn):
+            if not isinstance(loop, loops):
+                continue
+            for node in ast.walk(loop):
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "attr",
+                                     getattr(node.func, "id", None))
+                    if called in names:
+                        found.add(fn.name)
+    return sorted(found)
+
+
+def test_no_sampler_draws_its_directions_one_at_a_time():
+    # A sampler's directions come from one run of the stream
+    # (gleason._directions); no Gaussian is drawn per sample.
+    tree = ast.parse((PACKAGE / "gleason.py").read_text())
+    assert calls_in_loops(tree, GAUSSIAN_DRAWS) == []
+
+
+def test_loop_call_scan_sees_each_loop_form():
+    tree = ast.parse(
+        "def f(r):\n    for _ in range(3):\n        r.field_gaussians(2, 'R')\n"
+        "def g(r):\n    while True:\n        x = gaussians(2)\n"
+        "def h(r):\n    return [r.gaussian() for _ in range(2)]\n"
+        "def k(r):\n    return r.field_gaussians(2, 'R')\n"
+    )
+    assert calls_in_loops(tree, GAUSSIAN_DRAWS) == ["f", "g", "h"]
