@@ -5,20 +5,20 @@ seeded with a caller-supplied integer, so identical seeds reproduce
 identical results on every platform.  SplitMix64 is counter-based:
 word k after state s is mix(s + k * gamma) (Steele, Lea and Flood,
 OOPSLA 2014), so its words are hashed ahead of use, in blocks, by one
-hash rule (:func:`_fill`) in exact uint64 NumPy arithmetic, and a
-generator reads them off its block; one fill serves a pass of a stack
-of generators that each draw one block of Gaussians
-(:func:`_field_blocks`).  Gaussian variates come from the Box-Muller
-transform applied to those words; complex Gaussians are standard
-circular ones with unit total variance.  Every Gaussian, scalar or
-bulk, real or complex, comes from one private loop
-(:func:`_box_muller`), so the transform is written once; the second
-normal of a pair is cached as the generator's spare for its next draw.
-A sampler that draws a direction and then a few uniforms per sample
-takes them all from one planned run of the stream
-(:meth:`SplitMix64._run`): the words are laid out, hashed in blocks
-and transformed once, with the bits, spare and end state of the draws
-made one by one.
+hash rule (:func:`_fill`) in exact uint64 NumPy arithmetic.  A
+generator reads one word off its block in :meth:`SplitMix64.u64`, and
+every multi-word draw reads through :meth:`SplitMix64._take`; one fill
+serves a pass of a stack of generators that each draw one block of
+Gaussians (:func:`_field_blocks`).  Gaussian variates come from the
+Box-Muller transform applied to those words; complex Gaussians are
+standard circular ones with unit total variance.  Every Gaussian, real
+or complex, comes from one private loop (:func:`_box_muller`), so the
+transform is written once; the second normal of a pair is cached as
+the generator's spare for its next draw.  A sampler that draws a
+direction and then a few uniforms per sample takes them all from one
+planned run of the stream (:meth:`SplitMix64._run`): the words are
+laid out, hashed in blocks and transformed once, with the bits, spare
+and end state of the draws made one by one.
 
 The package's integer and field rules live here too, in its lowest
 module.  Integer rule (:func:`_integer`): a count, index or seed a
@@ -219,52 +219,40 @@ class SplitMix64:
         return (self.u64() >> 11) * _ULP
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n). Bias is negligible for small n."""
+        """Uniform integer in [0, n) for 1 <= n <= 2**64; a larger bound
+        raises :class:`InputError`. Bias is negligible for small n."""
         n = _integer(n, "bound", 1, "below() needs a positive bound")
+        if n > 1 << 64:
+            raise InputError(f"below() needs a bound <= 2**64, got {n}")
         return self.u64() % n
 
-    def gaussian(self) -> float:
-        """Standard normal variate.
-
-        Box-Muller produces pairs; the second element is cached and
-        returned on the next call so no bits are wasted.
-        """
-        return self._normals(1)[0]
-
     def _normals(self, count: int) -> list[float]:
+        # Words are read _FILL_MAX at a time, so a long draw holds one
+        # bounded block of them.
         out: list[float] = []
-        spare = self._spare
-        if spare is not None and count > 0:
-            out.append(spare)
-            spare = None
+        if self._spare is not None and count > 0:
+            out.append(self._spare)
+            self._spare = None
             count -= 1
-        pairs = (count + 1) // 2
-        while pairs:
-            if len(self._words) - self._read < 2:
-                _fill((self,), 2 * pairs)
-            read = self._read
-            take = min(pairs, (len(self._words) - read) // 2)
-            self._read = read + 2 * take
-            pairs -= take
-            _box_muller(self._words[read:self._read], out)
+        words = count + count % 2
+        for start in range(0, words, _FILL_MAX):
+            _box_muller(self._take(min(_FILL_MAX, words - start)), out)
         if count % 2:
-            spare = out.pop()
-        self._spare = spare
+            self._spare = out.pop()
         return out
 
     def _take(self, count: int) -> list[int]:
-        # The next count words, read off blocks that _fill hashes, and
-        # the generator moves past them.
-        words: list[int] = []
-        while count:
-            read = self._read
-            if len(self._words) - read < count:
-                _fill((self,), count)
-                read = self._read
-            take = min(count, len(self._words) - read)
-            self._read = read + take
-            words += self._words[read:self._read]
-            count -= take
+        # The next count words, and the generator moves past them: the
+        # one reader of multi-word draws.  A block is read to its end
+        # before _fill hashes the next.
+        read = self._read
+        words = self._words[read:read + count]
+        self._read = read + len(words)
+        while len(words) < count:
+            _fill((self,), count - len(words))
+            more = self._words[:count - len(words)]
+            self._read = len(more)
+            words += more
         return words
 
     def _run(

@@ -170,7 +170,7 @@ def test_criterion_06_quadratic_recovery_separates_the_cosine_family():
     rng = SplitMix64(1006)
     mismatches = 0
     for _ in range(1000):
-        a, b, c = rng.gaussian(), rng.gaussian(), rng.gaussian()
+        a, b, c = rng.gaussians(3).tolist()
         predicted = fl.quadratic_zero_count_s1(np.array([[a, b], [b, c]]))
         values = (a + c) / 2.0 + ((a - c) / 2.0) * cos2t + b * sin2t
         s = np.signbit(values)

@@ -4,8 +4,10 @@ byte sweep, in-process through ``cli.main``."""
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -396,6 +398,25 @@ def test_experiment_commands(tmp_path):
     rep = json.loads(r.stdout.splitlines()[0])
     assert rep["min_probability"] >= -1e-10
     assert rep["max_sum_deviation"] <= 1e-10
+
+
+@pytest.mark.parametrize("env", [{}, {"OPENBLAS_CORETYPE": "Sandybridge"}],
+                         ids=["default", "sandybridge"])
+def test_readme_quotes_the_weight_trace_deviation(tmp_path, env):
+    # README quotes the max_deviation of this command for each BLAS
+    # kernel it names; on another kernel the last bits may differ
+    # (ROADMAP item 5), so only a kernel README names is checked.
+    r = run_cli(["experiment", "weight-trace", "--trials", "50", "--seed",
+                 "0"], tmp_path, {**env, "OPENBLAS_VERBOSE": "2"})
+    assert r.returncode == 0, r.stderr
+    readme = " ".join(
+        (Path(__file__).parent.parent / "README.md").read_text().split())
+    core = re.search(r"Core: (\w+)", r.stderr)
+    if core is None or core.group(1) not in readme:
+        pytest.skip("README quotes no figure for this BLAS kernel")
+    deviation = re.search(r'"max_deviation":([^,}]+)', r.stdout).group(1)
+    assert re.search(re.escape(deviation) + r" [^0-9]*" + core.group(1),
+                     readme), (deviation, core.group(1))
 
 
 def test_weight_trace_runs_in_dimension_one(tmp_path, monkeypatch, capsys):

@@ -878,7 +878,7 @@ def test_zero_count_closed_cases():
 def test_zero_count_matches_grid_oracle():
     rng = SplitMix64(61)
     for _ in range(300):
-        a, b, c = (rng.gaussian() for _ in range(3))
+        a, b, c = rng.gaussians(3).tolist()
         mat = np.array([[a, b], [b, c]])
         predicted = fl.quadratic_zero_count_s1(mat)
         assert predicted == grid_zero_count(a, b, c)

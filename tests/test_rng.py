@@ -30,7 +30,7 @@ def _draw_script_digest(seed):
 
     for shape in (0, 1, 2, 3, 7, 30, (4, 4)):
         feed(rng.gaussians(shape))
-        feed(rng.gaussian())
+        feed(rng.gaussians(1)[0])
         feed(rng.complex_gaussians(shape))
         feed(np.uint64(rng.u64()))
         feed(rng.complex_gaussians(shape))
@@ -253,6 +253,17 @@ def test_below_keeps_its_bound_check():
         SplitMix64(1).below(2.5)
 
 
+def test_below_refuses_a_bound_one_word_cannot_reach():
+    # One word modulo n is below 2**64, so [0, n) for a larger n is not
+    # covered; such a bound is refused before a word is drawn.
+    rng = SplitMix64(0)
+    with pytest.raises(fl.InputError, match=re.escape(
+            f"below() needs a bound <= 2**64, got {2**65}")):
+        rng.below(2**65)
+    assert rng.state == 0
+    assert rng.below(2**64) == SplitMix64(0).u64()
+
+
 # Calls that once truncated a non-integral value, or raised a bare
 # TypeError or ValueError, and now apply the integer rule.
 NOT_INTEGER_CALLS = {
@@ -374,9 +385,6 @@ class _ReferenceSplitMix64:
     def below(self, n):
         return self.u64() % n
 
-    def gaussian(self):
-        return self._normals(1)[0]
-
     def _normals(self, count):
         out = []
         if self._spare is not None and count > 0:
@@ -433,21 +441,22 @@ def test_block_fills_give_the_word_by_word_stream(seed):
     rng, ref = SplitMix64(seed), _ReferenceSplitMix64(seed)
     assert rng.state == ref.state
     script = [
-        ("u64",), ("gaussian",), ("gaussians", 3), ("uniform",),
+        ("u64",), ("gaussians", 1), ("gaussians", 3), ("uniform",),
         ("below", 7), ("complex_gaussians", 1), ("gaussians", 0),
-        ("gaussian",), ("gaussians", (2, 3)), ("complex_gaussians", (3, 1)),
-        ("below", 2**64), ("gaussians", 1), ("gaussian",), ("u64",),
+        ("gaussians", 1), ("gaussians", (2, 3)), ("complex_gaussians", (3, 1)),
+        ("below", 2**64), ("gaussians", 1), ("gaussians", 1), ("u64",),
     ]
     for _ in range(3):
         for step in script:
             _same_draw(rng, ref, *step)
-    # draws of 63, 64, 65 and 1025 words across fill boundaries, each
-    # run of words starting off a boundary and after an odd count
-    for count in (63, 64, 65, 1025):
+    # draws of 63, 64, 65, 1025 and 2049 words across fill boundaries,
+    # each run of words starting off a boundary and after an odd count;
+    # 2049 normals after a spare is held span two reads of 1024 words
+    for count in (63, 64, 65, 1025, 2049):
         for _ in range(count):
             _same_draw(rng, ref, "u64")
         _same_draw(rng, ref, "gaussians", count)
-        _same_draw(rng, ref, "gaussian")
+        _same_draw(rng, ref, "gaussians", 1)
         _same_draw(rng, ref, "complex_gaussians", count)
         _same_draw(rng, ref, "gaussians", count - 1)
         for _ in range(count % 7):

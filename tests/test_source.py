@@ -389,22 +389,26 @@ def test_constant_scan_sees_the_innermost_function():
     assert functions_using(tree, {7, 8}) == ["<module>", "f", "f", "g"]
 
 
-def functions_calling(tree: ast.Module, owner: str, names: set[str]
+def functions_calling(tree: ast.Module, owner: str | None, names: set[str]
                       ) -> list[str]:
     """The innermost functions of a module, methods among them, that
-    call ``owner.name`` for a name in ``names``, one entry per call."""
+    call ``owner.name`` for a name in ``names``, or the bare ``name``
+    when ``owner`` is None, one entry per call."""
     found = []
+
+    def called(func):
+        if owner is None:
+            return isinstance(func, ast.Name) and func.id in names
+        return (isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id == owner and func.attr in names)
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if (isinstance(child, ast.Call)
-                    and isinstance(child.func, ast.Attribute)
-                    and isinstance(child.func.value, ast.Name)
-                    and child.func.value.id == owner
-                    and child.func.attr in names):
+            if isinstance(child, ast.Call) and called(child.func):
                 found.append(function)
             visit(child, function)
 
@@ -419,19 +423,28 @@ def test_the_box_muller_transform_is_written_once():
         "_box_muller"] * 3
 
 
+def test_only_the_word_readers_fill_a_block():
+    # u64 reads one word and _take every multi-word draw, and a stack
+    # is filled one pass at a time; no draw runs a fill loop of its own.
+    tree = ast.parse((PACKAGE / "rng.py").read_text())
+    assert functions_calling(tree, None, {"_fill"}) == [
+        "_field_blocks", "_take", "u64"]
+
+
 def test_method_call_scan_sees_methods_and_nested_functions():
     tree = ast.parse(
         "import math\n"
         "class C:\n    def m(self):\n        return math.log(2)\n"
         "def f():\n    def g():\n        return math.cos(1)\n"
-        "    return np.log(3), math.sin(1)\n"
+        "    return np.log(3), math.sin(1), log(2)\n"
+        "def h():\n    return log(1), x.log(2)\n"
     )
     assert functions_calling(tree, "math", {"log", "cos", "sin"}) == [
         "f", "g", "m"]
+    assert functions_calling(tree, None, {"log"}) == ["f", "h"]
 
 
-GAUSSIAN_DRAWS = {"field_gaussians", "gaussians", "complex_gaussians",
-                  "gaussian"}
+GAUSSIAN_DRAWS = {"field_gaussians", "gaussians", "complex_gaussians"}
 
 
 def calls_in_loops(tree: ast.Module, names: set[str]) -> list[str]:
@@ -467,7 +480,7 @@ def test_loop_call_scan_sees_each_loop_form():
     tree = ast.parse(
         "def f(r):\n    for _ in range(3):\n        r.field_gaussians(2, 'R')\n"
         "def g(r):\n    while True:\n        x = gaussians(2)\n"
-        "def h(r):\n    return [r.gaussian() for _ in range(2)]\n"
+        "def h(r):\n    return [r.gaussians(1) for _ in range(2)]\n"
         "def k(r):\n    return r.field_gaussians(2, 'R')\n"
     )
     assert calls_in_loops(tree, GAUSSIAN_DRAWS) == ["f", "g", "h"]
