@@ -444,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", default=None,
                    help="groups like '0,1;2,3' (frame -> povm only)")
     p.add_argument("--pad-zeros", action="store_true",
-                   help="keep zero vectors for dropped eigenvalues "
+                   help="keep zero vectors for dropped null directions "
                         "(povm -> frame only)")
     p.add_argument("--out", required=True)
     p.add_argument("--tol", type=float, default=None)

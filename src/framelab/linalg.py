@@ -1,11 +1,10 @@
 """Hermitian linear algebra on small dense matrices.
 
-The eigensolver is a cyclic complex Jacobi iteration written here on
-purpose rather than delegated to LAPACK, so that eigenvalue order,
-eigenvector phases, and convergence behaviour are identical on every
-platform and fully under our control.  Everything runs through one
-complex code path.  The package's array and Hermitian rules are
-written here once (the field and integer rules live in
+One eigensolver gives spectra and one pivoted factorization gives
+positivity and factors; both are written here rather than delegated to
+LAPACK or BLAS, so that their results are identical on every platform
+and fully under our control.  The package's array and Hermitian rules
+are written here once (the field and integer rules live in
 :mod:`framelab.rng`, and the Gaussians of a field are drawn by
 ``SplitMix64.field_gaussians`` alone):
 
@@ -14,35 +13,30 @@ written here once (the field and integer rules live in
   tagged "R" may be complex only if every imaginary part is zero.
 * Hermitian check: a finite square M passes at ``tol`` when
   ``max|M - M*| <= tol * max|M|`` (so the zero matrix passes); its
-  Hermitian part ``(M + M*)/2`` is what gets diagonalized.
-* Real demotion: eigenvectors and inverse square roots are real arrays
-  exactly when that Hermitian part has no nonzero imaginary entry,
-  which makes the demotion lossless.
+  Hermitian part ``(M + M*)/2`` is what gets diagonalized or factored.
+* Real demotion: eigenvectors, inverse square roots and factor rows are
+  real arrays exactly when that Hermitian part has no nonzero imaginary
+  entry, which makes the demotion lossless.
 * Inverse square root: :func:`psd_inv_sqrt`, and nowhere else.
+* Pivoted factorization: ``_pivoted_rows``, the outer-product Cholesky
+  whose pivot is the largest diagonal entry among the indices not yet
+  eliminated (N. J. Higham, Reliable Numerical Computation, OUP 1990).
+  It returns the rows x_j, in pivot order, of ``M = sum_j x_j x_j*``
+  up to the remainder left at the first pivot not above ``stop``; with
+  ``stop`` 0, d rows mean M is positive definite.  Its updates are
+  ``np.outer`` and elementwise ufuncs, with no BLAS call.
 * Mixed-relative comparison: ``|x| <= tol * max(1, |ref|)``, which
   judges a frame's tightness gap, a Born trace's imaginary residue, a
   probed effect functional's imaginary part and an imaginary part
   demoted as roundoff.
 
-The sweeps run on Python lists of ``complex`` scalars, not NumPy
-arrays: at the dimensions used here (mostly d <= 20) the fixed cost
-of a NumPy call exceeds the O(d) arithmetic of a rotation.  Each
-rotation is one pass over the columns: it rotates two rows of the
-working matrix in place, writes their conjugates into the other rows
-as columns, so the matrix stays exactly Hermitian, and rotates two
-eigenvector rows (eigenvectors are accumulated as rows).  The
-Frobenius norms behind the stopping rule are scaled (``math.hypot``),
-so matrices with entries near the overflow or underflow limits of a
-double are handled.  Pivot order, rotation formulas and stopping rules
-are those of the textbook cyclic method and fixed: see :func:`_jacobi`.
-
-Pivots at roundoff of the input, at most ``min(2**-52, tol / d)``
-times its Frobenius norm, are not rotated (Rutishauser's threshold,
-Numer. Math. 9, 1966, scaled to the input): their angles are noise,
-and inside clusters of equal eigenvalues, such as the exact 0s and
-1s of a grouped POVM effect, those rotations slow convergence to
-linear.  The floor is relative so it holds at every scale, and capped
-at ``tol / d`` so skipped pivots never block the stopping rule.
+The eigensolver is the cyclic complex Jacobi method, on one complex
+code path.  Its sweeps run on Python lists of ``complex`` scalars, not
+NumPy arrays: at the dimensions used here (mostly d <= 20) the fixed
+cost of a NumPy call exceeds the O(d) arithmetic of a rotation.  Pivot
+order, rotation formulas, the skip of pivots at roundoff of the input
+(Rutishauser's threshold, Numer. Math. 9, 1966, scaled to the input)
+and the scaled stopping rule are fixed: see :func:`_jacobi`.
 
 Conventions
 -----------
@@ -146,6 +140,31 @@ def _hermitian_part(
             f"(allowed {allowed:.3e})"
         )
     return (a + adj) / 2.0
+
+
+def _pivoted_rows(m: np.ndarray, stop: float) -> np.ndarray:
+    # The pivoted factorization of the module docstring, on a copy of a
+    # Hermitian float64 or complex128 array, for ``stop`` >= 0.  Each
+    # eliminated row and column is set to exactly 0, so an eliminated
+    # index never again wins the pivot search over a positive remaining
+    # diagonal entry, nor passes the test to hide a negative one (at
+    # roundoff above 0 it would).  A NaN pivot, from an overflow near the
+    # float limit, fails the test.
+    a = np.array(m)
+    rows = np.zeros_like(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(len(a)):
+            p = int(np.argmax(a.diagonal().real))
+            pivot = a[p, p].real
+            if not pivot > stop:
+                return rows[:r]
+            root = math.sqrt(pivot)
+            x = a[:, p] / root
+            x[p] = root
+            a -= np.outer(x, x.conj())
+            a[p] = a[:, p] = 0.0
+            rows[r] = x
+    return rows
 
 
 def _magnitudes(a: list[list[complex]]) -> list[float]:

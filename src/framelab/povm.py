@@ -4,8 +4,11 @@ Every Parseval frame yields a POVM by taking the rank-one projection
 of each vector, or coarser effects by summing projections over a
 partition of the index set, by the rank-one and c I rules of
 :mod:`framelab.frames`.  Conversely any POVM factors through a
-Parseval frame by eigendecomposing each effect and keeping the scaled
-eigenvectors with nonnegligible eigenvalues.  The probability rule
+Parseval frame: any factor E = sum_j x_j x_j* of each effect gives
+one, and :func:`frame_from_povm` takes the rows of the pivoted
+factorization of :mod:`framelab.linalg`, so no effect is
+eigendecomposed.  The same factorization, run on E + tol I and
+(1 + tol) I - E, decides whether E is an effect.  The probability rule
 p_j = trace(rho E_j) then turns density matrices into probability
 vectors, and :func:`check_generalized_measure` probes whether an
 arbitrary effect functional behaves like such a rule.
@@ -75,7 +78,7 @@ class Povm:
     array rule, and :func:`born_probabilities` trusts its effects, so
     call :func:`check_povm` on a loaded POVM before relying on the
     axioms.  Keeping the numeric check explicit spares constructions
-    that are valid by construction its k eigendecompositions.
+    that are valid by construction its 2k factorizations.
     """
 
     effects: np.ndarray
@@ -89,6 +92,8 @@ class Povm:
             )
         if a.shape[0] < 1:
             raise InputError("a POVM needs at least one effect")
+        if a.shape[1] < 1:
+            raise InputError("effects must be at least 1 x 1, got 0 x 0")
         a = linalg._field_array(
             a, "C", "effects", non_finite="effects contain non-finite entries"
         )
@@ -169,56 +174,62 @@ class BornReport(NamedTuple):
     passed: bool
 
 
-def _effect_eig(a, tol: float) -> linalg.HermitianEig | None:
-    # Eigendecomposition of the Hermitian part of an effect, or None
-    # when ``a`` is not square, not Hermitian or has a spectrum
-    # outside [0, 1].
+def _effect_part(a, tol: float) -> np.ndarray | None:
+    # The effect rule: the Hermitian part E of ``a``, real by the
+    # demotion rule of framelab.linalg, or None when ``a`` is not square
+    # or not Hermitian, or E + tol I or (1 + tol) I - E is not positive
+    # definite by the pivoted factorization.
     try:
-        eig = linalg.hermitian_eig(a, tol)
+        herm = linalg._hermitian_part(linalg._as_matrix(a), tol)
     except (NotSquareError, NotHermitianError):
         return None
-    values = eig.eigenvalues
-    if values[0] >= -tol and values[-1] <= 1.0 + tol:
-        return eig
-    return None
+    if not herm.imag.any():
+        herm = herm.real
+    d = len(herm)
+    eye = np.eye(d)
+    for side in (herm + tol * eye, (1.0 + tol) * eye - herm):
+        if len(linalg._pivoted_rows(side, 0.0)) < d:
+            return None
+    return herm
 
 
 def _measured_axioms(
     p: Povm, tol: float
-) -> tuple[list[linalg.HermitianEig | None], float]:
-    # The POVM axioms, measured: each effect's eigendecomposition (None
-    # for an invalid effect) and the c I deviation of the effects' sum.
-    eigs = [_effect_eig(p.effects[j], tol) for j in range(len(p))]
-    return eigs, frames._identity_deviation(np.sum(p.effects, axis=0))
+) -> tuple[list[np.ndarray | None], float]:
+    # The POVM axioms, measured: each effect's Hermitian part (None for
+    # an invalid effect) and the c I deviation of the effects' sum.
+    parts = [_effect_part(p.effects[j], tol) for j in range(len(p))]
+    return parts, frames._identity_deviation(np.sum(p.effects, axis=0))
 
 
-def _checked_eigs(p: Povm, tol: float) -> list[linalg.HermitianEig]:
-    # The POVM axioms, judged; returns each effect's eigendecomposition
-    # for reuse.
-    eigs, dev = _measured_axioms(p, tol)
-    for j, eig in enumerate(eigs):
-        if eig is None:
+def _checked_parts(p: Povm, tol: float) -> list[np.ndarray]:
+    # The POVM axioms, judged; returns each effect's Hermitian part for
+    # the factorization.
+    parts, dev = _measured_axioms(p, tol)
+    for j, part in enumerate(parts):
+        if part is None:
             raise NotPovmError(f"effect {j} is not a valid effect")
     if dev > tol:
         raise NotPovmError(
             f"effects sum to identity only within {dev:.3e} (allowed {tol:.3e})"
         )
-    return eigs
+    return parts
 
 
 def is_effect(e, tol: float | None = None) -> bool:
     """True when ``e`` passes the Hermitian check of :mod:`framelab.linalg`
-    and its Hermitian part has spectrum inside [0, 1], both within tol."""
-    return _effect_eig(e, resolve_tol(tol)) is not None
+    and its Hermitian part E has spectrum inside [0, 1] within tol: both
+    E + tol I and (1 + tol) I - E factor with positive pivots."""
+    return _effect_part(e, resolve_tol(tol)) is not None
 
 
 def check_povm(p: Povm, tol: float | None = None) -> None:
     """Raise :class:`NotPovmError` unless ``p`` satisfies the axioms.
 
-    Checks that every effect is Hermitian with spectrum in [0, 1]
-    within tol, and that the effects sum to the identity within tol.
+    Checks that every effect passes :func:`is_effect` at tol, and that
+    the effects sum to the identity within tol.
     """
-    _checked_eigs(p, resolve_tol(tol))
+    _checked_parts(p, resolve_tol(tol))
 
 
 def analyze_povm(p: Povm, tol: float | None = None) -> PovmReport:
@@ -226,8 +237,8 @@ def analyze_povm(p: Povm, tol: float | None = None) -> PovmReport:
     whether every effect passes :func:`is_effect`, and the largest
     entry of the effects' sum minus the identity."""
     tol = resolve_tol(tol)
-    eigs, dev = _measured_axioms(p, tol)
-    effects_valid = all(eig is not None for eig in eigs)
+    parts, dev = _measured_axioms(p, tol)
+    effects_valid = all(part is not None for part in parts)
     return PovmReport(
         dim=p.dim,
         num_effects=len(p),
@@ -294,41 +305,33 @@ def frame_from_povm(
 ) -> FrameFromPovm:
     """Factor a POVM through a Parseval frame.
 
-    Each effect is eigendecomposed and contributes one vector
-    sqrt(lambda) v per eigenpair, in ascending eigenvalue order.
-    Eigenvalues below tol contribute nothing; with ``pad_zeros`` they
-    contribute explicit zero vectors instead, so every effect yields
-    exactly d vectors.  Either way ``dropped`` counts them.
+    Each effect E is factored by the pivoted factorization of
+    :mod:`framelab.linalg`, E = sum_j x_j x_j*, and contributes its
+    rows x_j in pivot order: the largest remaining diagonal entry is
+    eliminated first, and the factorization stops once every remaining
+    diagonal entry is at most tol.  The d - rank null directions left
+    contribute nothing; with ``pad_zeros`` they contribute zero vectors
+    after the effect's rows instead, so every effect yields exactly d
+    vectors.  Either way ``dropped`` counts them.
 
     Returns the frame, the partition mapping each effect to the
     0-based rows it produced, and the dropped count.  The frame is
     Parseval up to the accuracy of the input POVM, and real exactly
-    when every effect's eigenvectors are, by the demotion rule of
+    when every effect's Hermitian part is, by the demotion rule of
     :mod:`framelab.linalg`.
     """
     tol = resolve_tol(tol)
     d = p.dim
-    eigs = _checked_eigs(p, tol)
-    field = "R" if all(np.isrealobj(vecs) for _, vecs in eigs) else "C"
-    rows: list[np.ndarray] = []
-    partition: list[list[int]] = []
-    dropped = 0
-    for values, vecs in eigs:
-        group: list[int] = []
-        for i in range(d):
-            lam = float(values[i])
-            if lam < tol:
-                dropped += 1
-                if not pad_zeros:
-                    continue
-                vec = np.zeros(d)
-            else:
-                vec = np.sqrt(lam) * vecs[:, i]
-            group.append(len(rows))
-            rows.append(vec)
-        partition.append(group)
-
-    return FrameFromPovm(Frame(np.array(rows), field), partition, dropped)
+    parts = _checked_parts(p, tol)
+    field = "R" if all(np.isrealobj(herm) for herm in parts) else "C"
+    blocks = [linalg._pivoted_rows(herm, tol) for herm in parts]
+    dropped = sum(d - len(rows) for rows in blocks)
+    if pad_zeros:
+        blocks = [np.pad(rows, ((0, d - len(rows)), (0, 0))) for rows in blocks]
+    ends = [0, *itertools.accumulate(len(rows) for rows in blocks)]
+    partition = [list(range(a, b)) for a, b in zip(ends, ends[1:])]
+    return FrameFromPovm(Frame(np.concatenate(blocks), field), partition,
+                         dropped)
 
 
 def born_probabilities(rho, p: Povm, tol: float | None = None) -> np.ndarray:

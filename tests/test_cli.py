@@ -846,11 +846,11 @@ SWEEP_SHA256 = {
     "ce-expnorm":
         "2b61aafe5c50a6c35afca7783498b76198802870dd928f84738d41b07e8b1604",
     "convert-pad-zeros":
-        "5a13a3edfe3dff552ef809094575abd50853c9cfa39ed24819fafeb4485f4ab1",
+        "1579360d6bbaeac4970e6a6a0955ac606c9dace26ae5a1b7ec59fa5561d4d106",
     "convert-partition":
         "48f785eeeb68023aefdfe346fb5f2414bc51fe68b7b78ce71a1c47a8e378ed28",
     "convert-roundtrip":
-        "47dc1f3cb36c9a8e599be82ae5ac088cc92b2764dc1af4aac2471efe08eb6a9c",
+        "027b0bc3e58c9a22a4fc7211879b6ae666a2faff0985fb26404bc4d89d79509e",
     "fit-cos6":
         "2bb5e76e2f337f7c4667b2cfef8176cdd030361a2ebb09b3478b12fe568efc1f",
     "fit-quadratic-C":

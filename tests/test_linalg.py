@@ -22,7 +22,7 @@ from framelab import (
     random_hermitian,
     random_parseval,
 )
-from framelab.linalg import DEFAULT_TOL, _jacobi, resolve_tol
+from framelab.linalg import DEFAULT_TOL, _jacobi, _pivoted_rows, resolve_tol
 
 
 # --- rng -------------------------------------------------------------------
@@ -358,6 +358,49 @@ def test_hermitian_eig_bits_are_pinned():
         h.update(" ".join(float(x).hex() for x in values).encode())
         h.update(" ".join(_hex(complex(z)) for z in vecs.reshape(-1)).encode())
     assert h.hexdigest() == HERMITIAN_EIG_SHA256
+
+
+# --- the pivoted factorization ---------------------------------------------
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_pivoted_rows_factor_a_semidefinite_matrix_to_its_rank(field):
+    for d, rank in ((1, 1), (4, 2), (7, 7), (9, 5)):
+        g = SplitMix64(d).field_gaussians((rank, d), field)
+        m = g.T @ g.conj()
+        m = (m + m.conj().T) / 2.0
+        before = m.copy()
+        rows = _pivoted_rows(m, 1e-10)
+        assert np.array_equal(m, before)  # the input is left alone
+        assert rows.shape == (rank, d) and rows.dtype == m.dtype
+        assert_allclose(rows.T @ rows.conj(), m, rtol=0, atol=1e-12)
+        # each pivot is the largest diagonal entry left: the row's own
+        # largest entry, real and positive, and no larger than the last
+        pivots = np.argmax(np.abs(rows), axis=1)
+        heads = rows[np.arange(rank), pivots]
+        assert len(set(pivots.tolist())) == rank
+        for r in range(rank):
+            assert not rows[r + 1:, pivots[r]].any()
+        assert np.all(heads.imag == 0) and np.all(np.diff(heads.real) <= 0)
+        # positive definite exactly when it runs to the end at stop 0
+        for shift in (1e-3, -1e-3):
+            s = m + shift * np.eye(d)
+            definite = np.linalg.eigvalsh(s)[0] > 0
+            assert (len(_pivoted_rows(s, 0.0)) == d) == definite
+        assert rank == d or not definite
+
+
+def test_pivoted_rows_stop_at_the_first_pivot_not_above_stop():
+    m = np.diag([3.0, 1e-11, 2.0, 0.0])
+    rows = _pivoted_rows(m, 1e-10)
+    assert rows.tolist() == [[math.sqrt(3.0), 0.0, 0.0, 0.0],
+                             [0.0, 0.0, math.sqrt(2.0), 0.0]]
+    assert len(_pivoted_rows(m, 0.0)) == 3
+    assert len(_pivoted_rows(-m, 0.0)) == 0
+    # an overflow in the update (-inf here) ends the factorization,
+    # silently
+    huge = np.array([[1.0, 1e300], [1e300, 1.0]])
+    assert len(_pivoted_rows(huge, 0.0)) == 1
 
 
 # --- psd_inv_sqrt ----------------------------------------------------------

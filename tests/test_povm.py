@@ -34,6 +34,67 @@ def test_is_effect_rejects_non_effects():
     assert not fl.is_effect(1e-12 * np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+# --- the effect rule at the edges of [-tol, 1 + tol] ------------------------
+
+
+def _edge_effect(d, zeros, extreme, seed):
+    # Hermitian E with eigenvalue ``extreme``, ``zeros`` zero eigenvalues
+    # and the rest uniform in [0, 1), in a random orthonormal basis.
+    rng = SplitMix64(seed)
+    values = [extreme] + [0.0] * zeros
+    values += [rng.uniform() for _ in range(d - len(values))]
+    q = fl.random_onb(d, seed=seed, field="RC"[seed % 2]).vectors
+    e = (q.T * values) @ q.conj()
+    return (e + e.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("side", ["low", "high"])
+@pytest.mark.parametrize("eps", [0.5, -0.5, 0.1, -0.1, 0.01, -0.01,
+                                 0.001, -0.001])
+def test_the_effect_rule_agrees_with_eigvalsh_at_the_edges(side, eps):
+    # The extreme eigenvalue sits at -tol (1 + eps) or 1 + tol (1 + eps):
+    # inside [-tol, 1 + tol] for eps < 0, outside for eps > 0, next to a
+    # cluster of zero eigenvalues.
+    tol = 1e-10
+    extreme = -tol * (1 + eps) if side == "low" else 1 + tol * (1 + eps)
+    probes = 0
+    for d in (2, 3, 6, 13, 20):
+        for zeros in sorted({1, d // 2}):
+            for seed in range(8):
+                e = _edge_effect(d, zeros, extreme, 1000 * d + seed)
+                w = np.linalg.eigvalsh(e)
+                inside = bool(w[0] >= -tol and w[-1] <= 1 + tol)
+                assert inside == (eps < 0)
+                assert fl.is_effect(e, tol) == inside, (d, zeros, seed)
+                probes += 1
+    assert probes == 64
+
+
+def test_the_effect_rule_rejects_what_a_diagonal_stop_accepts():
+    tol = 1e-10
+    # zero diagonal, eigenvalues -1 and 1
+    assert not fl.is_effect(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    for d in (3, 4, 6):
+        # zero diagonal, least eigenvalue tol (1 - d) < -tol
+        ones = np.ones((d, d))
+        assert not fl.is_effect(tol * (np.eye(d) - ones), tol)
+    # Eigenvalue -1.5 tol in a rotated basis: once the first pivot is
+    # eliminated, its diagonal, if left at roundoff above 0, would pass
+    # the pivot test and hide the negative pivot left.
+    q = fl.random_onb(2, seed=7, field="R").vectors
+    e = (q.T * [-1.5 * tol, 1.0]) @ q
+    assert not fl.is_effect((e + e.T) / 2.0, tol)
+    assert fl.is_effect((q.T * [-0.5 * tol, 1.0]) @ q, tol)
+
+
+def test_a_povm_refuses_effects_of_dimension_zero():
+    # It constructed, and every check then raised "matrix is empty",
+    # which never named the effects.  Still an InputError: exit code 2.
+    with pytest.raises(fl.InputError,
+                       match="^effects must be at least 1 x 1, got 0 x 0$"):
+        Povm(np.zeros((1, 0, 0)))
+
+
 def test_povm_from_frame_requires_parseval():
     f = Frame(2.0 * fl.standard_onb(2).vectors, "R")
     with pytest.raises(fl.NotParsevalError):
@@ -122,17 +183,33 @@ def test_frame_from_povm_pad_zeros_shape():
     assert all(len(g) == 3 for g in part)
 
 
-def test_frame_from_povm_eigenvalue_order():
-    # diag(1/2, 1) effect: ascending order puts the 1/2 eigenvector first
+def test_frame_from_povm_rows_come_in_pivot_order():
+    # diag(1/2, 1): the larger diagonal entry is eliminated first
     e1 = np.diag([0.5, 0.0]).astype(complex)
     e2 = np.diag([0.5, 1.0]).astype(complex)
     frame, part, dropped = fl.frame_from_povm(Povm(np.array([e1, e2])))
     assert dropped == 1
     assert part == [[0], [1, 2]]
-    assert_allclose(np.abs(frame.vectors[1]), [np.sqrt(0.5), 0.0], atol=1e-12)
-    assert_allclose(np.abs(frame.vectors[2]), [0.0, 1.0], atol=1e-12)
+    assert frame.vectors.tolist() == [
+        [math.sqrt(0.5), 0.0], [0.0, 1.0], [math.sqrt(0.5), 0.0]]
     # real input comes back as a real frame
     assert frame.field == "R"
+    # A full-rank effect: each row's pivot entry is real, positive, the
+    # largest of its row and no larger than the one before, and the
+    # rows after it are zero there.
+    f = fl.random_parseval(4, 9, seed=3)
+    p = fl.povm_from_frame_grouped(f, [[0, 1, 2, 3, 4], [5, 6, 7, 8]])
+    frame, part, dropped = fl.frame_from_povm(p)
+    assert dropped == 0 and [len(g) for g in part] == [4, 4]
+    for g in part:
+        x = frame.vectors[g]
+        pivots = np.argmax(np.abs(x), axis=1)
+        heads = x[np.arange(4), pivots]
+        assert sorted(pivots.tolist()) == [0, 1, 2, 3]
+        assert np.all(heads.imag == 0) and np.all(heads.real > 0)
+        assert np.all(np.diff(heads.real) <= 0)
+        for r in range(4):
+            assert not x[r + 1:, pivots[r]].any()
 
 
 def test_frame_from_povm_keeps_small_imaginary_parts():
@@ -148,19 +225,44 @@ def test_frame_from_povm_keeps_small_imaginary_parts():
         assert_allclose(rebuilt, effect, rtol=0, atol=1e-15)
 
 
-def test_frame_from_povm_eigendecomposes_each_effect_once(monkeypatch):
+def test_frame_from_povm_drops_d_minus_rank():
+    # Grouped rank-one effects of a frame in general position have rank
+    # min(group size, d); with pad_zeros the dropped rows are zeros
+    # after each effect's own rows.
+    d = 4
+    f = fl.random_parseval(d, 9, seed=5)
+    groups = [[0], [1, 2], [3, 4, 5], [6, 7, 8], []]
+    p = fl.povm_from_frame_grouped(f, groups)
+    ranks = [int(np.sum(np.linalg.eigvalsh(e) > 1e-10)) for e in p.effects]
+    assert ranks == [1, 2, 3, 3, 0]
+    frame, part, dropped = fl.frame_from_povm(p)
+    assert [len(g) for g in part] == ranks
+    assert dropped == sum(d - r for r in ranks)
+    padded, pad_part, pad_dropped = fl.frame_from_povm(p, pad_zeros=True)
+    assert pad_dropped == dropped and all(len(g) == d for g in pad_part)
+    for rows, pad_rows, r in zip(part, pad_part, ranks):
+        assert_allclose(padded.vectors[pad_rows[:r]], frame.vectors[rows],
+                        rtol=0, atol=0)
+        assert not padded.vectors[pad_rows[r:]].any()
+
+
+def test_the_povm_checks_and_factors_run_no_eigensolver(monkeypatch):
     f = fl.random_parseval(3, 6, seed=4)
     p = fl.povm_from_frame_grouped(f, [[0, 1], [2], [3, 4, 5]])
     calls = []
-    solve = framelab.linalg.hermitian_eig
 
     def counting(m, tol=None):
         calls.append(m)
-        return solve(m, tol)
+        raise AssertionError("hermitian_eig called")
 
     monkeypatch.setattr(framelab.linalg, "hermitian_eig", counting)
+    monkeypatch.setattr(fl, "hermitian_eig", counting)
     fl.frame_from_povm(p)
-    assert len(calls) == len(p)
+    fl.frame_from_povm(p, pad_zeros=True)
+    fl.check_povm(p)
+    assert fl.analyze_povm(p).valid
+    assert all(fl.is_effect(e) for e in p.effects)
+    assert calls == []
 
 
 def test_frame_from_povm_checks_validity():

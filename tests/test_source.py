@@ -116,12 +116,14 @@ def test_class_kind_scan_sees_each_kind():
     (r"np\.triu_indices", "frames.py"),  # the pairs of a Gram tile
     (r"\(right \+ sep \+ left\)\.join", "serialize.py"),  # the row rule
     (r"@ phases", "waveforms.py"),  # the ambiguity table's one product
+    (r"np\.argmax\(a\.diagonal\(\)", "linalg.py"),  # the pivot step
 ])
 def test_the_field_rules_are_written_once(text, home):
-    # The array rule and the mixed-relative comparison live in linalg,
-    # the field draw, the field check and the integer rule in rng, the
-    # rank-one, c I, squared-norm, unit-modulus and orthonormalization
-    # rules and the pairs of a Gram tile in frames, the float format,
+    # The array rule, the mixed-relative comparison and the pivot step
+    # of the pivoted factorization live in linalg, the field draw, the
+    # field check and the integer rule in rng, the rank-one, c I,
+    # squared-norm, unit-modulus and orthonormalization rules and the
+    # pairs of a Gram tile in frames, the float format,
     # the sort key of array entries and the row rule in serialize, the
     # ambiguity table's product in waveforms; a second copy elsewhere in
     # the package fails here.
@@ -218,6 +220,14 @@ def test_the_jacobi_sweeps_make_no_numpy_call(function):
     # their bits; the bit pin of _jacobi in test_linalg relies on it.
     tree = ast.parse((PACKAGE / "linalg.py").read_text())
     assert numpy_uses(tree, function) == []
+
+
+def test_the_povm_layer_runs_no_eigensolver():
+    # Effects are judged and factored by the pivoted factorization;
+    # spectra stay with hermitian_eig, which povm does not name.
+    source = (PACKAGE / "povm.py").read_text()
+    assert "hermitian_eig" not in source
+    assert "HermitianEig" not in source
 
 
 def test_numpy_use_scan_sees_np_attributes():
