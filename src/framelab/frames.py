@@ -6,13 +6,15 @@ imaginary part by construction; complex frames keep complex128.  The
 frame operator of row matrix X is X^T conj(X) acting on column
 vectors, its extreme eigenvalues are the optimal frame bounds, and a
 frame is Parseval exactly when that operator is the identity.  The
-rank-one rule (projections x_j x_j*) and the c I rule (largest entry of
-|S - c I|) are written here once, for frames, POVMs and Gabor frames,
-and so are the squared-norm rule (|x|^2 summed over the last axis),
-the unit-modulus deviation (largest |m - 1|) and the orthonormalization
-rule behind every random frame: one Gram-Schmidt pass over a stack of
-Gaussian blocks, one block per generator, so that a verification draws
-all its trial frames at once and a single draw is a stack of one.
+c I rule (largest entry of |S - c I|) is written here once, for frames,
+POVMs and Gabor frames, and so are the squared-norm rule (|x|^2 summed
+over the last axis), the unit-modulus deviation (largest |m - 1|) and
+the orthonormalization rule behind every random frame: one Gram-Schmidt
+pass over a stack of Gaussian blocks, one block per generator, so that
+a verification draws all its trial frames at once and a single draw is
+a stack of one.  The projections x_j x_j* of a frame's vectors are
+complex128, by the rank-one rule of :mod:`framelab.linalg`, which the
+updates of the pivoted factorization there also use.
 
 No diagnostic forms the N x N Gram matrix.  Coherence and
 equiangularity stream it in row blocks of bounded size, and the frame
@@ -105,9 +107,8 @@ def frame_operator(f: Frame) -> np.ndarray:
 
 
 def _projections(x: np.ndarray) -> np.ndarray:
-    # The rank-one rule: the complex128 stack of np.outer(x_j, conj(x_j)).
-    x = x.astype(np.complex128, copy=False)
-    return x[:, :, None] * x.conj()[:, None, :]
+    # The rank-one rule of linalg, on the rows of x as complex128.
+    return linalg._rank_one(x.astype(np.complex128, copy=False))
 
 
 def _identity_deviation(s: np.ndarray, c: float = 1.0) -> float:

@@ -3,8 +3,8 @@
 One eigensolver gives spectra and one pivoted factorization gives
 positivity and factors; both are written here rather than delegated to
 LAPACK or BLAS, so that their results are identical on every platform
-and fully under our control.  The package's array and Hermitian rules
-are written here once (the field and integer rules live in
+and fully under our control.  The package's array, Hermitian and
+rank-one rules are written here once (the field and integer rules live in
 :mod:`framelab.rng`, and the Gaussians of a field are drawn by
 ``SplitMix64.field_gaussians`` alone):
 
@@ -21,10 +21,18 @@ are written here once (the field and integer rules live in
 * Pivoted factorization: ``_pivoted_rows``, the outer-product Cholesky
   whose pivot is the largest diagonal entry among the indices not yet
   eliminated (N. J. Higham, Reliable Numerical Computation, OUP 1990).
-  It returns the rows x_j, in pivot order, of ``M = sum_j x_j x_j*``
-  up to the remainder left at the first pivot not above ``stop``; with
-  ``stop`` 0, d rows mean M is positive definite.  Its updates are
-  ``np.outer`` and elementwise ufuncs, with no BLAS call.
+  It factors a stack of matrices of one dtype, each with its own
+  ``stop``, one pivot step at a time for the whole stack, and returns
+  each matrix's rank and rows x_j, in pivot order, of
+  ``M = sum_j x_j x_j*`` up to the remainder left at the first pivot
+  not above its ``stop``; with ``stop`` 0, d rows mean M is positive
+  definite.  A real stack is never promoted to complex, whose division
+  by a real root multiplies by its reciprocal and changes bits.  Its
+  update is the rank-one rule and elementwise ufuncs, with no BLAS
+  call.
+* Rank-one rule: ``_rank_one``, the products x_j x_j* of the rows of a
+  block, one broadcast multiply in the block's own dtype with the bits
+  of ``np.outer``.
 * Mixed-relative comparison: ``|x| <= tol * max(1, |ref|)``, which
   judges a frame's tightness gap, a Born trace's imaginary residue, a
   probed effect functional's imaginary part and an imaginary part
@@ -126,45 +134,73 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     return _field_array(a, "C", name)
 
 
+def _hermitian_parts(
+    a: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The Hermitian check of the module docstring on a (s, d, d) stack
+    # of _as_matrix results: each matrix's deviation max|M - M*|, the
+    # deviation it is allowed, tol * max|M|, and the Hermitian parts
+    # (M + M*)/2 that it judges.
+    adj = a.conj().swapaxes(1, 2)
+    return (np.abs(a - adj).max(axis=(1, 2)),
+            tol * np.abs(a).max(axis=(1, 2)), (a + adj) / 2.0)
+
+
 def _hermitian_part(
     a: np.ndarray, tol: float, name: str = "matrix"
 ) -> np.ndarray:
-    # The Hermitian check of the module docstring, on an _as_matrix
-    # result; returns the Hermitian part (M + M*)/2 that it judges.
-    adj = a.conj().T
-    allowed = tol * float(np.abs(a).max())
-    dev = float(np.abs(a - adj).max())
+    # The Hermitian check of one _as_matrix result, raised on; returns
+    # the Hermitian part that it judges.
+    (dev,), (allowed,), (herm,) = _hermitian_parts(a[None], tol)
     if dev > allowed:
         raise NotHermitianError(
             f"{name} deviates from Hermitian by {dev:.3e} "
             f"(allowed {allowed:.3e})"
         )
-    return (a + adj) / 2.0
+    return herm
 
 
-def _pivoted_rows(m: np.ndarray, stop: float) -> np.ndarray:
+def _rank_one(x: np.ndarray) -> np.ndarray:
+    # The rank-one rule: the stack of np.outer(x_j, conj(x_j)) over the
+    # rows x_j of x, in the dtype of x, by the same multiply ufunc.
+    return x[:, :, None] * x.conj()[:, None, :]
+
+
+def _pivoted_rows(m: np.ndarray, stop) -> tuple[np.ndarray, np.ndarray]:
     # The pivoted factorization of the module docstring, on a copy of a
-    # Hermitian float64 or complex128 array, for ``stop`` >= 0.  Each
+    # (s, d, d) stack of Hermitian float64 or complex128 matrices, with
+    # a ``stop`` >= 0 for each (one number, or one per matrix).  Returns
+    # each matrix's rank and its (s, d, d) rows, which are 0 from its
+    # rank on.  Each pivot step runs on the whole stack; a matrix that
+    # has stopped gets x = 0, so ``a -= 0`` leaves its bits alone.  Each
     # eliminated row and column is set to exactly 0, so an eliminated
     # index never again wins the pivot search over a positive remaining
     # diagonal entry, nor passes the test to hide a negative one (at
     # roundoff above 0 it would).  A NaN pivot, from an overflow near the
     # float limit, fails the test.
     a = np.array(m)
+    s, d = a.shape[:2]
+    k = np.arange(s)
     rows = np.zeros_like(a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(len(a)):
-            p = int(np.argmax(a.diagonal().real))
-            pivot = a[p, p].real
-            if not pivot > stop:
-                return rows[:r]
-            root = math.sqrt(pivot)
-            x = a[:, p] / root
-            x[p] = root
-            a -= np.outer(x, x.conj())
-            a[p] = a[:, p] = 0.0
-            rows[r] = x
-    return rows
+    rank = np.zeros(s, dtype=np.intp)
+    live = np.ones(s, dtype=bool)
+    # the root of a stopped matrix may be 0 or NaN
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for r in range(d):
+            p = np.argmax(a.diagonal(axis1=1, axis2=2).real, axis=1)
+            pivot = a[k, p, p].real
+            live &= pivot > stop
+            if not live.any():
+                break
+            rank += live
+            root = np.sqrt(pivot)
+            x = a[k, :, p] / root[:, None]
+            x[k, p] = root
+            x[~live] = 0.0
+            a -= _rank_one(x)
+            a[k, p] = a[k, :, p] = 0.0
+            rows[:, r] = x
+    return rank, rows
 
 
 def _magnitudes(a: list[list[complex]]) -> list[float]:

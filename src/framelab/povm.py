@@ -2,16 +2,18 @@
 
 Every Parseval frame yields a POVM by taking the rank-one projection
 of each vector, or coarser effects by summing projections over a
-partition of the index set, by the rank-one and c I rules of
-:mod:`framelab.frames`.  Conversely any POVM factors through a
-Parseval frame: any factor E = sum_j x_j x_j* of each effect gives
-one, and :func:`frame_from_povm` takes the rows of the pivoted
-factorization of :mod:`framelab.linalg`, so no effect is
-eigendecomposed.  The same factorization, run on E + tol I and
-(1 + tol) I - E, decides whether E is an effect.  The probability rule
-p_j = trace(rho E_j) then turns density matrices into probability
-vectors, and :func:`check_generalized_measure` probes whether an
-arbitrary effect functional behaves like such a rule.
+partition of the index set, by the rank-one rule of
+:mod:`framelab.linalg` and the c I rule of :mod:`framelab.frames`.
+Conversely any POVM factors through a Parseval frame: any factor
+E = sum_j x_j x_j* of each effect gives one, and
+:func:`frame_from_povm` takes the rows of the pivoted factorization of
+:mod:`framelab.linalg`, so no effect is eigendecomposed.  The same
+factorization, run on E + tol I and (1 + tol) I - E, decides whether E
+is an effect; a POVM's effects are checked and factored together, as
+one stack of each dtype.  The probability rule p_j = trace(rho E_j)
+then turns density matrices into probability vectors, and
+:func:`check_generalized_measure` probes whether an arbitrary effect
+functional behaves like such a rule.
 :func:`busch_experiment` and :func:`born_experiment` run those checks
 on random states and random grouped POVMs.
 """
@@ -32,7 +34,6 @@ from .errors import (
     BadPartitionError,
     DimMismatchError,
     InputError,
-    NotHermitianError,
     NotPovmError,
     NotParsevalError,
     NotSquareError,
@@ -78,7 +79,9 @@ class Povm:
     array rule, and :func:`born_probabilities` trusts its effects, so
     call :func:`check_povm` on a loaded POVM before relying on the
     axioms.  Keeping the numeric check explicit spares constructions
-    that are valid by construction its 2k factorizations.
+    that are valid by construction its factorization of 3k matrices:
+    E + tol I, (1 + tol) I - E and E for each of the k effects, in one
+    stacked pass per dtype.
     """
 
     effects: np.ndarray
@@ -174,53 +177,75 @@ class BornReport(NamedTuple):
     passed: bool
 
 
-def _effect_part(a, tol: float) -> np.ndarray | None:
-    # The effect rule: the Hermitian part E of ``a``, real by the
-    # demotion rule of framelab.linalg, or None when ``a`` is not square
-    # or not Hermitian, or E + tol I or (1 + tol) I - E is not positive
-    # definite by the pivoted factorization.
-    try:
-        herm = linalg._hermitian_part(linalg._as_matrix(a), tol)
-    except (NotSquareError, NotHermitianError):
-        return None
-    if not herm.imag.any():
-        herm = herm.real
-    d = len(herm)
+def _effect_rule(
+    a: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The effect rule over a (k, d, d) stack of _as_matrix results:
+    # effect j is valid when it passes the Hermitian check of
+    # framelab.linalg and, for its Hermitian part E, real by the demotion
+    # rule, E + tol I and (1 + tol) I - E are positive definite by the
+    # pivoted factorization.  Returns each effect's validity and the rank
+    # and rows of E factored at stop tol, the rows float64 when every E
+    # is real; the rows of an invalid effect mean nothing.
+    dev, allowed, herm = linalg._hermitian_parts(a, tol)
+    real = ~herm.imag.any(axis=(1, 2))
+    valid = ~(dev > allowed)
+    rank = np.empty(len(a), dtype=np.intp)
+    rows = np.empty(a.shape, np.float64 if real.all() else np.complex128)
+    _factor_parts(herm.real, real, tol, valid, rank, rows)
+    _factor_parts(herm, ~real, tol, valid, rank, rows)
+    return valid, rank, rows
+
+
+def _factor_parts(parts, group, tol, valid, rank, rows) -> None:
+    # The share of _effect_rule of the effects in ``group``, whose parts
+    # have one dtype, written into its outputs: E + tol I, (1 + tol) I - E
+    # and E of each part E, factored as one stack at stops 0, 0 and tol.
+    k = np.count_nonzero(group)
+    if not k:
+        return
+    e = parts[group]
+    d = e.shape[1]
     eye = np.eye(d)
-    for side in (herm + tol * eye, (1.0 + tol) * eye - herm):
-        if len(linalg._pivoted_rows(side, 0.0)) < d:
-            return None
-    return herm
+    ranks, factors = linalg._pivoted_rows(
+        np.concatenate([e + tol * eye, (1.0 + tol) * eye - e, e]),
+        np.repeat([0.0, 0.0, tol], k))
+    valid[group] &= (ranks[:k] == d) & (ranks[k:2 * k] == d)
+    rank[group] = ranks[2 * k:]
+    rows[group] = factors[2 * k:]
 
 
 def _measured_axioms(
     p: Povm, tol: float
-) -> tuple[list[np.ndarray | None], float]:
-    # The POVM axioms, measured: each effect's Hermitian part (None for
-    # an invalid effect) and the c I deviation of the effects' sum.
-    parts = [_effect_part(p.effects[j], tol) for j in range(len(p))]
-    return parts, frames._identity_deviation(np.sum(p.effects, axis=0))
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    # The POVM axioms, measured: the effect rule's validity, rank and
+    # rows of each effect, and the c I deviation of the effects' sum.
+    return (*_effect_rule(p.effects, tol),
+            frames._identity_deviation(np.sum(p.effects, axis=0)))
 
 
-def _checked_parts(p: Povm, tol: float) -> list[np.ndarray]:
-    # The POVM axioms, judged; returns each effect's Hermitian part for
-    # the factorization.
-    parts, dev = _measured_axioms(p, tol)
-    for j, part in enumerate(parts):
-        if part is None:
-            raise NotPovmError(f"effect {j} is not a valid effect")
+def _checked_rows(p: Povm, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    # The POVM axioms, judged; returns the rank and rows of each effect.
+    valid, rank, rows, dev = _measured_axioms(p, tol)
+    if not valid.all():
+        raise NotPovmError(f"effect {np.argmin(valid)} is not a valid effect")
     if dev > tol:
         raise NotPovmError(
             f"effects sum to identity only within {dev:.3e} (allowed {tol:.3e})"
         )
-    return parts
+    return rank, rows
 
 
 def is_effect(e, tol: float | None = None) -> bool:
     """True when ``e`` passes the Hermitian check of :mod:`framelab.linalg`
     and its Hermitian part E has spectrum inside [0, 1] within tol: both
     E + tol I and (1 + tol) I - E factor with positive pivots."""
-    return _effect_part(e, resolve_tol(tol)) is not None
+    tol = resolve_tol(tol)
+    try:
+        m = linalg._as_matrix(e)
+    except NotSquareError:
+        return False
+    return bool(_effect_rule(m[None], tol)[0][0])
 
 
 def check_povm(p: Povm, tol: float | None = None) -> None:
@@ -229,7 +254,7 @@ def check_povm(p: Povm, tol: float | None = None) -> None:
     Checks that every effect passes :func:`is_effect` at tol, and that
     the effects sum to the identity within tol.
     """
-    _checked_parts(p, resolve_tol(tol))
+    _checked_rows(p, resolve_tol(tol))
 
 
 def analyze_povm(p: Povm, tol: float | None = None) -> PovmReport:
@@ -237,8 +262,8 @@ def analyze_povm(p: Povm, tol: float | None = None) -> PovmReport:
     whether every effect passes :func:`is_effect`, and the largest
     entry of the effects' sum minus the identity."""
     tol = resolve_tol(tol)
-    parts, dev = _measured_axioms(p, tol)
-    effects_valid = all(part is not None for part in parts)
+    valid, _, _, dev = _measured_axioms(p, tol)
+    effects_valid = bool(valid.all())
     return PovmReport(
         dim=p.dim,
         num_effects=len(p),
@@ -312,7 +337,11 @@ def frame_from_povm(
     diagonal entry is at most tol.  The d - rank null directions left
     contribute nothing; with ``pad_zeros`` they contribute zero vectors
     after the effect's rows instead, so every effect yields exactly d
-    vectors.  Either way ``dropped`` counts them.
+    vectors.  Either way ``dropped`` counts them.  The effects are
+    factored in the same stacked pass as the check of
+    :func:`check_povm`, which factors E + tol I and (1 + tol) I - E:
+    one pass for all effects whose Hermitian parts are real, and one
+    for the rest.
 
     Returns the frame, the partition mapping each effect to the
     0-based rows it produced, and the dropped count.  The frame is
@@ -322,16 +351,15 @@ def frame_from_povm(
     """
     tol = resolve_tol(tol)
     d = p.dim
-    parts = _checked_parts(p, tol)
-    field = "R" if all(np.isrealobj(herm) for herm in parts) else "C"
-    blocks = [linalg._pivoted_rows(herm, tol) for herm in parts]
-    dropped = sum(d - len(rows) for rows in blocks)
+    rank, rows = _checked_rows(p, tol)
+    field = "R" if np.isrealobj(rows) else "C"
+    dropped = int(d * len(p) - rank.sum())
     if pad_zeros:
-        blocks = [np.pad(rows, ((0, d - len(rows)), (0, 0))) for rows in blocks]
-    ends = [0, *itertools.accumulate(len(rows) for rows in blocks)]
+        rank[:] = d
+    ends = [0, *itertools.accumulate(rank.tolist())]
     partition = [list(range(a, b)) for a, b in zip(ends, ends[1:])]
-    return FrameFromPovm(Frame(np.concatenate(blocks), field), partition,
-                         dropped)
+    kept = np.arange(d) < rank[:, None]
+    return FrameFromPovm(Frame(rows[kept], field), partition, dropped)
 
 
 def born_probabilities(rho, p: Povm, tol: float | None = None) -> np.ndarray:

@@ -48,7 +48,14 @@ The readers take a JSON number to be a finite int or float, never a
 bool, a string, ``NaN`` or ``Infinity`` (which Python's ``json`` reads);
 a complex entry is a bare number or an ``[re, im]`` pair.  A dimension,
 length or partition entry is an integral number under the integer rule
-of :mod:`framelab.rng`, so ``2.0`` is 2 and ``true`` is rejected.
+of :mod:`framelab.rng`, so ``2.0`` is 2 and ``true`` is rejected.  Each
+array is read whole, a POVM's effects as one stack: one conversion of
+its nested lists to an object array, the number rule judged once over
+the set of its leaf types, one float conversion, whose overflow is an
+integer beyond the float range, and one finiteness check.  Only when
+that fails does a reader walk the lists, to name the first defect in
+reading order.  The readers are for the lists that ``json`` gives: a
+tuple or an array nested in them may be read as a list.
 """
 
 from __future__ import annotations
@@ -319,10 +326,16 @@ def _plain(item):
     return item.tolist()
 
 
+def _number_type(kind: type) -> bool:
+    # The types of a JSON number: int, float and their subclasses, but
+    # not bool (a subclass of int).
+    return issubclass(kind, (int, float)) and not issubclass(kind, bool)
+
+
 def _number(x, what: str) -> float:
-    # The one rule for a JSON number: an int or float that fits a
-    # float64, not a bool (a subclass of int) nor NaN or Infinity.
-    if (not isinstance(x, (int, float)) or isinstance(x, bool)
+    # The one rule for a JSON number: a value of a number type that fits
+    # a float64, not NaN or Infinity.
+    if (not _number_type(type(x))
             or (isinstance(x, float) and not math.isfinite(x))):
         raise InputError(f"{what}: {x!r} is not a number")
     try:
@@ -333,22 +346,51 @@ def _number(x, what: str) -> float:
         ) from None
 
 
-def _vector_from_json(item, field: str, what: str) -> np.ndarray:
+def _numbers(item, field: str, ndim: int) -> np.ndarray | None:
+    # The number rule over a whole nested list of ``ndim`` axes, judged
+    # once: one object conversion, the set of its leaf types, one float
+    # conversion and one finiteness check.  For a field other than "R"
+    # an entry is a number or an [re, im] pair, and bare numbers among
+    # pairs become [x, 0.0].  Returns the float64 array (complex128 for
+    # such a field), or None for any defect, which the caller's walk
+    # names.
+    a = np.array(item, dtype=object)
+    kinds = set(map(type, a.flat))
+    if field != "R" and a.ndim == ndim and list in kinds:
+        b = np.array([x if type(x) is list else [x, 0.0] for x in a.flat],
+                     dtype=object)
+        a = b.reshape(a.shape + b.shape[1:])
+        kinds = set(map(type, a.flat))
+    pairs = field != "R" and a.ndim == ndim + 1 and a.shape[-1] == 2
+    if a.ndim != ndim + pairs or not all(map(_number_type, kinds)):
+        return None
+    try:
+        x = a.astype(np.float64)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if np.count_nonzero(np.isfinite(x)) != x.size:
+        return None
+    if pairs:
+        return x.view(np.complex128)[..., 0]
+    return x if field == "R" else x.astype(np.complex128)
+
+
+def _vector_walk(item, field: str, what: str) -> None:
+    # The defects of one vector in reading order, for a reader whose
+    # _numbers failed: the first one raises, by the number rule of
+    # _number and the pair rule.
     if not isinstance(item, list):
         raise InputError(f"{what}: expected a list, got {type(item).__name__}")
-    if field == "R":
-        return np.array([_number(x, what) for x in item], dtype=np.float64)
-    entries = []
     for x in item:
-        if isinstance(x, list) and len(x) == 2:
-            entries.append(complex(_number(x[0], what), _number(x[1], what)))
-        elif isinstance(x, list):
+        if field == "R" or not isinstance(x, list):
+            _number(x, what)
+        elif len(x) != 2:
             raise InputError(
                 f"{what}: complex entries must be numbers or [re, im] pairs"
             )
         else:
-            entries.append(complex(_number(x, what), 0.0))
-    return np.array(entries, dtype=np.complex128)
+            _number(x[0], what)
+            _number(x[1], what)
 
 
 def _require_keys(obj, kind: str, keys: tuple[str, ...]) -> None:
@@ -365,11 +407,12 @@ def matrix_from_json(item, what: str) -> np.ndarray:
     item = _plain(item)
     if not isinstance(item, list) or not item:
         raise InputError(f"{what}: expected a nonempty list of rows")
-    rows = [_vector_from_json(row, "C", what) for row in item]
-    width = rows[0].shape[0]
-    if any(r.shape[0] != width for r in rows):
+    m = _numbers(item, "C", 2)
+    if m is None:
+        for row in item:
+            _vector_walk(row, "C", what)
         raise InputError(f"{what}: ragged rows")
-    return np.array(rows, dtype=np.complex128)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +434,16 @@ def frame_from_json(obj) -> Frame:
     vex = _plain(obj["vectors"])
     if not isinstance(vex, list) or not vex:
         raise InputError("frame: vectors must be a nonempty list")
-    rows = [_vector_from_json(v, field, f"frame vector {i}") for i, v in enumerate(vex)]
-    for i, r in enumerate(rows):
-        if r.shape[0] != dim:
-            raise InputError(
-                f"frame vector {i} has length {r.shape[0]}, expected {dim}"
-            )
-    return Frame(np.array(rows), field)
+    rows = _numbers(vex, field, 2)
+    if rows is None or rows.shape[1] != dim:
+        for i, v in enumerate(vex):
+            _vector_walk(v, field, f"frame vector {i}")
+        for i, v in enumerate(vex):
+            if len(v) != dim:
+                raise InputError(
+                    f"frame vector {i} has length {len(v)}, expected {dim}"
+                )
+    return Frame(rows, field)
 
 
 # ---------------------------------------------------------------------------
@@ -418,15 +464,16 @@ def povm_from_json(obj) -> Povm:
     effects_json = _plain(obj["effects"])
     if not isinstance(effects_json, list) or not effects_json:
         raise InputError("povm: effects must be a nonempty list")
-    effects = []
-    for j, e in enumerate(effects_json):
-        mat = matrix_from_json(e, f"effect {j}")
-        if mat.shape != (dim, dim):
-            raise InputError(
-                f"effect {j} has shape {mat.shape}, expected ({dim}, {dim})"
-            )
-        effects.append(mat)
-    return Povm(np.array(effects), obj.get("partition"))
+    effects = _numbers(effects_json, "C", 3)
+    if effects is None or effects.shape[1:] != (dim, dim):
+        for j, e in enumerate(effects_json):
+            mat = matrix_from_json(e, f"effect {j}")
+            if mat.shape != (dim, dim):
+                raise InputError(
+                    f"effect {j} has shape {mat.shape}, "
+                    f"expected ({dim}, {dim})"
+                )
+    return Povm(effects, obj.get("partition"))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +488,10 @@ def sequence_to_json(u: np.ndarray) -> dict:
 def sequence_from_json(obj) -> np.ndarray:
     _require_keys(obj, "sequence", ("length", "entries"))
     length = _integer(obj["length"], "sequence: length", 1)
-    entries = _vector_from_json(_plain(obj["entries"]), "C", "sequence entries")
+    item = _plain(obj["entries"])
+    entries = _numbers(item, "C", 1)
+    if entries is None:
+        _vector_walk(item, "C", "sequence entries")
     if entries.shape[0] != length:
         raise InputError(
             f"sequence claims length {length} but has {entries.shape[0]} entries"

@@ -363,6 +363,14 @@ def test_hermitian_eig_bits_are_pinned():
 # --- the pivoted factorization ---------------------------------------------
 
 
+def _factor(m, stop):
+    # One matrix as a stack of one: its rows up to its rank, after
+    # checking that the rows from the rank on are zero.
+    (rank,), (rows,) = _pivoted_rows(m[None], stop)
+    assert not rows[rank:].any()
+    return rows[:rank]
+
+
 @pytest.mark.parametrize("field", ["R", "C"])
 def test_pivoted_rows_factor_a_semidefinite_matrix_to_its_rank(field):
     for d, rank in ((1, 1), (4, 2), (7, 7), (9, 5)):
@@ -370,7 +378,7 @@ def test_pivoted_rows_factor_a_semidefinite_matrix_to_its_rank(field):
         m = g.T @ g.conj()
         m = (m + m.conj().T) / 2.0
         before = m.copy()
-        rows = _pivoted_rows(m, 1e-10)
+        rows = _factor(m, 1e-10)
         assert np.array_equal(m, before)  # the input is left alone
         assert rows.shape == (rank, d) and rows.dtype == m.dtype
         assert_allclose(rows.T @ rows.conj(), m, rtol=0, atol=1e-12)
@@ -386,21 +394,93 @@ def test_pivoted_rows_factor_a_semidefinite_matrix_to_its_rank(field):
         for shift in (1e-3, -1e-3):
             s = m + shift * np.eye(d)
             definite = np.linalg.eigvalsh(s)[0] > 0
-            assert (len(_pivoted_rows(s, 0.0)) == d) == definite
+            assert (len(_factor(s, 0.0)) == d) == definite
         assert rank == d or not definite
 
 
 def test_pivoted_rows_stop_at_the_first_pivot_not_above_stop():
     m = np.diag([3.0, 1e-11, 2.0, 0.0])
-    rows = _pivoted_rows(m, 1e-10)
+    rows = _factor(m, 1e-10)
     assert rows.tolist() == [[math.sqrt(3.0), 0.0, 0.0, 0.0],
                              [0.0, 0.0, math.sqrt(2.0), 0.0]]
-    assert len(_pivoted_rows(m, 0.0)) == 3
-    assert len(_pivoted_rows(-m, 0.0)) == 0
+    assert len(_factor(m, 0.0)) == 3
+    assert len(_factor(-m, 0.0)) == 0
     # an overflow in the update (-inf here) ends the factorization,
     # silently
     huge = np.array([[1.0, 1e300], [1e300, 1.0]])
-    assert len(_pivoted_rows(huge, 0.0)) == 1
+    assert len(_factor(huge, 0.0)) == 1
+
+
+def _pivoted_rows_one(m, stop):
+    # The factorization of one matrix, one pivot at a time, as it was
+    # written before it took stacks: the oracle of the stacked loop.
+    a = np.array(m)
+    rows = np.zeros_like(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(len(a)):
+            p = int(np.argmax(a.diagonal().real))
+            pivot = a[p, p].real
+            if not pivot > stop:
+                return rows[:r]
+            root = math.sqrt(pivot)
+            x = a[:, p] / root
+            x[p] = root
+            a -= np.outer(x, x.conj())
+            a[p] = a[:, p] = 0.0
+            rows[r] = x
+    return rows
+
+
+def _assert_stack_matches_one_at_a_time(stack, stops):
+    before = stack.copy()
+    ranks, rows = _pivoted_rows(stack, stops)
+    assert np.array_equal(stack, before, equal_nan=True)
+    assert rows.shape == stack.shape and rows.dtype == stack.dtype
+    for m, stop, rank, got in zip(stack, np.broadcast_to(stops, len(stack)),
+                                  ranks, rows):
+        want = _pivoted_rows_one(m, stop)
+        assert rank == len(want)
+        assert got[:rank].tobytes() == want.tobytes()
+        assert not got[rank:].any()
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_a_stack_factors_bit_for_bit_as_its_matrices_one_at_a_time(field):
+    # Ranks 0..d, each shifted by 0 and +-1e-3 so that some matrices
+    # stop early and some are indefinite, at one stop for the stack and
+    # at a stop of its own for each matrix.
+    rng = SplitMix64(5 if field == "R" else 6)
+    for d in range(1, 21):
+        stack = []
+        for rank in range(d + 1):
+            g = rng.field_gaussians((rank, d), field)
+            m = g.T @ g.conj()
+            m = (m + m.conj().T) / 2.0
+            stack += [m + shift * np.eye(d) for shift in (0.0, 1e-3, -1e-3)]
+        stack = np.array(stack)
+        assert stack.dtype == (np.float64 if field == "R" else np.complex128)
+        for stops in (0.0, DEFAULT_TOL,
+                      np.resize([0.0, DEFAULT_TOL, 0.5], len(stack))):
+            _assert_stack_matches_one_at_a_time(stack, stops)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_a_stopped_matrix_leaves_its_neighbours_alone(dtype):
+    # An update that overflows to -inf (the 2 x 2 case of the test above,
+    # padded), a NaN pivot, a negative definite and a zero matrix stop
+    # early or at once, beside matrices that factor to the end.
+    m = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 2.0]])
+    huge = np.array([[1.0, 1e300, 0], [1e300, 1.0, 0], [0, 0, 1.0]])
+    nan = np.diag([1.0, np.nan, 2.0])
+    stack = np.array([m, huge, -m, nan, m, np.zeros((3, 3)), m / 3],
+                     dtype=dtype)
+    if dtype == np.complex128:
+        stack[:, 0, 1] += 0.5j
+        stack[:, 1, 0] -= 0.5j
+    for stops in (0.0, DEFAULT_TOL):
+        _assert_stack_matches_one_at_a_time(stack, stops)
+    ranks, _ = _pivoted_rows(stack, 0.0)
+    assert ranks.tolist() == [3, 2, 0, 0, 3, 0, 3]
 
 
 # --- psd_inv_sqrt ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -7,8 +8,8 @@ from numpy.testing import assert_allclose
 
 import framelab as fl
 import framelab.linalg
-from framelab import Frame, Povm, SplitMix64
-from framelab.serialize import povm_from_json, povm_to_json
+from framelab import Frame, Povm, SplitMix64, cli
+from framelab.serialize import povm_from_json, povm_to_json, write_json
 
 
 def _flat_povm(d=2, n=4, seed=0, field="C"):
@@ -244,6 +245,75 @@ def test_frame_from_povm_drops_d_minus_rank():
         assert_allclose(padded.vectors[pad_rows[:r]], frame.vectors[rows],
                         rtol=0, atol=0)
         assert not padded.vectors[pad_rows[r:]].any()
+
+
+def _povm_of_parts(field):
+    # Three effects on C^3: a real rank-one effect, a rank-one effect of
+    # the field, and the rest of the identity.
+    rng = SplitMix64(11)
+    u = rng.field_gaussians(3, "R")
+    v = rng.field_gaussians(3, field)
+    e0 = 0.5 * np.outer(u, u) / (u @ u)
+    e1 = 0.25 * np.outer(v, v.conj()) / np.vdot(v, v).real
+    return Povm(np.array([e0, e1, np.eye(3) - e0 - e1]))
+
+
+# Pinned before the effects of a POVM were checked and factored as
+# stacks, one per dtype: sha256 of the frame's row bytes, plain and
+# padded, and of the file `convert --to frame` writes, plain and padded.
+PARTS_PINS = {
+    "C": ("d5797d9978292901918316a4a94a13ea56d7bb2645015b36ecffe7286924417a",
+          "e50faf8f4d2c6596a875c3b9c3c578784f4ee762600de84e7ca480ae4b09ff84",
+          "e9b99f9bfabb8423117efa242fd65b6fb573bc42445bef58786dcab399839991",
+          "897f9f5dcc88a0bef0b763868709bba442dfab902da8777af0ed8c99ca812ef7"),
+    "R": ("ae5e8f4a2259f209bfcfaa61fb41f1d2b890c4a9168fbbfdc7d1c1f841a80dbe",
+          "9eaabf140d89c6b7dbce92d3e09235c38b6377e7a7162fa2a54c25c4206bba97",
+          "7c222da6f0e028508ee2080650c736c1b6121e21a6a9cec4420cb0788b944054",
+          "25d30886e491a22bcc82d0a53294d3730ee669fd54a898e89d384eead8095326"),
+}
+
+
+@pytest.mark.parametrize("field", ["C", "R"])
+def test_real_and_complex_effects_keep_their_bits(field, tmp_path, capsys):
+    # With field C, effect 0's Hermitian part is real and the others'
+    # complex, so the effects are factored as two stacks, one per dtype.
+    p = _povm_of_parts(field)
+    assert [bool(e.imag.any()) for e in p.effects] == [
+        False, field == "C", field == "C"]
+    fl.check_povm(p)
+    assert fl.analyze_povm(p).valid
+    frame, part, dropped = fl.frame_from_povm(p)
+    padded = fl.frame_from_povm(p, pad_zeros=True)
+    assert frame.field == padded.frame.field == field
+    assert part == [[0], [1], [2, 3, 4]] and dropped == 4
+    assert padded.partition == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+    assert padded.dropped == 4
+    path = tmp_path / "povm.json"
+    write_json(path, povm_to_json(p))
+    texts = []
+    for extra in ([], ["--pad-zeros"]):
+        out = tmp_path / "frame.json"
+        assert cli.main(["convert", str(path), "--to", "frame",
+                         "--out", str(out), *extra]) == 0
+        texts.append(out.read_bytes())
+    capsys.readouterr()
+    digests = tuple(hashlib.sha256(b).hexdigest() for b in (
+        frame.vectors.tobytes(), padded.frame.vectors.tobytes(), *texts))
+    assert digests == PARTS_PINS[field]
+
+
+def test_an_invalid_effect_is_named_across_the_dtype_stacks():
+    # Effect 2 is complex and negative, effect 0 real and valid: the
+    # first invalid effect is named in effect order, not stack order.
+    p = _povm_of_parts("C")
+    e = p.effects
+    bad = Povm(np.array([e[0], e[1], -e[1]]))
+    assert fl.analyze_povm(bad).effects_valid is False
+    with pytest.raises(fl.NotPovmError, match="^effect 2 is not a valid"):
+        fl.check_povm(bad)
+    with pytest.raises(fl.NotPovmError, match="^effect 1 is not a valid"):
+        fl.frame_from_povm(Povm(np.array([e[0], -e[1], e[2]])))
+    assert [fl.is_effect(x) for x in bad.effects] == [True, True, False]
 
 
 def test_the_povm_checks_and_factors_run_no_eigensolver(monkeypatch):

@@ -280,6 +280,114 @@ def test_loaders_accept_ints_and_bare_complex_numbers():
     assert u.tolist() == [1, -1j]
 
 
+NAN = float("nan")
+
+# Inputs with two defects or more, and the one the readers name: the
+# first in reading order, before any shape or length check.  Pinned
+# before each array was read in one conversion.
+FIRST_DEFECTS = {
+    "matrix-bool-then-nan": (
+        lambda: serialize.matrix_from_json([[1.0, True], [NAN, 0.5]], "op"),
+        "op: True is not a number"),
+    "matrix-ragged-and-string": (
+        lambda: serialize.matrix_from_json([[1, 2, 3], ["x", 4]], "op"),
+        "op: 'x' is not a number"),
+    "matrix-bad-pair-then-string": (
+        lambda: serialize.matrix_from_json([[[1, 2, 3], "x"]], "op"),
+        "op: complex entries must be numbers or [re, im] pairs"),
+    "matrix-row-not-a-list": (
+        lambda: serialize.matrix_from_json([[1, 2], "ab", [None]], "op"),
+        "op: expected a list, got str"),
+    "frame-bool-then-nan": (
+        lambda: frame_from_json({"dim": 2, "field": "R",
+                                 "vectors": [[1.0, True], [NAN, 0.0]]}),
+        "frame vector 0: True is not a number"),
+    "frame-ragged-and-string": (
+        lambda: frame_from_json({"dim": 2, "field": "C",
+                                 "vectors": [[1, 2, 3], ["x"]]}),
+        "frame vector 1: 'x' is not a number"),
+    "frame-pair-in-a-real-field": (
+        lambda: frame_from_json({"dim": 1, "field": "R",
+                                 "vectors": [[1.0], [[1.0, 0.0]]]}),
+        "frame vector 1: [1.0, 0.0] is not a number"),
+    "frame-length-then-nan": (
+        lambda: frame_from_json({"dim": 2, "field": "R",
+                                 "vectors": [[1.0], [NAN, 0.0]]}),
+        "frame vector 1: nan is not a number"),
+    "povm-bool-then-nan": (
+        lambda: povm_from_json({"dim": 2, "effects": [
+            [[0.5, True], [0, 0.5]], [[NAN, 0], [0, 0.5]]]}),
+        "effect 0: True is not a number"),
+    "povm-ragged-then-string": (
+        lambda: povm_from_json({"dim": 2, "effects": [
+            [[1, 0], [0]], [["x", 0], [0, 1]]]}),
+        "effect 0: ragged rows"),
+    "povm-shape-then-string": (
+        lambda: povm_from_json({"dim": 2, "effects": [
+            [[1, 0, 0], [0, 1, 0]], [["x", 0], [0, 1]]]}),
+        "effect 0 has shape (2, 3), expected (2, 2)"),
+    "sequence-bool-then-nan": (
+        lambda: sequence_from_json({"length": 2, "entries": [False, NAN]}),
+        "sequence entries: False is not a number"),
+    "sequence-huge-then-bool": (
+        lambda: sequence_from_json({"length": 2,
+                                    "entries": [[0, 10**400], True]}),
+        "sequence entries: an integer beyond the float range is not a "
+        "number"),
+    "sequence-mixed-pair-of-lists": (
+        lambda: sequence_from_json({"length": 2,
+                                    "entries": [1, [[1], [2]]]}),
+        "sequence entries: [1] is not a number"),
+    "sequence-mixed-long-pair": (
+        lambda: sequence_from_json({"length": 2, "entries": [1, [1, 2, 3]]}),
+        "sequence entries: complex entries must be numbers or [re, im] "
+        "pairs"),
+    "numpy-int": (
+        lambda: sequence_from_json({"length": 2,
+                                    "entries": [np.float64(0.5),
+                                                np.int64(1)]}),
+        "sequence entries: np.int64(1) is not a number"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_DEFECTS))
+def test_readers_name_the_first_defect(name):
+    read, message = FIRST_DEFECTS[name]
+    with pytest.raises(fl.InputError) as info:
+        read()
+    assert str(info.value) == message
+
+
+def test_readers_take_bare_paired_and_mixed_complex_entries():
+    u = sequence_from_json({"length": 4,
+                            "entries": [1, [0, -1], 2.5, [-0.0, 3]]})
+    assert u.dtype == np.complex128
+    assert u.tolist() == [1, -1j, 2.5, complex(-0.0, 3)]
+    assert np.signbit(u.real).tolist() == [False, False, False, True]
+    assert np.signbit(u.imag).tolist() == [False, True, False, False]
+    m = serialize.matrix_from_json([[1, [0, 1]], [[0, -1], 2]], "op")
+    assert m.tolist() == [[1, 1j], [-1j, 2]]
+    bare = serialize.matrix_from_json([[1, 0], [0, 2]], "op")
+    paired = serialize.matrix_from_json([[[1, 0], [0, 0]],
+                                         [[0, 0], [2, 0]]], "op")
+    assert bare.tobytes() == paired.tobytes()
+    # one effect bare, one paired, one mixed
+    p = povm_from_json({"dim": 2, "effects": [
+        [[0.5, 0], [0, 0.25]],
+        [[[0.25, 0], [0, 0.125]], [[0, -0.125], [0.5, 0]]],
+        [[0.25, [0, -0.125]], [[0, 0.125], 0.25]]]})
+    assert p.effects.tolist() == [
+        [[0.5, 0], [0, 0.25]], [[0.25, 0.125j], [-0.125j, 0.5]],
+        [[0.25, -0.125j], [0.125j, 0.25]]]
+    fl.check_povm(p)
+    # NumPy float leaves are floats; a real field reads them as they are
+    f = frame_from_json({"dim": 2, "field": "R",
+                         "vectors": [[np.float64(0.5), 1], [2, -0.0]]})
+    assert f.vectors.dtype == np.float64
+    assert f.vectors.tolist() == [[0.5, 1.0], [2.0, 0.0]]
+    assert np.signbit(f.vectors[1, 1])
+
+
 # Each loader's required keys, in the order it checks them.
 REQUIRED_KEYS = {"frame": ("dim", "field", "vectors"),
                  "povm": ("dim", "effects"),

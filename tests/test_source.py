@@ -104,7 +104,7 @@ def test_class_kind_scan_sees_each_kind():
     ("field must be 'R' or 'C'", "rng.py"),  # the field check
     ("is_integer", "rng.py"),  # the integral-float test of the integer rule
     ("need at least one trial", "rng.py"),  # the trial-count message
-    (r"\[:, :, None\]", "frames.py"),  # the rank-one broadcast
+    (r"\[:, :, None\]", "linalg.py"),  # the rank-one broadcast
     (r"- (\w+ \* )?np\.eye\(", "frames.py"),  # the c I deviation
     (r"np\.abs\(\w+\) \*\* 2", "frames.py"),  # the squared-norm rule
     (r"np\.max\(np\.abs\(", "frames.py"),  # the unit-modulus deviation
@@ -116,14 +116,16 @@ def test_class_kind_scan_sees_each_kind():
     (r"np\.triu_indices", "frames.py"),  # the pairs of a Gram tile
     (r"\(right \+ sep \+ left\)\.join", "serialize.py"),  # the row rule
     (r"@ phases", "waveforms.py"),  # the ambiguity table's one product
-    (r"np\.argmax\(a\.diagonal\(\)", "linalg.py"),  # the pivot step
+    # the pivot step, over a whole stack
+    (r"np\.argmax\(a\.diagonal\(axis1=1, axis2=2\)\.real, axis=1\)",
+     "linalg.py"),
 ])
 def test_the_field_rules_are_written_once(text, home):
-    # The array rule, the mixed-relative comparison and the pivot step
-    # of the pivoted factorization live in linalg, the field draw, the
-    # field check and the integer rule in rng, the rank-one, c I,
-    # squared-norm, unit-modulus and orthonormalization rules and the
-    # pairs of a Gram tile in frames, the float format,
+    # The array rule, the mixed-relative comparison, the rank-one rule
+    # and the pivot step of the pivoted factorization live in linalg,
+    # the field draw, the field check and the integer rule in rng, the
+    # c I, squared-norm, unit-modulus and orthonormalization rules and
+    # the pairs of a Gram tile in frames, the float format,
     # the sort key of array entries and the row rule in serialize, the
     # ambiguity table's product in waveforms; a second copy elsewhere in
     # the package fails here.
@@ -484,6 +486,15 @@ def test_no_sampler_draws_its_directions_one_at_a_time():
     # (gleason._directions); no Gaussian is drawn per sample.
     tree = ast.parse((PACKAGE / "gleason.py").read_text())
     assert calls_in_loops(tree, GAUSSIAN_DRAWS) == []
+
+
+def test_the_povm_layer_factors_no_effect_on_its_own():
+    # Each POVM's effects are judged and factored as stacks, one per
+    # dtype, by the effect rule; no loop or comprehension factors them
+    # one at a time.
+    tree = ast.parse((PACKAGE / "povm.py").read_text())
+    assert calling_functions(tree, {"_pivoted_rows"}) == ["_factor_parts"]
+    assert calls_in_loops(tree, {"_pivoted_rows", "_factor_parts"}) == []
 
 
 def test_loop_call_scan_sees_each_loop_form():
