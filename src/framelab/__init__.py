@@ -11,6 +11,8 @@ unimodular vectors with vanishing autocorrelation, whose translates
 and modulates form tight Gabor frames with provably small coherence.
 """
 
+import types as _types
+
 from .errors import (
     BadCardinalityError,
     BadEpsilonError,
@@ -135,112 +137,8 @@ from .waveforms import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbiguityTable",
-    "BadCardinalityError",
-    "BadEpsilonError",
-    "BadFamilySizeError",
-    "BadNError",
-    "BadPartitionError",
-    "BadSelectorError",
-    "BornReport",
-    "BuschReport",
-    "CazacReport",
-    "CounterexampleReport",
-    "DEFAULT_TOL",
-    "DimMismatchError",
-    "FitResult",
-    "Frame",
-    "FrameFromPovm",
-    "FrameReport",
-    "FramelabError",
-    "GaborReport",
-    "GleasonFn",
-    "HermitianEig",
-    "InputError",
-    "LadderReport",
-    "MeasureCheckReport",
-    "NoConvergenceError",
-    "NotAFrameError",
-    "NotHermitianError",
-    "NotParsevalError",
-    "NotPovmError",
-    "NotPrimeError",
-    "NotSquareError",
-    "NotUnimodularError",
-    "NotUnitNormError",
-    "OutOfBallError",
-    "Povm",
-    "PovmReport",
-    "PreconditionError",
-    "ScalingReport",
-    "SingularOrIndefiniteError",
-    "SplitMix64",
-    "TooFewVectorsError",
-    "TooSmallError",
-    "VerificationReport",
-    "WeightTraceReport",
-    "Witness",
-    "ambiguity",
-    "ambiguity_to_csv",
-    "analyze_frame",
-    "analyze_gabor",
-    "analyze_povm",
-    "bjorck",
-    "bjorck_peak_bound",
-    "born_experiment",
-    "born_probabilities",
-    "busch_experiment",
-    "canonical_json",
-    "canonical_parseval",
-    "check_generalized_measure",
-    "check_povm",
-    "coherence",
-    "cos_counterexample",
-    "counterexample_battery",
-    "degree_ladder_experiment",
-    "epsilon_1d_counterexample",
-    "expnorm_gleason",
-    "fit_quadratic",
-    "frame_bounds",
-    "frame_from_json",
-    "frame_from_povm",
-    "frame_operator",
-    "frame_potential",
-    "frame_to_json",
-    "gabor_frame",
-    "gleason_from_effect_measure",
-    "harmonic_frame",
-    "hermitian_eig",
-    "homogeneity_check",
-    "is_cazac",
-    "is_effect",
-    "is_equiangular",
-    "is_parseval",
-    "load_json",
-    "parse_json",
-    "povm_from_frame",
-    "povm_from_frame_grouped",
-    "povm_from_json",
-    "povm_to_json",
-    "psd_inv_sqrt",
-    "quadratic_gleason",
-    "quadratic_phase",
-    "quadratic_zero_count_s1",
-    "random_density",
-    "random_hermitian",
-    "random_onb",
-    "random_parseval",
-    "rational_indicator_counterexample",
-    "sequence_from_json",
-    "sequence_to_json",
-    "simplex_etf",
-    "sniff_kind",
-    "standard_onb",
-    "write_json",
-    "verify_onb_gleason",
-    "verify_parseval_gleason",
-    "weight_trace_experiment",
-    "welch_bound",
-    "with_zeros",
-]
+# The public API is what the imports above bind: every global name that
+# is not private and not one of the submodules the imports also bind.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _types.ModuleType))

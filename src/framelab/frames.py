@@ -48,6 +48,8 @@ from .rng import SplitMix64, _field_blocks, _integer
 
 # Bytes of one row block of the Gram matrix in the streaming pass.
 _GRAM_BLOCK_BYTES = 2 << 20
+# A drawn row or direction of norm at most this is drawn again.
+_NORM_FLOOR = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,9 +368,9 @@ def _orthonormal_rows(
     for j in range(k):
         v = _projected(out[:, j], rows)
         norms = np.sqrt(_squared_norms(v))
-        if min(norms.tolist()) <= 1e-8:
+        if min(norms.tolist()) <= _NORM_FLOOR:
             for t, rng in enumerate(rngs):
-                while norms[t] <= 1e-8:
+                while norms[t] <= _NORM_FLOOR:
                     w = rng.field_gaussians(m, field)[None]
                     w = _projected(w, [u[t:t + 1] for u in rows])
                     v[t] = w[0]

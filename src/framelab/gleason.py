@@ -43,6 +43,7 @@ from .errors import (
     OutOfBallError,
 )
 from .frames import (
+    _NORM_FLOOR,
     Frame,
     _frame_size,
     _orthonormal_rows,
@@ -56,6 +57,7 @@ from .frames import (
 from .linalg import resolve_tol
 from .rng import (
     _NO_TRIAL,
+    _TWO_PI,
     SplitMix64,
     _check_field,
     _complex_parts,
@@ -64,9 +66,6 @@ from .rng import (
 )
 
 _BALL_SLACK = 1e-6
-# A sampled direction of norm at most this is drawn again.
-_NORM_FLOOR = 1e-8
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)

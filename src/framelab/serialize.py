@@ -54,7 +54,8 @@ its nested lists to an object array, the number rule judged once over
 the set of its leaf types, one float conversion, whose overflow is an
 integer beyond the float range, and one finiteness check.  Only when
 that fails does a reader walk the lists, to name the first defect in
-reading order.  The readers are for the lists that ``json`` gives: a
+reading order; nesting deeper than the array's axes is one, named by
+the walk.  The readers are for the lists that ``json`` gives: a
 tuple or an array nested in them may be read as a list.
 """
 
@@ -300,7 +301,7 @@ def write_json(path, obj) -> None:
 def load_json(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return parse_json(text)
 
@@ -308,7 +309,9 @@ def load_json(path):
 def parse_json(text: str):
     try:
         return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an over-long integer
+    # A JSONDecodeError, an over-long integer, or nesting deeper than
+    # the decoder's recursion allows.
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
 
 
@@ -353,8 +356,11 @@ def _numbers(item, field: str, ndim: int) -> np.ndarray | None:
     # an entry is a number or an [re, im] pair, and bare numbers among
     # pairs become [x, 0.0].  Returns the float64 array (complex128 for
     # such a field), or None for any defect, which the caller's walk
-    # names.
+    # names.  Nesting deeper than a pair is such a defect, and is refused
+    # before ``flat``, which takes at most 32 axes.
     a = np.array(item, dtype=object)
+    if a.ndim > ndim + 1:
+        return None
     kinds = set(map(type, a.flat))
     if field != "R" and a.ndim == ndim and list in kinds:
         b = np.array([x if type(x) is list else [x, 0.0] for x in a.flat],

@@ -503,6 +503,15 @@ def test_exit_2_bad_input(tmp_path):
     r = run_cli(["analyze", "long.json"], tmp_path)
     assert r.returncode == 2
 
+    (tmp_path / "deep.json").write_text(
+        '{"dim": 1, "field": "R", "vectors": %s1.0%s}' % ("[" * 33, "]" * 33))
+    (tmp_path / "latin1.json").write_bytes(b'{"mystery": "\xff"}')
+    (tmp_path / "nested.json").write_text("[" * 200_000 + "]" * 200_000)
+    for name in ("deep.json", "latin1.json", "nested.json"):
+        r = run_cli(["analyze", name], tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+
     r = run_cli(["gleason", "fit", "--spec", "no-such-kind"], tmp_path)
     assert r.returncode == 2
 

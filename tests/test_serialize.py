@@ -358,6 +358,33 @@ def test_readers_name_the_first_defect(name):
     assert str(info.value) == message
 
 
+def nested(depth):
+    """1.0 inside ``depth`` lists."""
+    item = 1.0
+    for _ in range(depth):
+        item = [item]
+    return item
+
+
+# Each reader on an array that nests ``depth`` lists deep.
+DEEP_READERS = {
+    "frame": lambda a: frame_from_json({"dim": 1, "field": "C",
+                                        "vectors": a}),
+    "povm": lambda a: povm_from_json({"dim": 1, "effects": a}),
+    "sequence": lambda a: sequence_from_json({"length": 1, "entries": a}),
+    "matrix": lambda a: serialize.matrix_from_json(a, "op"),
+}
+
+
+@pytest.mark.parametrize("depth", [33, 64])
+@pytest.mark.parametrize("reader", sorted(DEEP_READERS))
+def test_readers_name_nesting_past_numpys_axis_limit(reader, depth):
+    # NumPy's flat iterator takes at most 32 axes; the walk names the
+    # defect instead.
+    with pytest.raises(fl.InputError):
+        DEEP_READERS[reader](nested(depth))
+
+
 def test_readers_take_bare_paired_and_mixed_complex_entries():
     u = sequence_from_json({"length": 4,
                             "entries": [1, [0, -1], 2.5, [-0.0, 3]]})

@@ -119,13 +119,15 @@ def test_class_kind_scan_sees_each_kind():
     # the pivot step, over a whole stack
     (r"np\.argmax\(a\.diagonal\(axis1=1, axis2=2\)\.real, axis=1\)",
      "linalg.py"),
+    ("1e-8", "frames.py"),  # the norm floor of a drawn row or direction
+    (r"2\.0 \* math\.pi", "rng.py"),  # 2 pi
 ])
 def test_the_field_rules_are_written_once(text, home):
     # The array rule, the mixed-relative comparison, the rank-one rule
     # and the pivot step of the pivoted factorization live in linalg,
-    # the field draw, the field check and the integer rule in rng, the
-    # c I, squared-norm, unit-modulus and orthonormalization rules and
-    # the pairs of a Gram tile in frames, the float format,
+    # the field draw, the field check, the integer rule and 2 pi in rng,
+    # the c I, squared-norm, unit-modulus and orthonormalization rules,
+    # the norm floor and the pairs of a Gram tile in frames, the float format,
     # the sort key of array entries and the row rule in serialize, the
     # ambiguity table's product in waveforms; a second copy elsewhere in
     # the package fails here.
@@ -142,6 +144,21 @@ def test_the_exports_are_the_imports():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert len(set(framelab.__all__)) == len(framelab.__all__)
     assert set(framelab.__all__) == imported
+
+
+def test_the_package_imports_only_its_own_names_as_public():
+    # __all__ is the public globals of __init__, so a name imported from
+    # outside the package would join the API unless it is private.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imports = [node for node in tree.body
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports
+    for node in imports:
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 1, ast.unparse(node)
+        else:
+            assert all((alias.asname or alias.name).startswith("_")
+                       for alias in node.names), ast.unparse(node)
 
 
 def int_coercions(tree: ast.Module) -> list[str]:
