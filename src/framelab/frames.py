@@ -5,16 +5,20 @@ a field tag "R" or "C".  Real frames keep a float64 array with zero
 imaginary part by construction; complex frames keep complex128.  The
 frame operator of row matrix X is X^T conj(X) acting on column
 vectors, its extreme eigenvalues are the optimal frame bounds, and a
-frame is Parseval exactly when that operator is the identity.  The
-c I rule (largest entry of |S - c I|) is written here once, for frames,
+frame is Parseval exactly when that operator is the identity.  The c I
+rule (largest entry of |S - c I|) is written here once, for frames,
 POVMs and Gabor frames, and so are the squared-norm rule (|x|^2 summed
 over the last axis), the unit-modulus deviation (largest |m - 1|) and
-the orthonormalization rule behind every random frame: one Gram-Schmidt
-pass over a stack of Gaussian blocks, one block per generator, so that
-a verification draws all its trial frames at once and a single draw is
-a stack of one.  The projections x_j x_j* of a frame's vectors are
-complex128, by the rank-one rule of :mod:`framelab.linalg`, which the
-updates of the pivoted factorization there also use.
+the orthonormalization rule behind every random frame: one
+Gram-Schmidt pass over a stack of Gaussian blocks, one block per
+generator, so that a verification draws all its trial frames at once
+and a single draw is a stack of one.  Its first projection of each row
+is right-looking (a normalized row is projected out of every later row
+of the stack in one update) and its second runs row by row, in the
+order that gives each block the bits it has alone.  The projections
+x_j x_j* of a frame's vectors are complex128, by the rank-one rule of
+:mod:`framelab.linalg`, which the updates of the pivoted factorization
+there also use.
 
 No diagnostic forms the N x N Gram matrix.  Coherence and
 equiangularity stream it in row blocks of bounded size, and the frame
@@ -339,43 +343,58 @@ def standard_onb(d: int, field: str = "R") -> Frame:
     return Frame(np.eye(d), field)
 
 
-def _projected(v: np.ndarray, rows: Sequence[np.ndarray]) -> np.ndarray:
-    # The projection step of the orthonormalization rule on a stack:
-    # row t of v projected off row t of each of ``rows`` in turn, twice.
-    # One pass leaves errors that grow as the row loses norm to the
-    # projection, the second brings orthonormality to roundoff.
+def _project(v: np.ndarray, rows: Sequence[np.ndarray]) -> None:
+    # The projection step of the orthonormalization rule on a stack, in
+    # place: row t of v projected off row t of each of ``rows`` in turn.
     # np.vecdot conjugates its first argument, as np.vdot does, and has
     # np.vdot's bits row by row.
-    for _ in range(2):
-        for u in rows:
-            v = v - np.vecdot(u, v)[:, None] * u
-    return v
+    for u in rows:
+        v -= np.vecdot(u, v)[:, None] * u
 
 
 def _orthonormal_rows(
     rngs: Sequence[SplitMix64], k: int, m: int, field: str
 ) -> np.ndarray:
-    # The orthonormalization rule: Gram-Schmidt on the rows of k x m
-    # Gaussian blocks (k <= m), one per generator, each drawn in one
-    # call, returned as a (len(rngs), k, m) stack.  Row j of every block
-    # is projected and normalized in one pass over the stack, so each
-    # block gets the bits it gets when its generator runs alone.  A row
-    # that falls too close to the span of the earlier ones, which for
-    # continuous Gaussians essentially never happens, is replaced by a
-    # fresh draw from its own generator after that generator's block.
-    out = _field_blocks(rngs, (k, m), field)
+    # The orthonormalization rule on k x m Gaussian blocks (k <= m), one
+    # per generator, drawn as one stack: a (len(rngs), k, m) stack.
+    return _orthonormalize(rngs, _field_blocks(rngs, (k, m), field), field)
+
+
+def _orthonormalize(
+    rngs: Sequence[SplitMix64], out: np.ndarray, field: str
+) -> np.ndarray:
+    # Gram-Schmidt, in place, on the rows of the (len(rngs), k, m) stack
+    # out of blocks drawn from rngs; returns out.  Every row is projected
+    # off each earlier row twice: one pass leaves errors that grow as
+    # the row loses norm to the projection, the second brings
+    # orthonormality to roundoff.  The first pass is right-looking: once
+    # row j is normalized, every later row of every block is projected
+    # off it in one update.  The second runs row by row, and a row's
+    # projections come in the same order either way, so each block gets
+    # the bits it gets when its generator runs alone.  A row that falls
+    # too close to the span of the earlier ones, which for continuous
+    # Gaussians essentially never happens, is replaced by a fresh draw
+    # from its own generator after that generator's block, projected
+    # twice.
+    m = out.shape[2]
     rows: list[np.ndarray] = []
-    for j in range(k):
-        v = _projected(out[:, j], rows)
+    for j in range(out.shape[1]):
+        v = out[:, j]
+        _project(v, rows)
         norms = np.sqrt(_squared_norms(v))
         if min(norms.tolist()) <= _NORM_FLOOR:
             for t, rng in enumerate(rngs):
                 while norms[t] <= _NORM_FLOOR:
+                    own = [u[t:t + 1] for u in rows]
                     w = rng.field_gaussians(m, field)[None]
-                    w = _projected(w, [u[t:t + 1] for u in rows])
+                    _project(w, own)
+                    _project(w, own)
                     v[t] = w[0]
                     norms[t] = np.sqrt(_squared_norms(w))[0]
-        rows.append(np.divide(v, norms[:, None], out=out[:, j]))
+        v /= norms[:, None]
+        rows.append(v)
+        rest = out[:, j + 1:]
+        rest -= np.vecdot(v[:, None], rest)[..., None] * v[:, None]
     return out
 
 

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .frames import Frame, random_parseval
 from .linalg import resolve_tol
-from .rng import _NO_TRIAL, _STACK_PASS, SplitMix64, _integer
+from .rng import _NO_TRIAL, _STACK_PASS, SplitMix64, _field_runs, _integer
 
 # Bound here though every frame draw of this module is stacked:
 # perfbench's tracer wraps random_parseval at each module that imports
@@ -450,19 +450,23 @@ def _random_povms(
 ) -> Iterator[Povm]:
     # The POVM of each plan, in plan order.  Plans are taken one hash
     # pass of generators at a time, so a check of many trials holds one
-    # pass of plans and frames; the frames of each n in a pass are drawn
-    # as one stack, each with the bits of random_parseval on its
-    # generator.  The frames are Parseval by construction, so the
+    # pass of plans and frames.  The Gaussian blocks of a pass, of every
+    # n, are drawn in one _field_runs call; the frames of each n are
+    # orthonormalized as one stack, each with the bits of random_parseval
+    # on its generator.  The frames are Parseval by construction, so the
     # grouping checks them at the default tolerance; a caller's tol
     # judges only its verdict.
     plans = iter(plans)
     while part := list(itertools.islice(plans, _STACK_PASS)):
         sizes = [n for n, _, _ in part]
+        flat = _field_runs([p[1] for p in part], [d * n for n in sizes], field)
+        starts = [0, *itertools.accumulate(d * n for n in sizes)]
         rows: dict[int, np.ndarray] = {}
         for n in dict.fromkeys(sizes):
             trials = [t for t, size in enumerate(sizes) if size == n]
-            stack = frames._orthonormal_rows(
-                [part[t][1] for t in trials], d, n, field)
+            blocks = np.stack([flat[starts[t]:starts[t + 1]] for t in trials])
+            stack = frames._orthonormalize(
+                [part[t][1] for t in trials], blocks.reshape(-1, d, n), field)
             rows.update(zip(trials, stack))
         for t, (_, _, groups) in enumerate(part):
             yield povm_from_frame_grouped(Frame(rows.pop(t).T, field), groups)

@@ -5,20 +5,29 @@ seeded with a caller-supplied integer, so identical seeds reproduce
 identical results on every platform.  SplitMix64 is counter-based:
 word k after state s is mix(s + k * gamma) (Steele, Lea and Flood,
 OOPSLA 2014), so its words are hashed ahead of use, in blocks, by one
-hash rule (:func:`_fill`) in exact uint64 NumPy arithmetic.  A
-generator reads one word off its block in :meth:`SplitMix64.u64`, and
-every multi-word draw reads through :meth:`SplitMix64._take`; one fill
-serves a pass of a stack of generators that each draw one block of
-Gaussians (:func:`_field_blocks`).  Gaussian variates come from the
-Box-Muller transform applied to those words; complex Gaussians are
+hash rule (:func:`_fill`) in exact uint64 NumPy arithmetic, and a
+generator keeps its block as that uint64 array.  A generator reads one
+word off its block, as a Python int, in :meth:`SplitMix64.u64`, and
+every multi-word draw reads an array of words through
+:meth:`SplitMix64._take`.  Normals are drawn as runs, one per
+generator of a draw or of a pass of a stack (:func:`_normal_runs`,
+behind :func:`_field_runs` and :func:`_field_blocks`), in rounds of at
+most _FILL_MAX normals a generator: one fill hashes a round's words
+and one transform serves the whole round.  Gaussian variates come from
+the Box-Muller transform applied to those words; complex Gaussians are
 standard circular ones with unit total variance.  Every Gaussian, real
-or complex, comes from one private loop (:func:`_box_muller`), so the
-transform is written once; the second normal of a pair is cached as
-the generator's spare for its next draw.  A sampler that draws a
-direction and then a few uniforms per sample takes them all from one
-planned run of the stream (:meth:`SplitMix64._run`): the words are
-laid out, hashed in blocks and transformed once, with the bits, spare
-and end state of the draws made one by one.
+or complex, comes from one private whole-array transform
+(:func:`_box_muller`), so the transform is written once: exact
+uniforms, libm's log through ``math.log`` (NumPy's own log differs
+from libm in the last bit on some inputs), and NumPy float64 sqrt,
+cos, sin and products, which give libm's bits (a test checks them
+against ``math``).  The second normal of a pair is cached as the
+generator's spare for its next draw.  A sampler that draws a direction
+and then a few uniforms per sample takes them all from one planned run
+of the stream (:meth:`SplitMix64._run`): the words are laid out,
+hashed in blocks, told apart by one mask and transformed once, with
+the bits, spare and end state of the draws made one by one.  No Python
+loop runs per word, per pair or per step.
 
 The package's integer and field rules live here too, in its lowest
 module.  Integer rule (:func:`_integer`): a count, index or seed a
@@ -36,6 +45,7 @@ an :class:`InputError`.  Field rule (:func:`_check_field`): a field is
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from typing import Callable, Sequence
@@ -54,6 +64,7 @@ _FILL_MIN = 64
 _FILL_MAX = 1024
 _STACK_PASS = 64
 _STEPS = np.arange(1, _FILL_MAX + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+_NO_WORDS = np.empty(0, np.uint64)
 _TWO_PI = 2.0 * math.pi
 _ULP = 2.0 ** -53
 _ROOT2 = math.sqrt(2.0)
@@ -126,10 +137,28 @@ def _fill(rngs: Sequence[SplitMix64], count: int) -> None:
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB
     z ^= z >> 31
-    for rng, base, words in zip(short, bases, z.tolist()):
+    for rng, base, words in zip(short, bases, z):
         rng._base = base
         rng._words = words
         rng._read = 0
+
+
+def _field_runs(
+    rngs: Sequence[SplitMix64], counts: Sequence[int], field: str
+) -> np.ndarray:
+    # rngs[t].field_gaussians(counts[t], field) for each t, one after
+    # the other in one flat array, drawn by one _normal_runs.  Each
+    # generator then drops its unread words: its state and spare are
+    # kept and its next draw hashes those words again, so the stream is
+    # unchanged and a stack holds no words between passes.
+    _check_field(field)
+    width = 2 if field == "C" else 1
+    counts = [width * count for count in counts]
+    normals = np.empty(sum(counts))
+    _normal_runs(rngs, counts, normals)
+    for rng in rngs:
+        rng._base, rng._words, rng._read = rng.state, _NO_WORDS, 0
+    return _complex_parts(normals) if field == "C" else normals
 
 
 def _field_blocks(
@@ -137,38 +166,70 @@ def _field_blocks(
 ) -> np.ndarray:
     # Block t of the result is rngs[t].field_gaussians(shape, field).
     # The block's size check comes first, so that a block too large is
-    # named as its own draw names it, then the stack's.  The generators
-    # are then filled with a block's words _STACK_PASS at a time, one
-    # hash pass each, and each drops its unread words after its block:
-    # its state and spare are kept and the next draw hashes those words
-    # again, so the stream is unchanged and the stack never holds more
-    # than one pass of blocks.
+    # named as its own draw names it, then the stack's.  The blocks are
+    # then drawn _STACK_PASS generators at a time, one run each, so the
+    # stack never holds more than one pass of words.
     _check_field(field)
     dtype = np.complex128 if field == "C" else np.float64
-    words = _draw_array(shape, dtype).size * (2 if field == "C" else 1) + 1
+    size = _draw_array(shape, dtype).size
     out = _draw_array((len(rngs),) + shape, dtype)
+    flat = out.reshape(len(rngs), size)
     for start in range(0, len(rngs), _STACK_PASS):
         part = rngs[start:start + _STACK_PASS]
-        _fill(part, words)
-        for t, rng in enumerate(part, start):
-            out[t] = rng.field_gaussians(shape, field)
-            rng._base, rng._words, rng._read = rng.state, [], 0
+        flat[start:start + len(part)] = _field_runs(
+            part, [size] * len(part), field).reshape(len(part), size)
     return out
 
 
-def _box_muller(words: Sequence[int], out: list[float]) -> None:
-    # The Box-Muller transform: each pair of words appends two normals
-    # to out.  Every Gaussian of the package comes from this loop.
-    pairs = iter(words)
-    append = out.append
-    for w1, w2 in zip(pairs, pairs):
-        # Shift into (0, 1] so the log never sees zero.
-        u1 = ((w1 >> 11) + 1) * _ULP
-        u2 = (w2 >> 11) * _ULP
-        radius = math.sqrt(-2.0 * math.log(u1))
-        theta = _TWO_PI * u2
-        append(radius * math.cos(theta))
-        append(radius * math.sin(theta))
+def _normal_runs(
+    rngs: Sequence[SplitMix64], counts: Sequence[int], out: np.ndarray
+) -> None:
+    # The next counts[t] normals of each generator t, as its own draw
+    # gives them, spare rule and all, written one run after the other
+    # into the flat float64 array out.  The runs are drawn in rounds of
+    # at most _FILL_MAX normals a generator, each round's words hashed
+    # in one fill and sent through the transform together, so a long
+    # run holds one bounded block of words per generator.
+    ends = itertools.accumulate(counts)
+    runs = [out[end - count:end] for end, count in zip(ends, counts)]
+    for done in range(0, max(counts, default=0), _FILL_MAX):
+        parts = [run[done:done + _FILL_MAX] for run in runs]
+        _fill(rngs, max(map(len, parts)) + 1)
+        takes, heads = [], []
+        for rng, part in zip(rngs, parts):
+            head = len(part) > 0 and rng._spare is not None
+            need = len(part) - head
+            takes.append(rng._take(need + need % 2))
+            heads.append(head)
+        normals = _box_muller(np.concatenate(takes))
+        at = 0
+        for rng, part, head, words in zip(rngs, parts, heads, takes):
+            if len(part):
+                if head:
+                    part[0] = rng._spare
+                end = at + len(part) - head
+                part[head:] = normals[at:end]
+                at += len(words)
+                rng._spare = normals.item(end) if at > end else None
+
+
+def _box_muller(words: np.ndarray) -> np.ndarray:
+    # The Box-Muller transform: word pair i gives normals 2i and 2i + 1.
+    # Every Gaussian of the package comes from here.  The uniforms are
+    # exact, u1 shifted into (0, 1] so the log never sees zero.  The log
+    # is libm's, one math.log per pair; sqrt, cos, sin and the products
+    # are NumPy float64 ufuncs, which give libm's bits.
+    u = (words >> 11) * _ULP
+    u1 = u[0::2]
+    u1 += _ULP
+    radius = np.sqrt(-2.0 * np.array(list(map(math.log, u1.tolist()))))
+    theta = _TWO_PI * u[1::2]
+    out = np.empty(len(words))
+    pairs = out.reshape(-1, 2)
+    np.cos(theta, out=pairs[:, 0])
+    np.sin(theta, out=pairs[:, 1])
+    pairs *= radius[:, None]
+    return out
 
 
 def _complex_parts(flat: np.ndarray) -> np.ndarray:
@@ -196,7 +257,7 @@ class SplitMix64:
 
     def __init__(self, seed: int):
         self._base = _integer(seed, "seed") & _MASK
-        self._words: list[int] = []
+        self._words = _NO_WORDS
         self._read = 0
         self._spare: float | None = None
 
@@ -212,7 +273,7 @@ class SplitMix64:
             _fill((self,), 1)
             read = 0
         self._read = read + 1
-        return self._words[read]
+        return self._words.item(read)
 
     def uniform(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
@@ -226,40 +287,34 @@ class SplitMix64:
             raise InputError(f"below() needs a bound <= 2**64, got {n}")
         return self.u64() % n
 
-    def _normals(self, count: int) -> list[float]:
-        # Words are read _FILL_MAX at a time, so a long draw holds one
-        # bounded block of them.
-        out: list[float] = []
-        if self._spare is not None and count > 0:
-            out.append(self._spare)
-            self._spare = None
-            count -= 1
-        words = count + count % 2
-        for start in range(0, words, _FILL_MAX):
-            _box_muller(self._take(min(_FILL_MAX, words - start)), out)
-        if count % 2:
-            self._spare = out.pop()
+    def _normals(self, count: int) -> np.ndarray:
+        out = np.empty(count)
+        _normal_runs((self,), (count,), out)
         return out
 
-    def _take(self, count: int) -> list[int]:
+    def _take(self, count: int) -> np.ndarray:
         # The next count words, and the generator moves past them: the
         # one reader of multi-word draws.  A block is read to its end
         # before _fill hashes the next.
         read = self._read
         words = self._words[read:read + count]
         self._read = read + len(words)
-        while len(words) < count:
-            _fill((self,), count - len(words))
-            more = self._words[:count - len(words)]
-            self._read = len(more)
-            words += more
-        return words
+        left = count - len(words)
+        if not left:
+            return words
+        parts = [words]
+        while left:
+            _fill((self,), left)
+            parts.append(self._words[:left])
+            self._read = len(parts[-1])
+            left -= self._read
+        return np.concatenate(parts)
 
     def _run(
         self,
         width: int,
         uniforms: Sequence[int],
-        keep: Callable[[list[float]], int],
+        keep: Callable[[np.ndarray], int],
     ) -> list[float]:
         # Steps that each draw width >= 1 normals, as _normals(width)
         # does, and then uniforms[i] uniforms, as uniform() does, from
@@ -272,38 +327,35 @@ class SplitMix64:
         # steps' uniforms in order.
         draws: list[float] = []
         while uniforms:
-            # Plan: where each step's pair words and uniform words end,
-            # and whether a spare is held after its normals.
+            # Plan: step i holds a spare before its normals when held[i],
+            # and after the last step when held[-1]; the spare flips at
+            # each step when width is odd.  Step i draws its pair words,
+            # which end at ends[2i], then its uniform words; one mask
+            # over the taken words tells the two apart.
             start, spare = self.state, self._spare
-            held = spare is not None
-            plan, total = [], 0
-            for u in uniforms:
-                pairs = (width - held + 1) // 2
-                held = 2 * pairs + held > width
-                total += 2 * pairs
-                plan.append((total, total + u, held))
-                total += u
-            words = self._take(total)
-            pair_words: list[int] = []
-            uniform_words: list[int] = []
-            at = 0
-            for paired, drawn, _ in plan:
-                pair_words += words[at:paired]
-                uniform_words += words[paired:drawn]
-                at = drawn
-            normals = [] if spare is None else [spare]
-            _box_muller(pair_words, normals)
-            kept = keep(normals[:len(uniforms) * width])
-            last = min(kept, len(uniforms) - 1)
-            paired, _, held = plan[last]
-            self._spare = normals[(last + 1) * width] if held else None
+            steps = len(uniforms)
+            held = (np.arange(steps + 1) * (width % 2)
+                    + (spare is not None)) % 2
+            lengths = np.empty(2 * steps, np.int64)
+            lengths[0::2] = (width + 1 - held[:-1]) // 2 * 2
+            lengths[1::2] = uniforms
+            ends = np.cumsum(lengths)
+            words = self._take(int(ends[-1]))
+            paired = np.repeat(np.arange(2 * steps) % 2 == 0, lengths)
+            normals = _box_muller(words[paired])
+            if spare is not None:
+                normals = np.concatenate(([spare], normals))
+            kept = keep(normals[:steps * width])
+            last = min(kept, steps - 1)
+            self._spare = (normals.item((last + 1) * width)
+                           if held[last + 1] else None)
             done = sum(uniforms[:kept])
-            draws += [(w >> 11) * _ULP for w in uniform_words[:done]]
-            if kept == len(uniforms):
+            draws += ((words[~paired][:done] >> 11) * _ULP).tolist()
+            if kept == steps:
                 return draws
             # Redraw: back to the end of the refused step's normals.
-            self._base = (start + paired * _GAMMA) & _MASK
-            self._words, self._read = [], 0
+            self._base = (start + int(ends[2 * last]) * _GAMMA) & _MASK
+            self._words, self._read = _NO_WORDS, 0
             uniforms = uniforms[kept:]
         return draws
 

@@ -168,7 +168,9 @@ def _generator_state(rng):
 
 class _RepeatedRow(SplitMix64):
     """A generator whose first block repeats row 0 as row 1, so that
-    row 1 projects to zero and must be redrawn."""
+    row 1 projects to zero and must be redrawn.  The per-row rule draws
+    that block with field_gaussians; a stack draws it in _field_blocks,
+    which _repeat_rows_in_stacks patches."""
 
     def __init__(self, seed):
         super().__init__(seed)
@@ -180,6 +182,21 @@ class _RepeatedRow(SplitMix64):
             self.first = False
             out[1] = out[0]
         return out
+
+
+def _repeat_rows_in_stacks(monkeypatch):
+    # Row 1 of each _RepeatedRow's first stacked block repeats row 0.
+    draw = fl.frames._field_blocks
+
+    def blocks(rngs, shape, field):
+        out = draw(rngs, shape, field)
+        for t, rng in enumerate(rngs):
+            if isinstance(rng, _RepeatedRow) and rng.first:
+                rng.first = False
+                out[t, 1] = out[t, 0]
+        return out
+
+    monkeypatch.setattr(fl.frames, "_field_blocks", blocks)
 
 
 @pytest.mark.parametrize("field", ["R", "C"])
@@ -202,7 +219,8 @@ def test_stacked_orthonormal_rows_match_the_per_row_rule(field):
 
 @pytest.mark.parametrize("field, k, m", [("R", 3, 5), ("C", 3, 4),
                                          ("R", 2, 2), ("C", 4, 6)])
-def test_a_degenerate_row_is_redrawn_from_its_own_generator(field, k, m):
+def test_a_degenerate_row_is_redrawn_from_its_own_generator(
+        field, k, m, monkeypatch):
     # Row 1 of the middle generator's block repeats row 0, so it
     # projects to zero and is redrawn after that generator's block; its
     # neighbours in the stack are untouched, and each frame is the one
@@ -211,6 +229,7 @@ def test_a_degenerate_row_is_redrawn_from_its_own_generator(field, k, m):
     def stack_of_three():
         return [SplitMix64(11), _RepeatedRow(22), SplitMix64(33)]
 
+    _repeat_rows_in_stacks(monkeypatch)
     rngs = stack_of_three()
     stack = fl.frames._orthonormal_rows(rngs, k, m, field)
     for rng, solo_rng, got in zip(rngs, stack_of_three(), stack):

@@ -524,24 +524,30 @@ def test_measure_checks_see_the_effects_of_the_per_trial_rule(field):
 
 def test_a_measure_check_stacks_each_frame_size_of_each_pass(monkeypatch):
     # One orthonormalization pass per distinct frame size among each
-    # pass of plans, which covers every trial once; random_parseval is
-    # not called.
-    stacks = []
-    rule = fl.frames._orthonormal_rows
+    # pass of plans, which covers every trial once, over blocks of every
+    # size drawn in one run per pass; random_parseval is not called.
+    stacks, runs = [], []
+    rule, draw = fl.frames._orthonormalize, fl.povm._field_runs
 
-    def spy(rngs, k, m, field):
-        stacks.append((len(rngs), k, m, field))
-        return rule(rngs, k, m, field)
+    def spy(rngs, out, field):
+        stacks.append((len(rngs),) + out.shape[1:] + (field,))
+        return rule(rngs, out, field)
+
+    def spy_draw(rngs, counts, field):
+        runs.append(list(counts))
+        return draw(rngs, counts, field)
 
     def no_single_draw(*args, **kwargs):
         raise AssertionError("a trial drew its own frame")
 
-    monkeypatch.setattr(fl.frames, "_orthonormal_rows", spy)
+    monkeypatch.setattr(fl.frames, "_orthonormalize", spy)
+    monkeypatch.setattr(fl.povm, "_field_runs", spy_draw)
     monkeypatch.setattr(fl.frames, "random_parseval", no_single_draw)
     monkeypatch.setattr(fl.povm, "random_parseval", no_single_draw)
     size = fl.rng._STACK_PASS
     for trials in (12, 2 * size + 5):
         stacks.clear()
+        runs.clear()
         fl.check_generalized_measure(lambda e: 0.5, 3, 5, trials=trials,
                                      seed=4)
         rng = SplitMix64(4)
@@ -552,6 +558,8 @@ def test_a_measure_check_stacks_each_frame_size_of_each_pass(monkeypatch):
             want.extend((part.count(n), 3, n, "C")
                         for n in dict.fromkeys(part))
         assert stacks == want
+        assert runs == [[3 * n for n in sizes[start:start + size]]
+                        for start in range(0, trials, size)]
         assert len(want) > len(range(0, trials, size))
 
 

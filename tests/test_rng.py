@@ -359,10 +359,26 @@ def test_draws_refuse_a_size_numpy_cannot_hold_before_drawing(name):
 # --- the hash rule in blocks -------------------------------------------------
 
 
+def _scalar_box_muller(words, out):
+    # The scalar Box-Muller loop the array transform replaced, as it
+    # was written: each pair of words appends two normals to out.  The
+    # oracle of the transform's bits.
+    pairs = iter(words)
+    append = out.append
+    for w1, w2 in zip(pairs, pairs):
+        # Shift into (0, 1] so the log never sees zero.
+        u1 = ((w1 >> 11) + 1) * 2.0 ** -53
+        u2 = (w2 >> 11) * 2.0 ** -53
+        radius = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        append(radius * math.cos(theta))
+        append(radius * math.sin(theta))
+
+
 class _ReferenceSplitMix64:
     """The word-by-word generator the block fills replaced: one
-    SplitMix64 step per word in Python ints, and the Box-Muller loop
-    with the step inlined.  The oracle of the block fills' bits."""
+    SplitMix64 step per word in Python ints, and the scalar Box-Muller
+    loop.  The oracle of the block fills' and the transform's bits."""
 
     _MASK = (1 << 64) - 1
     _GAMMA = 0x9E3779B97F4A7C15
@@ -391,13 +407,8 @@ class _ReferenceSplitMix64:
             out.append(self._spare)
             self._spare = None
             count -= 1
-        for _ in range((count + 1) // 2):
-            u1 = ((self.u64() >> 11) + 1) * 2.0 ** -53
-            u2 = (self.u64() >> 11) * 2.0 ** -53
-            radius = math.sqrt(-2.0 * math.log(u1))
-            theta = 2.0 * math.pi * u2
-            out.append(radius * math.cos(theta))
-            out.append(radius * math.sin(theta))
+        words = [self.u64() for _ in range(count + count % 2)]
+        _scalar_box_muller(words, out)
         if count % 2:
             self._spare = out.pop()
         return out
@@ -510,11 +521,160 @@ def test_field_blocks_draw_each_generators_own_block(shape, field):
     draw = "gaussians" if field == "R" else "complex_gaussians"
     for block, rng, ref in zip(stack, rngs, refs):
         assert block.tobytes() == getattr(ref, draw)(shape).tobytes()
-        assert rng._words == []
+        assert rng._words.size == 0
         assert rng.state == ref.state
         assert repr(rng._spare) == repr(ref._spare)
         _same_draw(rng, ref, "gaussians", 5)
         _same_draw(rng, ref, "u64")
+
+
+# --- the transform in whole-array passes ------------------------------------
+
+# Counts of normals around the fill bounds of 64 and 1024 words.
+DRAW_COUNTS = (0, 1, 2, 3, 63, 64, 65, 1023, 1024, 1025, 2049)
+ORACLE_SEEDS = REFERENCE_SEEDS + ZERO_RADIUS_SEEDS
+STARTS = ("fresh", "spare", "partly-read")
+
+
+def _started(seed, start):
+    # A generator and its reference, fresh, holding a spare, or partly
+    # into a block without one.
+    rng, ref = SplitMix64(seed), _ReferenceSplitMix64(seed)
+    if start == "spare":
+        _same_draw(rng, ref, "gaussians", 1)
+    elif start == "partly-read":
+        for _ in range(5):
+            _same_draw(rng, ref, "u64")
+    return rng, ref
+
+
+def test_the_transform_matches_the_scalar_loop():
+    # Pairs of random words, and words at the ends of the uniforms'
+    # range: u1 = 2**-53 and 1, u2 = 0 and 1 - 2**-53.
+    words = np.random.default_rng(3).integers(
+        0, 2**64 - 1, 20_000, dtype=np.uint64, endpoint=True)
+    ends = np.array([0, 2**11 - 1, 2**11, 2**64 - 1, 2**64 - 2**11, 2**63],
+                    dtype=np.uint64)
+    words = np.concatenate([words, np.repeat(ends, 2), np.tile(ends, 2)])
+    want: list[float] = []
+    _scalar_box_muller(words.tolist(), want)
+    got = fl.rng._box_muller(words)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert fl.rng._box_muller(words[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("start", STARTS)
+@pytest.mark.parametrize("method", ["gaussians", "complex_gaussians"])
+def test_draws_match_the_scalar_transform(method, start):
+    for seed in ORACLE_SEEDS:
+        for count in DRAW_COUNTS:
+            rng, ref = _started(seed, start)
+            _same_draw(rng, ref, method, count)
+            _same_draw(rng, ref, method, 3)
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_stacked_draws_match_the_scalar_transform(field):
+    # Every seed from every start in one stack, at each count; then one
+    # run of a different count per generator.
+    draw = "gaussians" if field == "R" else "complex_gaussians"
+    for count in DRAW_COUNTS:
+        rngs, refs = zip(*[_started(seed, start) for seed in ORACLE_SEEDS
+                           for start in STARTS])
+        stack = fl.rng._field_blocks(list(rngs), (count,), field)
+        for block, rng, ref in zip(stack, rngs, refs):
+            assert block.tobytes() == getattr(ref, draw)(count).tobytes()
+            assert rng.state == ref.state
+            assert repr(rng._spare) == repr(ref._spare)
+            _same_draw(rng, ref, draw, 3)
+    rngs, refs = zip(*[_started(seed, start) for seed in ORACLE_SEEDS
+                       for start in STARTS])
+    counts = [DRAW_COUNTS[t % len(DRAW_COUNTS)] for t in range(len(rngs))]
+    runs = fl.rng._field_runs(list(rngs), counts, field)
+    want = np.concatenate([getattr(ref, draw)(count)
+                           for ref, count in zip(refs, counts)])
+    assert runs.tobytes() == want.tobytes()
+    for rng, ref in zip(rngs, refs):
+        assert rng._words.size == 0
+        _same_draw(rng, ref, draw, 3)
+
+
+def _steps_one_at_a_time(ref, width, uniforms, refused):
+    # The steps of a planned run drawn one by one: a step's normals,
+    # drawn again when the count of directions drawn so far is in
+    # refused, then its uniforms.
+    normals, draws, drawn = [], [], 0
+    for count in uniforms:
+        while True:
+            step = ref._normals(width)
+            drawn += 1
+            if drawn - 1 not in refused:
+                break
+        normals += step
+        draws += [ref.uniform() for _ in range(count)]
+    return normals, draws
+
+
+# (uniforms, refused directions) of planned runs.
+RUN_PLANS = [
+    ([], set()), ([0], set()), ([1, 0, 2], set()),
+    ([i % 4 for i in range(65)], set()), ([2] * 40, {0, 3, 4, 39}),
+    ([0, 1] * 20, {1, 40}),
+]
+
+
+@pytest.mark.parametrize("start", STARTS)
+def test_planned_runs_match_the_scalar_transform(start):
+    for width in (1, 2, 3, 6, 63, 64, 65):
+        for uniforms, refused in RUN_PLANS:
+            for seed in (1, 7919) + ZERO_RADIUS_SEEDS:
+                rng, ref = _started(seed, start)
+                got, seen = [], 0
+
+                def keep(normals):
+                    nonlocal seen
+                    block = normals.reshape(-1, width)
+                    kept = len(block)
+                    hit = sorted(r - seen for r in refused
+                                 if 0 <= r - seen < kept)
+                    kept = hit[0] if hit else kept
+                    got.append(block[:kept].copy())
+                    seen += kept + (kept < len(block))
+                    return kept
+
+                draws = rng._run(width, uniforms, keep)
+                normals, want = _steps_one_at_a_time(
+                    ref, width, uniforms, refused)
+                got_normals = np.concatenate(got) if got else np.empty(0)
+                assert got_normals.tobytes() == np.array(normals).tobytes()
+                assert np.array(draws).tobytes() == np.array(want).tobytes()
+                assert rng.state == ref.state
+                assert repr(rng._spare) == repr(ref._spare)
+                _same_draw(rng, ref, "gaussians", 3)
+
+
+def test_numpys_cos_sin_and_sqrt_have_libms_bits():
+    # The transform's premise: at the angles 2 pi u2 and the squared
+    # radii -2 log u1 of 200,000 draws, and at the ends of their range,
+    # NumPy's float64 cos, sin and sqrt give math's bits, into a
+    # contiguous array and into every other entry of one, as the
+    # transform writes them.
+    words = np.random.default_rng(7).integers(
+        0, 2**64 - 1, 400_000, dtype=np.uint64, endpoint=True)
+    u = (words >> 11) * 2.0 ** -53
+    ulps = np.arange(1000, dtype=np.float64)
+    u2 = np.concatenate([u[1::2], ulps * 2.0 ** -53, 1.0 - ulps * 2.0 ** -53])
+    u1 = np.concatenate([u[0::2] + 2.0 ** -53, (ulps + 1) * 2.0 ** -53,
+                         1.0 - ulps * 2.0 ** -53])
+    theta = 2.0 * math.pi * u2
+    squares = -2.0 * np.array([math.log(x) for x in u1.tolist()])
+    assert len(theta) >= 200_000 and len(squares) >= 200_000
+    for name, x in [("cos", theta), ("sin", theta), ("sqrt", squares)]:
+        want = np.array([getattr(math, name)(v) for v in x.tolist()])
+        every_other = np.empty((len(x), 2))
+        getattr(np, name)(x, out=every_other[:, 0])
+        assert getattr(np, name)(x).tobytes() == want.tobytes(), name
+        assert every_other[:, 0].tobytes() == want.tobytes(), name
 
 
 def test_a_tall_stack_holds_one_pass_of_words():
@@ -573,6 +733,24 @@ def test_a_draw_too_large_names_its_shape_before_any_fill(draw, shape):
         draw()
 
 
+
+@pytest.mark.parametrize("stack", [1, 4])
+def test_a_long_stacked_block_holds_one_round_of_words(stack):
+    # A stack draws its runs in rounds of at most 1024 normals a
+    # generator, so a long block holds the stack, the pass's flat run of
+    # normals and one round of words and temporaries.  Sending a pass's
+    # whole run through the transform at once peaked at 72.2 MB, against
+    # this draw's 16.1 MB (tracemalloc, CPython 3.11, NumPy 2.4).
+    rngs = [SplitMix64(s) for s in range(stack)]
+    tracemalloc.start()
+    try:
+        out = fl.rng._field_blocks(rngs, (10**6 // stack,), "R")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.nbytes + 2**20
+
+
 _DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
@@ -585,6 +763,16 @@ for rng in rngs[::2]:
     rng.gaussians(9)
 _fill(rngs, 300)
 h.update(_field_blocks(rngs[1:], (3, 5), "C").tobytes())
+stack = [SplitMix64(s) for s in range(64)]
+for rng in stack[::3]:
+    rng.gaussians(1)
+h.update(_field_blocks(stack, (4, 7), "C").tobytes())
+h.update(_field_blocks(stack, (3, 5), "R").tobytes())
+h.update(_field_blocks(stack[:5], (2, 600), "C").tobytes())
+run, normals = SplitMix64(5), []
+draws = run._run(3, [i % 3 for i in range(100)],
+                 lambda block: normals.append(block.copy()) or 100)
+h.update(np.concatenate(normals).tobytes() + repr(draws).encode())
 for rng in rngs:
     h.update(str([rng.u64() for _ in range(70)]).encode())
     for shape in (1, 7, 64, 1025, (3, 5)):
@@ -622,8 +810,12 @@ def _run_digest(env):
 @pytest.mark.parametrize("switch", sorted(SWITCHES))
 def test_the_draws_keep_their_bits_under_each_kernel_switch(switch):
     # The words are integer ufuncs, which do not round, and the
-    # Box-Muller step is libm's, so no SIMD level or BLAS kernel moves a
-    # bit: rng is a control group of the byte sweep's switches.
+    # Box-Muller step takes libm's log and NumPy's float64 sqrt, cos and
+    # sin, which have libm's bits at every SIMD level, so no SIMD level
+    # or BLAS kernel moves a bit: rng is a control group of the byte
+    # sweep's switches.  The script draws a 64-generator stacked pass,
+    # a stack of runs longer than one round and a planned run, so the
+    # array transform runs under each switch.
     env, needs = SWITCHES[switch]
     from numpy._core._multiarray_umath import __cpu_features__
     missing = [f for f in needs if not __cpu_features__.get(f)]

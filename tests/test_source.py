@@ -2,11 +2,13 @@
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 import framelab
+from framelab import SplitMix64
 
 PACKAGE = Path(__file__).parent.parent / "src" / "framelab"
 SOURCES = sorted(
@@ -418,11 +420,13 @@ def test_constant_scan_sees_the_innermost_function():
     assert functions_using(tree, {7, 8}) == ["<module>", "f", "f", "g"]
 
 
-def functions_calling(tree: ast.Module, owner: str | None, names: set[str]
-                      ) -> list[str]:
+def functions_calling(tree: ast.Module, owner: str | None, names: set[str],
+                      passed: bool = False) -> list[str]:
     """The innermost functions of a module, methods among them, that
     call ``owner.name`` for a name in ``names``, or the bare ``name``
-    when ``owner`` is None, one entry per call."""
+    when ``owner`` is None, one entry per call.  With ``passed``, a
+    function handed to a call as an argument, as in ``map(math.log,
+    xs)``, counts as called there."""
     found = []
 
     def called(func):
@@ -437,8 +441,9 @@ def functions_calling(tree: ast.Module, owner: str | None, names: set[str]
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and called(child.func):
-                found.append(function)
+            if isinstance(child, ast.Call):
+                hits = [child.func] + (child.args if passed else [])
+                found.extend(function for func in hits if called(func))
             visit(child, function)
 
     visit(tree, "<module>")
@@ -446,18 +451,73 @@ def functions_calling(tree: ast.Module, owner: str | None, names: set[str]
 
 
 def test_the_box_muller_transform_is_written_once():
-    # Scalar, bulk and block draws of normals all run one loop.
+    # Scalar, bulk, block and planned draws of normals all run one
+    # transform: libm's log, mapped over the pairs, and NumPy's sqrt,
+    # cos and sin, which have libm's bits (tests/test_rng.py checks
+    # that premise); NumPy's own log is never used.
     tree = ast.parse((PACKAGE / "rng.py").read_text())
-    assert functions_calling(tree, "math", {"log", "cos", "sin"}) == [
-        "_box_muller"] * 3
+    assert functions_calling(tree, "math", {"log", "cos", "sin"},
+                             passed=True) == ["_box_muller"]
+    assert functions_calling(tree, "np", {"log", "cos", "sin", "sqrt"},
+                             passed=True) == ["_box_muller"] * 3
 
 
 def test_only_the_word_readers_fill_a_block():
-    # u64 reads one word and _take every multi-word draw, and a stack
-    # is filled one pass at a time; no draw runs a fill loop of its own.
+    # u64 reads one word and _take every multi-word draw, and the runs
+    # of normals of a draw or a stack are filled one round at a time; no
+    # draw runs a fill loop of its own.
     tree = ast.parse((PACKAGE / "rng.py").read_text())
     assert functions_calling(tree, None, {"_fill"}) == [
-        "_field_blocks", "_take", "u64"]
+        "_normal_runs", "_take", "u64"]
+
+
+def rng_lines(draw) -> int:
+    """The lines of rng.py that draw() executes, counted by a tracer."""
+    count = 0
+    source = framelab.rng.__file__
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if frame.f_code.co_filename != source:
+            return None
+        count += event == "line"
+        return trace
+
+    sys.settrace(trace)
+    try:
+        draw()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def _run_all(rng, width, uniforms):
+    return rng._run(width, uniforms, lambda normals: len(uniforms))
+
+
+# Pairs of draws that differ only in how many words they read, all
+# within one fill of at most 1024 words a generator.
+WORD_COUNT_PAIRS = {
+    "gaussians": lambda n: SplitMix64(3).gaussians(8 * n),
+    "complex_gaussians": lambda n: SplitMix64(3).complex_gaussians(4 * n),
+    "spare-then-gaussians": lambda n: SplitMix64(3).gaussians(1)
+    + SplitMix64(4).gaussians(8 * n + 1).sum(),
+    "_field_blocks": lambda n: framelab.rng._field_blocks(
+        [SplitMix64(s) for s in range(8)], (4, n), "C"),
+    "_run-width": lambda n: _run_all(SplitMix64(3), 4 * n, [1, 0, 2]),
+    "_run-uniforms": lambda n: _run_all(SplitMix64(3), 3, [n, 0, n]),
+    "_run-steps": lambda n: _run_all(SplitMix64(3), 3, [1] * n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_COUNT_PAIRS))
+def test_rng_has_no_python_loop_over_words(name):
+    # A draw of 16 words and one of some hundreds run the same lines of
+    # rng.py: the words, the normals and the steps of a planned run go
+    # through whole-array passes, and no Python loop runs per word, per
+    # pair or per step.
+    draw = WORD_COUNT_PAIRS[name]
+    assert rng_lines(lambda: draw(2)) == rng_lines(lambda: draw(60))
 
 
 def test_method_call_scan_sees_methods_and_nested_functions():
@@ -467,9 +527,12 @@ def test_method_call_scan_sees_methods_and_nested_functions():
         "def f():\n    def g():\n        return math.cos(1)\n"
         "    return np.log(3), math.sin(1), log(2)\n"
         "def h():\n    return log(1), x.log(2)\n"
+        "def k(xs):\n    return list(map(math.log, xs)), f(math.cos(1))\n"
     )
     assert functions_calling(tree, "math", {"log", "cos", "sin"}) == [
-        "f", "g", "m"]
+        "f", "g", "k", "m"]
+    assert functions_calling(tree, "math", {"log", "cos", "sin"},
+                             passed=True) == ["f", "g", "k", "k", "m"]
     assert functions_calling(tree, None, {"log"}) == ["f", "h"]
 
 
