@@ -10,15 +10,15 @@ rule (largest entry of |S - c I|) is written here once, for frames,
 POVMs and Gabor frames, and so are the squared-norm rule (|x|^2 summed
 over the last axis), the unit-modulus deviation (largest |m - 1|) and
 the orthonormalization rule behind every random frame: one
-Gram-Schmidt pass over a stack of Gaussian blocks, one block per
-generator, so that a verification draws all its trial frames at once
-and a single draw is a stack of one.  Its first projection of each row
-is right-looking (a normalized row is projected out of every later row
-of the stack in one update) and its second runs row by row, in the
-order that gives each block the bits it has alone.  The projections
-x_j x_j* of a frame's vectors are complex128, by the rank-one rule of
-:mod:`framelab.linalg`, which the updates of the pivoted factorization
-there also use.
+Gram-Schmidt pass over a stack of Gaussian blocks, one per generator,
+which one pass function draws for up to _STACK_PASS generators of any
+frame sizes; a single draw is a pass of one.  Its first projection of
+each row is right-looking (a normalized row is projected out of every
+later row of the stack in one update) and its second runs row by row,
+in the order that gives each block the bits it has alone.  The
+projections x_j x_j* of a frame's vectors are complex128, by the
+rank-one rule of :mod:`framelab.linalg`, which the updates of the
+pivoted factorization there also use.
 
 No diagnostic forms the N x N Gram matrix.  Coherence and
 equiangularity stream it in row blocks of bounded size, and the frame
@@ -48,7 +48,7 @@ from .errors import (
     TooFewVectorsError,
 )
 from .linalg import resolve_tol
-from .rng import SplitMix64, _field_blocks, _integer
+from .rng import _STACK_PASS, SplitMix64, _draw_array, _field_runs, _integer
 
 # Bytes of one row block of the Gram matrix in the streaming pass.
 _GRAM_BLOCK_BYTES = 2 << 20
@@ -355,9 +355,38 @@ def _project(v: np.ndarray, rows: Sequence[np.ndarray]) -> None:
 def _orthonormal_rows(
     rngs: Sequence[SplitMix64], k: int, m: int, field: str
 ) -> np.ndarray:
-    # The orthonormalization rule on k x m Gaussian blocks (k <= m), one
-    # per generator, drawn as one stack: a (len(rngs), k, m) stack.
-    return _orthonormalize(rngs, _field_blocks(rngs, (k, m), field), field)
+    # _frame_pass on k x m blocks as a (len(rngs), k, m) stack, a pass at
+    # a time; the block is checked first, then a stack of several passes.
+    dtype = np.complex128 if field == "C" else np.float64
+    _draw_array((k, m), dtype)
+    if len(rngs) <= _STACK_PASS:
+        return _frame_pass(rngs, k, [m] * len(rngs), field)[m]
+    out = _draw_array((len(rngs), k, m), dtype)
+    for start in range(0, len(rngs), _STACK_PASS):
+        part = rngs[start:start + _STACK_PASS]
+        out[start:start + len(part)] = _frame_pass(
+            part, k, [m] * len(part), field)[m]
+    return out
+
+
+def _frame_pass(
+    rngs: Sequence[SplitMix64], k: int, sizes: Sequence[int], field: str
+) -> dict[int, np.ndarray]:
+    # The one draw of random frames: the orthonormalization rule on a
+    # pass of at most _STACK_PASS generators, t's block k x sizes[t], as
+    # one _field_runs run with the generators of each size side by side,
+    # which moves no bit.  Returns each size's (count, k, n) stack.
+    groups = {n: [rng for rng, size in zip(rngs, sizes) if size == n]
+              for n in dict.fromkeys(sizes)}
+    flat = _field_runs([rng for group in groups.values() for rng in group],
+                       [k * n for n, group in groups.items() for _ in group],
+                       field)
+    stacks, at = {}, 0
+    for n, group in groups.items():
+        stacks[n] = flat[at:at + len(group) * k * n].reshape(-1, k, n)
+        _orthonormalize(group, stacks[n], field)
+        at += stacks[n].size
+    return stacks
 
 
 def _orthonormalize(

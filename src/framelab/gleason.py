@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
-from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -395,8 +394,7 @@ def _is_rational_angle(theta: float) -> bool:
     # within 1e-12 of a fraction with denominator at most 64.  Exact
     # for the angles any test or caller can actually construct.
     t = theta / math.pi
-    approx = Fraction(t).limit_denominator(64)
-    return abs(t - float(approx)) <= 1e-12
+    return any(abs(t - round(t * q) / q) <= 1e-12 for q in range(1, 65))
 
 
 def _rational_branch(theta: float) -> float:

@@ -15,7 +15,8 @@ then turns density matrices into probability vectors, and
 :func:`check_generalized_measure` probes whether an arbitrary effect
 functional behaves like such a rule.
 :func:`busch_experiment` and :func:`born_experiment` run those checks
-on random states and random grouped POVMs.
+on random states and random grouped POVMs, whose frames of mixed
+sizes the frame pass of :mod:`framelab.frames` draws a pass at a time.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .frames import Frame, random_parseval
 from .linalg import resolve_tol
-from .rng import _NO_TRIAL, _STACK_PASS, SplitMix64, _field_runs, _integer
+from .rng import _NO_TRIAL, _STACK_PASS, SplitMix64, _integer
 
 # Bound here though every frame draw of this module is stacked:
 # perfbench's tracer wraps random_parseval at each module that imports
@@ -448,28 +449,20 @@ def _random_povms(
     d: int,
     field: str,
 ) -> Iterator[Povm]:
-    # The POVM of each plan, in plan order.  Plans are taken one hash
-    # pass of generators at a time, so a check of many trials holds one
-    # pass of plans and frames.  The Gaussian blocks of a pass, of every
-    # n, are drawn in one _field_runs call; the frames of each n are
-    # orthonormalized as one stack, each with the bits of random_parseval
-    # on its generator.  The frames are Parseval by construction, so the
-    # grouping checks them at the default tolerance; a caller's tol
-    # judges only its verdict.
+    # The POVM of each plan, in plan order.  Plans are taken one pass of
+    # generators at a time, so a check of many trials holds one pass of
+    # plans and frames, drawn by the frame pass of frames: each frame
+    # has the bits of random_parseval on its generator.  The frames are
+    # Parseval by construction, so the grouping checks them at the
+    # default tolerance; a caller's tol judges only its verdict.
     plans = iter(plans)
     while part := list(itertools.islice(plans, _STACK_PASS)):
-        sizes = [n for n, _, _ in part]
-        flat = _field_runs([p[1] for p in part], [d * n for n in sizes], field)
-        starts = [0, *itertools.accumulate(d * n for n in sizes)]
-        rows: dict[int, np.ndarray] = {}
-        for n in dict.fromkeys(sizes):
-            trials = [t for t, size in enumerate(sizes) if size == n]
-            blocks = np.stack([flat[starts[t]:starts[t + 1]] for t in trials])
-            stack = frames._orthonormalize(
-                [part[t][1] for t in trials], blocks.reshape(-1, d, n), field)
-            rows.update(zip(trials, stack))
-        for t, (_, _, groups) in enumerate(part):
-            yield povm_from_frame_grouped(Frame(rows.pop(t).T, field), groups)
+        stacks = frames._frame_pass(
+            [rng for _, rng, _ in part], d, [n for n, _, _ in part], field)
+        drawn = {n: iter(stack) for n, stack in stacks.items()}
+        for n, _, groups in part:
+            yield povm_from_frame_grouped(Frame(next(drawn[n]).T, field),
+                                          groups)
 
 
 def check_generalized_measure(

@@ -10,10 +10,11 @@ generator keeps its block as that uint64 array.  A generator reads one
 word off its block, as a Python int, in :meth:`SplitMix64.u64`, and
 every multi-word draw reads an array of words through
 :meth:`SplitMix64._take`.  Normals are drawn as runs, one per
-generator of a draw or of a pass of a stack (:func:`_normal_runs`,
-behind :func:`_field_runs` and :func:`_field_blocks`), in rounds of at
-most _FILL_MAX normals a generator: one fill hashes a round's words
-and one transform serves the whole round.  Gaussian variates come from
+generator, straight into a draw's output or a stack's one array
+(:func:`_normal_runs`, behind :func:`_field_runs`, after which a
+stack's generators drop their unread words), in rounds of at most
+_FILL_MAX normals a generator: one fill hashes a round's words and one
+transform serves the whole round.  Gaussian variates come from
 the Box-Muller transform applied to those words; complex Gaussians are
 standard circular ones with unit total variance.  Every Gaussian, real
 or complex, comes from one private whole-array transform
@@ -154,31 +155,11 @@ def _field_runs(
     _check_field(field)
     width = 2 if field == "C" else 1
     counts = [width * count for count in counts]
-    normals = np.empty(sum(counts))
+    normals = _draw_array(sum(counts), np.float64)
     _normal_runs(rngs, counts, normals)
     for rng in rngs:
         rng._base, rng._words, rng._read = rng.state, _NO_WORDS, 0
     return _complex_parts(normals) if field == "C" else normals
-
-
-def _field_blocks(
-    rngs: Sequence[SplitMix64], shape: tuple[int, ...], field: str
-) -> np.ndarray:
-    # Block t of the result is rngs[t].field_gaussians(shape, field).
-    # The block's size check comes first, so that a block too large is
-    # named as its own draw names it, then the stack's.  The blocks are
-    # then drawn _STACK_PASS generators at a time, one run each, so the
-    # stack never holds more than one pass of words.
-    _check_field(field)
-    dtype = np.complex128 if field == "C" else np.float64
-    size = _draw_array(shape, dtype).size
-    out = _draw_array((len(rngs),) + shape, dtype)
-    flat = out.reshape(len(rngs), size)
-    for start in range(0, len(rngs), _STACK_PASS):
-        part = rngs[start:start + _STACK_PASS]
-        flat[start:start + len(part)] = _field_runs(
-            part, [size] * len(part), field).reshape(len(part), size)
-    return out
 
 
 def _normal_runs(
@@ -287,11 +268,6 @@ class SplitMix64:
             raise InputError(f"below() needs a bound <= 2**64, got {n}")
         return self.u64() % n
 
-    def _normals(self, count: int) -> np.ndarray:
-        out = np.empty(count)
-        _normal_runs((self,), (count,), out)
-        return out
-
     def _take(self, count: int) -> np.ndarray:
         # The next count words, and the generator moves past them: the
         # one reader of multi-word draws.  A block is read to its end
@@ -316,7 +292,7 @@ class SplitMix64:
         uniforms: Sequence[int],
         keep: Callable[[np.ndarray], int],
     ) -> list[float]:
-        # Steps that each draw width >= 1 normals, as _normals(width)
+        # Steps that each draw width >= 1 normals, as gaussians(width)
         # does, and then uniforms[i] uniforms, as uniform() does, from
         # one planned run of the stream: the bits, and the state and
         # spare after the run, are those of the steps taken one by one.
@@ -362,7 +338,7 @@ class SplitMix64:
     def gaussians(self, shape: int | tuple[int, ...]) -> np.ndarray:
         """Array of independent standard normals, filled in C order."""
         out = _draw_array(shape, np.float64)
-        out.ravel()[:] = self._normals(out.size)
+        _normal_runs((self,), (out.size,), out.reshape(-1))
         return out
 
     def complex_gaussians(self, shape: int | tuple[int, ...]) -> np.ndarray:
@@ -377,8 +353,8 @@ class SplitMix64:
         exactly 1) yields.
         """
         out = _draw_array(shape, np.complex128)
-        flat = out.ravel().view(np.float64)
-        flat[:] = self._normals(flat.size)
+        flat = out.reshape(-1).view(np.float64)
+        _normal_runs((self,), (flat.size,), flat)
         _complex_parts(flat)
         return out
 

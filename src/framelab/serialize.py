@@ -7,30 +7,33 @@ keys are sorted, floats are rendered with 17 significant digits
 complex numbers become [re, im] pairs, and non-finite numbers are
 rejected.  Files end with a single newline.
 
-:func:`fmt_float` is the one float rule.  Float and complex arrays
-follow it too, so the ``*_to_json`` writers hand arrays to the emitter
-and the readers accept them back.  An array is emitted as one piece of
-text per unit of whole rows of bounded size, its rows along the last
-axis taken across every slab, so the units of a stack of POVM effects
-cross from one effect to the next.  A row's text is its entries joined
-by commas, and a unit joins its rows by ``],[``, with the brackets
-that open and close the array and its slabs put on the first and last
-row of each, so a slab boundary reads ``]],[[``.  Each unit formats
-only the distinct entries that the unit before it, in the same array,
-did not hold, and joins every row from the gathered texts; so a Gabor
-frame, whose p^3 entries take fewer than p^2 values, is formatted
-once per value, not once per entry.  A unit groups its equal entries
-by sorting a 64-bit key of each, which NumPy sorts far faster than
-complex values, and ends a group wherever the sorted entry changes; a
-text is taken over from the unit before only for an equal entry.  So
-two entries whose keys collide cost one more format of a text, never
-the wrong text, and as each entry takes its own group's text, the key
-order never reaches the output.  The emitter holds the text once plus
-one unit's rows and piece, as a unit is joined only once its arrays
-are freed and the brackets go on its rows, not on the joined text:
+One cell rule (:func:`_finite_cells`, then :func:`_cell_texts`) forms
+every float text, of arrays and of scalars, which :func:`fmt_float`
+and the emitter make one-entry arrays, so the ``+ 0.0`` step, the
+non-finite check and the text are written once.  The ``*_to_json``
+writers hand arrays to the emitter and the readers accept them back.
+An array is emitted as one piece of text per unit of whole rows of
+bounded size, its rows along the last axis taken across every slab, so
+the units of a stack of POVM effects cross from one effect to the
+next.  A row's text is its entries joined by commas, and a unit joins
+its rows by ``],[``, with the brackets that open and close the array
+and its slabs put on the first and last row of each, so a slab
+boundary reads ``]],[[``.  Each unit formats only the distinct entries
+that the unit before it, in the same array, did not hold, and joins
+every row from the gathered texts; so a Gabor frame, whose p^3 entries
+take fewer than p^2 values, is formatted once per value, not once per
+entry.  A unit groups its equal entries by sorting a 64-bit key of
+each, which NumPy sorts far faster than complex values, and ends a
+group wherever the sorted entry changes; a text is taken over from the
+unit before only for an equal entry.  So two entries whose keys
+collide cost one more format of a text, never the wrong text, and as
+each entry takes its own group's text, the key order never reaches the
+output.  The emitter holds the text once plus one unit's rows and
+piece, as a unit is joined only once its arrays are freed and the
+brackets go on its rows, not on the joined text:
 :func:`canonical_json` peaks at about twice its text (the pieces and
-their join), and :func:`write_json`, which writes the pieces, at
-about once plus one unit.
+their join), and :func:`write_json`, which writes the pieces, at about
+once plus one unit.
 
 Reports are immutable ``NamedTuple`` records that hold what is
 emitted, and the emitter writes them by one rule: a record becomes the
@@ -75,9 +78,6 @@ from .rng import _integer
 from .waveforms import AmbiguityTable
 
 
-# 17 significant digits; applied to x + 0.0 so that -0.0 prints as 0.
-_FLOAT = "%.17g"
-
 # Float and complex arrays are emitted as one piece of text per unit of
 # whole rows.  Beside the pieces, the emitter holds one unit's row texts,
 # its distinct texts and, while it joins the rows, its piece, so a unit
@@ -93,10 +93,12 @@ _UNIT_PARTS = _BLOCK_PARTS // 2
 
 def fmt_float(x: float) -> str:
     """Canonical text form of a float."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise InputError(f"cannot serialize non-finite number {x!r}")
-    return _FLOAT % (x + 0.0)
+    return _scalar_text(float(x))
+
+
+def _scalar_text(x) -> str:
+    # A float or complex scalar by the cell rule, as a one-entry array.
+    return _cell_texts(_finite_cells(np.array([x])))[0]
 
 
 def _float_rows(a: np.ndarray, left: str = "[", right: str = "]",
@@ -104,7 +106,7 @@ def _float_rows(a: np.ndarray, left: str = "[", right: str = "]",
     """Text of a nonempty float or complex array, one piece per unit of
     rows; the pieces joined with no separator are the array's text.
 
-    Entries follow :func:`fmt_float`; complex entries become
+    Entries follow the cell rule: 17 digits, complex entries as
     ``[re,im]`` pairs.  The rows along the last axis, across all
     leading axes, are split into near-equal units of at most
     ``_UNIT_PARTS`` float parts.  The row rule joins a unit's rows by
@@ -146,23 +148,16 @@ def _float_rows(a: np.ndarray, left: str = "[", right: str = "]",
 
 
 def _unit_rows(rows: np.ndarray, carry: list) -> list[str]:
-    # One unit of _float_rows.  One finite check covers every real and
-    # imaginary part.  After + 0.0, equal entries have equal bits and so
-    # equal keys.  A group starts wherever the sorted entry changes, and
-    # an entry the carry holds is found by its key and taken over only
-    # if it is equal, so entries whose keys collide at worst split a
-    # group and format one text twice.  The unit's distinct entries, in
-    # key order, and their texts replace the carry; its keys are
-    # recomputed, not kept, and the sort and lookup arrays are freed
-    # before any text is formatted.  It returns the row texts, bare:
-    # _float_rows puts on the brackets and joins them.
-    kind = np.complex128 if np.iscomplexobj(rows) else np.float64
-    rows = np.ascontiguousarray(rows, dtype=kind) + 0.0
-    parts = rows.view(np.float64)
-    finite = np.isfinite(parts)
-    if not finite.all():
-        bad = float(parts[~finite][0])
-        raise InputError(f"cannot serialize non-finite number {bad!r}")
+    # One unit of _float_rows.  After _finite_cells, equal entries have
+    # equal bits and so equal keys.  A group starts wherever the sorted
+    # entry changes, and an entry the carry holds is found by its key
+    # and taken over only if it is equal, so entries whose keys collide
+    # at worst split a group and format one text twice.  The unit's
+    # distinct entries, in key order, and their texts replace the carry;
+    # its keys are recomputed, not kept, and the sort and lookup arrays
+    # are freed before any text is formatted.  It returns the row texts,
+    # bare: _float_rows puts on the brackets and joins them.
+    rows = _finite_cells(rows)
     entries = rows.reshape(-1)
     keys = _entry_keys(entries)
     order = np.argsort(keys)
@@ -212,13 +207,27 @@ def _entry_keys(entries: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _finite_cells(a: np.ndarray) -> np.ndarray:
+    # A float or complex array as a contiguous float64 or complex128
+    # one plus 0.0, so that -0.0 reads 0 and equal entries have equal
+    # bits, after one finite check over every real and imaginary part.
+    kind = np.complex128 if np.iscomplexobj(a) else np.float64
+    a = np.ascontiguousarray(a, dtype=kind) + 0.0
+    parts = a.view(np.float64)
+    finite = np.isfinite(parts)
+    if not finite.all():
+        bad = float(parts[~finite][0])
+        raise InputError(f"cannot serialize non-finite number {bad!r}")
+    return a
+
+
 def _cell_texts(entries: np.ndarray) -> np.ndarray:
-    # The text of each entry by the one cell rule: fmt_float of a float,
-    # [re,im] of a complex entry.
+    # The text of each entry of a _finite_cells array by the one cell
+    # rule: 17 significant digits of a float, [re,im] of a complex one.
     if entries.dtype.kind == "c":
-        cell, columns = f"[{_FLOAT},{_FLOAT}]", (entries.real, entries.imag)
+        cell, columns = "[%.17g,%.17g]", (entries.real, entries.imag)
     else:
-        cell, columns = _FLOAT, (entries,)
+        cell, columns = "%.17g", (entries,)
     return np.array([cell % p for p in zip(*(c.tolist() for c in columns))],
                     dtype=object)
 
@@ -234,11 +243,8 @@ def _emit(obj, out: list[str]) -> None:
         _emit(bool(obj), out)
     elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(fmt_float(float(obj)))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        z = complex(obj)
-        out.append(f"[{fmt_float(z.real)},{fmt_float(z.imag)}]")
+    elif isinstance(obj, (float, np.floating, complex, np.complexfloating)):
+        out.append(_scalar_text(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):

@@ -169,8 +169,8 @@ def _generator_state(rng):
 class _RepeatedRow(SplitMix64):
     """A generator whose first block repeats row 0 as row 1, so that
     row 1 projects to zero and must be redrawn.  The per-row rule draws
-    that block with field_gaussians; a stack draws it in _field_blocks,
-    which _repeat_rows_in_stacks patches."""
+    that block with field_gaussians; a stack draws it in the frame
+    pass's run of _field_runs, which _repeat_rows_in_stacks patches."""
 
     def __init__(self, seed):
         super().__init__(seed)
@@ -184,19 +184,22 @@ class _RepeatedRow(SplitMix64):
         return out
 
 
-def _repeat_rows_in_stacks(monkeypatch):
-    # Row 1 of each _RepeatedRow's first stacked block repeats row 0.
-    draw = fl.frames._field_blocks
+def _repeat_rows_in_stacks(monkeypatch, m):
+    # Row 1 of each _RepeatedRow's first stacked block, of rows of
+    # length m, repeats row 0.
+    draw = fl.frames._field_runs
 
-    def blocks(rngs, shape, field):
-        out = draw(rngs, shape, field)
-        for t, rng in enumerate(rngs):
+    def runs(rngs, counts, field):
+        out = draw(rngs, counts, field)
+        at = 0
+        for rng, count in zip(rngs, counts):
             if isinstance(rng, _RepeatedRow) and rng.first:
                 rng.first = False
-                out[t, 1] = out[t, 0]
+                out[at + m:at + 2 * m] = out[at:at + m]
+            at += count
         return out
 
-    monkeypatch.setattr(fl.frames, "_field_blocks", blocks)
+    monkeypatch.setattr(fl.frames, "_field_runs", runs)
 
 
 @pytest.mark.parametrize("field", ["R", "C"])
@@ -217,6 +220,50 @@ def test_stacked_orthonormal_rows_match_the_per_row_rule(field):
             assert _generator_state(rng) == _generator_state(ref_rng)
 
 
+def _started_generators(count):
+    # Generators some words into their blocks, a third holding a spare.
+    rngs = [SplitMix64(7919 * t + 1) for t in range(count)]
+    for t, rng in enumerate(rngs):
+        for _ in range(t % 5):
+            rng.u64()
+        if t % 3 == 0:
+            rng.gaussians(3)
+    return rngs
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_a_stack_of_several_passes_matches_the_per_row_rule(field):
+    # More generators than one pass takes: each frame, on either side of
+    # a pass boundary, has the bytes of the per-row rule on its own
+    # generator, which ends where that rule leaves it, holding no words.
+    count = 2 * fl.rng._STACK_PASS + 3
+    rngs, refs = _started_generators(count), _started_generators(count)
+    stack = fl.frames._orthonormal_rows(rngs, 2, 3, field)
+    assert stack.shape == (count, 2, 3)
+    for rng, ref, got in zip(rngs, refs, stack):
+        assert got.tobytes() == _per_row_rows(ref, 2, 3, field).tobytes()
+        assert _generator_state(rng) == _generator_state(ref)
+        assert rng._words.size == 0
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_a_pass_of_mixed_sizes_stacks_each_size(field):
+    # One pass over frames of sizes in an interleaved order: one stack
+    # per size, in order of first appearance, its frames in generator
+    # order, each with the bytes of the per-row rule on its generator.
+    sizes = [5, 3, 5, 8, 3, 3, 2, 5, 8, 4]
+    rngs = _started_generators(len(sizes))
+    refs = _started_generators(len(sizes))
+    stacks = fl.frames._frame_pass(rngs, 2, sizes, field)
+    assert list(stacks) == [5, 3, 8, 2, 4]
+    drawn = {n: iter(stack) for n, stack in stacks.items()}
+    for n, rng, ref in zip(sizes, rngs, refs):
+        got = next(drawn[n])
+        assert got.tobytes() == _per_row_rows(ref, 2, n, field).tobytes()
+        assert _generator_state(rng) == _generator_state(ref)
+    assert all(next(rest, None) is None for rest in drawn.values())
+
+
 @pytest.mark.parametrize("field, k, m", [("R", 3, 5), ("C", 3, 4),
                                          ("R", 2, 2), ("C", 4, 6)])
 def test_a_degenerate_row_is_redrawn_from_its_own_generator(
@@ -229,7 +276,7 @@ def test_a_degenerate_row_is_redrawn_from_its_own_generator(
     def stack_of_three():
         return [SplitMix64(11), _RepeatedRow(22), SplitMix64(33)]
 
-    _repeat_rows_in_stacks(monkeypatch)
+    _repeat_rows_in_stacks(monkeypatch, m)
     rngs = stack_of_three()
     stack = fl.frames._orthonormal_rows(rngs, k, m, field)
     for rng, solo_rng, got in zip(rngs, stack_of_three(), stack):

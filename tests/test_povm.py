@@ -525,9 +525,10 @@ def test_measure_checks_see_the_effects_of_the_per_trial_rule(field):
 def test_a_measure_check_stacks_each_frame_size_of_each_pass(monkeypatch):
     # One orthonormalization pass per distinct frame size among each
     # pass of plans, which covers every trial once, over blocks of every
-    # size drawn in one run per pass; random_parseval is not called.
+    # size drawn in one run per pass, the runs of each size side by
+    # side; random_parseval is not called.
     stacks, runs = [], []
-    rule, draw = fl.frames._orthonormalize, fl.povm._field_runs
+    rule, draw = fl.frames._orthonormalize, fl.frames._field_runs
 
     def spy(rngs, out, field):
         stacks.append((len(rngs),) + out.shape[1:] + (field,))
@@ -541,7 +542,7 @@ def test_a_measure_check_stacks_each_frame_size_of_each_pass(monkeypatch):
         raise AssertionError("a trial drew its own frame")
 
     monkeypatch.setattr(fl.frames, "_orthonormalize", spy)
-    monkeypatch.setattr(fl.povm, "_field_runs", spy_draw)
+    monkeypatch.setattr(fl.frames, "_field_runs", spy_draw)
     monkeypatch.setattr(fl.frames, "random_parseval", no_single_draw)
     monkeypatch.setattr(fl.povm, "random_parseval", no_single_draw)
     size = fl.rng._STACK_PASS
@@ -552,14 +553,15 @@ def test_a_measure_check_stacks_each_frame_size_of_each_pass(monkeypatch):
                                      seed=4)
         rng = SplitMix64(4)
         sizes = [fl.povm._povm_plan(rng, 3, 5)[0] for _ in range(trials)]
-        want = []
+        want, want_runs = [], []
         for start in range(0, trials, size):
             part = sizes[start:start + size]
             want.extend((part.count(n), 3, n, "C")
                         for n in dict.fromkeys(part))
+            want_runs.append([3 * n for n in dict.fromkeys(part)
+                              for _ in range(part.count(n))])
         assert stacks == want
-        assert runs == [[3 * n for n in sizes[start:start + size]]
-                        for start in range(0, trials, size)]
+        assert runs == want_runs
         assert len(want) > len(range(0, trials, size))
 
 

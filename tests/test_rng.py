@@ -59,7 +59,7 @@ def test_complex_gaussians_match_python_complex_division(shape):
         bulk = SplitMix64(seed)
         scalar = SplitMix64(seed)
         z = bulk.complex_gaussians(shape)
-        flat = scalar._normals(2 * int(np.prod(shape)))
+        flat = scalar.gaussians(2 * int(np.prod(shape)))
         expected = np.array(
             [complex(re, im) / root2 for re, im in zip(flat[::2], flat[1::2])],
             dtype=np.complex128,
@@ -74,7 +74,7 @@ def test_zero_radius_seeds_reach_signed_zeros():
     # (-0.0, 0.0) into (0.0, 0.0) and (-0.0, -0.0) into (-0.0, 0.0).
     signs = []
     for seed in ZERO_RADIUS_SEEDS:
-        assert SplitMix64(seed)._normals(2)[0] == 0.0
+        assert SplitMix64(seed).gaussians(2)[0] == 0.0
         z = SplitMix64(seed).complex_gaussians(1)[0]
         signs.append((math.copysign(1.0, z.real), math.copysign(1.0, z.imag)))
     assert signs == [(1.0, 1.0), (-1.0, 1.0)]
@@ -502,10 +502,10 @@ def test_stacked_fills_over_partly_read_generators_keep_each_stream():
     ((1, 1), "R"), ((2, 3), "R"), ((2, 3), "C"), ((3, 200), "C"),
 ])
 def test_field_blocks_draw_each_generators_own_block(shape, field):
-    # Block t is generator t's own draw, over more generators than one
-    # pass fills, some partly into their blocks and some holding a
-    # spare; each then holds no words, and its later draws continue its
-    # stream.
+    # Block t of a stack's run is generator t's own draw, over more
+    # generators than one pass of frames takes, some partly into their
+    # blocks and some holding a spare; each then holds no words, and its
+    # later draws continue its stream.
     count = 2 * fl.rng._STACK_PASS + 3
     seeds = [REFERENCE_SEEDS[t % len(REFERENCE_SEEDS)] + t
              for t in range(count)]
@@ -516,8 +516,9 @@ def test_field_blocks_draw_each_generators_own_block(shape, field):
             _same_draw(rng, ref, "u64")
         if t % 3 == 0:
             _same_draw(rng, ref, "gaussians", 3)
-    stack = fl.rng._field_blocks(rngs, shape, field)
-    assert stack.shape == (count,) + shape
+    size = int(np.prod(shape))
+    stack = fl.rng._field_runs(rngs, [size] * count, field).reshape(
+        (count,) + shape)
     draw = "gaussians" if field == "R" else "complex_gaussians"
     for block, rng, ref in zip(stack, rngs, refs):
         assert block.tobytes() == getattr(ref, draw)(shape).tobytes()
@@ -581,7 +582,8 @@ def test_stacked_draws_match_the_scalar_transform(field):
     for count in DRAW_COUNTS:
         rngs, refs = zip(*[_started(seed, start) for seed in ORACLE_SEEDS
                            for start in STARTS])
-        stack = fl.rng._field_blocks(list(rngs), (count,), field)
+        stack = fl.rng._field_runs(list(rngs), [count] * len(rngs),
+                                   field).reshape(len(rngs), count)
         for block, rng, ref in zip(stack, rngs, refs):
             assert block.tobytes() == getattr(ref, draw)(count).tobytes()
             assert rng.state == ref.state
@@ -694,6 +696,21 @@ def test_a_tall_stack_holds_one_pass_of_words():
     assert peak(4096) - peak(256) <= 512 * 3840
 
 
+def test_a_long_frame_draw_holds_its_run_and_no_stack_copy():
+    # One frame of 250,000 vectors: its 8 MB block is drawn as the
+    # frame pass's run and orthonormalized in that run, in rounds of
+    # words.  The figure is this draw's peak when the block was copied
+    # out of the run into a stack first, under tracemalloc, CPython
+    # 3.11, NumPy 2.4; the run alone peaks at 16,503,736 bytes.
+    tracemalloc.start()
+    try:
+        fl.random_parseval(2, 250_000, seed=1, field="C")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 24_135_868
+
+
 def test_a_long_draw_holds_one_bounded_block_of_words():
     # A fill hashes at most 1024 words, and a longer draw refills as it
     # goes, so it holds no list of every word beside its normals.  The
@@ -737,14 +754,15 @@ def test_a_draw_too_large_names_its_shape_before_any_fill(draw, shape):
 @pytest.mark.parametrize("stack", [1, 4])
 def test_a_long_stacked_block_holds_one_round_of_words(stack):
     # A stack draws its runs in rounds of at most 1024 normals a
-    # generator, so a long block holds the stack, the pass's flat run of
-    # normals and one round of words and temporaries.  Sending a pass's
-    # whole run through the transform at once peaked at 72.2 MB, against
-    # this draw's 16.1 MB (tracemalloc, CPython 3.11, NumPy 2.4).
+    # generator, so a long block holds the stack's flat run of normals
+    # and one round of words and temporaries.  Sending a pass's whole
+    # run through the transform at once peaked at 72.2 MB, and copying
+    # the run into a stack of blocks at 16.1 MB, against this draw's
+    # 8.1 to 8.3 MB (tracemalloc, CPython 3.11, NumPy 2.4).
     rngs = [SplitMix64(s) for s in range(stack)]
     tracemalloc.start()
     try:
-        out = fl.rng._field_blocks(rngs, (10**6 // stack,), "R")
+        out = fl.rng._field_runs(rngs, [10**6 // stack] * stack, "R")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -756,19 +774,19 @@ import hashlib
 import numpy as np
 from numpy._core._multiarray_umath import __cpu_features__
 from framelab import SplitMix64
-from framelab.rng import _field_blocks, _fill
+from framelab.rng import _field_runs, _fill
 h = hashlib.sha256()
 rngs = [SplitMix64(s) for s in (0, 1, 7919, 2**64 - 1)]
 for rng in rngs[::2]:
     rng.gaussians(9)
 _fill(rngs, 300)
-h.update(_field_blocks(rngs[1:], (3, 5), "C").tobytes())
+h.update(_field_runs(rngs[1:], [15] * 3, "C").tobytes())
 stack = [SplitMix64(s) for s in range(64)]
 for rng in stack[::3]:
     rng.gaussians(1)
-h.update(_field_blocks(stack, (4, 7), "C").tobytes())
-h.update(_field_blocks(stack, (3, 5), "R").tobytes())
-h.update(_field_blocks(stack[:5], (2, 600), "C").tobytes())
+h.update(_field_runs(stack, [28] * 64, "C").tobytes())
+h.update(_field_runs(stack, [15] * 64, "R").tobytes())
+h.update(_field_runs(stack[:5], [1200] * 5, "C").tobytes())
 run, normals = SplitMix64(5), []
 draws = run._run(3, [i % 3 for i in range(100)],
                  lambda block: normals.append(block.copy()) or 100)

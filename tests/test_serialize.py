@@ -1,6 +1,7 @@
 """The array emitter against the scalar float rule, and pinned bytes."""
 
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -125,14 +126,20 @@ SHAPES = [(0,), (1,), (5, 3), (2, 3, 3), (4, 0), (0, 2, 2),
           _slab_split, _slab_aligned, (3, 0, 2), (2, 3, 0), (2, 3, 2, 2)]
 
 
+def _rule(x):
+    # The float rule written out: 17 significant digits of x + 0.0.
+    return "%.17g" % (x + 0.0)
+
+
 def _entrywise(a):
-    # The reference: fmt_float on every entry, complex ones as pairs.
+    # The reference: the float rule on every entry, complex ones as
+    # pairs; test_scalars_follow_the_17_digit_rule holds fmt_float to it.
     def walk(x):
         if isinstance(x, list):
             return "[" + ",".join(walk(y) for y in x) + "]"
         if isinstance(x, complex):
-            return f"[{fmt_float(x.real)},{fmt_float(x.imag)}]"
-        return fmt_float(x)
+            return f"[{_rule(x.real)},{_rule(x.imag)}]"
+        return _rule(x)
 
     return walk(a.tolist())
 
@@ -196,6 +203,29 @@ def test_integer_bool_and_scalar_arrays_keep_their_bytes():
     assert canonical_json(np.array(-0.0)) == "0"
     assert canonical_json(np.array(1 - 2j)) == "[1,-2]"
     assert canonical_json(np.zeros((0,), dtype=np.int64)) == "[]"
+
+
+def test_scalars_follow_the_17_digit_rule():
+    # The scalar writers against the rule written out: 17 significant
+    # digits of x + 0.0, [re,im] for a complex scalar, and the one
+    # message for a non-finite part, real part first.
+    for x in VALUES + [math.pi, -1e-300, 123456789.0]:
+        assert fmt_float(x) == _rule(x)
+        assert canonical_json(x) == fmt_float(x)
+        assert canonical_json(np.float64(x)) == fmt_float(x)
+        z = complex(x, -x)
+        want = f"[{_rule(z.real)},{_rule(z.imag)}]"
+        assert canonical_json(z) == canonical_json(np.complex128(z)) == want
+    assert fmt_float(np.float32(0.1)) == _rule(float(np.float32(0.1)))
+    for bad, shown in [(math.nan, "nan"), (-math.inf, "-inf"),
+                       (complex(1.0, math.inf), "inf"),
+                       (complex(-math.inf, math.nan), "-inf")]:
+        message = f"^cannot serialize non-finite number {shown}$"
+        with pytest.raises(fl.InputError, match=message):
+            canonical_json(bad)
+        if not isinstance(bad, complex):
+            with pytest.raises(fl.InputError, match=message):
+                fmt_float(bad)
 
 
 @pytest.mark.parametrize("bad", [

@@ -502,8 +502,8 @@ WORD_COUNT_PAIRS = {
     "complex_gaussians": lambda n: SplitMix64(3).complex_gaussians(4 * n),
     "spare-then-gaussians": lambda n: SplitMix64(3).gaussians(1)
     + SplitMix64(4).gaussians(8 * n + 1).sum(),
-    "_field_blocks": lambda n: framelab.rng._field_blocks(
-        [SplitMix64(s) for s in range(8)], (4, n), "C"),
+    "_field_runs": lambda n: framelab.rng._field_runs(
+        [SplitMix64(s) for s in range(8)], [4 * n] * 8, "C"),
     "_run-width": lambda n: _run_all(SplitMix64(3), 4 * n, [1, 0, 2]),
     "_run-uniforms": lambda n: _run_all(SplitMix64(3), 3, [n, 0, n]),
     "_run-steps": lambda n: _run_all(SplitMix64(3), 3, [1] * n),
@@ -585,3 +585,79 @@ def test_loop_call_scan_sees_each_loop_form():
         "def k(r):\n    return r.field_gaussians(2, 'R')\n"
     )
     assert calls_in_loops(tree, GAUSSIAN_DRAWS) == ["f", "g", "h"]
+
+
+def functions_naming(tree: ast.Module, names: set[str],
+                     bare: bool = True) -> list[str]:
+    """The innermost functions of a module, methods among them, that
+    name any of ``names`` as an attribute, or with ``bare`` also as a
+    bare name, one entry per use, and "<module>" for a use outside every
+    function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr in names
+                    or bare and isinstance(child, ast.Name)
+                    and child.id in names):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+def test_name_scan_sees_names_and_attributes():
+    tree = ast.parse(
+        "from .rng import run\n"
+        "def f(r):\n    return run(r), r.run\n"
+        "class C:\n    def m(self):\n        self.run = 1\n"
+        "def g():\n    def h():\n        return run\n    return x.go\n"
+        "y = run\n"
+    )
+    assert functions_naming(tree, {"run"}) == [
+        "<module>", "f", "f", "h", "m"]
+    assert functions_naming(tree, {"run"}, bare=False) == ["f", "m"]
+
+
+def test_only_the_frame_pass_draws_a_stack():
+    # Every stack of random frames, of one size or of mixed sizes, is
+    # drawn by the frame pass of frames, the one user of rng's stacked
+    # run; no other function calls it, takes it or hands it on.
+    uses = {path.name: functions_naming(ast.parse(path.read_text()),
+                                        {"_field_runs"})
+            for path in PACKAGE.glob("*.py")}
+    assert {name: found for name, found in uses.items() if found} == {
+        "frames.py": ["_frame_pass"]}
+
+
+def test_only_rng_touches_a_generators_words():
+    # A generator's counter, block, read position and spare are rng's:
+    # every other module draws through its methods and rng's runs.
+    internals = {"_base", "_words", "_read", "_spare"}
+    for path in SOURCES:
+        if path.name != "rng.py":
+            tree = ast.parse(path.read_text())
+            assert functions_naming(tree, internals, bare=False) == [], (
+                path.name)
+
+
+def test_the_scalar_writers_form_no_float_text():
+    # fmt_float and the emitter hand each float or complex scalar to the
+    # cell rule as a one-entry array; neither formats a float with %,
+    # holds a format string nor checks finiteness itself.
+    tree = ast.parse((PACKAGE / "serialize.py").read_text())
+    writers = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+               and fn.name in ("fmt_float", "_emit")]
+    assert len(writers) == 2
+    for fn in writers:
+        assert not [node for node in ast.walk(fn)
+                    if isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.Mod)], fn.name
+        assert not [node for node in ast.walk(fn)
+                    if isinstance(node, ast.Constant)
+                    and "%" in str(node.value)], fn.name
+        assert functions_naming(fn, {"isfinite"}) == [], fn.name
