@@ -10,9 +10,11 @@ rule (largest entry of |S - c I|) is written here once, for frames,
 POVMs and Gabor frames, and so are the squared-norm rule (|x|^2 summed
 over the last axis), the unit-modulus deviation (largest |m - 1|) and
 the orthonormalization rule behind every random frame: one
-Gram-Schmidt pass over a stack of Gaussian blocks, one per generator,
-which one pass function draws for up to _STACK_PASS generators of any
-frame sizes; a single draw is a pass of one.  Its first projection of
+Gram-Schmidt pass over a stack of Gaussian blocks, one per generator.
+Every random frame comes from one stream, which takes its draws
+_STACK_PASS at a time, of any frame sizes, and yields each with its
+block; a single frame is a stream of one, and a Parseval frame's
+vectors are the columns of its block.  The rule's first projection of
 each row is right-looking (a normalized row is projected out of every
 later row of the stack in one update) and its second runs row by row,
 in the order that gives each block the bits it has alone.  The
@@ -31,9 +33,10 @@ for :func:`is_equiangular` and a frame that is not unit-norm.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,10 +51,13 @@ from .errors import (
     TooFewVectorsError,
 )
 from .linalg import resolve_tol
-from .rng import _STACK_PASS, SplitMix64, _draw_array, _field_runs, _integer
+from .rng import SplitMix64, _draw_array, _field_runs, _integer
 
 # Bytes of one row block of the Gram matrix in the streaming pass.
 _GRAM_BLOCK_BYTES = 2 << 20
+# Random frames are drawn this many at a time, so a stream of many
+# frames holds one pass of blocks and words.
+_STACK_PASS = 64
 # A drawn row or direction of norm at most this is drawn again.
 _NORM_FLOOR = 1e-8
 
@@ -352,41 +358,42 @@ def _project(v: np.ndarray, rows: Sequence[np.ndarray]) -> None:
         v -= np.vecdot(u, v)[:, None] * u
 
 
-def _orthonormal_rows(
-    rngs: Sequence[SplitMix64], k: int, m: int, field: str
-) -> np.ndarray:
-    # _frame_pass on k x m blocks as a (len(rngs), k, m) stack, a pass at
-    # a time; the block is checked first, then a stack of several passes.
-    dtype = np.complex128 if field == "C" else np.float64
-    _draw_array((k, m), dtype)
-    if len(rngs) <= _STACK_PASS:
-        return _frame_pass(rngs, k, [m] * len(rngs), field)[m]
-    out = _draw_array((len(rngs), k, m), dtype)
-    for start in range(0, len(rngs), _STACK_PASS):
-        part = rngs[start:start + _STACK_PASS]
-        out[start:start + len(part)] = _frame_pass(
-            part, k, [m] * len(part), field)[m]
-    return out
-
-
-def _frame_pass(
-    rngs: Sequence[SplitMix64], k: int, sizes: Sequence[int], field: str
-) -> dict[int, np.ndarray]:
-    # The one draw of random frames: the orthonormalization rule on a
-    # pass of at most _STACK_PASS generators, t's block k x sizes[t], as
+def _random_rows(
+    draws: Iterable[tuple], k: int, field: str
+) -> Iterator[tuple[tuple, np.ndarray]]:
+    # The one draw of random frames.  Each draw starts with a generator
+    # and a frame size n; each is yielded, in order, with its k x n block
+    # of the orthonormalization rule.  Draws are taken _STACK_PASS at a
+    # time, and a pass's largest block is checked first, so a block too
+    # large is named by its shape before any fill.  A pass is drawn as
     # one _field_runs run with the generators of each size side by side,
-    # which moves no bit.  Returns each size's (count, k, n) stack.
-    groups = {n: [rng for rng, size in zip(rngs, sizes) if size == n]
-              for n in dict.fromkeys(sizes)}
-    flat = _field_runs([rng for group in groups.values() for rng in group],
-                       [k * n for n, group in groups.items() for _ in group],
-                       field)
-    stacks, at = {}, 0
-    for n, group in groups.items():
-        stacks[n] = flat[at:at + len(group) * k * n].reshape(-1, k, n)
-        _orthonormalize(group, stacks[n], field)
-        at += stacks[n].size
-    return stacks
+    # which moves no bit, and each size's blocks are orthonormalized in
+    # place as one stack of that run.
+    dtype = np.complex128 if field == "C" else np.float64
+    draws = iter(draws)
+    while part := list(itertools.islice(draws, _STACK_PASS)):
+        sizes = [draw[1] for draw in part]
+        _draw_array((k, max(sizes)), dtype)
+        groups = {n: [draw[0] for draw in part if draw[1] == n]
+                  for n in dict.fromkeys(sizes)}
+        flat = _field_runs([rng for group in groups.values() for rng in group],
+                           [k * n for n, group in groups.items() for _ in group],
+                           field)
+        blocks, at = {}, 0
+        for n, group in groups.items():
+            stack = flat[at:at + len(group) * k * n].reshape(-1, k, n)
+            blocks[n] = iter(_orthonormalize(group, stack, field))
+            at += stack.size
+        yield from zip(part, [next(blocks[n]) for n in sizes])
+
+
+def _random_vectors(
+    draws: Iterable[tuple], d: int, field: str
+) -> Iterator[tuple[tuple, np.ndarray]]:
+    # Each draw of _random_rows with the n x d vectors of its Parseval
+    # frame: the columns of its d orthonormal rows.
+    for draw, rows in _random_rows(draws, d, field):
+        yield draw, rows.T
 
 
 def _orthonormalize(
@@ -435,7 +442,8 @@ def random_onb(d: int, seed: int = 0, field: str = "C") -> Frame:
     diagonal, which is Haar (Mezzadri, Notices AMS 54(5), 592, 2007).
     """
     d = _integer(d, "dimension", 1)
-    return Frame(_orthonormal_rows([SplitMix64(seed)], d, d, field)[0], field)
+    _, rows = next(_random_rows([(SplitMix64(seed), d)], d, field))
+    return Frame(rows, field)
 
 
 def simplex_etf(d: int) -> Frame:
@@ -502,8 +510,8 @@ def random_parseval(
     block orthonormal; they are the columns of the frame's n x d matrix.
     """
     d, n = _frame_size(d, n)
-    rows = _orthonormal_rows([SplitMix64(seed)], d, n, field)[0]
-    return Frame(rows.T, field)
+    _, vectors = next(_random_vectors([(SplitMix64(seed), n)], d, field))
+    return Frame(vectors, field)
 
 
 def with_zeros(f: Frame, k: int) -> Frame:

@@ -45,8 +45,9 @@ from .frames import (
     _NORM_FLOOR,
     Frame,
     _frame_size,
-    _orthonormal_rows,
     _projections,
+    _random_rows,
+    _random_vectors,
     _squared_norms,
     harmonic_frame,
     random_parseval,
@@ -560,10 +561,10 @@ def verify_onb_gleason(
             rotations.append([[c, s], [-s, c]])
         blocks = np.array(rotations)
     else:
-        # random_onb's draw: the square case of the orthonormalization
-        # rule, each basis from a generator seeded with the next 64 bits
-        rngs = [SplitMix64(rng.u64()) for _ in range(trials)]
-        blocks = _orthonormal_rows(rngs, g.dim, g.dim, g.field)
+        # random_onb's draw, each basis from a generator seeded with the
+        # next 64 bits
+        draws = ((SplitMix64(rng.u64()), g.dim) for _ in range(trials))
+        blocks = [rows for _, rows in _random_rows(draws, g.dim, g.field)]
     return _frame_sum_verdict(g, blocks, None, seed, tol)
 
 
@@ -597,12 +598,10 @@ def verify_parseval_gleason(
         )
     rng = SplitMix64(seed)
     blocks = _parseval_specimens(g.dim, n, g.field)[:trials]
-    rngs = [SplitMix64(rng.u64()) for _ in range(trials - len(blocks))]
-    if rngs:
-        # random_parseval's draw: d orthonormal rows of length n, whose
-        # columns are the frame's vectors
-        rows = _orthonormal_rows(rngs, g.dim, n, g.field)
-        blocks.extend(rows.transpose(0, 2, 1))
+    # random_parseval's draw, each frame from a generator seeded with the
+    # next 64 bits
+    draws = ((SplitMix64(rng.u64()), n) for _ in range(trials - len(blocks)))
+    blocks += [v for _, v in _random_vectors(draws, g.dim, g.field)]
     return _frame_sum_verdict(g, blocks, n, seed, tol)
 
 

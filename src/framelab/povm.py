@@ -16,7 +16,8 @@ then turns density matrices into probability vectors, and
 functional behaves like such a rule.
 :func:`busch_experiment` and :func:`born_experiment` run those checks
 on random states and random grouped POVMs, whose frames of mixed
-sizes the frame pass of :mod:`framelab.frames` draws a pass at a time.
+sizes come from the random-frame stream of :mod:`framelab.frames`,
+each trial's plan the draw of its frame.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .frames import Frame, random_parseval
 from .linalg import resolve_tol
-from .rng import _NO_TRIAL, _STACK_PASS, SplitMix64, _integer
+from .rng import _NO_TRIAL, SplitMix64, _integer
 
 # Bound here though every frame draw of this module is stacked:
 # perfbench's tracer wraps random_parseval at each module that imports
@@ -390,16 +391,14 @@ def born_probabilities(rho, p: Povm, tol: float | None = None) -> np.ndarray:
             f"state dimension {r.shape[0]} does not match POVM dimension {p.dim}"
         )
     r = linalg._field_array(r, "C", "state")
-    probs = np.empty(len(p), dtype=np.float64)
-    for j in range(len(p)):
-        t = complex(np.trace(r @ p.effects[j]))
+    traces = np.trace(r @ p.effects, axis1=1, axis2=2)
+    for j, t in enumerate(traces.tolist()):
         if not linalg._negligible(t.imag, t.real, tol):
             raise InputError(
                 f"probability {j} has imaginary residue {t.imag:.3e}; "
                 "state or effects are far from Hermitian"
             )
-        probs[j] = t.real
-    return probs
+    return traces.real.copy()
 
 
 def random_density(d: int, seed: int = 0, field: str = "C") -> np.ndarray:
@@ -430,39 +429,33 @@ def _functional_value(
 
 def _povm_plan(
     rng: SplitMix64, d: int, k_min: int
-) -> tuple[int, SplitMix64, list[list[int]]]:
+) -> tuple[SplitMix64, int, list[list[int]]]:
     # What one random grouped POVM draws from its caller's generator, in
     # order: k effects (k_min to k_min + 2), a Parseval frame of n
     # vectors, the generator of that frame, then the group of each of
-    # its vectors, empty groups allowed.
+    # its vectors, empty groups allowed.  The plan is the frame's draw
+    # for the random-frame stream of frames.
     k = k_min + rng.below(3)
     n = max(d, k) + rng.below(d + 2)
     frame_rng = SplitMix64(rng.u64())
     groups: list[list[int]] = [[] for _ in range(k)]
     for i in range(n):
         groups[rng.below(k)].append(i)
-    return n, frame_rng, groups
+    return frame_rng, n, groups
 
 
 def _random_povms(
-    plans: Iterable[tuple[int, SplitMix64, list[list[int]]]],
+    plans: Iterable[tuple[SplitMix64, int, list[list[int]]]],
     d: int,
     field: str,
 ) -> Iterator[Povm]:
-    # The POVM of each plan, in plan order.  Plans are taken one pass of
-    # generators at a time, so a check of many trials holds one pass of
-    # plans and frames, drawn by the frame pass of frames: each frame
-    # has the bits of random_parseval on its generator.  The frames are
-    # Parseval by construction, so the grouping checks them at the
-    # default tolerance; a caller's tol judges only its verdict.
-    plans = iter(plans)
-    while part := list(itertools.islice(plans, _STACK_PASS)):
-        stacks = frames._frame_pass(
-            [rng for _, rng, _ in part], d, [n for n, _, _ in part], field)
-        drawn = {n: iter(stack) for n, stack in stacks.items()}
-        for n, _, groups in part:
-            yield povm_from_frame_grouped(Frame(next(drawn[n]).T, field),
-                                          groups)
+    # The POVM of each plan, in plan order, its frame drawn by the
+    # random-frame stream of frames with the bits of random_parseval on
+    # its generator.  The frames are Parseval by construction, so the
+    # grouping checks them at the default tolerance; a caller's tol
+    # judges only its verdict.
+    for (_, _, groups), vectors in frames._random_vectors(plans, d, field):
+        yield povm_from_frame_grouped(Frame(vectors, field), groups)
 
 
 def check_generalized_measure(

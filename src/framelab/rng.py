@@ -59,11 +59,9 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 # A fill hashes at least _FILL_MIN words and at most _FILL_MAX, so a
 # long draw holds one bounded block of words at a time; _STEPS[i] is
-# (i + 1) * gamma mod 2^64.  A stacked draw fills _STACK_PASS
-# generators per pass, so a tall stack holds one pass of blocks.
+# (i + 1) * gamma mod 2^64.
 _FILL_MIN = 64
 _FILL_MAX = 1024
-_STACK_PASS = 64
 _STEPS = np.arange(1, _FILL_MAX + 1, dtype=np.uint64) * np.uint64(_GAMMA)
 _NO_WORDS = np.empty(0, np.uint64)
 _TWO_PI = 2.0 * math.pi

@@ -9,7 +9,6 @@ explicit wall-clock budgets.
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -19,6 +18,7 @@ import pytest
 
 import framelab as fl
 from framelab import SplitMix64
+from subprocess_env import subprocess_env
 
 
 def verdict(num, name, ok, detail):
@@ -330,12 +330,10 @@ def test_criterion_10_flat_correlation_sequences_and_their_gabor_frames():
 
 
 def run_cli(args, cwd):
-    env = dict(os.environ)
-    env.pop("FRAMELAB_TOL", None)
     return subprocess.run(
         [sys.executable, "-m", "framelab", *args],
         cwd=cwd,
-        env=env,
+        env=subprocess_env({}),
         capture_output=True,
         text=True,
     )

@@ -3,7 +3,6 @@ byte sweep, in-process through ``cli.main``."""
 
 import hashlib
 import json
-import os
 import re
 import subprocess
 import sys
@@ -15,18 +14,15 @@ import pytest
 import framelab as fl
 from framelab import cli
 
+from subprocess_env import subprocess_env
 from test_serialize import NOT_INTEGERS, NOT_NUMBERS
 
 
 def run_cli(args, cwd, env_extra=None):
-    env = dict(os.environ)
-    env.pop("FRAMELAB_TOL", None)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "framelab", *args],
         cwd=cwd,
-        env=env,
+        env=subprocess_env(env_extra or {}),
         capture_output=True,
         text=True,
     )

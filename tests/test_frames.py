@@ -202,6 +202,17 @@ def _repeat_rows_in_stacks(monkeypatch, m):
     monkeypatch.setattr(fl.frames, "_field_runs", runs)
 
 
+def _stream(rngs, k, sizes, field):
+    # The blocks the random-frame stream yields for rngs[t] with frame
+    # size sizes[t], each checked to come with its own draw, in order.
+    draws = [(rng, n) for rng, n in zip(rngs, sizes)]
+    got = list(fl.frames._random_rows(iter(draws), k, field))
+    assert [draw for draw, _ in got] == draws
+    for (_, n), (_, block) in zip(draws, got):
+        assert block.shape == (k, n)
+    return [block for _, block in got]
+
+
 @pytest.mark.parametrize("field", ["R", "C"])
 def test_stacked_orthonormal_rows_match_the_per_row_rule(field):
     # Each frame of a stack has the bytes of the per-row rule on its
@@ -210,8 +221,8 @@ def test_stacked_orthonormal_rows_match_the_per_row_rule(field):
                  (4, 7), (8, 8), (5, 13)]:
         seeds = [0, 1, 7919, 2**64 - 1, 12345]
         rngs = [SplitMix64(s) for s in seeds]
-        stack = fl.frames._orthonormal_rows(rngs, k, m, field)
-        assert stack.shape == (len(seeds), k, m)
+        stack = _stream(rngs, k, [m] * len(rngs), field)
+        assert len(stack) == len(seeds)
         for s, rng, got in zip(seeds, rngs, stack):
             ref_rng = SplitMix64(s)
             want = _per_row_rows(ref_rng, k, m, field)
@@ -236,10 +247,10 @@ def test_a_stack_of_several_passes_matches_the_per_row_rule(field):
     # More generators than one pass takes: each frame, on either side of
     # a pass boundary, has the bytes of the per-row rule on its own
     # generator, which ends where that rule leaves it, holding no words.
-    count = 2 * fl.rng._STACK_PASS + 3
+    count = 2 * fl.frames._STACK_PASS + 3
     rngs, refs = _started_generators(count), _started_generators(count)
-    stack = fl.frames._orthonormal_rows(rngs, 2, 3, field)
-    assert stack.shape == (count, 2, 3)
+    stack = _stream(rngs, 2, [3] * count, field)
+    assert len(stack) == count
     for rng, ref, got in zip(rngs, refs, stack):
         assert got.tobytes() == _per_row_rows(ref, 2, 3, field).tobytes()
         assert _generator_state(rng) == _generator_state(ref)
@@ -247,18 +258,27 @@ def test_a_stack_of_several_passes_matches_the_per_row_rule(field):
 
 
 @pytest.mark.parametrize("field", ["R", "C"])
-def test_a_pass_of_mixed_sizes_stacks_each_size(field):
+def test_a_pass_of_mixed_sizes_stacks_each_size(field, monkeypatch):
     # One pass over frames of sizes in an interleaved order: one stack
     # per size, in order of first appearance, its frames in generator
     # order, each with the bytes of the per-row rule on its generator.
     sizes = [5, 3, 5, 8, 3, 3, 2, 5, 8, 4]
     rngs = _started_generators(len(sizes))
     refs = _started_generators(len(sizes))
-    stacks = fl.frames._frame_pass(rngs, 2, sizes, field)
+    stacks = {}
+    rule = fl.frames._orthonormalize
+
+    def spy(group, out, field):
+        stacks[out.shape[2]] = out
+        return rule(group, out, field)
+
+    monkeypatch.setattr(fl.frames, "_orthonormalize", spy)
+    blocks = _stream(rngs, 2, sizes, field)
     assert list(stacks) == [5, 3, 8, 2, 4]
     drawn = {n: iter(stack) for n, stack in stacks.items()}
-    for n, rng, ref in zip(sizes, rngs, refs):
+    for n, rng, ref, block in zip(sizes, rngs, refs, blocks):
         got = next(drawn[n])
+        assert np.shares_memory(block, got)
         assert got.tobytes() == _per_row_rows(ref, 2, n, field).tobytes()
         assert _generator_state(rng) == _generator_state(ref)
     assert all(next(rest, None) is None for rest in drawn.values())
@@ -278,9 +298,9 @@ def test_a_degenerate_row_is_redrawn_from_its_own_generator(
 
     _repeat_rows_in_stacks(monkeypatch, m)
     rngs = stack_of_three()
-    stack = fl.frames._orthonormal_rows(rngs, k, m, field)
+    stack = _stream(rngs, k, [m] * 3, field)
     for rng, solo_rng, got in zip(rngs, stack_of_three(), stack):
-        solo = fl.frames._orthonormal_rows([solo_rng], k, m, field)[0]
+        [solo] = _stream([solo_rng], k, [m], field)
         assert got.tobytes() == solo.tobytes()
         assert _generator_state(rng) == _generator_state(solo_rng)
     ref_rng = _RepeatedRow(22)

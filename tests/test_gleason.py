@@ -611,13 +611,13 @@ def test_each_verification_draws_its_trial_frames_as_one_stack(monkeypatch):
     # One orthonormalization pass per verification, over a generator
     # per random trial frame; specimens take none.
     calls = []
-    rule = fl.gleason._orthonormal_rows
+    rule = fl.frames._orthonormalize
 
-    def spy(rngs, k, m, field):
-        calls.append((len(rngs), k, m, field))
-        return rule(rngs, k, m, field)
+    def spy(rngs, out, field):
+        calls.append((len(rngs),) + out.shape[1:] + (field,))
+        return rule(rngs, out, field)
 
-    monkeypatch.setattr(fl.gleason, "_orthonormal_rows", spy)
+    monkeypatch.setattr(fl.frames, "_orthonormalize", spy)
     g = fl.quadratic_gleason(fl.random_hermitian(3, seed=1, field="C"))
     fl.verify_onb_gleason(g, trials=12, seed=2)
     fl.verify_parseval_gleason(g, 5, trials=6, seed=2)

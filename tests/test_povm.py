@@ -361,6 +361,31 @@ def test_born_probabilities_random():
         assert abs(float(np.sum(probs)) - 1.0) <= 1e-12
 
 
+def test_born_probabilities_have_the_bits_of_the_per_effect_traces():
+    # The stacked trace against the loop it replaced: trace(rho @ E_j)
+    # one effect at a time, real part kept.
+    rng = SplitMix64(41)
+    for d in range(1, 21):
+        for k in range(2, 6):
+            f = fl.random_parseval(d, max(d, k) + rng.below(3),
+                                   seed=rng.u64())
+            groups = [list(range(i, len(f), k)) for i in range(k)]
+            p = fl.povm_from_frame_grouped(f, groups)
+            rho = fl.random_density(d, seed=rng.u64())
+            want = [complex(np.trace(rho @ e)).real for e in p.effects]
+            got = fl.born_probabilities(rho, p)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_born_names_the_first_effect_off_the_real_line():
+    p = fl.povm_from_frame(fl.standard_onb(3, "C"))
+    rho = np.diag([0.5, 0.25 + 1e-3j, 0.25 - 1e-2j])
+    with pytest.raises(fl.InputError, match=r"^probability 1 has imaginary "
+                       r"residue 1\.000e-03; state or effects are far"):
+        fl.born_probabilities(rho, p)
+
+
 def test_born_imaginary_residue_is_judged_at_tol():
     p = fl.povm_from_frame(fl.standard_onb(2, "C"))
     rho = np.diag([0.5 + 5e-9j, 0.5 - 5e-9j])
@@ -545,14 +570,14 @@ def test_a_measure_check_stacks_each_frame_size_of_each_pass(monkeypatch):
     monkeypatch.setattr(fl.frames, "_field_runs", spy_draw)
     monkeypatch.setattr(fl.frames, "random_parseval", no_single_draw)
     monkeypatch.setattr(fl.povm, "random_parseval", no_single_draw)
-    size = fl.rng._STACK_PASS
+    size = fl.frames._STACK_PASS
     for trials in (12, 2 * size + 5):
         stacks.clear()
         runs.clear()
         fl.check_generalized_measure(lambda e: 0.5, 3, 5, trials=trials,
                                      seed=4)
         rng = SplitMix64(4)
-        sizes = [fl.povm._povm_plan(rng, 3, 5)[0] for _ in range(trials)]
+        sizes = [fl.povm._povm_plan(rng, 3, 5)[1] for _ in range(trials)]
         want, want_runs = [], []
         for start in range(0, trials, size):
             part = sizes[start:start + size]

@@ -1,19 +1,17 @@
 import hashlib
 import math
-import os
 import re
 import subprocess
 import sys
 import tracemalloc
-from collections.abc import Sequence
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import framelab as fl
 from framelab import SplitMix64
+from subprocess_env import subprocess_env
 
 
 def _draw_script_digest(seed):
@@ -506,7 +504,7 @@ def test_field_blocks_draw_each_generators_own_block(shape, field):
     # generators than one pass of frames takes, some partly into their
     # blocks and some holding a spare; each then holds no words, and its
     # later draws continue its stream.
-    count = 2 * fl.rng._STACK_PASS + 3
+    count = 2 * fl.frames._STACK_PASS + 3
     seeds = [REFERENCE_SEEDS[t % len(REFERENCE_SEEDS)] + t
              for t in range(count)]
     rngs = [SplitMix64(s) for s in seeds]
@@ -680,15 +678,17 @@ def test_numpys_cos_sin_and_sqrt_have_libms_bits():
 
 
 def test_a_tall_stack_holds_one_pass_of_words():
-    # The traced peak of orthonormalizing 2 x 2 complex blocks grows by
-    # at most 512 bytes a generator, 8 times a block's 64: the stack and
-    # its temporaries, and no block of words beside it.  Keeping every
-    # generator's words after its draw grew by 3,480 bytes a generator.
+    # The traced peak of drawing and keeping 2 x 2 complex blocks grows
+    # by at most 512 bytes a generator, 8 times a block's 64: the blocks
+    # kept and a pass's temporaries, and no block of words beside them.
+    # Keeping every generator's words after its draw grew by 3,480 bytes
+    # a generator.
     def peak(count):
-        rngs = [SplitMix64(s) for s in range(count)]
+        draws = [(SplitMix64(s), 2) for s in range(count)]
         tracemalloc.start()
         try:
-            fl.frames._orthonormal_rows(rngs, 2, 2, "C")
+            blocks = [b for _, b in fl.frames._random_rows(draws, 2, "C")]
+            assert len(blocks) == count
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -728,22 +728,9 @@ def test_a_long_draw_holds_one_bounded_block_of_words():
     assert len(rng._words) <= 1024
 
 
-class _HugeStack(Sequence):
-    """2**62 generators, none of which may be taken: a stack this tall
-    must fail its size check before any draw."""
-
-    def __len__(self):
-        return 2**62
-
-    def __getitem__(self, i):
-        raise AssertionError("a generator was read before the size check")
-
-
 @pytest.mark.parametrize("draw, shape", [
     (lambda: fl.random_parseval(2, 10**12), (2, 10**12)),
-    (lambda: fl.frames._orthonormal_rows(_HugeStack(), 2, 2, "R"),
-     (2**62, 2, 2)),
-], ids=["random_parseval", "_orthonormal_rows-stack"])
+], ids=["random_parseval"])
 def test_a_draw_too_large_names_its_shape_before_any_fill(draw, shape):
     with pytest.raises(fl.InputError,
                        match=re.escape(f"a draw of shape {shape} is too large")):
@@ -814,10 +801,7 @@ SWITCHES = {
 def _run_digest(env):
     # The digest, the CPU features NumPy enabled and OpenBLAS's report of
     # its core, from a fresh interpreter under env.
-    src = str(Path(fl.__file__).resolve().parent.parent)
-    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    full = {**os.environ, **env, "OPENBLAS_VERBOSE": "2",
-            "PYTHONPATH": os.pathsep.join(path)}
+    full = subprocess_env({**env, "OPENBLAS_VERBOSE": "2"})
     done = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=full,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

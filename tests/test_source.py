@@ -623,15 +623,25 @@ def test_name_scan_sees_names_and_attributes():
     assert functions_naming(tree, {"run"}, bare=False) == ["f", "m"]
 
 
+def _uses(names: set[str]) -> dict[str, list[str]]:
+    # functions_naming over every module of the package that names any
+    # of names.
+    uses = {path.name: functions_naming(ast.parse(path.read_text()), names)
+            for path in PACKAGE.glob("*.py")}
+    return {name: found for name, found in uses.items() if found}
+
+
 def test_only_the_frame_pass_draws_a_stack():
     # Every stack of random frames, of one size or of mixed sizes, is
-    # drawn by the frame pass of frames, the one user of rng's stacked
-    # run; no other function calls it, takes it or hands it on.
-    uses = {path.name: functions_naming(ast.parse(path.read_text()),
-                                        {"_field_runs"})
-            for path in PACKAGE.glob("*.py")}
-    assert {name: found for name, found in uses.items() if found} == {
-        "frames.py": ["_frame_pass"]}
+    # drawn by the random-frame stream of frames, the one user of rng's
+    # stacked run; no other function calls it, takes it or hands it on.
+    assert _uses({"_field_runs"}) == {"frames.py": ["_random_rows"]}
+
+
+def test_only_frames_knows_the_pass_size():
+    # How many random frames a pass draws is decided where they are
+    # drawn: no other module defines, reads or imports _STACK_PASS.
+    assert list(_uses({"_STACK_PASS"})) == ["frames.py"]
 
 
 def test_only_rng_touches_a_generators_words():
