@@ -11,6 +11,8 @@ POVMs and Gabor frames, and so are the squared-norm rule (|x|^2 summed
 over the last axis), the unit-modulus deviation (largest |m - 1|) and
 the orthonormalization rule behind every random frame: one
 Gram-Schmidt pass over a stack of Gaussian blocks, one per generator.
+Its redraw rule, for a refused row of a frame and for a refused sample
+direction of :mod:`framelab.gleason`, is written here once too.
 Every random frame comes from one stream, which takes its draws
 _STACK_PASS at a time, of any frame sizes, and yields each with its
 block; a single frame is a stream of one, and a Parseval frame's
@@ -358,6 +360,26 @@ def _project(v: np.ndarray, rows: Sequence[np.ndarray]) -> None:
         v -= np.vecdot(u, v)[:, None] * u
 
 
+def _redraw(
+    rngs: Sequence[SplitMix64], v: np.ndarray, norms: np.ndarray,
+    field: str, rows: Sequence[np.ndarray],
+) -> None:
+    # The redraw rule, in place: row t of the stack v, of norm norms[t],
+    # is refused while that norm is at most _NORM_FLOOR, and replaced by
+    # a fresh draw from rngs[t], after all it has drawn, projected twice
+    # off row t of each of rows.  A direction has no earlier rows.
+    if min(norms.tolist()) > _NORM_FLOOR:
+        return
+    for t, rng in enumerate(rngs):
+        own = [u[t:t + 1] for u in rows]
+        while norms[t] <= _NORM_FLOOR:
+            w = rng.field_gaussians(v.shape[-1], field)[None]
+            _project(w, own)
+            _project(w, own)
+            v[t] = w[0]
+            norms[t] = np.sqrt(_squared_norms(w))[0]
+
+
 def _random_rows(
     draws: Iterable[tuple], k: int, field: str
 ) -> Iterator[tuple[tuple, np.ndarray]]:
@@ -409,24 +431,14 @@ def _orthonormalize(
     # projections come in the same order either way, so each block gets
     # the bits it gets when its generator runs alone.  A row that falls
     # too close to the span of the earlier ones, which for continuous
-    # Gaussians essentially never happens, is replaced by a fresh draw
-    # from its own generator after that generator's block, projected
-    # twice.
-    m = out.shape[2]
+    # Gaussians essentially never happens, is drawn again by the redraw
+    # rule.
     rows: list[np.ndarray] = []
     for j in range(out.shape[1]):
         v = out[:, j]
         _project(v, rows)
         norms = np.sqrt(_squared_norms(v))
-        if min(norms.tolist()) <= _NORM_FLOOR:
-            for t, rng in enumerate(rngs):
-                while norms[t] <= _NORM_FLOOR:
-                    own = [u[t:t + 1] for u in rows]
-                    w = rng.field_gaussians(m, field)[None]
-                    _project(w, own)
-                    _project(w, own)
-                    v[t] = w[0]
-                    norms[t] = np.sqrt(_squared_norms(w))[0]
+        _redraw(rngs, v, norms, field, rows)
         v /= norms[:, None]
         rows.append(v)
         rest = out[:, j + 1:]
@@ -486,13 +498,11 @@ def harmonic_frame(
         raise BadSelectorError(
             f"selector has {len(sel)} entries for dimension {d}"
         )
-    prev = 0
-    for s in sel:
-        if s <= prev:
-            raise BadSelectorError("selector must be strictly increasing")
-        prev = s
-    if sel[0] < 1 or sel[-1] > n:
+    if min(sel) < 1 or max(sel) > n:
         raise BadSelectorError(f"selector entries must lie in 1..{n}")
+    if any(a >= b for a, b in zip(sel, sel[1:])):
+        raise BadSelectorError("selector must be strictly increasing")
+    _draw_array((n, d), np.complex128)
 
     m = np.arange(n).reshape(-1, 1)
     s = np.array(sel).reshape(1, -1)
@@ -522,5 +532,7 @@ def with_zeros(f: Frame, k: int) -> Frame:
     useful as Parseval specimens with more vectors than dimensions.
     """
     k = _integer(k, "zeros", 0, "cannot append a negative number of zeros")
-    pad = np.zeros((k, f.dim), dtype=f.vectors.dtype)
-    return Frame(np.vstack([f.vectors, pad]), f.field)
+    out = _draw_array((len(f) + k, f.dim), f.vectors.dtype)
+    out[:len(f)] = f.vectors
+    out[len(f):] = 0.0
+    return Frame(out, f.field)

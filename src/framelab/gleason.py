@@ -42,12 +42,12 @@ from .errors import (
     OutOfBallError,
 )
 from .frames import (
-    _NORM_FLOOR,
     Frame,
     _frame_size,
     _projections,
     _random_rows,
     _random_vectors,
+    _redraw,
     _squared_norms,
     harmonic_frame,
     random_parseval,
@@ -272,27 +272,18 @@ def _directions(
     rng: SplitMix64, d: int, field: str, uniforms: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     # Gaussian directions, one a sample, with their norms and the
-    # uniforms drawn after them: sample i draws a direction, again
-    # while its norm is at most _NORM_FLOOR, and then uniforms[i]
-    # uniforms.  One run of the stream draws them all, with the bits
-    # and the end state of the samples drawn one at a time; the norms
-    # of a run's directions are taken as one block.
-    rows, norms = [], []
-
-    def keep(normals: list[float]) -> int:
-        block = np.array(normals)
-        if field == "C":
-            block = _complex_parts(block)
-        block = block.reshape(-1, d)
-        size = np.sqrt(_squared_norms(block))
-        refused = np.flatnonzero(size <= _NORM_FLOOR)
-        kept = int(refused[0]) if refused.size else len(size)
-        rows.append(block[:kept])
-        norms.append(size[:kept])
-        return kept
-
-    draws = rng._run(d if field == "R" else 2 * d, uniforms, keep)
-    return np.concatenate(rows), np.concatenate(norms), draws
+    # uniforms drawn after them: sample i draws a direction and then
+    # uniforms[i] uniforms.  One run of the stream draws them all, with
+    # the bits of the samples drawn one at a time, and the norms are
+    # taken as one block.  A direction of norm at most the floor is then
+    # drawn again, after the run, by the redraw rule of frames.
+    normals, draws = rng._run(d if field == "R" else 2 * d, uniforms)
+    if field == "C":
+        normals = _complex_parts(normals)
+    block = normals.reshape(-1, d)
+    norms = np.sqrt(_squared_norms(block))
+    _redraw([rng] * len(block), block, norms, field, [])
+    return block, norms, draws
 
 
 def _quadratic_values(a: np.ndarray, x: np.ndarray) -> np.ndarray:

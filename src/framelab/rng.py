@@ -16,7 +16,8 @@ stack's generators drop their unread words), in rounds of at most
 _FILL_MAX normals a generator: one fill hashes a round's words and one
 transform serves the whole round.  Gaussian variates come from
 the Box-Muller transform applied to those words; complex Gaussians are
-standard circular ones with unit total variance.  Every Gaussian, real
+standard circular ones with unit total variance, a pair of normals
+with each part divided by sqrt(2).  Every Gaussian, real
 or complex, comes from one private whole-array transform
 (:func:`_box_muller`), so the transform is written once: exact
 uniforms, libm's log through ``math.log`` (NumPy's own log differs
@@ -27,8 +28,10 @@ generator's spare for its next draw.  A sampler that draws a direction
 and then a few uniforms per sample takes them all from one planned run
 of the stream (:meth:`SplitMix64._run`): the words are laid out,
 hashed in blocks, told apart by one mask and transformed once, with
-the bits, spare and end state of the draws made one by one.  No Python
-loop runs per word, per pair or per step.
+the bits, spare and end state of the draws made one by one; a
+direction the sampler refuses is drawn again after the run, by the
+redraw rule of :mod:`framelab.frames`.  No Python loop runs per word,
+per pair or per step.
 
 The package's integer and field rules live here too, in its lowest
 module.  Integer rule (:func:`_integer`): a count, index or seed a
@@ -49,7 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,8 +70,6 @@ _NO_WORDS = np.empty(0, np.uint64)
 _TWO_PI = 2.0 * math.pi
 _ULP = 2.0 ** -53
 _ROOT2 = math.sqrt(2.0)
-# (im * 0.0, -(re * 0.0)) of CPython's complex-by-float division
-_ZERO_PRODUCTS = np.array([0.0, -0.0])
 _NO_TRIAL = "need at least one trial"
 
 
@@ -213,11 +214,8 @@ def _box_muller(words: np.ndarray) -> np.ndarray:
 
 def _complex_parts(flat: np.ndarray) -> np.ndarray:
     # Pairs of normals in a float64 array become, in place, complex
-    # normals with the bits of SplitMix64.complex_gaussians; returns
-    # the complex view.
-    parts = flat.reshape(-1, 2)
-    parts += parts[:, ::-1] * _ZERO_PRODUCTS
-    parts /= _ROOT2
+    # normals, each part divided by sqrt(2); returns the complex view.
+    flat /= _ROOT2
     return flat.view(np.complex128)
 
 
@@ -285,53 +283,32 @@ class SplitMix64:
         return np.concatenate(parts)
 
     def _run(
-        self,
-        width: int,
-        uniforms: Sequence[int],
-        keep: Callable[[np.ndarray], int],
-    ) -> list[float]:
+        self, width: int, uniforms: Sequence[int]
+    ) -> tuple[np.ndarray, list[float]]:
         # Steps that each draw width >= 1 normals, as gaussians(width)
         # does, and then uniforms[i] uniforms, as uniform() does, from
         # one planned run of the stream: the bits, and the state and
         # spare after the run, are those of the steps taken one by one.
-        # keep is handed the normals of the steps left, in step order,
-        # and returns how many leading steps it keeps; the next step is
-        # then drawn again from where its normals end, before its
-        # uniforms, and the run goes on from there.  Returns the kept
-        # steps' uniforms in order.
-        draws: list[float] = []
-        while uniforms:
-            # Plan: step i holds a spare before its normals when held[i],
-            # and after the last step when held[-1]; the spare flips at
-            # each step when width is odd.  Step i draws its pair words,
-            # which end at ends[2i], then its uniform words; one mask
-            # over the taken words tells the two apart.
-            start, spare = self.state, self._spare
-            steps = len(uniforms)
-            held = (np.arange(steps + 1) * (width % 2)
-                    + (spare is not None)) % 2
-            lengths = np.empty(2 * steps, np.int64)
-            lengths[0::2] = (width + 1 - held[:-1]) // 2 * 2
-            lengths[1::2] = uniforms
-            ends = np.cumsum(lengths)
-            words = self._take(int(ends[-1]))
-            paired = np.repeat(np.arange(2 * steps) % 2 == 0, lengths)
-            normals = _box_muller(words[paired])
-            if spare is not None:
-                normals = np.concatenate(([spare], normals))
-            kept = keep(normals[:steps * width])
-            last = min(kept, steps - 1)
-            self._spare = (normals.item((last + 1) * width)
-                           if held[last + 1] else None)
-            done = sum(uniforms[:kept])
-            draws += ((words[~paired][:done] >> 11) * _ULP).tolist()
-            if kept == steps:
-                return draws
-            # Redraw: back to the end of the refused step's normals.
-            self._base = (start + int(ends[2 * last]) * _GAMMA) & _MASK
-            self._words, self._read = _NO_WORDS, 0
-            uniforms = uniforms[kept:]
-        return draws
+        # Returns the steps' normals, in step order in one flat array,
+        # and their uniforms in order.
+        #
+        # Plan: step i holds a spare before its normals when held[i],
+        # and after the last step when held[-1]; the spare flips at each
+        # step when width is odd.  Step i draws its pair words, then its
+        # uniform words; one mask over the taken words tells them apart.
+        spare, steps = self._spare, len(uniforms)
+        held = (np.arange(steps + 1) * (width % 2) + (spare is not None)) % 2
+        lengths = np.empty(2 * steps, np.int64)
+        lengths[0::2] = (width + 1 - held[:-1]) // 2 * 2
+        lengths[1::2] = uniforms
+        words = self._take(int(lengths.sum()))
+        paired = np.repeat(np.arange(2 * steps) % 2 == 0, lengths)
+        normals = _box_muller(words[paired])
+        if spare is not None:
+            normals = np.concatenate(([spare], normals))
+        self._spare = normals.item(steps * width) if held[-1] else None
+        draws = ((words[~paired] >> 11) * _ULP).tolist()
+        return normals[:steps * width], draws
 
     def gaussians(self, shape: int | tuple[int, ...]) -> np.ndarray:
         """Array of independent standard normals, filled in C order."""
@@ -342,13 +319,8 @@ class SplitMix64:
     def complex_gaussians(self, shape: int | tuple[int, ...]) -> np.ndarray:
         """Array of standard circular complex normals (unit variance).
 
-        Entry k has the bits of ``complex(re, im) / math.sqrt(2.0)``
-        for normals 2k and 2k + 1.  CPython computes that quotient as
-        ``((re + im * 0.0) / root2, (im - re * 0.0) / root2)``, one
-        correctly rounded division per part, so the same steps on the
-        float parts as one array give the same bits.  The zero products
-        only set the signs of the zero parts that radius -0.0 (``u1``
-        exactly 1) yields.
+        Entry k has real part normal 2k and imaginary part normal
+        2k + 1, each divided by sqrt(2).
         """
         out = _draw_array(shape, np.complex128)
         flat = out.reshape(-1).view(np.float64)

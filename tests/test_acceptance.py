@@ -7,14 +7,12 @@ dimensions and field choices across many seeds, and two of them carry
 explicit wall-clock budgets.
 """
 
-import json
 import math
 import subprocess
 import sys
 import time
 
 import numpy as np
-import pytest
 
 import framelab as fl
 from framelab import SplitMix64

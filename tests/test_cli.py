@@ -459,6 +459,19 @@ def test_gen_exits_2_at_once_on_a_dimension_too_large_to_draw(
                                    "large\n")
 
 
+@pytest.mark.parametrize("command", [
+    "gleason verify-parseval --spec cos2d:6 --n 1000000000000",
+    "gen harmonic --dim 2 --n 1000000000000",
+], ids=["padded-specimen", "harmonic"])
+def test_a_frame_too_large_to_build_exits_2(command, tmp_path, monkeypatch,
+                                            capsys):
+    # Each once exited 1 with NumPy's allocation traceback.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(command.split()) == 2
+    assert capsys.readouterr() == ("", "error: a draw of shape "
+                                   "(1000000000000, 2) is too large\n")
+
+
 @pytest.mark.parametrize("mode", ["born", "busch"])
 def test_experiment_tol_below_roundoff_fails_the_verdict_only(
         mode, tmp_path, monkeypatch, capsys):

@@ -495,6 +495,15 @@ def test_harmonic_selector_validation():
         fl.harmonic_frame(4, 3)
 
 
+@pytest.mark.parametrize("selector", [(0, 1), (5, 0)])
+def test_harmonic_selector_range_is_checked_before_its_order(selector):
+    # (0, 1) is increasing and out of range; it was once refused as
+    # "strictly increasing", by an order check that starts at 0.
+    with pytest.raises(fl.BadSelectorError,
+                       match=r"^selector entries must lie in 1\.\.4$"):
+        fl.harmonic_frame(2, 4, selector)
+
+
 def test_welch_bound_values():
     assert fl.welch_bound(3, 3) == 0.0
     assert_allclose(fl.welch_bound(3, 2), 0.5)

@@ -654,19 +654,20 @@ def test_a_verification_keeps_no_words_per_trial(name, run, per_trial):
 
 
 def _directions_one_at_a_time(rng, d, field, uniforms):
-    # The per-sample loop the block draw replaces: a direction, drawn
-    # again while its norm is at most the floor, then its uniforms.
-    rows, norms, draws, redraws = [], [], [], 0
+    # The per-sample loop the block draw replaces: a direction, then its
+    # uniforms; after the last sample, each direction of norm at most
+    # the floor, in sample order, drawn again while it is.
+    rows, norms, draws = [], [], []
     for count in uniforms:
-        while True:
-            direction = rng.field_gaussians(d, field)
-            norm = math.sqrt(fl.frames._squared_norms(direction))
-            if norm > fl.gleason._NORM_FLOOR:
-                break
-            redraws += 1
-        rows.append(direction)
-        norms.append(norm)
+        rows.append(rng.field_gaussians(d, field))
+        norms.append(math.sqrt(fl.frames._squared_norms(rows[-1])))
         draws += [rng.uniform() for _ in range(count)]
+    redraws = 0
+    for i in range(len(rows)):
+        while norms[i] <= fl.frames._NORM_FLOOR:
+            rows[i] = rng.field_gaussians(d, field)
+            norms[i] = math.sqrt(fl.frames._squared_norms(rows[i]))
+            redraws += 1
     return np.array(rows), np.array(norms), draws, redraws
 
 
@@ -731,8 +732,9 @@ def test_block_directions_longer_than_a_fill(field):
 def test_block_directions_redraw_as_the_per_sample_loop(field, pattern,
                                                         monkeypatch):
     # A raised floor refuses about a fifth to two fifths of d = 1
-    # directions, so runs of refusals and refusals after a spare occur.
-    monkeypatch.setattr(fl.gleason, "_NORM_FLOOR", 0.5)
+    # directions, so runs of refusals and refusals after a spare occur;
+    # each is drawn again after the run, by the redraw rule of frames.
+    monkeypatch.setattr(fl.frames, "_NORM_FLOOR", 0.5)
     redraws = 0
     for seed, prelude in ((1, "fresh"), (2, "read"), (3, "spare")):
         redraws += _same_directions(1, field, pattern(64, field), seed,

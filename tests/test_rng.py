@@ -52,6 +52,9 @@ ZERO_RADIUS_SEEDS = (0x31628AF67B2131AB, 0x71A00BA151AEADC2)
 
 @pytest.mark.parametrize("shape", [0, (4, 0), 1, 7, (5, 3)])
 def test_complex_gaussians_match_python_complex_division(shape):
+    # Each part is its normal divided by sqrt(2).  That is CPython's
+    # complex(re, im) / sqrt(2) by value everywhere and by bits except
+    # in the sign of a zero part, which only the zero-radius seeds reach.
     root2 = math.sqrt(2.0)
     for seed in list(range(200)) + list(ZERO_RADIUS_SEEDS):
         bulk = SplitMix64(seed)
@@ -63,19 +66,23 @@ def test_complex_gaussians_match_python_complex_division(shape):
             dtype=np.complex128,
         ).reshape(shape)
         assert z.dtype == np.complex128 and z.shape == expected.shape
-        assert z.tobytes() == expected.tobytes(), seed
+        assert z.tobytes() == (flat / root2).tobytes(), seed
+        assert np.array_equal(z, expected), seed
+        if seed not in ZERO_RADIUS_SEEDS:
+            assert z.tobytes() == expected.tobytes(), seed
         assert (bulk.state, bulk._spare) == (scalar.state, scalar._spare)
 
 
 def test_zero_radius_seeds_reach_signed_zeros():
-    # Guards the seeds above: Python's division turns the pair
-    # (-0.0, 0.0) into (0.0, 0.0) and (-0.0, -0.0) into (-0.0, 0.0).
+    # Guards the seeds above: their first pair of normals is (-0.0, 0.0)
+    # and (-0.0, -0.0), and each part keeps its sign, where Python's
+    # division gives (0.0, 0.0) and (-0.0, 0.0).
     signs = []
     for seed in ZERO_RADIUS_SEEDS:
         assert SplitMix64(seed).gaussians(2)[0] == 0.0
         z = SplitMix64(seed).complex_gaussians(1)[0]
         signs.append((math.copysign(1.0, z.real), math.copysign(1.0, z.imag)))
-    assert signs == [(1.0, 1.0), (-1.0, 1.0)]
+    assert signs == [(-1.0, 1.0), (-1.0, -1.0)]
 
 
 # SHA-256 prefixes of each site that draws Gaussians by field, over
@@ -420,9 +427,7 @@ class _ReferenceSplitMix64:
         out = np.empty(shape, np.complex128)
         flat = out.ravel().view(np.float64)
         flat[:] = self._normals(flat.size)
-        parts = flat.reshape(-1, 2)
-        parts += parts[:, ::-1] * np.array([0.0, -0.0])
-        parts /= math.sqrt(2.0)
+        flat /= math.sqrt(2.0)
         return out
 
 
@@ -599,54 +604,31 @@ def test_stacked_draws_match_the_scalar_transform(field):
         _same_draw(rng, ref, draw, 3)
 
 
-def _steps_one_at_a_time(ref, width, uniforms, refused):
+def _steps_one_at_a_time(ref, width, uniforms):
     # The steps of a planned run drawn one by one: a step's normals,
-    # drawn again when the count of directions drawn so far is in
-    # refused, then its uniforms.
-    normals, draws, drawn = [], [], 0
+    # then its uniforms.
+    normals, draws = [], []
     for count in uniforms:
-        while True:
-            step = ref._normals(width)
-            drawn += 1
-            if drawn - 1 not in refused:
-                break
-        normals += step
+        normals += ref._normals(width)
         draws += [ref.uniform() for _ in range(count)]
     return normals, draws
 
 
-# (uniforms, refused directions) of planned runs.
-RUN_PLANS = [
-    ([], set()), ([0], set()), ([1, 0, 2], set()),
-    ([i % 4 for i in range(65)], set()), ([2] * 40, {0, 3, 4, 39}),
-    ([0, 1] * 20, {1, 40}),
-]
+# The uniforms of the steps of planned runs.
+RUN_PLANS = [[], [0], [1, 0, 2], [i % 4 for i in range(65)], [2] * 40,
+             [0, 1] * 20]
 
 
 @pytest.mark.parametrize("start", STARTS)
 def test_planned_runs_match_the_scalar_transform(start):
     for width in (1, 2, 3, 6, 63, 64, 65):
-        for uniforms, refused in RUN_PLANS:
+        for uniforms in RUN_PLANS:
             for seed in (1, 7919) + ZERO_RADIUS_SEEDS:
                 rng, ref = _started(seed, start)
-                got, seen = [], 0
-
-                def keep(normals):
-                    nonlocal seen
-                    block = normals.reshape(-1, width)
-                    kept = len(block)
-                    hit = sorted(r - seen for r in refused
-                                 if 0 <= r - seen < kept)
-                    kept = hit[0] if hit else kept
-                    got.append(block[:kept].copy())
-                    seen += kept + (kept < len(block))
-                    return kept
-
-                draws = rng._run(width, uniforms, keep)
-                normals, want = _steps_one_at_a_time(
-                    ref, width, uniforms, refused)
-                got_normals = np.concatenate(got) if got else np.empty(0)
-                assert got_normals.tobytes() == np.array(normals).tobytes()
+                normals, draws = rng._run(width, uniforms)
+                want_normals, want = _steps_one_at_a_time(ref, width, uniforms)
+                assert normals.shape == (len(uniforms) * width,)
+                assert normals.tobytes() == np.array(want_normals).tobytes()
                 assert np.array(draws).tobytes() == np.array(want).tobytes()
                 assert rng.state == ref.state
                 assert repr(rng._spare) == repr(ref._spare)
@@ -730,8 +712,12 @@ def test_a_long_draw_holds_one_bounded_block_of_words():
 
 @pytest.mark.parametrize("draw, shape", [
     (lambda: fl.random_parseval(2, 10**12), (2, 10**12)),
-], ids=["random_parseval"])
+    (lambda: fl.harmonic_frame(2, 10**12), (10**12, 2)),
+    (lambda: fl.with_zeros(fl.standard_onb(2), 10**12 - 2), (10**12, 2)),
+], ids=["random_parseval", "harmonic_frame", "with_zeros"])
 def test_a_draw_too_large_names_its_shape_before_any_fill(draw, shape):
+    # A frame built whole, not drawn, checks its shape by the same rule
+    # before it allocates.
     with pytest.raises(fl.InputError,
                        match=re.escape(f"a draw of shape {shape} is too large")):
         draw()
@@ -774,10 +760,8 @@ for rng in stack[::3]:
 h.update(_field_runs(stack, [28] * 64, "C").tobytes())
 h.update(_field_runs(stack, [15] * 64, "R").tobytes())
 h.update(_field_runs(stack[:5], [1200] * 5, "C").tobytes())
-run, normals = SplitMix64(5), []
-draws = run._run(3, [i % 3 for i in range(100)],
-                 lambda block: normals.append(block.copy()) or 100)
-h.update(np.concatenate(normals).tobytes() + repr(draws).encode())
+normals, draws = SplitMix64(5)._run(3, [i % 3 for i in range(100)])
+h.update(normals.tobytes() + repr(draws).encode())
 for rng in rngs:
     h.update(str([rng.u64() for _ in range(70)]).encode())
     for shape in (1, 7, 64, 1025, (3, 5)):

@@ -15,6 +15,7 @@ SOURCES = sorted(
     p for p in PACKAGE.glob("*.py")
     if p.name != "__init__.py"  # its imports are the package's re-exports
 )
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -33,7 +34,7 @@ def unused_imports(tree: ast.Module) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
 
@@ -491,10 +492,6 @@ def rng_lines(draw) -> int:
     return count
 
 
-def _run_all(rng, width, uniforms):
-    return rng._run(width, uniforms, lambda normals: len(uniforms))
-
-
 # Pairs of draws that differ only in how many words they read, all
 # within one fill of at most 1024 words a generator.
 WORD_COUNT_PAIRS = {
@@ -504,9 +501,9 @@ WORD_COUNT_PAIRS = {
     + SplitMix64(4).gaussians(8 * n + 1).sum(),
     "_field_runs": lambda n: framelab.rng._field_runs(
         [SplitMix64(s) for s in range(8)], [4 * n] * 8, "C"),
-    "_run-width": lambda n: _run_all(SplitMix64(3), 4 * n, [1, 0, 2]),
-    "_run-uniforms": lambda n: _run_all(SplitMix64(3), 3, [n, 0, n]),
-    "_run-steps": lambda n: _run_all(SplitMix64(3), 3, [1] * n),
+    "_run-width": lambda n: SplitMix64(3)._run(4 * n, [1, 0, 2]),
+    "_run-uniforms": lambda n: SplitMix64(3)._run(3, [n, 0, n]),
+    "_run-steps": lambda n: SplitMix64(3)._run(3, [1] * n),
 }
 
 
@@ -642,6 +639,65 @@ def test_only_frames_knows_the_pass_size():
     # How many random frames a pass draws is decided where they are
     # drawn: no other module defines, reads or imports _STACK_PASS.
     assert list(_uses({"_STACK_PASS"})) == ["frames.py"]
+
+
+def attribute_writers(tree: ast.Module, names: set[str]) -> list[str]:
+    """The innermost functions of a module, as Class.method for a
+    method, that assign, augment or delete an attribute named in
+    ``names``, one entry per write."""
+    found = []
+
+    def visit(node, owner, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, owner, f"{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, prefix + child.name, "")
+            else:
+                if (isinstance(child, ast.Attribute) and child.attr in names
+                        and isinstance(child.ctx, (ast.Store, ast.Del))):
+                    found.append(owner)
+                visit(child, owner, prefix)
+
+    visit(tree, "<module>", "")
+    return sorted(found)
+
+
+def test_attribute_write_scan_sees_each_form():
+    tree = ast.parse(
+        "class C:\n    def m(self):\n        self._base = 1\n"
+        "        return self._base\n"
+        "def f(r):\n    r._base, r._read = 0, 0\n"
+        "    def g():\n        r._base += 1\n    del r._base\n"
+        "def h(r):\n    return r._base\n"
+    )
+    assert attribute_writers(tree, {"_base"}) == ["C.m", "f", "f", "g"]
+
+
+def test_only_the_fills_move_a_generators_counter():
+    # A generator's counter is set where it is seeded and where a fill
+    # or a stacked run hands it a block; no draw goes back in the
+    # stream, so no other function writes it.
+    writers = {path.name: attribute_writers(ast.parse(path.read_text()),
+                                            {"_base"})
+               for path in SOURCES}
+    assert {name: found for name, found in writers.items() if found} == {
+        "rng.py": ["SplitMix64.__init__", "_field_runs", "_fill"]}
+
+
+def test_the_redraw_rule_is_written_once():
+    # The norm floor is read, and a refused row or direction drawn
+    # again, only in the redraw rule of frames, which both the random
+    # frames and the sample directions of gleason call.
+    assert _uses({"_NORM_FLOOR"}) == {
+        "frames.py": ["<module>", "_redraw", "_redraw"]}
+    loops = {path.name: calls_in_loops(ast.parse(path.read_text()),
+                                       GAUSSIAN_DRAWS)
+             for path in SOURCES}
+    assert {name: found for name, found in loops.items() if found} == {
+        "frames.py": ["_redraw"]}
+    assert _uses({"_redraw"}) == {
+        "frames.py": ["_orthonormalize"], "gleason.py": ["_directions"]}
 
 
 def test_only_rng_touches_a_generators_words():
