@@ -16,13 +16,10 @@ direction of :mod:`framelab.gleason`, is written here once too.
 Every random frame comes from one stream, which takes its draws
 _STACK_PASS at a time, of any frame sizes, and yields each with its
 block; a single frame is a stream of one, and a Parseval frame's
-vectors are the columns of its block.  The rule's first projection of
-each row is right-looking (a normalized row is projected out of every
-later row of the stack in one update) and its second runs row by row,
-in the order that gives each block the bits it has alone.  The
-projections x_j x_j* of a frame's vectors are complex128, by the
-rank-one rule of :mod:`framelab.linalg`, which the updates of the
-pivoted factorization there also use.
+vectors are the columns of its block.  The projections x_j x_j* of a
+frame's vectors are complex128, by the rank-one rule of
+:mod:`framelab.linalg`, which the updates of the pivoted factorization
+there also use.
 
 No diagnostic forms the N x N Gram matrix.  Coherence and
 equiangularity stream it in row blocks of bounded size, and the frame
@@ -429,10 +426,9 @@ def _orthonormalize(
     # row j is normalized, every later row of every block is projected
     # off it in one update.  The second runs row by row, and a row's
     # projections come in the same order either way, so each block gets
-    # the bits it gets when its generator runs alone.  A row that falls
-    # too close to the span of the earlier ones, which for continuous
-    # Gaussians essentially never happens, is drawn again by the redraw
-    # rule.
+    # the bits it gets when its generator runs alone.  A row too close to
+    # the span of the earlier ones (for continuous Gaussians, essentially
+    # never) is drawn again by the redraw rule.
     rows: list[np.ndarray] = []
     for j in range(out.shape[1]):
         v = out[:, j]

@@ -473,7 +473,9 @@ def check_generalized_measure(
     each (grouped from random Parseval frames, so zero effects and
     high-rank effects both occur) and records how far ``v`` strays
     from: v(identity) = 1, values inside [0, 1], and values summing
-    to 1 across each POVM.
+    to 1 across each POVM.  A failed check's ``witness`` is the first
+    POVM of the largest sum deviation if that exceeds tol, else the
+    first POVM with a value outside [-tol, 1 + tol], else None.
 
     ``n_family`` below d + 2 raises :class:`BadFamilySizeError`, since
     smaller families are too coarse for additivity over them to pin
@@ -600,7 +602,9 @@ def born_experiment(
     rhos: deque[np.ndarray] = deque()
 
     def plans():
-        # Each trial's state, then its plan, as each trial drew them.
+        # Each trial's state, then its plan, as each trial drew them.  The
+        # state is drawn here, not only its seed, so that its size check
+        # refuses a huge dim before the plan loops over n >= dim vectors.
         for _ in range(trials):
             rhos.append(random_density(dim, seed=rng.u64()))
             yield _povm_plan(rng, dim, dim + 2)

@@ -104,8 +104,8 @@ def _finite(x, name: str, message: str = "") -> float:
 
 
 def _draw_array(shape, dtype) -> np.ndarray:
-    # The empty output of a draw, formed before any variate is drawn so
-    # that NumPy refuses a size it cannot hold at once.
+    # The empty output of a draw or of a frame built whole, formed first
+    # so that NumPy refuses a size it cannot hold before any work.
     if isinstance(shape, (tuple, list)):
         dims = tuple([_integer(n, "shape entry", 0) for n in shape])
     else:
@@ -113,7 +113,7 @@ def _draw_array(shape, dtype) -> np.ndarray:
     try:
         return np.empty(dims, dtype)
     except (ValueError, MemoryError):
-        raise InputError(f"a draw of shape {dims} is too large") from None
+        raise InputError(f"an array of shape {dims} is too large") from None
 
 
 def _check_field(field) -> None:

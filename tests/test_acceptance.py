@@ -8,15 +8,13 @@ explicit wall-clock budgets.
 """
 
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
 
 import framelab as fl
 from framelab import SplitMix64
-from subprocess_env import subprocess_env
+from subprocess_env import run_cli
 
 
 def verdict(num, name, ok, detail):
@@ -324,16 +322,6 @@ def test_criterion_10_flat_correlation_sequences_and_their_gabor_frames():
     verdict(
         10, "flat correlation sequences and their gabor frames", ok,
         f"8 prime lengths, {elapsed:.2f}s; " + ", ".join(details[:3]) + ", ...",
-    )
-
-
-def run_cli(args, cwd):
-    return subprocess.run(
-        [sys.executable, "-m", "framelab", *args],
-        cwd=cwd,
-        env=subprocess_env({}),
-        capture_output=True,
-        text=True,
     )
 
 

@@ -4,8 +4,6 @@ byte sweep, in-process through ``cli.main``."""
 import hashlib
 import json
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,18 +12,8 @@ import pytest
 import framelab as fl
 from framelab import cli
 
-from subprocess_env import subprocess_env
+from subprocess_env import run_cli
 from test_serialize import NOT_INTEGERS, NOT_NUMBERS
-
-
-def run_cli(args, cwd, env_extra=None):
-    return subprocess.run(
-        [sys.executable, "-m", "framelab", *args],
-        cwd=cwd,
-        env=subprocess_env(env_extra or {}),
-        capture_output=True,
-        text=True,
-    )
 
 
 def test_gen_simplex_and_analyze(tmp_path):
@@ -454,7 +442,7 @@ def test_gen_exits_2_at_once_on_a_dimension_too_large_to_draw(
     # Its 10**24 normals overflow the index type, so nothing is drawn.
     monkeypatch.chdir(tmp_path)
     assert cli.main("gen random-onb --dim 1000000000000".split()) == 2
-    assert capsys.readouterr() == ("", "error: a draw of shape "
+    assert capsys.readouterr() == ("", "error: an array of shape "
                                    "(1000000000000, 1000000000000) is too "
                                    "large\n")
 
@@ -468,7 +456,7 @@ def test_a_frame_too_large_to_build_exits_2(command, tmp_path, monkeypatch,
     # Each once exited 1 with NumPy's allocation traceback.
     monkeypatch.chdir(tmp_path)
     assert cli.main(command.split()) == 2
-    assert capsys.readouterr() == ("", "error: a draw of shape "
+    assert capsys.readouterr() == ("", "error: an array of shape "
                                    "(1000000000000, 2) is too large\n")
 
 

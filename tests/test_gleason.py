@@ -793,6 +793,16 @@ def test_fit_flags_constant_offset():
     assert fit.verdict == "not_quadratic"  # offset is not r^2-homogeneous
 
 
+def test_fit_calls_a_residual_between_the_thresholds_indeterminate():
+    # A form plus 1e-8 |x_1|^4 strays from it by at most 1e-8 on the
+    # ball: above the 1e-9 threshold, within the 1e-6 one.
+    g = fl.GleasonFn(2, "C", "perturbed", lambda x: np.sum(
+        np.abs(x) ** 2 * [1.0, 2.0], axis=1) + 1e-8 * np.abs(x[:, 0]) ** 4)
+    fit = fl.fit_quadratic(g)
+    assert fit.verdict == "indeterminate"
+    assert 1e-9 < fit.residual <= 1e-8
+
+
 def test_fit_takes_no_tolerance():
     # The verdict uses the fixed 1e-9 / 1e-6 thresholds, so a tol
     # argument would be silently ignored; it is refused instead.

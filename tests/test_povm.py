@@ -96,6 +96,17 @@ def test_a_povm_refuses_effects_of_dimension_zero():
         Povm(np.zeros((1, 0, 0)))
 
 
+@pytest.mark.parametrize("effects, partition, message", [
+    (np.eye(2), None, r"effects must have shape \(k, d, d\), got \(2, 2\)"),
+    (np.zeros((0, 2, 2)), None, "a POVM needs at least one effect"),
+    (np.stack([np.eye(2) / 2] * 2), [[0, 1]],
+     "partition length does not match the number of effects"),
+], ids=["2-d", "no-effect", "partition-length"])
+def test_a_povm_refuses_a_malformed_family(effects, partition, message):
+    with pytest.raises(fl.InputError, match=f"^{message}$"):
+        Povm(effects, partition)
+
+
 def test_povm_from_frame_requires_parseval():
     f = Frame(2.0 * fl.standard_onb(2).vectors, "R")
     with pytest.raises(fl.NotParsevalError):
@@ -459,6 +470,33 @@ def test_generalized_measure_rejects_nonadditive():
     fl.check_povm(report.witness)  # the witness is a genuine POVM
 
 
+def test_an_additive_measure_off_the_range_names_the_first_povm_off_it():
+    # tr(A E) with tr A = 1 sums to 1 over every POVM, but A has the
+    # eigenvalue -0.5, so effects near its eigenvector score below 0.
+    # With no sum deviation above tol, the witness is the first POVM
+    # with a value outside [-tol, 1 + tol], not the one of the lowest.
+    a = np.diag([1.5, -0.5])
+
+    def v(e):
+        return float(np.trace(a @ e).real)
+
+    report = fl.check_generalized_measure(v, 2, 4, trials=5)
+    assert not report.passed
+    assert report.identity_deviation == 0.0
+    assert report.additivity_deviation < 1e-15
+    rng = SplitMix64(0)
+    plans = (fl.povm._povm_plan(rng, 2, 4) for _ in range(5))
+    lows = [min(map(v, p.effects)) for p in fl.povm._random_povms(
+        plans, 2, "C")]
+    assert [low < -1e-9 for low in lows] == [True] * 4 + [False]
+    assert report.range_min == min(lows) == lows[3]
+    assert report.range_min == pytest.approx(-0.1091, abs=1e-4)
+    rng = SplitMix64(0)
+    first = next(fl.povm._random_povms([fl.povm._povm_plan(rng, 2, 4)],
+                                       2, "C"))
+    assert np.array_equal(report.witness.effects, first.effects)
+
+
 @pytest.mark.parametrize("at_identity", [1.0, math.nan],
                          ids=["elsewhere", "identity"])
 def test_generalized_measure_rejects_a_non_finite_value(at_identity):
@@ -634,7 +672,7 @@ def test_born_experiment_draws_the_povms_of_the_per_trial_rule():
 def test_born_experiment_refuses_a_huge_state_before_planning_a_trial():
     # A plan loops over the frame's n >= dim vectors, so the state's
     # size check must come first, as it did when each trial drew alone.
-    with pytest.raises(fl.InputError, match=r"^a draw of shape "
+    with pytest.raises(fl.InputError, match=r"^an array of shape "
                        r"\(1000000000000, 1000000000000\) is too large$"):
         fl.born_experiment(10**12, trials=3)
 

@@ -719,7 +719,7 @@ def test_a_draw_too_large_names_its_shape_before_any_fill(draw, shape):
     # A frame built whole, not drawn, checks its shape by the same rule
     # before it allocates.
     with pytest.raises(fl.InputError,
-                       match=re.escape(f"a draw of shape {shape} is too large")):
+                       match=re.escape(f"an array of shape {shape} is too large")):
         draw()
 
 

@@ -203,6 +203,8 @@ def test_integer_bool_and_scalar_arrays_keep_their_bytes():
     assert canonical_json(np.array(-0.0)) == "0"
     assert canonical_json(np.array(1 - 2j)) == "[1,-2]"
     assert canonical_json(np.zeros((0,), dtype=np.int64)) == "[]"
+    assert canonical_json([np.bool_(True), {"a": np.bool_(False)}]) == (
+        '[true,{"a":false}]')
 
 
 def test_scalars_follow_the_17_digit_rule():
@@ -383,6 +385,34 @@ FIRST_DEFECTS = {
 @pytest.mark.parametrize("name", sorted(FIRST_DEFECTS))
 def test_readers_name_the_first_defect(name):
     read, message = FIRST_DEFECTS[name]
+    with pytest.raises(fl.InputError) as info:
+        read()
+    assert str(info.value) == message
+
+
+# Inputs with one defect each, and the message that names it.
+LONE_DEFECTS = {
+    "sequence-length": (
+        lambda: sequence_from_json({"length": 3, "entries": [1, 2]}),
+        "sequence claims length 3 but has 2 entries"),
+    "matrix-not-a-list": (
+        lambda: serialize.matrix_from_json("ab", "op"),
+        "op: expected a nonempty list of rows"),
+    "frame-no-vectors": (
+        lambda: frame_from_json({"dim": 2, "field": "R", "vectors": []}),
+        "frame: vectors must be a nonempty list"),
+    "json-int-key": (
+        lambda: canonical_json({2: 3}),
+        "JSON keys must be strings, got 2"),
+    "json-set": (
+        lambda: canonical_json([1, {2}]),
+        "cannot serialize object of type set"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONE_DEFECTS))
+def test_readers_and_the_emitter_name_a_lone_defect(name):
+    read, message = LONE_DEFECTS[name]
     with pytest.raises(fl.InputError) as info:
         read()
     assert str(info.value) == message

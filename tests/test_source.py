@@ -3,6 +3,7 @@
 import ast
 import re
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
@@ -224,15 +225,108 @@ def test_int_coercion_scan_sees_parameters_and_their_loops():
     assert int_coercions(tree) == ["C.m(n)", "f(i)", "f(n)", "f(x)"]
 
 
-def numpy_uses(tree: ast.Module, function: str) -> list[str]:
-    """The ``np.`` attribute accesses in a module-level function of a
-    module, as source text."""
-    fn = next(node for node in tree.body
-              if isinstance(node, ast.FunctionDef) and node.name == function)
-    return sorted({ast.unparse(node) for node in ast.walk(fn)
-                   if isinstance(node, ast.Attribute)
-                   and isinstance(node.value, ast.Name)
-                   and node.value.id == "np"})
+def owned(tree: ast.AST) -> Iterator[tuple[ast.AST, str]]:
+    """Each node under ``tree`` with its owner: the innermost function
+    or method around it, as the dotted path of the classes and functions
+    that hold it ("_fill", "SplitMix64.u64", "quadratic_gleason.fn"),
+    or "<module>" outside every function, as in a class body.  A def
+    node is owned where its name is bound, the nodes under it by the
+    def."""
+
+    def visit(node, path, owner):
+        for child in ast.iter_child_nodes(node):
+            yield child, owner
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, path + [child.name], owner)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = path + [child.name]
+                yield from visit(child, inner, ".".join(inner))
+            else:
+                yield from visit(child, path, owner)
+
+    return visit(tree, [], "<module>")
+
+
+def owners(tree: ast.AST, hit) -> list[str]:
+    """The owner of each node under ``tree`` that ``hit`` accepts, one
+    entry per node, sorted."""
+    return sorted(owner for node, owner in owned(tree) if hit(node))
+
+
+def module(name: str) -> ast.Module:
+    return ast.parse((PACKAGE / name).read_text())
+
+
+def package_owners(hit) -> dict[str, list[str]]:
+    """owners over each module of the package that has a hit, by file
+    name."""
+    found = {path.name: owners(module(path.name), hit)
+             for path in sorted(PACKAGE.glob("*.py"))}
+    return {name: hits for name, hits in found.items() if hits}
+
+
+def named(node: ast.AST) -> str | None:
+    """The name a bare name or an attribute node reads or writes."""
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def called(node: ast.AST) -> str | None:
+    """The name a call node calls, bare or as an attribute."""
+    return named(node.func) if isinstance(node, ast.Call) else None
+
+
+def dotted(node: ast.AST) -> str:
+    """An attribute of a bare name as source text, as "np.abs", and ""
+    for any other node."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return f"{node.value.id}.{node.attr}"
+    return ""
+
+
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def loop_calls(node: ast.AST) -> set[str]:
+    """The names called, bare or as attributes, inside a for or while
+    loop or a comprehension node, and none for any other node."""
+    if not isinstance(node, LOOPS):
+        return set()
+    return {called(inner) for inner in ast.walk(node)} - {None}
+
+
+def writes(node: ast.AST) -> str | None:
+    """The attribute name an attribute node assigns, augments or
+    deletes."""
+    if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+        return node.attr
+    return None
+
+
+def int_literal(node: ast.AST) -> int | None:
+    """The value of an integer literal node; a bool or float is none."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return node.value
+    return None
+
+
+def test_the_walk_names_each_owner_by_its_dotted_path():
+    tree = ast.parse(
+        "x = 1\n"
+        "def f():\n    def g():\n        return 2\n    return 3\n"
+        "class C:\n    y = 4\n    def m(self):\n        return 5\n"
+        "    class D:\n        def n(self):\n            return 6\n"
+        "def h():\n    class E:\n        def k(self):\n            return 7\n"
+    )
+    assert {node.value: owner for node, owner in owned(tree)
+            if isinstance(node, ast.Constant)} == {
+        1: "<module>", 2: "f.g", 3: "f", 4: "<module>", 5: "C.m",
+        6: "C.D.n", 7: "h.E.k"}
+    assert [(node.name, owner) for node, owner in owned(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))] == [
+        ("f", "<module>"), ("g", "f"), ("C", "<module>"), ("m", "<module>"),
+        ("D", "<module>"), ("n", "<module>"), ("h", "<module>"), ("E", "h"),
+        ("k", "h")]
 
 
 @pytest.mark.parametrize("function", ["_jacobi", "_magnitudes",
@@ -240,8 +334,10 @@ def numpy_uses(tree: ast.Module, function: str) -> list[str]:
 def test_the_jacobi_sweeps_make_no_numpy_call(function):
     # The sweeps run in Python scalar arithmetic, whose order alone fixes
     # their bits; the bit pin of _jacobi in test_linalg relies on it.
-    tree = ast.parse((PACKAGE / "linalg.py").read_text())
-    assert numpy_uses(tree, function) == []
+    tree = module("linalg.py")
+    users = owners(tree, lambda n: dotted(n).startswith("np."))
+    assert function in {owner for _, owner in owned(tree)}
+    assert function not in {owner.split(".")[0] for owner in users}
 
 
 def test_the_povm_layer_runs_no_eigensolver():
@@ -257,7 +353,8 @@ def test_numpy_use_scan_sees_np_attributes():
         "def f(a):\n    return np.abs(a) + np.linalg.norm(a) + a.np\n"
         "def g(a):\n    return np.pi\n"
     )
-    assert numpy_uses(tree, "f") == ["np.abs", "np.linalg"]
+    assert owners(tree, lambda n: dotted(n).startswith("np.")) == [
+        "f", "f", "g"]
 
 
 def imported_modules(tree: ast.Module) -> set[str]:
@@ -287,80 +384,65 @@ def test_import_scan_sees_each_form():
     assert imported_modules(tree) == {"json", "gleason", "povm", "rng"}
 
 
-def calling_functions(tree: ast.Module, names: set[str]) -> list[str]:
-    """The module-level functions of a module that call any of ``names``,
-    as a bare name or an attribute."""
-    found = set()
-    for fn in tree.body:
-        if not isinstance(fn, ast.FunctionDef):
-            continue
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Call):
-                called = getattr(node.func, "attr",
-                                 getattr(node.func, "id", None))
-                if called in names:
-                    found.add(fn.name)
-    return sorted(found)
-
-
 def test_the_cli_forms_report_text_in_one_function():
     # Every report the CLI prints is the record's fields plus the CLI's
     # own keys, formed in one place.
-    tree = ast.parse((PACKAGE / "cli.py").read_text())
-    assert calling_functions(
-        tree, {"canonical_json", "flat_report_to_json"}) == ["_report_text"]
+    assert set(owners(module("cli.py"), lambda n: called(n) in {
+        "canonical_json", "flat_report_to_json"})) == {"_report_text"}
 
 
 def test_the_gabor_report_runs_no_gram_pass():
     # Its coherence is the ambiguity table's off-origin peak.
-    tree = ast.parse((PACKAGE / "waveforms.py").read_text())
-    assert calling_functions(tree, {"coherence", "_pair_stats"}) == []
+    assert owners(module("waveforms.py"),
+                  lambda n: called(n) in {"coherence", "_pair_stats"}) == []
 
 
 def test_the_cli_forms_no_ambiguity_peak():
     # A sequence's peaks are is_cazac's fields; only the ambiguity mode
     # reads the table itself, to write it.
-    tree = ast.parse((PACKAGE / "cli.py").read_text())
-    assert calling_functions(
-        tree, {"ambiguity", "peak_off_origin"}) == ["_cmd_cazac"]
+    assert set(owners(module("cli.py"), lambda n: called(n) in {
+        "ambiguity", "peak_off_origin"})) == {"_cmd_cazac"}
 
 
 def test_the_lags_are_formed_only_for_the_ambiguity_table():
     # is_cazac reads the autocorrelation off column 0 of the table.
-    tree = ast.parse((PACKAGE / "waveforms.py").read_text())
-    assert calling_functions(tree, {"_lags"}) == ["ambiguity"]
+    assert set(owners(module("waveforms.py"),
+                      lambda n: called(n) == "_lags")) == {"ambiguity"}
 
 
 def test_the_simplex_is_built_with_no_blas_call():
     # Its closed form needs no Gram-Schmidt pass and no product.
-    tree = ast.parse((PACKAGE / "frames.py").read_text())
-    assert "np.dot" not in numpy_uses(tree, "simplex_etf")
-    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
-              and node.name == "simplex_etf")
-    assert not any(isinstance(node, ast.MatMult) for node in ast.walk(fn))
+    tree = module("frames.py")
+    users = owners(tree, lambda n: isinstance(n, ast.MatMult)
+                   or dotted(n) == "np.dot")
+    assert "simplex_etf" in {owner for _, owner in owned(tree)}
+    assert "simplex_etf" not in {owner.split(".")[0] for owner in users}
 
 
 def test_each_verification_evaluates_one_block():
     # The frames of a verification are stacked and evaluated in one
     # values call, so the array rule, the ball check and the finiteness
     # check run once per verification; no trial builds its own Frame.
-    tree = ast.parse((PACKAGE / "gleason.py").read_text())
-    assert calling_functions(tree, {"values"}) == [
-        "_frame_sums", "fit_quadratic", "homogeneity_check"]
-    assert calling_functions(tree, {"random_onb", "_frame_sum"}) == []
+    # GleasonFn.__call__ is the evaluation of one point a caller hands
+    # it, as a block of one row.
+    tree = module("gleason.py")
+    assert set(owners(tree, lambda n: called(n) == "values")) == {
+        "GleasonFn.__call__", "_frame_sums", "fit_quadratic",
+        "homogeneity_check"}
+    assert owners(tree, lambda n: called(n) in {"random_onb",
+                                                "_frame_sum"}) == []
 
 
 def test_the_frame_draws_and_quadratic_forms_dot_a_whole_stack():
     # Gram-Schmidt and <A x, x> take one np.vecdot per stack, with
     # np.vdot's bits (the premise is tested in test_frames); no row is
-    # dotted on its own.
-    trees = {name: ast.parse((PACKAGE / name).read_text())
-             for name in ("frames.py", "gleason.py")}
-    for tree in trees.values():
-        assert not [node for node in ast.walk(tree)
-                    if isinstance(node, ast.Attribute) and node.attr == "vdot"]
-    assert calling_functions(trees["gleason.py"], {"_quadratic_values"}) == [
-        "fit_quadratic", "quadratic_gleason"]
+    # dotted on its own.  A quadratic form's GleasonFn evaluates its
+    # block through its inner fn.
+    for name in ("frames.py", "gleason.py"):
+        assert owners(module(name), lambda n: named(n) == "vdot") == []
+    assert set(owners(module("gleason.py"),
+                      lambda n: called(n) == "_quadratic_values")) == {
+        "fit_quadratic", "quadratic_gleason.fn"}
 
 
 def test_call_scan_sees_names_and_attributes():
@@ -369,32 +451,11 @@ def test_call_scan_sees_names_and_attributes():
         "def g(a):\n    return canonical_json(a)\n"
         "def h(a):\n    return a.canonical_json\n"
     )
-    assert calling_functions(tree, {"canonical_json"}) == ["f", "g"]
+    assert owners(tree, lambda n: called(n) == "canonical_json") == [
+        "f", "g"]
 
 
 MIXING_CONSTANTS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
-
-
-def functions_using(tree: ast.Module, values) -> list[str]:
-    """The innermost functions of a module whose body holds an integer
-    literal among ``values``, one entry per literal, and "<module>" for
-    a literal outside every function."""
-
-    found = []
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-            else:
-                if (isinstance(child, ast.Constant)
-                        and type(child.value) is int
-                        and child.value in values):
-                    found.append(owner)
-                visit(child, owner)
-
-    visit(tree, "<module>")
-    return sorted(found)
 
 
 def test_the_splitmix64_hash_is_written_once():
@@ -405,10 +466,7 @@ def test_the_splitmix64_hash_is_written_once():
     # of each entry's bits, which draws no word.
     rng_source = (PACKAGE / "rng.py").read_text()
     assert [rng_source.count(f"0x{c:X}") for c in MIXING_CONSTANTS] == [1, 1]
-    uses = {path.name: functions_using(ast.parse(path.read_text()),
-                                       MIXING_CONSTANTS)
-            for path in PACKAGE.glob("*.py")}
-    assert {name: found for name, found in uses.items() if found} == {
+    assert package_owners(lambda n: int_literal(n) in MIXING_CONSTANTS) == {
         "rng.py": ["_fill", "_fill"], "serialize.py": ["<module>"]}
 
 
@@ -418,58 +476,29 @@ def test_constant_scan_sees_the_innermost_function():
         "def f():\n    def g():\n        return 7\n    return 7 + 8\n"
         "class C:\n    def m(self):\n        return 8.0, True\n"
     )
-    assert functions_using(tree, {7, 8}) == ["<module>", "f", "f", "g"]
-
-
-def functions_calling(tree: ast.Module, owner: str | None, names: set[str],
-                      passed: bool = False) -> list[str]:
-    """The innermost functions of a module, methods among them, that
-    call ``owner.name`` for a name in ``names``, or the bare ``name``
-    when ``owner`` is None, one entry per call.  With ``passed``, a
-    function handed to a call as an argument, as in ``map(math.log,
-    xs)``, counts as called there."""
-    found = []
-
-    def called(func):
-        if owner is None:
-            return isinstance(func, ast.Name) and func.id in names
-        return (isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id == owner and func.attr in names)
-
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.Call):
-                hits = [child.func] + (child.args if passed else [])
-                found.extend(function for func in hits if called(func))
-            visit(child, function)
-
-    visit(tree, "<module>")
-    return sorted(found)
+    assert owners(tree, lambda n: int_literal(n) in {7, 8}) == [
+        "<module>", "f", "f", "f.g"]
 
 
 def test_the_box_muller_transform_is_written_once():
     # Scalar, bulk, block and planned draws of normals all run one
     # transform: libm's log, mapped over the pairs, and NumPy's sqrt,
     # cos and sin, which have libm's bits (tests/test_rng.py checks
-    # that premise); NumPy's own log is never used.
-    tree = ast.parse((PACKAGE / "rng.py").read_text())
-    assert functions_calling(tree, "math", {"log", "cos", "sin"},
-                             passed=True) == ["_box_muller"]
-    assert functions_calling(tree, "np", {"log", "cos", "sin", "sqrt"},
-                             passed=True) == ["_box_muller"] * 3
+    # that premise); NumPy's own log is never used.  A function counts
+    # wherever it is named, called or handed on, as to map.
+    tree = module("rng.py")
+    assert owners(tree, lambda n: dotted(n) in {
+        "math.log", "math.cos", "math.sin"}) == ["_box_muller"]
+    assert owners(tree, lambda n: dotted(n) in {
+        "np.log", "np.cos", "np.sin", "np.sqrt"}) == ["_box_muller"] * 3
 
 
 def test_only_the_word_readers_fill_a_block():
     # u64 reads one word and _take every multi-word draw, and the runs
     # of normals of a draw or a stack are filled one round at a time; no
     # draw runs a fill loop of its own.
-    tree = ast.parse((PACKAGE / "rng.py").read_text())
-    assert functions_calling(tree, None, {"_fill"}) == [
-        "_normal_runs", "_take", "u64"]
+    assert owners(module("rng.py"), lambda n: called(n) == "_fill") == [
+        "SplitMix64._take", "SplitMix64.u64", "_normal_runs"]
 
 
 def rng_lines(draw) -> int:
@@ -517,6 +546,8 @@ def test_rng_has_no_python_loop_over_words(name):
     assert rng_lines(lambda: draw(2)) == rng_lines(lambda: draw(60))
 
 
+
+
 def test_method_call_scan_sees_methods_and_nested_functions():
     tree = ast.parse(
         "import math\n"
@@ -526,52 +557,31 @@ def test_method_call_scan_sees_methods_and_nested_functions():
         "def h():\n    return log(1), x.log(2)\n"
         "def k(xs):\n    return list(map(math.log, xs)), f(math.cos(1))\n"
     )
-    assert functions_calling(tree, "math", {"log", "cos", "sin"}) == [
-        "f", "g", "k", "m"]
-    assert functions_calling(tree, "math", {"log", "cos", "sin"},
-                             passed=True) == ["f", "g", "k", "k", "m"]
-    assert functions_calling(tree, None, {"log"}) == ["f", "h"]
+    assert owners(tree, lambda n: dotted(n) in {
+        "math.log", "math.cos", "math.sin"}) == ["C.m", "f", "f.g", "k", "k"]
+    assert owners(tree, lambda n: called(n) == "log") == [
+        "C.m", "f", "f", "h", "h"]
 
 
 GAUSSIAN_DRAWS = {"field_gaussians", "gaussians", "complex_gaussians"}
 
 
-def calls_in_loops(tree: ast.Module, names: set[str]) -> list[str]:
-    """The functions of a module with a call to any of ``names``, as a
-    bare name or an attribute, inside a for or while loop or a
-    comprehension."""
-    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
-             ast.GeneratorExp)
-    found = set()
-    for fn in ast.walk(tree):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for loop in ast.walk(fn):
-            if not isinstance(loop, loops):
-                continue
-            for node in ast.walk(loop):
-                if isinstance(node, ast.Call):
-                    called = getattr(node.func, "attr",
-                                     getattr(node.func, "id", None))
-                    if called in names:
-                        found.add(fn.name)
-    return sorted(found)
-
-
 def test_no_sampler_draws_its_directions_one_at_a_time():
     # A sampler's directions come from one run of the stream
     # (gleason._directions); no Gaussian is drawn per sample.
-    tree = ast.parse((PACKAGE / "gleason.py").read_text())
-    assert calls_in_loops(tree, GAUSSIAN_DRAWS) == []
+    assert owners(module("gleason.py"),
+                  lambda n: loop_calls(n) & GAUSSIAN_DRAWS) == []
 
 
 def test_the_povm_layer_factors_no_effect_on_its_own():
     # Each POVM's effects are judged and factored as stacks, one per
     # dtype, by the effect rule; no loop or comprehension factors them
     # one at a time.
-    tree = ast.parse((PACKAGE / "povm.py").read_text())
-    assert calling_functions(tree, {"_pivoted_rows"}) == ["_factor_parts"]
-    assert calls_in_loops(tree, {"_pivoted_rows", "_factor_parts"}) == []
+    tree = module("povm.py")
+    assert owners(tree, lambda n: called(n) == "_pivoted_rows") == [
+        "_factor_parts"]
+    assert owners(tree, lambda n: loop_calls(n) & {
+        "_pivoted_rows", "_factor_parts"}) == []
 
 
 def test_loop_call_scan_sees_each_loop_form():
@@ -581,30 +591,8 @@ def test_loop_call_scan_sees_each_loop_form():
         "def h(r):\n    return [r.gaussians(1) for _ in range(2)]\n"
         "def k(r):\n    return r.field_gaussians(2, 'R')\n"
     )
-    assert calls_in_loops(tree, GAUSSIAN_DRAWS) == ["f", "g", "h"]
-
-
-def functions_naming(tree: ast.Module, names: set[str],
-                     bare: bool = True) -> list[str]:
-    """The innermost functions of a module, methods among them, that
-    name any of ``names`` as an attribute, or with ``bare`` also as a
-    bare name, one entry per use, and "<module>" for a use outside every
-    function."""
-    found = []
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if (isinstance(child, ast.Attribute) and child.attr in names
-                    or bare and isinstance(child, ast.Name)
-                    and child.id in names):
-                found.append(owner)
-            visit(child, owner)
-
-    visit(tree, "<module>")
-    return sorted(found)
+    assert owners(tree, lambda n: loop_calls(n) & GAUSSIAN_DRAWS) == [
+        "f", "g", "h"]
 
 
 def test_name_scan_sees_names_and_attributes():
@@ -615,52 +603,25 @@ def test_name_scan_sees_names_and_attributes():
         "def g():\n    def h():\n        return run\n    return x.go\n"
         "y = run\n"
     )
-    assert functions_naming(tree, {"run"}) == [
-        "<module>", "f", "f", "h", "m"]
-    assert functions_naming(tree, {"run"}, bare=False) == ["f", "m"]
-
-
-def _uses(names: set[str]) -> dict[str, list[str]]:
-    # functions_naming over every module of the package that names any
-    # of names.
-    uses = {path.name: functions_naming(ast.parse(path.read_text()), names)
-            for path in PACKAGE.glob("*.py")}
-    return {name: found for name, found in uses.items() if found}
+    assert owners(tree, lambda n: named(n) == "run") == [
+        "<module>", "C.m", "f", "f", "g.h"]
+    assert owners(tree, lambda n: isinstance(n, ast.Attribute)
+                  and n.attr == "run") == ["C.m", "f"]
 
 
 def test_only_the_frame_pass_draws_a_stack():
     # Every stack of random frames, of one size or of mixed sizes, is
     # drawn by the random-frame stream of frames, the one user of rng's
     # stacked run; no other function calls it, takes it or hands it on.
-    assert _uses({"_field_runs"}) == {"frames.py": ["_random_rows"]}
+    assert package_owners(lambda n: named(n) == "_field_runs") == {
+        "frames.py": ["_random_rows"]}
 
 
 def test_only_frames_knows_the_pass_size():
     # How many random frames a pass draws is decided where they are
     # drawn: no other module defines, reads or imports _STACK_PASS.
-    assert list(_uses({"_STACK_PASS"})) == ["frames.py"]
-
-
-def attribute_writers(tree: ast.Module, names: set[str]) -> list[str]:
-    """The innermost functions of a module, as Class.method for a
-    method, that assign, augment or delete an attribute named in
-    ``names``, one entry per write."""
-    found = []
-
-    def visit(node, owner, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                visit(child, owner, f"{child.name}.")
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, prefix + child.name, "")
-            else:
-                if (isinstance(child, ast.Attribute) and child.attr in names
-                        and isinstance(child.ctx, (ast.Store, ast.Del))):
-                    found.append(owner)
-                visit(child, owner, prefix)
-
-    visit(tree, "<module>", "")
-    return sorted(found)
+    assert list(package_owners(lambda n: named(n) == "_STACK_PASS")) == [
+        "frames.py"]
 
 
 def test_attribute_write_scan_sees_each_form():
@@ -671,17 +632,15 @@ def test_attribute_write_scan_sees_each_form():
         "    def g():\n        r._base += 1\n    del r._base\n"
         "def h(r):\n    return r._base\n"
     )
-    assert attribute_writers(tree, {"_base"}) == ["C.m", "f", "f", "g"]
+    assert owners(tree, lambda n: writes(n) == "_base") == [
+        "C.m", "f", "f", "f.g"]
 
 
 def test_only_the_fills_move_a_generators_counter():
     # A generator's counter is set where it is seeded and where a fill
     # or a stacked run hands it a block; no draw goes back in the
     # stream, so no other function writes it.
-    writers = {path.name: attribute_writers(ast.parse(path.read_text()),
-                                            {"_base"})
-               for path in SOURCES}
-    assert {name: found for name, found in writers.items() if found} == {
+    assert package_owners(lambda n: writes(n) == "_base") == {
         "rng.py": ["SplitMix64.__init__", "_field_runs", "_fill"]}
 
 
@@ -689,14 +648,12 @@ def test_the_redraw_rule_is_written_once():
     # The norm floor is read, and a refused row or direction drawn
     # again, only in the redraw rule of frames, which both the random
     # frames and the sample directions of gleason call.
-    assert _uses({"_NORM_FLOOR"}) == {
+    assert package_owners(lambda n: named(n) == "_NORM_FLOOR") == {
         "frames.py": ["<module>", "_redraw", "_redraw"]}
-    loops = {path.name: calls_in_loops(ast.parse(path.read_text()),
-                                       GAUSSIAN_DRAWS)
-             for path in SOURCES}
-    assert {name: found for name, found in loops.items() if found} == {
-        "frames.py": ["_redraw"]}
-    assert _uses({"_redraw"}) == {
+    loops = package_owners(lambda n: loop_calls(n) & GAUSSIAN_DRAWS)
+    assert {name: set(found) for name, found in loops.items()} == {
+        "frames.py": {"_redraw"}}
+    assert package_owners(lambda n: named(n) == "_redraw") == {
         "frames.py": ["_orthonormalize"], "gleason.py": ["_directions"]}
 
 
@@ -704,26 +661,18 @@ def test_only_rng_touches_a_generators_words():
     # A generator's counter, block, read position and spare are rng's:
     # every other module draws through its methods and rng's runs.
     internals = {"_base", "_words", "_read", "_spare"}
-    for path in SOURCES:
-        if path.name != "rng.py":
-            tree = ast.parse(path.read_text())
-            assert functions_naming(tree, internals, bare=False) == [], (
-                path.name)
+    assert list(package_owners(lambda n: isinstance(n, ast.Attribute)
+                               and n.attr in internals)) == ["rng.py"]
 
 
 def test_the_scalar_writers_form_no_float_text():
     # fmt_float and the emitter hand each float or complex scalar to the
     # cell rule as a one-entry array; neither formats a float with %,
     # holds a format string nor checks finiteness itself.
-    tree = ast.parse((PACKAGE / "serialize.py").read_text())
-    writers = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
-               and fn.name in ("fmt_float", "_emit")]
-    assert len(writers) == 2
-    for fn in writers:
-        assert not [node for node in ast.walk(fn)
-                    if isinstance(node, ast.BinOp)
-                    and isinstance(node.op, ast.Mod)], fn.name
-        assert not [node for node in ast.walk(fn)
-                    if isinstance(node, ast.Constant)
-                    and "%" in str(node.value)], fn.name
-        assert functions_naming(fn, {"isfinite"}) == [], fn.name
+    tree = module("serialize.py")
+    writers = {"fmt_float", "_emit"}
+    users = owners(tree, lambda n: isinstance(n, ast.Mod)
+                   or named(n) == "isfinite"
+                   or isinstance(n, ast.Constant) and "%" in str(n.value))
+    assert writers <= {owner for _, owner in owned(tree)}
+    assert not writers & {owner.split(".")[0] for owner in users}
